@@ -43,4 +43,4 @@ print(f"\nchosen epsilon: {doc['epsilon']}, selected m = {doc['m']}")
 print("top features:")
 for entry in doc["selected"]:
     print(f"  rank {entry['rank']}: {entry['name']} (score {entry['score']:.4f})")
-print(f"\nwall time: {doc['wall_time_s']:.3f}s; full report at {out_path}")
+print(f"\nfull report at {out_path}")

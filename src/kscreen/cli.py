@@ -2,18 +2,26 @@
 `kscreen simulate` runs a benchmark suite and reports the S/P metrics.
 
 Exit codes map error families: 2 argument, 3 data, 4 numeric, 5 tuning.
-Outputs are deterministic for a fixed seed; the thread count changes wall
-time only.
+Outputs are deterministic for a fixed seed, and `--threads` does not change
+them.  `simulate` pins BLAS to one thread per worker, so its bytes never
+depend on the host.  `screen` runs in this process with whatever BLAS
+thread count the environment sets, and its scores can differ in the last
+bits across BLAS thread counts (hsic by at most 3.5e-18 between
+OPENBLAS_NUM_THREADS=1 and 2 at n=200, p=200, ranking unchanged).
+
+`screen --threads` speeds scoring only when BLAS is single-threaded: on a
+2-core host with OPENBLAS_NUM_THREADS=1 (n=200, p=200), `--threads 2` took
+0.58-0.65 s against 1.00-1.26 s for kcca and 0.53-0.62 s against
+0.95-1.12 s for hsic; with BLAS at 2 threads it was 1.8x slower.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass
 
 from . import __version__
 from .dataio import json_dumps, load_csv, write_csv_rows
@@ -23,33 +31,6 @@ from .screening import ThresholdRule, screen
 from .simulation import MetricsReport, SimulationSpec, run_suite
 
 _ERROR_FAMILIES = {2: "argument", 3: "data", 4: "numeric", 5: "tuning"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation of one subcommand."""
-
-    command: str
-    output_path: str = "-"
-    output_format: str = "json"
-    seed: int = 0
-    threads: int = 1
-    # screen fields
-    input_path: str | None = None
-    response_columns: tuple = ()
-    method: str = "kcca"
-    epsilon_mode: object = "auto"
-    m_rule: ThresholdRule | None = None
-    gcv_subsample: int | None = None
-    # simulate fields
-    suite: str | None = None
-    model: int | None = None
-    n: int | None = None
-    p: int | None = None
-    reps: int | None = None
-    methods: tuple = ()
-    ar_rho: float = 0.8
-    d_values: tuple | None = None
 
 
 def _positive_int(text: str) -> int:
@@ -153,49 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "screen":
-        return RunConfig(
-            command="screen",
-            output_path=args.out,
-            output_format=args.format,
-            seed=args.seed,
-            threads=args.threads,
-            input_path=args.input,
-            response_columns=tuple(args.response),
-            method=args.method,
-            epsilon_mode=args.epsilon,
-            m_rule=args.top,
-            gcv_subsample=args.gcv_subsample,
-        )
-    return RunConfig(
-        command="simulate",
-        output_path=args.out,
-        output_format=args.format,
-        seed=args.seed,
-        threads=args.threads,
-        suite=args.suite,
-        model=args.model,
-        n=args.n,
-        p=args.p,
-        reps=args.reps,
-        methods=args.methods,
-        ar_rho=args.ar_rho,
-        d_values=args.d_values,
-        epsilon_mode=args.epsilon,
-        gcv_subsample=args.gcv_subsample,
-    )
-
-
-def _write_output(cfg: RunConfig, text: str):
-    if cfg.output_path == "-":
+def _write_output(args: argparse.Namespace, text: str):
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _screen_document(cfg, result, x, y, wall_time: float) -> dict:
+def _screen_document(args, result, x, y) -> dict:
     names = x.columns or tuple(f"x{r}" for r in range(1, x.p + 1))
     positions = result.rank_positions()
     scores = [
@@ -218,36 +165,33 @@ def _screen_document(cfg, result, x, y, wall_time: float) -> dict:
     ]
     return {
         "command": "screen",
-        "input": cfg.input_path,
+        "input": args.input,
         "method": result.method.value,
         "n": x.n,
         "p": x.p,
         "response_columns": list(y.columns or ()),
         "epsilon": result.epsilon,
         "m": result.m,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "scores": scores,
         "selected": selected,
-        "wall_time_s": wall_time,
     }
 
 
-def _run_screen(cfg: RunConfig):
-    x, y = load_csv(cfg.input_path, list(cfg.response_columns))
-    start = time.perf_counter()
+def _run_screen(args: argparse.Namespace):
+    x, y = load_csv(args.input, args.response)
     result = screen(
         x,
         y,
-        method=cfg.method,
-        rule=cfg.m_rule,
-        epsilon=cfg.epsilon_mode,
-        seed=cfg.seed,
-        gcv_subsample=cfg.gcv_subsample,
-        threads=cfg.threads,
+        method=args.method,
+        rule=args.top,
+        epsilon=args.epsilon,
+        seed=args.seed,
+        gcv_subsample=args.gcv_subsample,
+        threads=args.threads,
     )
-    wall = time.perf_counter() - start
-    if cfg.output_format == "json":
-        _write_output(cfg, json_dumps(_screen_document(cfg, result, x, y, wall)))
+    if args.format == "json":
+        _write_output(args, json_dumps(_screen_document(args, result, x, y)))
     else:
         names = x.columns or tuple(f"x{r}" for r in range(1, x.p + 1))
         positions = result.rank_positions()
@@ -257,14 +201,12 @@ def _run_screen(cfg: RunConfig):
              1 if (r + 1) in chosen else 0)
             for r in range(x.p)
         ]
-        import io
-
         buf = io.StringIO()
         write_csv_rows(buf, ("index", "name", "score", "rank", "selected"), rows)
-        _write_output(cfg, buf.getvalue())
+        _write_output(args, buf.getvalue())
 
 
-def _report_document(cfg: RunConfig, report: MetricsReport) -> dict:
+def _report_document(report: MetricsReport) -> dict:
     spec = report.spec
     results = []
     for method in report.methods:
@@ -292,43 +234,41 @@ def _report_document(cfg: RunConfig, report: MetricsReport) -> dict:
     }
 
 
-def _run_simulate(cfg: RunConfig):
+def _run_simulate(args: argparse.Namespace):
     spec = SimulationSpec(
-        suite=cfg.suite,
-        model_id=cfg.model,
-        n=cfg.n,
-        p=cfg.p,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        ar_rho=cfg.ar_rho,
+        suite=args.suite,
+        model_id=args.model,
+        n=args.n,
+        p=args.p,
+        reps=args.reps,
+        seed=args.seed,
+        ar_rho=args.ar_rho,
     )
     report = run_suite(
         spec,
-        cfg.methods,
-        cfg.d_values,
-        threads=cfg.threads,
-        epsilon=cfg.epsilon_mode,
-        gcv_subsample=cfg.gcv_subsample,
+        args.methods,
+        args.d_values,
+        threads=args.threads,
+        epsilon=args.epsilon,
+        gcv_subsample=args.gcv_subsample,
     )
-    if cfg.output_format == "json":
-        _write_output(cfg, json_dumps(_report_document(cfg, report)))
+    if args.format == "json":
+        _write_output(args, json_dumps(_report_document(report)))
     else:
-        import io
-
         buf = io.StringIO()
         write_csv_rows(buf, ("suite", "model", "method", "label", "value"), report.to_rows())
-        _write_output(cfg, buf.getvalue())
+        _write_output(args, buf.getvalue())
 
 
-def run_command(cfg: RunConfig) -> int:
-    """Execute a validated config; returns the process exit status."""
+def run_command(args: argparse.Namespace) -> int:
+    """Execute a parsed command line; returns the process exit status."""
     try:
-        if cfg.command == "screen":
-            _run_screen(cfg)
-        elif cfg.command == "simulate":
-            _run_simulate(cfg)
+        if args.command == "screen":
+            _run_screen(args)
+        elif args.command == "simulate":
+            _run_simulate(args)
         else:
-            raise ArgumentError(f"unknown command {cfg.command!r}")
+            raise ArgumentError(f"unknown command {args.command!r}")
         return 0
     except KScreenError as e:
         family = _ERROR_FAMILIES.get(e.exit_code, "internal")
@@ -345,7 +285,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    return run_command(config_from_args(args))
+    return run_command(args)
 
 
 if __name__ == "__main__":

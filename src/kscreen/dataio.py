@@ -1,9 +1,9 @@
 """Tabular input and deterministic result serialization.
 
 CSV input is UTF-8 with a header row, comma-delimited, '.' decimal.  Every
-cell must parse as a number; missing values are rejected rather than
-imputed.  Row/column positions in error messages are 1-based (rows count
-data rows, excluding the header).
+cell must parse as a finite number; missing, NaN and infinite values are
+rejected rather than imputed.  Row/column positions in error messages are
+1-based (rows count data rows, excluding the header).
 
 Output floats are rendered with 17 significant digits so a reload
 reproduces the exact value; the JSON emitter below keeps key order and
@@ -91,6 +91,15 @@ def load_csv(path, response_columns):
                 raise DataError(
                     f"could not parse '{text}' at row {i}, column {j + 1} ('{header[j]}')"
                 ) from None
+
+    # float() accepts nan/inf spellings; find the first such cell in one pass.
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(
+            f"non-finite value '{rows[i][j].strip()}' at row {i + 1}, "
+            f"column {j + 1} ('{header[j]}')"
+        )
 
     x = DataMatrix(values=values[:, x_pos], columns=[header[j] for j in x_pos])
     y = DataMatrix(values=values[:, y_pos], columns=[header[j] for j in y_pos])

@@ -156,6 +156,11 @@ def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _double_center(a: np.ndarray) -> np.ndarray:
+    """Q a Q with Q = I - (1/n) 1 1^T, via row, column and grand means."""
+    return a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
+
+
 def gaussian_kernel(x, y, bw: Bandwidth) -> float:
     """Evaluate the Gaussian kernel exp(-gamma * ||x - y||^2).
 
@@ -241,9 +246,7 @@ def center_and_decompose(k: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> Cen
         raise ArgumentError(f"kernel matrix is not symmetric (max asymmetry {asym:.3e})")
     sym = 0.5 * (arr + arr.T)
 
-    row = sym.mean(axis=1, keepdims=True)
-    col = sym.mean(axis=0, keepdims=True)
-    g = sym - row - col + sym.mean()
+    g = _double_center(sym)
     g = 0.5 * (g + g.T)
 
     evals, evecs = symmetric_eigh(g)

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
-from .kernels import CenteredGram, _as_samples
+from .kernels import CenteredGram, _as_samples, _double_center, _pairwise_sq_dists
 
 
 class Method(str, Enum):
@@ -99,15 +99,6 @@ def hsic_score(gx: CenteredGram, gy: CenteredGram) -> DependenceScore:
     return DependenceScore(value=max(value, 0.0), method=Method.HSIC)
 
 
-def _distance_matrix(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def _double_center(a: np.ndarray) -> np.ndarray:
-    return a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
-
-
 def dcor_score(x_samples, y_samples) -> DependenceScore:
     """Sample distance correlation from doubly-centered distance matrices.
 
@@ -121,8 +112,8 @@ def dcor_score(x_samples, y_samples) -> DependenceScore:
         raise ArgumentError(f"sample counts differ: {n} vs {ys.shape[0]}")
     if n < 2:
         raise ArgumentError(f"distance correlation needs n >= 2, got {n}")
-    a = _double_center(_distance_matrix(xs))
-    b = _double_center(_distance_matrix(ys))
+    a = _double_center(np.sqrt(_pairwise_sq_dists(xs)))
+    b = _double_center(np.sqrt(_pairwise_sq_dists(ys)))
     n2 = n * n
     dcov2 = float(np.vdot(a, b)) / n2
     dvar_x = float(np.vdot(a, a)) / n2

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .kernels import Bandwidth, DataMatrix, bandwidth, center_and_decompose, gram
 from .measures import Method, dcor_score, hsic_score, kcca_singular_value, pearson_score
-from .tuning import GCV_GRID, select_epsilon
+from .tuning import select_epsilon
 
 # The GCV sum over all p predictors is O(p n^3); above this many predictors
 # the tuning step uses a seeded uniform subsample unless told otherwise.
@@ -181,9 +181,7 @@ def screen(
     epsilon="auto",
     seed: int = 0,
     *,
-    grid=GCV_GRID,
     gcv_subsample: int | None = None,
-    tol_rel: float = 1e-10,
     threads: int = 1,
 ) -> ScreeningResult:
     """Rank all features of x by marginal dependence with y and select the top m.
@@ -207,7 +205,16 @@ def screen(
         min(p, 200).  Pass p to force the full sum.
     threads : int
         Fan per-predictor score computation over this many threads; the
-        numeric result is independent of the thread count.
+        numeric result is independent of the thread count.  This pays
+        only with single-threaded BLAS: on a 2-core host with
+        OPENBLAS_NUM_THREADS=1 (n=200, p=200), threads=2 took 0.58-0.65 s
+        against 1.00-1.26 s for kcca and 0.53-0.62 s against 0.95-1.12 s
+        for hsic; with BLAS at 2 threads it was 1.8x slower.
+
+    Unlike run_suite, screen does not pin the BLAS thread count, and scores
+    can differ in the last bits across BLAS thread counts (hsic by at most
+    3.5e-18 between OPENBLAS_NUM_THREADS=1 and 2 at n=200, p=200, with the
+    same ranking).
     """
     method = Method(method)
     if x.n != y.n:
@@ -237,7 +244,8 @@ def screen(
         # Non-constant response plus the scale-free bandwidth rule guarantees
         # a nonzero centered Gram, so no rank guard is needed here.
         bw_y = _column_bandwidth(yv, "response")
-        gy = center_and_decompose(gram(yv, bw_y), tol_rel)
+        ky = gram(yv, bw_y)
+        gy = center_and_decompose(ky)
 
         bws = [_column_bandwidth(xv[:, r], f"feature {r + 1}") for r in range(p)]
 
@@ -253,22 +261,21 @@ def screen(
                     tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))
                 else:
                     tuning_idx = np.arange(p)
-                ky_raw = gram(yv, bw_y)
                 kx_raw = [gram(xv[:, r], bws[r]) for r in tuning_idx]
-                eps = select_epsilon(ky_raw, kx_raw, grid).epsilon
+                eps = select_epsilon(ky, kx_raw).epsilon
             else:
                 eps = float(epsilon)
                 if not np.isfinite(eps) or eps <= 0.0:
                     raise ArgumentError(f"epsilon must be positive, got {epsilon!r}")
 
             def score_one(r):
-                gx = center_and_decompose(gram(xv[:, r], bws[r]), tol_rel)
+                gx = center_and_decompose(gram(xv[:, r], bws[r]))
                 return kcca_singular_value(gx, gy, eps)
 
         else:  # HSIC
 
             def score_one(r):
-                gx = center_and_decompose(gram(xv[:, r], bws[r]), tol_rel)
+                gx = center_and_decompose(gram(xv[:, r], bws[r]))
                 return hsic_score(gx, gy).value
 
         scores = np.asarray(_map_indexed(score_one, p, threads), dtype=float)

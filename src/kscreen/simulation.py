@@ -33,7 +33,6 @@ from .errors import ArgumentError, KScreenError, UnsupportedMethodError
 from .kernels import DataMatrix
 from .measures import Method
 from .screening import ScreeningResult, ThresholdRule, screen
-from .tuning import GCV_GRID
 
 SIM1_CONSTANTS = (2.0, 0.5, 3.0, 2.0)
 SIM1_ACTIVE = (1, 2, 12, 22)
@@ -258,7 +257,7 @@ def _generate_instance(spec: SimulationSpec, rep_seed: int) -> ModelInstance:
     return gen_sim2(x, spec.model_id, seed=rep_seed)
 
 
-def _replication_sizes(spec, methods, epsilon, grid, gcv_subsample, rep: int) -> dict:
+def _replication_sizes(spec, methods, epsilon, gcv_subsample, rep: int) -> dict:
     rep_seed = spec.seed + rep
     try:
         inst = _generate_instance(spec, rep_seed)
@@ -271,7 +270,6 @@ def _replication_sizes(spec, methods, epsilon, grid, gcv_subsample, rep: int) ->
                 rule=ThresholdRule.fixed(spec.p),
                 epsilon=epsilon if method is Method.KCCA else "auto",
                 seed=rep_seed,
-                grid=grid,
                 gcv_subsample=gcv_subsample,
             )
             out[method.value] = min_model_size(result, inst.active)
@@ -290,7 +288,6 @@ def run_suite(
     *,
     threads: int = 1,
     epsilon="auto",
-    grid=GCV_GRID,
     gcv_subsample: int | None = None,
 ) -> MetricsReport:
     """Run every replication of a study and aggregate the S and P metrics.
@@ -313,7 +310,7 @@ def run_suite(
     if len(d_values) != 3:
         raise ArgumentError(f"expected three d values, got {d_values}")
 
-    worker = partial(_replication_sizes, spec, methods, epsilon, grid, gcv_subsample)
+    worker = partial(_replication_sizes, spec, methods, epsilon, gcv_subsample)
 
     # Replications always run in spawned workers with single-threaded BLAS,
     # so output bytes cannot depend on the worker count.

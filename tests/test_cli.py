@@ -1,6 +1,7 @@
 """CLI surface: subcommand plumbing, output schemas, exit-code families,
 and byte-level determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 import kscreen as ks
-from kscreen.cli import build_parser, config_from_args, main, run_command
+from kscreen.cli import build_parser, main, run_command
 
 SCREEN_KEYS = [
     "command", "input", "method", "n", "p", "response_columns",
-    "epsilon", "m", "seed", "scores", "selected", "wall_time_s",
+    "epsilon", "m", "seed", "scores", "selected",
 ]
 SIMULATE_KEYS = [
     "command", "suite", "model", "n", "p", "reps", "seed",
@@ -44,20 +45,18 @@ class TestParsing:
             ["screen", "--input", csv_file, "--response", "y",
              "--method", "kcca", "--epsilon", "auto", "--top", "2", "--seed", "4"]
         )
-        cfg = config_from_args(args)
-        assert cfg.command == "screen"
-        assert cfg.response_columns == ("y",)
-        assert cfg.m_rule == ks.ThresholdRule.fixed(2)
-        assert cfg.seed == 4
+        assert args.command == "screen"
+        assert args.response == ["y"]
+        assert args.top == ks.ThresholdRule.fixed(2)
+        assert args.seed == 4
 
     def test_simulate_config(self):
         args = build_parser().parse_args(
             ["simulate", "--suite", "sim1", "--model", "2", "--n", "30",
              "--p", "25", "--reps", "3", "--methods", "dc,sis"]
         )
-        cfg = config_from_args(args)
-        assert cfg.suite == "sim1" and cfg.model == 2
-        assert cfg.methods == (ks.Method.DC, ks.Method.SIS)
+        assert args.suite == "sim1" and args.model == 2
+        assert args.methods == (ks.Method.DC, ks.Method.SIS)
 
     @pytest.mark.parametrize(
         "argv",
@@ -112,7 +111,7 @@ class TestScreenCommand:
         assert lines[0] == "index,name,score,rank,selected"
         assert len(lines) == 5
 
-    def test_deterministic_ignoring_wall_time(self, csv_file, tmp_path):
+    def test_byte_identical_across_invocations(self, csv_file, tmp_path):
         outs = []
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
@@ -120,9 +119,7 @@ class TestScreenCommand:
                 ["screen", "--input", csv_file, "--response", "y", "--method", "kcca",
                  "--epsilon", "auto", "--seed", "1", "--out", str(out)]
             ) == 0
-            doc = json.loads(out.read_text())
-            doc.pop("wall_time_s")
-            outs.append(json.dumps(doc, sort_keys=True))
+            outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
     def test_threads_do_not_change_output(self, csv_file, tmp_path):
@@ -133,9 +130,7 @@ class TestScreenCommand:
                 ["screen", "--input", csv_file, "--response", "y", "--method", "hsic",
                  "--threads", threads, "--out", str(out)]
             ) == 0
-            doc = json.loads(out.read_text())
-            doc.pop("wall_time_s")
-            docs.append(json.dumps(doc, sort_keys=True))
+            docs.append(out.read_bytes())
         assert docs[0] == docs[1]
 
     def test_stdout_output(self, csv_file, capsys):
@@ -221,6 +216,15 @@ class TestErrorMapping:
         assert code == 3
         assert "error[data]" in capsys.readouterr().err
 
+    def test_non_finite_cell_exit_3_with_location(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b,y\n1,2,3\n4,nan,6\n", encoding="utf-8")
+        code = run_main(["screen", "--input", str(path), "--response", "y"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err
+        assert "row 2, column 2 ('b')" in err
+
     def test_degenerate_response_exit_3(self, tmp_path, capsys):
         lines = ["a,y"] + [f"{v},1.0" for v in np.linspace(0, 1, 10)]
         path = tmp_path / "const.csv"
@@ -229,9 +233,7 @@ class TestErrorMapping:
         assert code == 3
 
     def test_run_command_reports_unknown_command(self):
-        from kscreen.cli import RunConfig
-
-        assert run_command(RunConfig(command="bogus")) == 2
+        assert run_command(argparse.Namespace(command="bogus")) == 2
 
 
 class TestModuleEntryPoint:

@@ -29,6 +29,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2.*column 3"):
             ks.load_csv(path, ["a"])
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = write_csv(tmp_path, f"a,b,c\n1,2,3\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(DataError, match=rf"'{cell}' at row 3, column 2 \('b'\)"):
+            ks.load_csv(path, ["a"])
+
     def test_missing_value_rejected(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,\n3,4\n")
         with pytest.raises(DataError, match="missing value"):

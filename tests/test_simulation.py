@@ -312,7 +312,7 @@ class TestReplicationWorker:
         from kscreen.simulation import _replication_sizes
 
         spec, rep = small_report
-        direct = _replication_sizes(spec, (Method.DC,), "auto", ks.GCV_GRID, None, 2)
+        direct = _replication_sizes(spec, (Method.DC,), "auto", None, 2)
         assert direct["dc"] == rep.s_values["dc"][2]
 
     def test_kcca_path_in_process(self):
@@ -320,7 +320,7 @@ class TestReplicationWorker:
         from kscreen.simulation import _replication_sizes
 
         spec = ks.SimulationSpec(suite="sim2", model_id=2, n=24, p=8, reps=1, seed=77)
-        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC), "auto", ks.GCV_GRID, None, 0)
+        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC), "auto", None, 0)
         assert 4 <= out["kcca"] <= 8 and 4 <= out["hsic"] <= 8
 
     def test_failure_names_replication_index(self):
@@ -329,4 +329,4 @@ class TestReplicationWorker:
 
         spec = ks.SimulationSpec(suite="sim1", model_id=1, n=20, p=25, reps=5, seed=0)
         with pytest.raises(ArgumentError, match="replication 3"):
-            _replication_sizes(spec, (Method.KCCA,), -1.0, ks.GCV_GRID, None, 3)
+            _replication_sizes(spec, (Method.KCCA,), -1.0, None, 3)
