@@ -28,14 +28,15 @@ k = ks.gram(pts, ks.bandwidth(pts))
 print("diagonal:", np.diag(k))
 print("min eigenvalue of K:", np.linalg.eigvalsh(k).min())
 
+print("row sums of centered G:", np.round(ks.center(k).sum(axis=1), 12))
 cg = ks.center_and_decompose(k)
-print("row sums of centered G:", np.round(cg.g.sum(axis=1), 12))
-print("eigenvalues (descending):", np.round(cg.d, 6))
+print("retained eigenvalues (descending):", np.round(cg.d, 6))
 print("rank after truncation:", cg.rank, "of", cg.n)
 
-# The constant direction is annihilated: an all-ones kernel centers to zero.
+# The constant direction is annihilated: an all-ones kernel centers to zero
+# and keeps no eigenpair.
 flat = ks.center_and_decompose(np.ones((5, 5)))
-print("\nall-ones kernel centers to zero:", flat.is_zero())
+print("\nall-ones kernel centers to zero:", flat.rank == 0)
 
 # Scale-freeness: rescaling the data while recomputing the bandwidth
 # reproduces the same Gram matrix.

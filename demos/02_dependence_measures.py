@@ -16,13 +16,16 @@ cases = {
     "independent y ~ N(0,1)": rng.standard_normal(n),
 }
 
-gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
+# kcca reads each centered Gram's retained eigenpairs, hsic the centered
+# Gram itself.
+kx = ks.gram(x, ks.bandwidth(x))
+gx = ks.center_and_decompose(kx)
 
 print(f"{'relationship':38s} {'kcca':>8s} {'hsic':>8s} {'dcor':>8s} {'|pearson|':>10s}")
 for label, y in cases.items():
-    gy = ks.center_and_decompose(ks.gram(y, ks.bandwidth(y)))
-    kcca = ks.kcca_score(gx, gy, epsilon=0.1).value
-    hsic = ks.hsic_score(gx, gy).value
+    ky = ks.gram(y, ks.bandwidth(y))
+    kcca = ks.kcca_score(gx, ks.center_and_decompose(ky), epsilon=0.1).value
+    hsic = ks.hsic_score(ks.center(kx), ks.center(ky)).value
     dcor = ks.dcor_score(x, y).value
     pear = ks.pearson_score(x, y).value
     print(f"{label:38s} {kcca:8.4f} {hsic:8.4f} {dcor:8.4f} {pear:10.4f}")

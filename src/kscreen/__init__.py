@@ -27,6 +27,7 @@ from .kernels import (
     CenteredGram,
     DataMatrix,
     bandwidth,
+    center,
     center_and_decompose,
     gaussian_kernel,
     gram,
@@ -79,6 +80,7 @@ __all__ = [
     "CenteredGram",
     "DataMatrix",
     "bandwidth",
+    "center",
     "center_and_decompose",
     "gaussian_kernel",
     "gram",

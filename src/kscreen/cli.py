@@ -6,13 +6,13 @@ Outputs are deterministic for a fixed seed, and `--threads` does not change
 them.  `simulate` pins BLAS to one thread per worker, so its bytes never
 depend on the host.  `screen` runs in this process with whatever BLAS
 thread count the environment sets, and its scores can differ in the last
-bits across BLAS thread counts (hsic by at most 3.5e-18 between
-OPENBLAS_NUM_THREADS=1 and 2 at n=200, p=200, ranking unchanged).
+bits across BLAS thread counts (hsic scores of about 0.05 by up to 1.4e-17
+between OPENBLAS_NUM_THREADS=1 and 2 at n=200, p=200, ranking unchanged).
 
 `screen --threads` speeds scoring only when BLAS is single-threaded: on a
 2-core host with OPENBLAS_NUM_THREADS=1 (n=200, p=200), `--threads 2` took
-0.58-0.65 s against 1.00-1.26 s for kcca and 0.53-0.62 s against
-0.95-1.12 s for hsic; with BLAS at 2 threads it was 1.8x slower.
+0.58-0.65 s against 1.00-1.26 s for kcca and 0.34-0.46 s against
+0.44-0.47 s for hsic; with BLAS at 2 threads it was slower.
 """
 
 from __future__ import annotations

@@ -27,6 +27,12 @@ def _resolve_response_columns(header, response_columns):
     positions = []
     for item in response_columns:
         if isinstance(item, str) and item in header:
+            if header.count(item) > 1:
+                where = [j + 1 for j, name in enumerate(header) if name == item]
+                raise ArgumentError(
+                    f"response column {item!r} appears at positions {where} of the "
+                    "header; select one by its 1-based position"
+                )
             positions.append(header.index(item))
             continue
         try:
@@ -46,7 +52,8 @@ def _resolve_response_columns(header, response_columns):
 def load_csv(path, response_columns):
     """Load a CSV file into predictor and response matrices.
 
-    response_columns entries are header names or 1-based positions.  The
+    response_columns entries are header names or 1-based positions; a name
+    the header holds more than once must be given by position.  The
     remaining columns become predictors, preserving file order; column
     names are retained on both matrices.
 

@@ -1,5 +1,5 @@
 """Gaussian kernel evaluation, bandwidth selection, Gram construction,
-double centering, and tolerance-aware spectral decomposition.
+double centering, and the retained spectrum of a centered Gram.
 
 Every dependence measure in this package is built on top of the objects
 defined here.  All functions are pure and all returned containers are
@@ -87,54 +87,37 @@ class DataMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CenteredGram:
-    """A double-centered kernel Gram matrix with its spectral decomposition.
+    """The retained spectrum of a double-centered kernel Gram matrix.
+
+    Only the eigenpairs at or above the truncation threshold are kept, so
+    u d u^T is the centered Gram with its numerical null space removed.
 
     Fields
     ------
-    g : (n, n) ndarray
-        Double-centered Gram matrix, symmetric with zero row sums.
-    u : (n, n) ndarray
+    u : (n, rank) ndarray
         Orthonormal eigenvectors, columns aligned with ``d``.
-    d : (n,) ndarray
-        Eigenvalues in descending order; entries below the truncation
-        threshold are exactly 0.
+    d : (rank,) ndarray
+        Retained eigenvalues in descending order, each at least ``tol``.
     tol : float
-        Absolute truncation threshold applied to the eigenvalues.
+        Positive absolute truncation threshold applied to the eigenvalues.
     """
 
-    g: np.ndarray
     u: np.ndarray
     d: np.ndarray
     tol: float
 
     def __post_init__(self):
-        for name in ("g", "u", "d"):
+        for name in ("u", "d"):
             getattr(self, name).setflags(write=False)
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.u.shape[0]
 
     @property
     def rank(self) -> int:
-        """Number of retained (nonzero) eigenvalues."""
-        return int(np.count_nonzero(self.d))
-
-    @property
-    def pinv_d(self) -> np.ndarray:
-        """Moore-Penrose inverse of the eigenvalue array.
-
-        Retained eigenvalues are inverted; truncated ones map to exactly 0,
-        so fractional pseudo-inverse powers are sqrt/pow of this array.
-        """
-        out = np.zeros_like(self.d)
-        support = self.d > 0
-        out[support] = 1.0 / self.d[support]
-        return out
-
-    def is_zero(self) -> bool:
-        """True when centering annihilated the whole matrix (rank 0)."""
-        return self.rank == 0
+        """Number of retained eigenvalues; 0 when centering annihilated the matrix."""
+        return self.d.shape[0]
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -219,22 +202,16 @@ def gram(samples, bw: Bandwidth) -> np.ndarray:
     return np.exp(-bw.gamma * _pairwise_sq_dists(pts))
 
 
-def center_and_decompose(k: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> CenteredGram:
-    """Double-center a PSD kernel matrix and eigendecompose it.
-
-    Computes g = Q k Q with Q = I - (1/n) 1 1^T, then a symmetric
-    eigendecomposition with eigenvalues sorted descending.  Eigenvalues
-    below tol_rel * max(lambda_max, 1) are set to exactly 0, which defines
-    the Moore-Penrose pseudo-inverse powers used downstream.
+def center(k: np.ndarray) -> np.ndarray:
+    """Double-center a symmetric kernel matrix: Q k Q with Q = I - (1/n) 1 1^T.
 
     Raises
     ------
     ArgumentError
-        If k is not square, not symmetric within tolerance, or has an
-        eigenvalue spectrum inconsistent with a PSD input.
+        If k is not square or not symmetric within tolerance.
+    DataError
+        If k has a non-finite entry.
     """
-    if tol_rel < 0 or not np.isfinite(tol_rel):
-        raise ArgumentError(f"tol_rel must be a nonnegative real, got {tol_rel!r}")
     arr = np.asarray(k, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ArgumentError(f"kernel matrix must be square, got shape {arr.shape}")
@@ -244,20 +221,31 @@ def center_and_decompose(k: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> Cen
     asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
     if asym > 1e-8 * scale:
         raise ArgumentError(f"kernel matrix is not symmetric (max asymmetry {asym:.3e})")
-    sym = 0.5 * (arr + arr.T)
+    g = _double_center(0.5 * (arr + arr.T))
+    return 0.5 * (g + g.T)
 
-    g = _double_center(sym)
-    g = 0.5 * (g + g.T)
 
-    evals, evecs = symmetric_eigh(g)
-    evals = evals[::-1].copy()
-    evecs = evecs[:, ::-1].copy()
+def center_and_decompose(k: np.ndarray) -> CenteredGram:
+    """Double-center a PSD kernel matrix and keep its retained eigenpairs.
 
-    dmax = float(evals[0]) if evals.size else 0.0
-    if evals.size and float(evals[-1]) < -1e-8 * max(1.0, dmax):
+    Eigendecomposes g = center(k) and keeps the eigenvalues at or above
+    DEFAULT_TOL_REL * max(lambda_max, 1), in descending order, with their
+    eigenvectors; the rest span the numerical null space and are dropped.
+
+    Raises
+    ------
+    ArgumentError
+        If k is not square, not symmetric within tolerance, or has an
+        eigenvalue spectrum inconsistent with a PSD input.
+    """
+    evals, evecs = symmetric_eigh(center(k))  # ascending eigenvalues
+    n = evals.shape[0]
+    dmax = float(evals[-1]) if n else 0.0
+    if n and float(evals[0]) < -1e-8 * max(1.0, dmax):
         raise ArgumentError(
-            f"input is not positive semidefinite (min eigenvalue {evals[-1]:.3e})"
+            f"input is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
         )
-    tol_abs = tol_rel * max(dmax, 1.0)
-    d = np.where(evals < tol_abs, 0.0, evals)
-    return CenteredGram(g=g, u=evecs, d=d, tol=float(tol_abs))
+    tol_abs = DEFAULT_TOL_REL * max(dmax, 1.0)
+    rank = int(np.count_nonzero(evals >= tol_abs))
+    u, d = evecs[:, n - rank:][:, ::-1].copy(), evals[n - rank:][::-1].copy()
+    return CenteredGram(u=u, d=d, tol=tol_abs)

@@ -6,7 +6,7 @@ value of the whitened cross-Gram coordinate matrix
 
     M = (D_Y + eps I)^{-1/2} D_Y^{1/2} U_Y^T U_X D_X^{1/2} (D_X + eps I)^{-1/2},
 
-where (U, D) are the spectral decompositions of the double-centered Gram
+where (U, D) are the retained eigenpairs of the double-centered Gram
 matrices.  For any eps > 0 the score lies in [0, 1) and is 0 iff the
 centered operators are orthogonal.
 """
@@ -55,28 +55,21 @@ class DependenceScore:
             raise ArgumentError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
-def _check_pair(gx: CenteredGram, gy: CenteredGram):
-    if gx.n != gy.n:
-        raise ArgumentError(f"Gram matrices built from different sample counts: {gx.n} vs {gy.n}")
-
-
 def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> float:
     """Largest singular value of the whitened cross-Gram matrix M.
 
-    Truncated eigenpairs contribute exactly-zero rows/columns of M and are
-    dropped before the SVD; a rank-0 side yields 0.
+    M is built from the retained eigenpairs only (truncated ones would
+    contribute exactly-zero rows/columns); a rank-0 side yields 0.
     """
-    _check_pair(gx, gy)
+    if gx.n != gy.n:
+        raise ArgumentError(f"Gram matrices built from different sample counts: {gx.n} vs {gy.n}")
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
-    rx, ry = gx.rank, gy.rank
-    if rx == 0 or ry == 0:
+    if gx.rank == 0 or gy.rank == 0:
         return 0.0
-    dx = gx.d[:rx]
-    dy = gy.d[:ry]
-    wx = np.sqrt(dx / (dx + epsilon))
-    wy = np.sqrt(dy / (dy + epsilon))
-    cross = gy.u[:, :ry].T @ gx.u[:, :rx]
+    wx = np.sqrt(gx.d / (gx.d + epsilon))
+    wy = np.sqrt(gy.d / (gy.d + epsilon))
+    cross = gy.u.T @ gx.u
     m = (wy[:, None] * cross) * wx[None, :]
     try:
         sv = float(np.linalg.svd(m, compute_uv=False)[0])
@@ -91,11 +84,13 @@ def kcca_score(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> Dependence
     return DependenceScore(value=value, method=Method.KCCA, epsilon=float(epsilon))
 
 
-def hsic_score(gx: CenteredGram, gy: CenteredGram) -> DependenceScore:
-    """Biased V-statistic HSIC: trace(G_X G_Y) / n^2, clamped at 0."""
-    _check_pair(gx, gy)
-    n = gx.n
-    value = float(np.vdot(gx.g, gy.g)) / (n * n)
+def hsic_score(gx: np.ndarray, gy: np.ndarray) -> DependenceScore:
+    """Biased V-statistic HSIC: trace(G_X G_Y) / n^2, clamped at 0, of two
+    double-centered n x n Gram matrices (kernels.center)."""
+    if gx.ndim != 2 or gx.shape[0] != gx.shape[1] or gy.shape != gx.shape:
+        raise ArgumentError(f"hsic needs two n x n centered Grams, got {gx.shape} and {gy.shape}")
+    n = gx.shape[0]
+    value = float(np.vdot(gx, gy)) / (n * n)
     return DependenceScore(value=max(value, 0.0), method=Method.HSIC)
 
 

@@ -8,8 +8,8 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       distance rule (a constant feature falls back to gamma = 1 with a
       warning);
   (b) ridge epsilon from the GCV grid search (KCCA only, when auto);
-  (c) centered Gram matrices and their decompositions, the response one
-      computed once and shared across all predictors;
+  (c) centered Gram matrices, the response one computed once and shared
+      across all predictors; KCCA keeps each one's retained eigenpairs;
   (d) one dependence score per predictor;
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
@@ -34,7 +34,7 @@ from .errors import (
     DegenerateDataWarning,
     UnsupportedMethodError,
 )
-from .kernels import Bandwidth, DataMatrix, bandwidth, center_and_decompose, gram
+from .kernels import Bandwidth, DataMatrix, bandwidth, center, center_and_decompose, gram
 from .measures import Method, dcor_score, hsic_score, kcca_singular_value, pearson_score
 from .tuning import select_epsilon
 
@@ -208,13 +208,13 @@ def screen(
         numeric result is independent of the thread count.  This pays
         only with single-threaded BLAS: on a 2-core host with
         OPENBLAS_NUM_THREADS=1 (n=200, p=200), threads=2 took 0.58-0.65 s
-        against 1.00-1.26 s for kcca and 0.53-0.62 s against 0.95-1.12 s
-        for hsic; with BLAS at 2 threads it was 1.8x slower.
+        against 1.00-1.26 s for kcca and 0.34-0.46 s against 0.44-0.47 s
+        for hsic; with BLAS at 2 threads it was slower.
 
     Unlike run_suite, screen does not pin the BLAS thread count, and scores
-    can differ in the last bits across BLAS thread counts (hsic by at most
-    3.5e-18 between OPENBLAS_NUM_THREADS=1 and 2 at n=200, p=200, with the
-    same ranking).
+    can differ in the last bits across BLAS thread counts (hsic scores of
+    about 0.05 by up to 1.4e-17 between OPENBLAS_NUM_THREADS=1 and 2 at
+    n=200, p=200, with the same ranking).
     """
     method = Method(method)
     if x.n != y.n:
@@ -245,7 +245,8 @@ def screen(
         # a nonzero centered Gram, so no rank guard is needed here.
         bw_y = _column_bandwidth(yv, "response")
         ky = gram(yv, bw_y)
-        gy = center_and_decompose(ky)
+        # KCCA reads each centered Gram's retained spectrum, HSIC the matrix.
+        gy = center_and_decompose(ky) if method is Method.KCCA else center(ky)
 
         bws = [_column_bandwidth(xv[:, r], f"feature {r + 1}") for r in range(p)]
 
@@ -275,8 +276,7 @@ def screen(
         else:  # HSIC
 
             def score_one(r):
-                gx = center_and_decompose(gram(xv[:, r], bws[r]))
-                return hsic_score(gx, gy).value
+                return hsic_score(center(gram(xv[:, r], bws[r])), gy).value
 
         scores = np.asarray(_map_indexed(score_one, p, threads), dtype=float)
 

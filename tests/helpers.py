@@ -10,20 +10,27 @@ import numpy as np
 import kscreen as ks
 
 
-def random_gram(rng, n, d=1, scale=1.0):
+def random_kernel(rng, n):
+    """A Gaussian Gram from random scalar data."""
+    pts = rng.standard_normal(n)
+    return ks.gram(pts, ks.bandwidth(pts))
+
+
+def random_gram(rng, n):
     """A centered-and-decomposed Gaussian Gram from random data."""
-    pts = scale * rng.standard_normal((n, d))
-    return ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
+    return ks.center_and_decompose(random_kernel(rng, n))
+
+
+def random_centered(rng, n):
+    """A double-centered Gaussian Gram from random data."""
+    return ks.center(random_kernel(rng, n))
 
 
 def kcca_dense_oracle(gx, gy, eps):
     """sqrt of the top eigenvalue of the dense product S_X S_Y."""
 
     def smoother(g):
-        r = g.rank
-        u = g.u[:, :r]
-        d = g.d[:r]
-        return u @ np.diag(d / (d + eps)) @ u.T
+        return g.u @ np.diag(g.d / (g.d + eps)) @ g.u.T
 
     prod = smoother(gx) @ smoother(gy)
     lam = np.max(np.real(np.linalg.eigvals(prod)))
@@ -31,12 +38,12 @@ def kcca_dense_oracle(gx, gy, eps):
 
 
 def hsic_double_sum(gx, gy):
-    """Explicit double sum over matrix entries."""
-    n = gx.n
+    """Explicit double sum over the entries of two centered Grams."""
+    n = gx.shape[0]
     total = 0.0
     for i in range(n):
         for j in range(n):
-            total += gx.g[i, j] * gy.g[i, j]
+            total += gx[i, j] * gy[i, j]
     return total / (n * n)
 
 

@@ -225,6 +225,20 @@ class TestErrorMapping:
         assert "error[data]" in err
         assert "row 2, column 2 ('b')" in err
 
+    def test_duplicated_response_name_exit_2(self, tmp_path, capsys):
+        lines = ["y,a,y"] + [f"{v},{v * v},{-v}" for v in np.linspace(0, 1, 10)]
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_main(["screen", "--input", str(path), "--response", "y"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[argument]" in err
+        assert "'y' appears at positions [1, 3]" in err
+        # a 1-based position still selects one of them
+        assert run_main(["screen", "--input", str(path), "--response", "3",
+                         "--method", "dc"]) == 0
+        assert json.loads(capsys.readouterr().out)["response_columns"] == ["y"]
+
     def test_degenerate_response_exit_3(self, tmp_path, capsys):
         lines = ["a,y"] + [f"{v},1.0" for v in np.linspace(0, 1, 10)]
         path = tmp_path / "const.csv"

@@ -56,6 +56,19 @@ class TestLoadCsv:
         assert y.columns == ("b",)
         assert x.columns == ("a", "c")
 
+    def test_duplicated_response_name_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "y,a,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(ArgumentError, match=r"'y' appears at positions \[1, 3\]"):
+            ks.load_csv(path, ["y"])
+
+    def test_duplicated_name_selected_by_position(self, tmp_path):
+        path = write_csv(tmp_path, "y,a,y\n1,2,3\n4,5,6\n")
+        x, y = ks.load_csv(path, ["3"])
+        assert y.columns == ("y",)
+        assert x.columns == ("y", "a")
+        np.testing.assert_array_equal(y.values[:, 0], [3.0, 6.0])
+        np.testing.assert_array_equal(x.values[:, 0], [1.0, 4.0])
+
     def test_unknown_response_rejected(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n")
         with pytest.raises(ArgumentError):

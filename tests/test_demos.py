@@ -1,0 +1,26 @@
+"""Every demo script runs to completion against the current API."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    # TMPDIR keeps the files a demo writes under pytest's own tmp_path.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        OPENBLAS_NUM_THREADS="1",
+        TMPDIR=str(tmp_path),
+    )
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

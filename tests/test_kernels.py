@@ -105,51 +105,58 @@ class TestGram:
 
 class TestCenterAndDecompose:
     def test_all_ones_kernel_annihilated(self):
+        assert np.all(ks.center(np.ones((6, 6))) == 0.0)
         cg = ks.center_and_decompose(np.ones((6, 6)))
-        assert np.all(cg.g == 0.0)
-        assert np.all(cg.d == 0.0)
-        assert cg.is_zero()
+        assert cg.rank == 0
+        assert cg.u.shape == (6, 0) and cg.d.shape == (0,)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_sums_zero(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal(12)
-        cg = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
-        assert np.max(np.abs(cg.g.sum(axis=1))) <= 1e-8
+        g = ks.center(ks.gram(pts, ks.bandwidth(pts)))
+        assert np.max(np.abs(g.sum(axis=1))) <= 1e-8
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         pts = rng.standard_normal(20)
-        cg = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
+        k = ks.gram(pts, ks.bandwidth(pts))
+        cg = ks.center_and_decompose(k)
+        g = ks.center(k)
         recon = cg.u @ np.diag(cg.d) @ cg.u.T
-        err = np.linalg.norm(recon - cg.g, "fro")
-        assert err <= 1e-6 * max(1.0, np.linalg.norm(cg.g, "fro"))
+        err = np.linalg.norm(recon - g, "fro")
+        assert err <= 1e-6 * max(1.0, np.linalg.norm(g, "fro"))
 
     def test_symmetry_and_descending_spectrum(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal(9)
-        cg = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
-        assert np.max(np.abs(cg.g - cg.g.T)) <= 1e-10
+        k = ks.gram(pts, ks.bandwidth(pts))
+        g = ks.center(k)
+        assert np.max(np.abs(g - g.T)) <= 1e-10
+        cg = ks.center_and_decompose(k)
         assert np.all(np.diff(cg.d) <= 0)
-        assert cg.d.min() >= 0.0
+        assert cg.d.min() >= cg.tol > 0.0
 
     def test_centering_idempotent(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal(10)
-        cg = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
+        g = ks.center(ks.gram(pts, ks.bandwidth(pts)))
         # centering an already-centered PSD matrix changes nothing
-        again = ks.center_and_decompose(cg.g + 0.0)
-        assert np.linalg.norm(again.g - cg.g, "fro") <= 1e-10
+        again = ks.center(g + 0.0)
+        assert np.linalg.norm(again - g, "fro") <= 1e-10
 
     def test_pseudo_inverse_contract(self):
+        # Pseudo-inverse powers downstream invert exactly the retained
+        # eigenvalues: each is at least tol > 0, and every eigenvalue of the
+        # centered Gram that was dropped lies below tol.
         rng = np.random.default_rng(6)
         pts = rng.standard_normal(15)
-        cg = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
-        pinv = cg.pinv_d
-        retained = cg.d > 0
-        assert np.all(np.abs(cg.d[retained] * pinv[retained] - 1.0) <= 1e-10)
-        assert np.all(pinv[~retained] == 0.0)
-        assert cg.rank == retained.sum()
+        k = ks.gram(pts, ks.bandwidth(pts))
+        cg = ks.center_and_decompose(k)
+        evals = np.linalg.eigh(ks.center(k))[0][::-1]
+        assert cg.tol > 0.0 and np.all(cg.d >= cg.tol)
+        assert np.all(evals[cg.rank:] < cg.tol)
+        np.testing.assert_array_equal(cg.d, evals[: cg.rank])
 
     def test_truncation_threshold(self):
         # a rank-1 PSD matrix plus the constant direction: centering leaves
@@ -158,7 +165,7 @@ class TestCenterAndDecompose:
         k = np.outer(v, v) + np.ones((4, 4))
         cg = ks.center_and_decompose(k)
         assert cg.rank == 1
-        assert cg.tol >= 0.0
+        assert cg.tol > 0.0
 
     def test_non_symmetric_rejected(self):
         bad = np.array([[1.0, 0.5], [0.1, 1.0]])
@@ -205,10 +212,6 @@ class TestValidationEdges:
     def test_gram_needs_a_sample(self):
         with pytest.raises(ArgumentError):
             ks.gram([], ks.Bandwidth(1.0))
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ArgumentError):
-            ks.center_and_decompose(np.eye(3), tol_rel=-1e-3)
 
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch):
         def boom(_):

@@ -7,7 +7,13 @@ import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, UnsupportedMethodError
-from tests.helpers import dcor_brute, hsic_double_sum, kcca_dense_oracle, random_gram
+from tests.helpers import (
+    dcor_brute,
+    hsic_double_sum,
+    kcca_dense_oracle,
+    random_centered,
+    random_gram,
+)
 
 
 class TestKccaScore:
@@ -130,28 +136,28 @@ class TestKccaScore:
 class TestHsicScore:
     def test_zero_operator(self):
         rng = np.random.default_rng(2)
-        gx = random_gram(rng, 9)
-        gzero = ks.center_and_decompose(np.ones((9, 9)))
+        gx = random_centered(rng, 9)
+        gzero = ks.center(np.ones((9, 9)))
         assert ks.hsic_score(gx, gzero).value == 0.0
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
-        gx = random_gram(rng, 11)
-        gy = random_gram(rng, 11)
+        gx = random_centered(rng, 11)
+        gy = random_centered(rng, 11)
         assert ks.hsic_score(gx, gy).value == ks.hsic_score(gy, gx).value
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_sum_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        gx = random_gram(rng, 8)
-        gy = random_gram(rng, 8)
+        gx = random_centered(rng, 8)
+        gy = random_centered(rng, 8)
         got = ks.hsic_score(gx, gy).value
         assert got == pytest.approx(hsic_double_sum(gx, gy), abs=1e-10)
 
     def test_mismatched_n(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ArgumentError):
-            ks.hsic_score(random_gram(rng, 7), random_gram(rng, 8))
+            ks.hsic_score(random_centered(rng, 7), random_centered(rng, 8))
 
 
 class TestDcorScore:

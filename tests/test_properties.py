@@ -1,6 +1,7 @@
 """Property-based checks of the README's promises: scale-freeness, sample
 relabeling invariance, feature-permutation equivariance, and the [0, 1)
-score range.
+score range; and of the per-feature representation behind them, the
+retained spectrum of a centered Gram and the HSIC it feeds.
 
 Data come from hypothesis as integer arrays divided by 100, so every entry
 sits on a 0.01 grid in [-10, 10].  Distinct values are therefore at least
@@ -110,3 +111,55 @@ def test_kcca_and_dc_scores_lie_in_unit_interval(table, epsilon):
     for method in ("kcca", "dc"):
         s = scores(x, y, method, epsilon)
         assert np.all(s >= 0.0) and np.all(s < 1.0), method
+
+
+
+def sample_gram(draw, n):
+    # Scalar or bivariate samples on the 0.01 grid; a constant draw falls
+    # back to gamma = 1 as screen does, giving a Gram that centers to 0.
+    d = draw(st.integers(1, 2))
+    pts = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-1000, 1000))) / 100.0
+    try:
+        bw = ks.bandwidth(pts)
+    except ks.DegenerateDataError:
+        bw = ks.Bandwidth(1.0)
+    return ks.gram(pts, bw)
+
+
+@st.composite
+def grams(draw):
+    return sample_gram(draw, draw(st.integers(2, 30)))
+
+
+@SETTINGS
+@given(k=grams())
+def test_retained_spectrum_is_a_thin_orthonormal_factor_of_the_centered_gram(k):
+    cg = ks.center_and_decompose(k)
+    g = ks.center(k)
+    n, rank = k.shape[0], cg.rank
+    assert cg.u.shape == (n, rank) and cg.d.shape == (rank,)
+    # eigh returns vectors orthonormal to a few ulps (observed: 4e-15).
+    assert np.max(np.abs(cg.u.T @ cg.u - np.eye(rank)), initial=0.0) <= 1e-12
+    # The columns are orthogonal to the constant vector, which centering
+    # maps to 0.  An eigenvector is resolved only to ~1e-16 * d_max / d_i,
+    # so u^T 1 itself reaches 1e-5 for eigenvalues near tol; the product
+    # with d, (U D)^T 1 = U D U^T 1, is tight (observed: 1.1e-14).
+    dmax = cg.d[0] if rank else 0.0
+    ones = np.ones(n)
+    assert np.max(np.abs(cg.d * (cg.u.T @ ones)), initial=0.0) <= 1e-12 * max(1.0, dmax)
+    assert cg.tol > 0.0
+    assert np.all(np.diff(cg.d) <= 0.0) and np.all(cg.d >= cg.tol)
+    # Every dropped eigenvalue lies below tol, so the truncated part has
+    # Frobenius norm below sqrt(n) * tol (observed: at most 0.31 of it).
+    recon = cg.u @ np.diag(cg.d) @ cg.u.T
+    assert np.linalg.norm(recon - g, "fro") <= np.sqrt(n) * cg.tol
+
+
+@SETTINGS
+@given(kx=grams(), draw=st.data())
+def test_hsic_of_centered_grams_is_nonnegative_and_exactly_symmetric(kx, draw):
+    gx = ks.center(kx)
+    gy = ks.center(sample_gram(draw.draw, kx.shape[0]))
+    forward = ks.hsic_score(gx, gy).value
+    assert forward >= 0.0
+    assert forward == ks.hsic_score(gy, gx).value

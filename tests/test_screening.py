@@ -131,12 +131,16 @@ class TestScreen:
     def test_shared_response_gram_matches_per_predictor_recompute(self):
         x, y = make_data(seed=9, n=30, p=5)
         res = ks.screen(x, y, method="kcca", epsilon=0.2)
+        hsic = ks.screen(x, y, method="hsic")
         bw_y = ks.bandwidth(y.values)
         for r in range(x.p):
-            gy = ks.center_and_decompose(ks.gram(y.values, bw_y))
-            gx = ks.center_and_decompose(ks.gram(x.values[:, r], ks.bandwidth(x.values[:, r])))
+            kx = ks.gram(x.values[:, r], ks.bandwidth(x.values[:, r]))
+            ky = ks.gram(y.values, bw_y)
+            gy = ks.center_and_decompose(ky)
+            gx = ks.center_and_decompose(kx)
             want = ks.kcca_score(gx, gy, 0.2).value
             assert res.scores[r] == pytest.approx(want, abs=1e-12)
+            assert hsic.scores[r] == ks.hsic_score(ks.center(kx), ks.center(ky)).value
 
     def test_threads_do_not_change_output(self):
         x, y = make_data(seed=21, n=30, p=12)
