@@ -17,17 +17,18 @@ cases = {
 }
 
 # kcca reads each centered Gram's retained eigenpairs, hsic the centered
-# Gram itself.
+# Gram itself, and dcor the double-centered distance matrices.
 kx = ks.gram(x, ks.bandwidth(x))
 gx = ks.center_and_decompose(kx)
+dx = ks.centered_distances(x)
 
 print(f"{'relationship':38s} {'kcca':>8s} {'hsic':>8s} {'dcor':>8s} {'|pearson|':>10s}")
 for label, y in cases.items():
     ky = ks.gram(y, ks.bandwidth(y))
-    kcca = ks.kcca_score(gx, ks.center_and_decompose(ky), epsilon=0.1).value
-    hsic = ks.hsic_score(ks.center(kx), ks.center(ky)).value
-    dcor = ks.dcor_score(x, y).value
-    pear = ks.pearson_score(x, y).value
+    kcca = ks.kcca_singular_value(gx, ks.center_and_decompose(ky), epsilon=0.1)
+    hsic = ks.hsic_score(ks.center(kx), ks.center(ky))
+    dcor = ks.dcor_score(dx, ks.centered_distances(y))
+    pear = ks.pearson_score(x, y)
     print(f"{label:38s} {kcca:8.4f} {hsic:8.4f} {dcor:8.4f} {pear:10.4f}")
 
 print("""
@@ -41,8 +42,8 @@ print("== Ridge regularization in the kcca score ==")
 y = np.cos(2 * x) + 0.3 * rng.standard_normal(n)
 gy = ks.center_and_decompose(ks.gram(y, ks.bandwidth(y)))
 for eps in (1e-4, 1e-2, 1.0, 1e2):
-    print(f"  epsilon = {eps:7.0e} -> score {ks.kcca_score(gx, gy, eps).value:.4f}")
+    print(f"  epsilon = {eps:7.0e} -> score {ks.kcca_singular_value(gx, gy, eps):.4f}")
 print("self-dependence has the closed form d0/(d0+eps):")
 for eps in (1e-2, 1.0):
-    got = ks.kcca_score(gx, gx, eps).value
+    got = ks.kcca_singular_value(gx, gx, eps)
     print(f"  eps={eps:5g}: score {got:.6f} vs closed form {gx.d[0]/(gx.d[0]+eps):.6f}")

@@ -29,15 +29,14 @@ from .kernels import (
     bandwidth,
     center,
     center_and_decompose,
+    centered_distances,
     gaussian_kernel,
     gram,
 )
 from .measures import (
-    DependenceScore,
     Method,
     dcor_score,
     hsic_score,
-    kcca_score,
     kcca_singular_value,
     pearson_score,
 )
@@ -82,13 +81,12 @@ __all__ = [
     "bandwidth",
     "center",
     "center_and_decompose",
+    "centered_distances",
     "gaussian_kernel",
     "gram",
-    "DependenceScore",
     "Method",
     "dcor_score",
     "hsic_score",
-    "kcca_score",
     "kcca_singular_value",
     "pearson_score",
     "GCV_GRID",

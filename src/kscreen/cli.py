@@ -190,16 +190,14 @@ def _run_screen(args: argparse.Namespace):
         gcv_subsample=args.gcv_subsample,
         threads=args.threads,
     )
+    doc = _screen_document(args, result, x, y)
     if args.format == "json":
-        _write_output(args, json_dumps(_screen_document(args, result, x, y)))
+        _write_output(args, json_dumps(doc))
     else:
-        names = x.columns or tuple(f"x{r}" for r in range(1, x.p + 1))
-        positions = result.rank_positions()
-        chosen = set(int(i) for i in result.selected)
+        chosen = {entry["index"] for entry in doc["selected"]}
         rows = [
-            (r + 1, names[r], float(result.scores[r]), int(positions[r]),
-             1 if (r + 1) in chosen else 0)
-            for r in range(x.p)
+            (e["index"], e["name"], e["score"], e["rank"], 1 if e["index"] in chosen else 0)
+            for e in doc["scores"]
         ]
         buf = io.StringIO()
         write_csv_rows(buf, ("index", "name", "score", "rank", "selected"), rows)

@@ -1,5 +1,6 @@
 """Gaussian kernel evaluation, bandwidth selection, Gram construction,
-double centering, and the retained spectrum of a centered Gram.
+double centering, centered distance matrices, and the retained spectrum of
+a centered Gram.
 
 Every dependence measure in this package is built on top of the objects
 defined here.  All functions are pure and all returned containers are
@@ -223,6 +224,18 @@ def center(k: np.ndarray) -> np.ndarray:
         raise ArgumentError(f"kernel matrix is not symmetric (max asymmetry {asym:.3e})")
     g = _double_center(0.5 * (arr + arr.T))
     return 0.5 * (g + g.T)
+
+
+def centered_distances(samples) -> np.ndarray:
+    """Double-centered Euclidean distance matrix Q D Q, D_ij = ||x_i - x_j||.
+
+    Distance correlation's per-variable input (measures.dcor_score).
+    Scalars or same-length vectors are accepted, as for bandwidth.
+    """
+    pts = _as_samples(samples)
+    if pts.shape[0] < 2:
+        raise ArgumentError(f"distance matrices need n >= 2, got {pts.shape[0]}")
+    return _double_center(np.sqrt(_pairwise_sq_dists(pts)))
 
 
 def center_and_decompose(k: np.ndarray) -> CenteredGram:

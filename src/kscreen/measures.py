@@ -1,6 +1,13 @@
 """Marginal dependence statistics: the regularized kernel-CCA score, HSIC,
 distance correlation, and absolute Pearson correlation.
 
+Every measure scores two prepared sides and returns a plain float: KCCA two
+``CenteredGram``s, HSIC two double-centered Gram matrices (kernels.center),
+distance correlation two double-centered distance matrices
+(kernels.centered_distances), and Pearson two scalar sample vectors.  A
+caller screening many predictors against one response prepares the
+response side once.
+
 The KCCA score of a predictor against the response is the largest singular
 value of the whitened cross-Gram coordinate matrix
 
@@ -13,13 +20,12 @@ centered operators are orthogonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
-from .kernels import CenteredGram, _as_samples, _double_center, _pairwise_sq_dists
+from .kernels import CenteredGram, _as_samples
 
 
 class Method(str, Enum):
@@ -29,30 +35,6 @@ class Method(str, Enum):
     HSIC = "hsic"
     DC = "dc"
     SIS = "sis"
-
-
-@dataclass(frozen=True)
-class DependenceScore:
-    """A nonnegative marginal dependence value with its method tag.
-
-    epsilon is present iff method is KCCA.  KCCA, DC, and SIS values lie in
-    [0, 1]; HSIC values are only required to be nonnegative.
-    """
-
-    value: float
-    method: Method
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise ArgumentError(f"dependence score must be finite and >= 0, got {self.value!r}")
-        if self.method is not Method.HSIC and self.value > 1.0:
-            raise ArgumentError(f"{self.method.value} score must lie in [0, 1], got {self.value!r}")
-        has_eps = self.epsilon is not None
-        if has_eps != (self.method is Method.KCCA):
-            raise ArgumentError("epsilon is present iff the method is kcca")
-        if has_eps and (not np.isfinite(self.epsilon) or self.epsilon <= 0.0):
-            raise ArgumentError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
 def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> float:
@@ -78,49 +60,39 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     return min(sv, 1.0)
 
 
-def kcca_score(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> DependenceScore:
-    """Regularized kernel canonical correlation between two centered Grams."""
-    value = kcca_singular_value(gx, gy, epsilon)
-    return DependenceScore(value=value, method=Method.KCCA, epsilon=float(epsilon))
-
-
-def hsic_score(gx: np.ndarray, gy: np.ndarray) -> DependenceScore:
+def hsic_score(gx: np.ndarray, gy: np.ndarray) -> float:
     """Biased V-statistic HSIC: trace(G_X G_Y) / n^2, clamped at 0, of two
     double-centered n x n Gram matrices (kernels.center)."""
     if gx.ndim != 2 or gx.shape[0] != gx.shape[1] or gy.shape != gx.shape:
         raise ArgumentError(f"hsic needs two n x n centered Grams, got {gx.shape} and {gy.shape}")
     n = gx.shape[0]
     value = float(np.vdot(gx, gy)) / (n * n)
-    return DependenceScore(value=max(value, 0.0), method=Method.HSIC)
+    return max(value, 0.0)
 
 
-def dcor_score(x_samples, y_samples) -> DependenceScore:
-    """Sample distance correlation from doubly-centered distance matrices.
+def dcor_score(a: np.ndarray, b: np.ndarray) -> float:
+    """Sample distance correlation of two double-centered n x n distance
+    matrices (kernels.centered_distances), clamped to [0, 1].
 
-    Returns 0 when either variable is constant.  Accepts scalar or vector
-    samples on both sides.
+    Returns 0 when either side has zero distance variance (a constant
+    variable).
     """
-    xs = _as_samples(x_samples)
-    ys = _as_samples(y_samples)
-    n = xs.shape[0]
-    if ys.shape[0] != n:
-        raise ArgumentError(f"sample counts differ: {n} vs {ys.shape[0]}")
-    if n < 2:
-        raise ArgumentError(f"distance correlation needs n >= 2, got {n}")
-    a = _double_center(np.sqrt(_pairwise_sq_dists(xs)))
-    b = _double_center(np.sqrt(_pairwise_sq_dists(ys)))
-    n2 = n * n
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
+        raise ArgumentError(
+            f"dcor needs two n x n centered distance matrices, got {a.shape} and {b.shape}"
+        )
+    n2 = a.shape[0] * a.shape[0]
     dcov2 = float(np.vdot(a, b)) / n2
     dvar_x = float(np.vdot(a, a)) / n2
     dvar_y = float(np.vdot(b, b)) / n2
     if dvar_x <= 0.0 or dvar_y <= 0.0:
-        return DependenceScore(value=0.0, method=Method.DC)
+        return 0.0
     r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
     value = float(np.sqrt(max(r2, 0.0)))
-    return DependenceScore(value=min(value, 1.0), method=Method.DC)
+    return min(value, 1.0)
 
 
-def pearson_score(x_samples, y_samples) -> DependenceScore:
+def pearson_score(x_samples, y_samples) -> float:
     """Absolute sample Pearson correlation between two scalar variables.
 
     Returns 0 when either variable is constant.  A multivariate response is
@@ -144,6 +116,6 @@ def pearson_score(x_samples, y_samples) -> DependenceScore:
     cy = y - y.mean()
     denom = np.sqrt(np.dot(cx, cx) * np.dot(cy, cy))
     if denom == 0.0:
-        return DependenceScore(value=0.0, method=Method.SIS)
+        return 0.0
     value = abs(float(np.dot(cx, cy) / denom))
-    return DependenceScore(value=min(value, 1.0), method=Method.SIS)
+    return min(value, 1.0)

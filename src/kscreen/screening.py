@@ -14,6 +14,9 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
+Distance correlation skips (a) and (b) and uses double-centered distance
+matrices in (c); SIS scores the raw columns.
+
 Feature indices in results are 1-based, matching how selected sets are
 reported in tables.
 """
@@ -34,7 +37,9 @@ from .errors import (
     DegenerateDataWarning,
     UnsupportedMethodError,
 )
-from .kernels import Bandwidth, DataMatrix, bandwidth, center, center_and_decompose, gram
+from .kernels import (
+    Bandwidth, DataMatrix, bandwidth, center, center_and_decompose, centered_distances, gram,
+)
 from .measures import Method, dcor_score, hsic_score, kcca_singular_value, pearson_score
 from .tuning import select_epsilon
 
@@ -235,11 +240,19 @@ def screen(
     yv = y.values
     eps = None
 
+    # Each branch prepares the response side once and defines score_one(r),
+    # which prepares feature r's side and scores the pair.
     if method is Method.SIS:
-        scores = np.array([pearson_score(xv[:, r], yv[:, 0]).value for r in range(p)])
+
+        def score_one(r):
+            return pearson_score(xv[:, r], yv[:, 0])
+
     elif method is Method.DC:
-        vals = _map_indexed(lambda r: dcor_score(xv[:, r], yv).value, p, threads)
-        scores = np.asarray(vals, dtype=float)
+        dy = centered_distances(yv)
+
+        def score_one(r):
+            return dcor_score(centered_distances(xv[:, r]), dy)
+
     else:
         # Non-constant response plus the scale-free bandwidth rule guarantees
         # a nonzero centered Gram, so no rank guard is needed here.
@@ -276,9 +289,9 @@ def screen(
         else:  # HSIC
 
             def score_one(r):
-                return hsic_score(center(gram(xv[:, r], bws[r])), gy).value
+                return hsic_score(center(gram(xv[:, r], bws[r])), gy)
 
-        scores = np.asarray(_map_indexed(score_one, p, threads), dtype=float)
+    scores = np.asarray(_map_indexed(score_one, p, threads), dtype=float)
 
     ranking = rank_by_score(scores)
     m = _resolve_m(rule, method, eps, n, p)

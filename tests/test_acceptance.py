@@ -75,7 +75,7 @@ def test_c01_kcca_coordinate_form_matches_dense_oracle():
         gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
         gy = ks.center_and_decompose(ks.gram(y, ks.bandwidth(y)))
         eps = float(rng.choice(ks.GCV_GRID))
-        got = ks.kcca_score(gx, gy, eps).value
+        got = ks.kcca_singular_value(gx, gy, eps)
         want = kcca_dense_oracle(gx, gy, eps)
         rel = abs(got - want) / max(abs(want), 1e-300)
         worst = max(worst, rel)
@@ -95,7 +95,7 @@ def test_c02_self_dependence_closed_form():
         pts = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
         g = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
         eps = float(rng.choice(ks.GCV_GRID))
-        got = ks.kcca_score(g, g, eps).value
+        got = ks.kcca_singular_value(g, g, eps)
         want = g.d[0] / (g.d[0] + eps)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-8
@@ -114,7 +114,7 @@ def test_c03_hsic_trace_equals_double_sum():
         y = x * rng.uniform(-1, 1) + rng.standard_normal(n)
         gx = ks.center(ks.gram(x, ks.bandwidth(x)))
         gy = ks.center(ks.gram(y, ks.bandwidth(y)))
-        got = ks.hsic_score(gx, gy).value
+        got = ks.hsic_score(gx, gy)
         want = hsic_double_sum(gx, gy)
         worst = max(worst, abs(got - max(want, 0.0)))
         assert abs(got - max(want, 0.0)) <= 1e-10
@@ -129,12 +129,13 @@ def test_c04_dcor_matches_independent_implementation():
         dx = int(rng.integers(1, 3))
         x = rng.standard_normal((n, dx))
         y = rng.standard_normal(n) + 0.5 * x[:, 0]
-        got = ks.dcor_score(x, y).value
+        got = ks.dcor_score(ks.centered_distances(x), ks.centered_distances(y))
         want = dcor_brute(x, y)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-10
     z = rng.standard_normal(15)
-    assert abs(ks.dcor_score(z, z).value - 1.0) <= 1e-10
+    dz = ks.centered_distances(z)
+    assert abs(ks.dcor_score(dz, dz) - 1.0) <= 1e-10
     _pass(4, "distance correlation vs brute-force oracle",
           f"50 instances + dcor(x,x)=1, worst abs {worst:.2e}")
 

@@ -24,3 +24,5 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    # A demo removes the temporary files it writes.
+    assert not list(tmp_path.glob("kscreen_demo_*"))

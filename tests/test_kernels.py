@@ -188,6 +188,20 @@ class TestCenterAndDecompose:
             ks.center_and_decompose(bad)
 
 
+class TestCenteredDistances:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_explicit_q_d_q(self, d):
+        rng = np.random.default_rng(d)
+        pts = rng.standard_normal((9, d))
+        dist = np.array([[np.linalg.norm(a - b) for b in pts] for a in pts])
+        q = np.eye(9) - np.full((9, 9), 1.0 / 9)
+        np.testing.assert_allclose(ks.centered_distances(pts), q @ dist @ q, atol=1e-12)
+
+    def test_samples_must_be_finite(self):
+        with pytest.raises(DataError):
+            ks.centered_distances([0.0, 1.0, np.inf])
+
+
 class TestValidationEdges:
     def test_samples_wrong_ndim(self):
         with pytest.raises(ArgumentError):

@@ -22,7 +22,7 @@ class TestKccaScore:
         for _ in range(5):
             g = random_gram(rng, 14)
             eps = float(rng.uniform(0.05, 5.0))
-            got = ks.kcca_score(g, g, eps).value
+            got = ks.kcca_singular_value(g, g, eps)
             assert got == pytest.approx(g.d[0] / (g.d[0] + eps), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -34,7 +34,7 @@ class TestKccaScore:
         gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
         gy = ks.center_and_decompose(ks.gram(y, ks.bandwidth(y)))
         eps = float(rng.choice(ks.GCV_GRID))
-        got = ks.kcca_score(gx, gy, eps).value
+        got = ks.kcca_singular_value(gx, gy, eps)
         want = kcca_dense_oracle(gx, gy, eps)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -49,12 +49,12 @@ class TestKccaScore:
             y = rng.standard_normal(n)
             gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
             ky = ks.gram(y, ks.bandwidth(y))
-            base = ks.kcca_score(gx, ks.center_and_decompose(ky), eps).value
+            base = ks.kcca_singular_value(gx, ks.center_and_decompose(ky), eps)
             perm_scores = []
             for _ in range(n_perm):
                 pi = rng.permutation(n)
                 gyp = ks.center_and_decompose(ky[np.ix_(pi, pi)])
-                perm_scores.append(ks.kcca_score(gx, gyp, eps).value)
+                perm_scores.append(ks.kcca_singular_value(gx, gyp, eps))
             hits += float(np.mean(perm_scores)) > base
         assert hits / trials <= 0.60
 
@@ -64,12 +64,12 @@ class TestKccaScore:
             gx = random_gram(rng, 12)
             gy = random_gram(rng, 12)
             for eps in (1e-5, 1e-2, 1.0):
-                assert ks.kcca_score(gx, gy, eps).value < 1.0
+                assert ks.kcca_singular_value(gx, gy, eps) < 1.0
 
     def test_monotone_in_epsilon_for_self_dependence(self):
         rng = np.random.default_rng(4)
         g = random_gram(rng, 16)
-        values = [ks.kcca_score(g, g, eps).value for eps in ks.GCV_GRID]
+        values = [ks.kcca_singular_value(g, g, eps) for eps in ks.GCV_GRID]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_relabeling_invariance(self):
@@ -78,17 +78,17 @@ class TestKccaScore:
         x = rng.standard_normal(n)
         y = np.tanh(x) + 0.3 * rng.standard_normal(n)
         bx, by = ks.bandwidth(x), ks.bandwidth(y)
-        base = ks.kcca_score(
+        base = ks.kcca_singular_value(
             ks.center_and_decompose(ks.gram(x, bx)),
             ks.center_and_decompose(ks.gram(y, by)),
             0.1,
-        ).value
+        )
         pi = rng.permutation(n)
-        permuted = ks.kcca_score(
+        permuted = ks.kcca_singular_value(
             ks.center_and_decompose(ks.gram(x[pi], bx)),
             ks.center_and_decompose(ks.gram(y[pi], by)),
             0.1,
-        ).value
+        )
         assert permuted == pytest.approx(base, abs=1e-10)
 
     def test_scale_free_gram(self):
@@ -105,19 +105,19 @@ class TestKccaScore:
         rng = np.random.default_rng(3)
         gx = random_gram(rng, 10)
         gzero = ks.center_and_decompose(np.ones((10, 10)))
-        assert ks.kcca_score(gx, gzero, 0.5).value == 0.0
-        assert ks.kcca_score(gzero, gx, 0.5).value == 0.0
+        assert ks.kcca_singular_value(gx, gzero, 0.5) == 0.0
+        assert ks.kcca_singular_value(gzero, gx, 0.5) == 0.0
 
     def test_argument_errors(self):
         rng = np.random.default_rng(0)
         gx = random_gram(rng, 8)
         gy = random_gram(rng, 9)
         with pytest.raises(ArgumentError):
-            ks.kcca_score(gx, gy, 0.1)
+            ks.kcca_singular_value(gx, gy, 0.1)
         with pytest.raises(ArgumentError):
-            ks.kcca_score(gx, gx, 0.0)
+            ks.kcca_singular_value(gx, gx, 0.0)
         with pytest.raises(ArgumentError):
-            ks.kcca_score(gx, gx, -1.0)
+            ks.kcca_singular_value(gx, gx, -1.0)
 
     def test_svd_failure_maps_to_numeric_error(self, monkeypatch):
         from kscreen.errors import NumericError
@@ -130,7 +130,7 @@ class TestKccaScore:
 
         monkeypatch.setattr(np.linalg, "svd", boom)
         with pytest.raises(NumericError):
-            ks.kcca_score(gx, gx, 0.5)
+            ks.kcca_singular_value(gx, gx, 0.5)
 
 
 class TestHsicScore:
@@ -138,20 +138,20 @@ class TestHsicScore:
         rng = np.random.default_rng(2)
         gx = random_centered(rng, 9)
         gzero = ks.center(np.ones((9, 9)))
-        assert ks.hsic_score(gx, gzero).value == 0.0
+        assert ks.hsic_score(gx, gzero) == 0.0
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         gx = random_centered(rng, 11)
         gy = random_centered(rng, 11)
-        assert ks.hsic_score(gx, gy).value == ks.hsic_score(gy, gx).value
+        assert ks.hsic_score(gx, gy) == ks.hsic_score(gy, gx)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_sum_oracle(self, seed):
         rng = np.random.default_rng(seed)
         gx = random_centered(rng, 8)
         gy = random_centered(rng, 8)
-        got = ks.hsic_score(gx, gy).value
+        got = ks.hsic_score(gx, gy)
         assert got == pytest.approx(hsic_double_sum(gx, gy), abs=1e-10)
 
     def test_mismatched_n(self):
@@ -160,20 +160,24 @@ class TestHsicScore:
             ks.hsic_score(random_centered(rng, 7), random_centered(rng, 8))
 
 
+def dcor(x, y):
+    return ks.dcor_score(ks.centered_distances(x), ks.centered_distances(y))
+
+
 class TestDcorScore:
     def test_perfect_dependence(self):
         x = np.array([0.3, -1.2, 2.0, 0.7, -0.4])
-        assert ks.dcor_score(x, x).value == pytest.approx(1.0, abs=1e-10)
+        assert dcor(x, x) == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_side_is_zero(self):
         x = np.arange(5.0)
-        assert ks.dcor_score(x, np.full(5, 2.0)).value == 0.0
-        assert ks.dcor_score(np.full(5, 2.0), x).value == 0.0
+        assert dcor(x, np.full(5, 2.0)) == 0.0
+        assert dcor(np.full(5, 2.0), x) == 0.0
 
     def test_brute_force_oracle_quadratic(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         y = x ** 2
-        got = ks.dcor_score(x, y).value
+        got = dcor(x, y)
         assert got == pytest.approx(dcor_brute(x, y), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -182,47 +186,54 @@ class TestDcorScore:
         n = int(rng.integers(5, 15))
         x = rng.standard_normal((n, 2))
         y = rng.standard_normal(n)
-        got = ks.dcor_score(x, y).value
+        got = dcor(x, y)
         assert got == pytest.approx(dcor_brute(x, y), abs=1e-10)
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(10)
         y = rng.standard_normal(10)
-        assert ks.dcor_score(x, y).value == pytest.approx(ks.dcor_score(y, x).value, abs=1e-14)
+        assert dcor(x, y) == pytest.approx(dcor(y, x), abs=1e-14)
 
     def test_needs_two_samples(self):
         with pytest.raises(ArgumentError):
-            ks.dcor_score([1.0], [2.0])
+            ks.centered_distances([1.0])
 
     def test_mismatched_lengths(self):
         with pytest.raises(ArgumentError):
-            ks.dcor_score([1.0, 2.0], [1.0, 2.0, 3.0])
+            dcor([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_rejects_mismatched_and_non_square_shapes(self):
+        a = ks.centered_distances(np.arange(5.0))
+        b = ks.centered_distances(np.arange(4.0))
+        for left, right in ((a, b), (b, a), (a, a[:, :4]), (a[:4], a[:4]), (a[0], a[0])):
+            with pytest.raises(ArgumentError):
+                ks.dcor_score(left, right)
 
 
 class TestPearsonScore:
     def test_affine_dependence(self):
         x = np.array([0.5, 1.5, -2.0, 3.0])
-        assert ks.pearson_score(x, 2 * x + 3).value == pytest.approx(1.0, abs=1e-12)
+        assert ks.pearson_score(x, 2 * x + 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_case(self):
         x = np.array([1.0, -1.0, 1.0, -1.0])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        assert ks.pearson_score(x, y).value == 0.0
+        assert ks.pearson_score(x, y) == 0.0
 
     def test_hand_computed_value(self):
-        got = ks.pearson_score([1.0, 2.0, 3.0], [1.0, 2.0, 2.0]).value
+        got = ks.pearson_score([1.0, 2.0, 3.0], [1.0, 2.0, 2.0])
         assert got == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-6)
 
     def test_constant_side_is_zero(self):
-        assert ks.pearson_score([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]).value == 0.0
+        assert ks.pearson_score([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(9)
         y = rng.standard_normal(9)
-        assert ks.pearson_score(x, y).value == pytest.approx(
-            ks.pearson_score(y, x).value, abs=1e-14
+        assert ks.pearson_score(x, y) == pytest.approx(
+            ks.pearson_score(y, x), abs=1e-14
         )
 
     def test_multivariate_rejected(self):
@@ -239,24 +250,3 @@ class TestPearsonScore:
         with pytest.raises(ArgumentError):
             ks.pearson_score([1.0], [2.0])
 
-
-class TestDependenceScore:
-    def test_epsilon_only_for_kcca(self):
-        with pytest.raises(ArgumentError):
-            ks.DependenceScore(value=0.5, method=ks.Method.DC, epsilon=1.0)
-        with pytest.raises(ArgumentError):
-            ks.DependenceScore(value=0.5, method=ks.Method.KCCA)
-
-    def test_bounds_enforced(self):
-        with pytest.raises(ArgumentError):
-            ks.DependenceScore(value=1.5, method=ks.Method.DC)
-        with pytest.raises(ArgumentError):
-            ks.DependenceScore(value=-0.1, method=ks.Method.HSIC)
-        with pytest.raises(ArgumentError):
-            ks.DependenceScore(value=np.nan, method=ks.Method.SIS)
-        # HSIC may exceed 1
-        assert ks.DependenceScore(value=3.0, method=ks.Method.HSIC).value == 3.0
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ArgumentError):
-            ks.DependenceScore(value=0.5, method=ks.Method.KCCA, epsilon=-1.0)

@@ -138,9 +138,17 @@ class TestScreen:
             ky = ks.gram(y.values, bw_y)
             gy = ks.center_and_decompose(ky)
             gx = ks.center_and_decompose(kx)
-            want = ks.kcca_score(gx, gy, 0.2).value
+            want = ks.kcca_singular_value(gx, gy, 0.2)
             assert res.scores[r] == pytest.approx(want, abs=1e-12)
-            assert hsic.scores[r] == ks.hsic_score(ks.center(kx), ks.center(ky)).value
+            assert hsic.scores[r] == ks.hsic_score(ks.center(kx), ks.center(ky))
+        # dc shares the response's centered distances, for a univariate and
+        # a bivariate response.
+        bivariate = ks.DataMatrix(np.column_stack([y.values[:, 0], x.values[:, 3] ** 2]))
+        for resp in (y, bivariate):
+            dc = ks.screen(x, resp, method="dc")
+            dy = ks.centered_distances(resp.values)
+            for r in range(x.p):
+                assert dc.scores[r] == ks.dcor_score(ks.centered_distances(x.values[:, r]), dy)
 
     def test_threads_do_not_change_output(self):
         x, y = make_data(seed=21, n=30, p=12)
