@@ -11,10 +11,12 @@ n, p = 40, 6
 x = rng.standard_normal((n, p))
 y = np.sin(x[:, 0]) + 0.5 * x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
 
-ky = ks.gram(y, ks.bandwidth(y))
-kxs = [ks.gram(x[:, r], ks.bandwidth(x[:, r])) for r in range(p)]
+# The criterion reads each variable's low-rank Gram factor (K ~= L L^T).
+ly = ks.gram(y, ks.bandwidth(y))
+lxs = [ks.gram(x[:, r], ks.bandwidth(x[:, r])) for r in range(p)]
+print("factor ranks: response", ly.shape[1], "predictors", [lf.shape[1] for lf in lxs], f"(n={n})")
 
-sel = ks.select_epsilon(ky, kxs)
+sel = ks.select_epsilon(ly, lxs)
 print(f"{'epsilon':>10s} {'GCV':>14s}")
 for eps, value in zip(sel.grid, sel.gcv_values):
     marker = "  <- selected" if eps == sel.epsilon else ""

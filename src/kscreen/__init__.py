@@ -2,10 +2,11 @@
 
 The headline statistic is the regularized kernel canonical correlation of
 each feature with the response, computed from centered Gaussian-kernel Gram
-matrices; HSIC, distance correlation, and absolute Pearson correlation are
-provided as baselines sharing the same rank-and-select pipeline.  A seeded
-Monte Carlo harness benchmarks the methods on synthetic suites, and the
-``kscreen`` CLI screens real CSV data.
+matrices, each held as a low-rank pivoted-Cholesky factor; HSIC, distance
+correlation, and absolute Pearson correlation are provided as baselines
+sharing the same rank-and-select pipeline.  A seeded Monte Carlo harness
+benchmarks the methods on synthetic suites, and the ``kscreen`` CLI screens
+real CSV data.
 """
 
 __version__ = "0.1.0"

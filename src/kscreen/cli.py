@@ -6,13 +6,14 @@ Outputs are deterministic for a fixed seed, and `--threads` does not change
 them.  `simulate` pins BLAS to one thread per worker, so its bytes never
 depend on the host.  `screen` runs in this process with whatever BLAS
 thread count the environment sets, and its scores can differ in the last
-bits across BLAS thread counts (hsic scores of about 0.05 by up to 1.4e-17
-between OPENBLAS_NUM_THREADS=1 and 2 at n=200, p=200, ranking unchanged).
+bits across BLAS thread counts (hsic scores up to 0.034 by up to 5.4e-20
+between OPENBLAS_NUM_THREADS=1 and 2 at n=2000, p=200, ranking unchanged;
+identical at n=200, p=200).
 
-`screen --threads` speeds scoring only when BLAS is single-threaded: on a
-2-core host with OPENBLAS_NUM_THREADS=1 (n=200, p=200), `--threads 2` took
-0.58-0.65 s against 1.00-1.26 s for kcca and 0.34-0.46 s against
-0.44-0.47 s for hsic; with BLAS at 2 threads it was slower.
+`screen --threads` no longer speeds scoring: on a 2-core host with
+OPENBLAS_NUM_THREADS=1, `--threads 2` took 0.21-0.23 s against
+0.19-0.21 s for kcca at n=200, p=200, and 1.37-1.41 s against 1.32-1.37 s
+at n=2000, p=200; with BLAS at 2 threads it was slower still.
 """
 
 from __future__ import annotations

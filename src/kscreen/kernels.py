@@ -1,7 +1,10 @@
-"""Gaussian kernel evaluation, bandwidth selection, Gram construction,
-double centering, centered distance matrices, and the retained spectrum of
-a centered Gram.
+"""Gaussian kernel evaluation, bandwidth selection, low-rank Gram factors,
+centering, centered distance matrices, and the retained spectrum of a
+centered Gram.
 
+Every kernel Gram matrix K is held as an n x r factor L with K ~= L L^T,
+built by pivoted incomplete Cholesky (``gram``); no n x n kernel matrix is
+formed.  KCCA, HSIC and the GCV tuning all read this one representation.
 Every dependence measure in this package is built on top of the objects
 defined here.  All functions are pure and all returned containers are
 immutable, so instances can be shared freely across concurrent workers.
@@ -17,13 +20,20 @@ from .errors import ArgumentError, DataError, DegenerateDataError, NumericError
 
 DEFAULT_TOL_REL = 1e-10
 
+# gram stops once the residual trace tr(K - L L^T) is at most this.  The
+# residual is PSD, so by Weyl's inequality no eigenvalue of the centered Gram
+# moves by more than it: a thousandth of the smallest truncation threshold,
+# DEFAULT_TOL_REL * max(lambda_max, 1) >= DEFAULT_TOL_REL.
+RESIDUAL_TRACE_TOL = 1e-3 * DEFAULT_TOL_REL
 
-def symmetric_eigh(matrix: np.ndarray) -> tuple:
-    """np.linalg.eigh with LAPACK failures mapped to NumericError."""
+
+def thin_svd(matrix: np.ndarray) -> tuple:
+    """np.linalg.svd(matrix, full_matrices=False) with LAPACK failures mapped
+    to NumericError."""
     try:
-        return np.linalg.eigh(matrix)
+        return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError as e:
-        raise NumericError(f"symmetric eigendecomposition failed: {e}") from None
+        raise NumericError(f"singular value decomposition failed: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,22 @@ def _as_samples(samples) -> np.ndarray:
     return arr
 
 
+def _as_factor(factor) -> np.ndarray:
+    """Check an n x r kernel factor as gram returns it: n >= 1, r <= n, finite.
+
+    A factor with more columns than rows is rejected; it is most often a
+    transposed one.
+    """
+    arr = np.asarray(factor, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] > arr.shape[0]:
+        raise ArgumentError(
+            f"a kernel factor must be n x r with n >= 1 and r <= n, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise DataError("kernel factor entries must be finite")
+    return arr
+
+
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
     # Direct differences: exact symmetry and exact zero diagonal, no
     # ||a||^2 + ||b||^2 - 2ab cancellation.
@@ -168,6 +194,11 @@ def bandwidth(samples) -> Bandwidth:
     and returns gamma.  Feature columns pass scalar samples; a multivariate
     response passes its d-vector rows.
 
+    For scalar samples the sum is taken in sorted form, in O(n log n):
+    sum_k (2k - n + 1) x_(k) over the 0-based order statistics, summed by
+    parts as sum_k k (n - k) (x_(k) - x_(k-1)) so that no term is negative.
+    Vector rows sum the n (n - 1) / 2 pairwise distances directly.
+
     Raises
     ------
     DegenerateDataError
@@ -178,9 +209,14 @@ def bandwidth(samples) -> Bandwidth:
     n = pts.shape[0]
     if n < 2:
         raise ArgumentError(f"bandwidth needs at least 2 samples, got {n}")
-    d2 = _pairwise_sq_dists(pts)
-    iu = np.triu_indices(n, k=1)
-    total = float(np.sum(np.sqrt(d2[iu])))
+    if pts.shape[1] == 1:
+        gaps = np.diff(np.sort(pts[:, 0]))
+        k = np.arange(1, n)
+        total = float(np.sum(gaps * (k * (n - k))))
+    else:
+        d2 = _pairwise_sq_dists(pts)
+        iu = np.triu_indices(n, k=1)
+        total = float(np.sum(np.sqrt(d2[iu])))
     if total == 0.0:
         raise DegenerateDataError("all samples identical: mean pairwise distance is 0")
     inv_sqrt_gamma = 2.0 * np.sqrt(2.0) * total / (n * (n - 1))
@@ -192,38 +228,53 @@ def bandwidth(samples) -> Bandwidth:
 
 
 def gram(samples, bw: Bandwidth) -> np.ndarray:
-    """Gaussian kernel Gram matrix K with K_ij = k(x_i, x_j).
+    """Low-rank factor L of the Gaussian kernel Gram matrix: K ~= L L^T,
+    with K_ij = k(x_i, x_j).
 
-    Symmetric with unit diagonal and entries in (0, 1]; positive
-    semidefinite by construction.
+    Built by pivoted incomplete Cholesky (Fine & Scheinberg, JMLR 2001):
+    each step evaluates the kernel column of the sample with the largest
+    residual diagonal, in O(n d), and orthogonalizes it against the columns
+    so far, in O(n r).  The steps stop once the residual trace
+    tr(K - L L^T), which is PSD, is at most RESIDUAL_TRACE_TOL, or at rank
+    n.  Returns an n x r array with 1 <= r <= n; K itself is never formed.
     """
     pts = _as_samples(samples)
-    if pts.shape[0] < 1:
+    n = pts.shape[0]
+    if n < 1:
         raise ArgumentError("gram needs at least 1 sample")
-    return np.exp(-bw.gamma * _pairwise_sq_dists(pts))
+    resid = np.ones(n)  # diagonal of K - L L^T; K has a unit diagonal
+    rows = np.empty((min(n, 32), n))  # L^T, doubled in height when full
+    r = 0
+    while r < n and resid.sum() > RESIDUAL_TRACE_TOL:
+        if r == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(r, n - r), n))])
+        j = int(np.argmax(resid))
+        diff = pts - pts[j]
+        col = np.exp(-bw.gamma * np.einsum("ij,ij->i", diff, diff))
+        col -= rows[:r, j] @ rows[:r]
+        col /= np.sqrt(resid[j])
+        rows[r] = col
+        resid -= col * col
+        resid[j] = 0.0
+        np.maximum(resid, 0.0, out=resid)
+        r += 1
+    return np.ascontiguousarray(rows[:r].T)
 
 
-def center(k: np.ndarray) -> np.ndarray:
-    """Double-center a symmetric kernel matrix: Q k Q with Q = I - (1/n) 1 1^T.
+def center(factor) -> np.ndarray:
+    """Column-center a kernel factor: Q L with Q = I - (1/n) 1 1^T.
+
+    (Q L)(Q L)^T = Q K Q is the double-centered Gram of K = L L^T.
 
     Raises
     ------
     ArgumentError
-        If k is not square or not symmetric within tolerance.
+        If the factor is not n x r with n >= 1 and r <= n.
     DataError
-        If k has a non-finite entry.
+        If it has a non-finite entry.
     """
-    arr = np.asarray(k, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ArgumentError(f"kernel matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("kernel matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-    asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if asym > 1e-8 * scale:
-        raise ArgumentError(f"kernel matrix is not symmetric (max asymmetry {asym:.3e})")
-    g = _double_center(0.5 * (arr + arr.T))
-    return 0.5 * (g + g.T)
+    arr = _as_factor(factor)
+    return arr - arr.mean(axis=0)
 
 
 def centered_distances(samples) -> np.ndarray:
@@ -238,27 +289,24 @@ def centered_distances(samples) -> np.ndarray:
     return _double_center(np.sqrt(_pairwise_sq_dists(pts)))
 
 
-def center_and_decompose(k: np.ndarray) -> CenteredGram:
-    """Double-center a PSD kernel matrix and keep its retained eigenpairs.
+def center_and_decompose(factor) -> CenteredGram:
+    """The retained spectrum of the double-centered Gram of a kernel factor.
 
-    Eigendecomposes g = center(k) and keeps the eigenvalues at or above
-    DEFAULT_TOL_REL * max(lambda_max, 1), in descending order, with their
-    eigenvectors; the rest span the numerical null space and are dropped.
+    With Q L = U S V^T the thin SVD of the column-centered factor, the
+    centered Gram Q L L^T Q has the eigenpairs (S^2, U).  Eigenvalues at or
+    above DEFAULT_TOL_REL * max(lambda_max, 1) are kept, in descending
+    order, with their eigenvectors; the rest span the numerical null space
+    and are dropped.  Costs O(n r^2).
 
     Raises
     ------
     ArgumentError
-        If k is not square, not symmetric within tolerance, or has an
-        eigenvalue spectrum inconsistent with a PSD input.
+        If the factor is not n x r with n >= 1 and r <= n.
+    DataError
+        If it has a non-finite entry.
     """
-    evals, evecs = symmetric_eigh(center(k))  # ascending eigenvalues
-    n = evals.shape[0]
-    dmax = float(evals[-1]) if n else 0.0
-    if n and float(evals[0]) < -1e-8 * max(1.0, dmax):
-        raise ArgumentError(
-            f"input is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
-        )
-    tol_abs = DEFAULT_TOL_REL * max(dmax, 1.0)
-    rank = int(np.count_nonzero(evals >= tol_abs))
-    u, d = evecs[:, n - rank:][:, ::-1].copy(), evals[n - rank:][::-1].copy()
-    return CenteredGram(u=u, d=d, tol=tol_abs)
+    u, s, _ = thin_svd(center(factor))
+    d = s * s
+    tol_abs = DEFAULT_TOL_REL * max(float(d[0]) if d.size else 0.0, 1.0)
+    rank = int(np.count_nonzero(d >= tol_abs))
+    return CenteredGram(u=u[:, :rank].copy(), d=d[:rank].copy(), tol=tol_abs)

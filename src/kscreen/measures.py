@@ -2,7 +2,7 @@
 distance correlation, and absolute Pearson correlation.
 
 Every measure scores two prepared sides and returns a plain float: KCCA two
-``CenteredGram``s, HSIC two double-centered Gram matrices (kernels.center),
+``CenteredGram``s, HSIC two column-centered kernel factors (kernels.center),
 distance correlation two double-centered distance matrices
 (kernels.centered_distances), and Pearson two scalar sample vectors.  A
 caller screening many predictors against one response prepares the
@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
-from .kernels import CenteredGram, _as_samples
+from .kernels import CenteredGram, _as_factor, _as_samples
 
 
 class Method(str, Enum):
@@ -60,14 +60,25 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     return min(sv, 1.0)
 
 
-def hsic_score(gx: np.ndarray, gy: np.ndarray) -> float:
-    """Biased V-statistic HSIC: trace(G_X G_Y) / n^2, clamped at 0, of two
-    double-centered n x n Gram matrices (kernels.center)."""
-    if gx.ndim != 2 or gx.shape[0] != gx.shape[1] or gy.shape != gx.shape:
-        raise ArgumentError(f"hsic needs two n x n centered Grams, got {gx.shape} and {gy.shape}")
-    n = gx.shape[0]
-    value = float(np.vdot(gx, gy)) / (n * n)
-    return max(value, 0.0)
+def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
+    """Biased V-statistic HSIC, trace(G_X G_Y) / n^2, of two column-centered
+    kernel factors (kernels.center): with G = L L^T it is
+    ||L_X^T L_Y||_F^2 / n^2, in O(n r_X r_Y).
+
+    Raises ArgumentError unless both are n x r factors over the same n >= 1
+    samples.
+    """
+    a, b = _as_factor(lx), _as_factor(ly)
+    n = a.shape[0]
+    if b.shape[0] != n:
+        raise ArgumentError(
+            f"hsic needs factors over the same samples, got {a.shape} and {b.shape}"
+        )
+    # A fixed operand order makes the score exactly symmetric in its arguments.
+    if (a.shape[1], a.tobytes()) > (b.shape[1], b.tobytes()):
+        a, b = b, a
+    cross = a.T @ b
+    return float(np.vdot(cross, cross)) / (n * n)
 
 
 def dcor_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,11 +86,12 @@ def dcor_score(a: np.ndarray, b: np.ndarray) -> float:
     matrices (kernels.centered_distances), clamped to [0, 1].
 
     Returns 0 when either side has zero distance variance (a constant
-    variable).
+    variable).  Raises ArgumentError unless both are n x n with n >= 1.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape or a.size == 0:
         raise ArgumentError(
-            f"dcor needs two n x n centered distance matrices, got {a.shape} and {b.shape}"
+            "dcor needs two n x n centered distance matrices with n >= 1, "
+            f"got {a.shape} and {b.shape}"
         )
     n2 = a.shape[0] * a.shape[0]
     dcov2 = float(np.vdot(a, b)) / n2

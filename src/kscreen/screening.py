@@ -7,15 +7,17 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
   (a) bandwidths gamma_1..gamma_p and gamma_Y from the mean pairwise
       distance rule (a constant feature falls back to gamma = 1 with a
       warning);
-  (b) ridge epsilon from the GCV grid search (KCCA only, when auto);
-  (c) centered Gram matrices, the response one computed once and shared
-      across all predictors; KCCA keeps each one's retained eigenpairs;
-  (d) one dependence score per predictor;
+  (b) one low-rank Gram factor per variable (kernels.gram), each built
+      once, the response one shared across all predictors;
+  (c) ridge epsilon from the GCV grid search over a subsample of the
+      predictor factors (KCCA only, when auto);
+  (d) one dependence score per predictor: KCCA reads the retained
+      eigenpairs of each centered Gram, HSIC the centered factor;
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
-Distance correlation skips (a) and (b) and uses double-centered distance
-matrices in (c); SIS scores the raw columns.
+Distance correlation skips (a) and (c) and uses double-centered distance
+matrices in (b); SIS scores the raw columns.
 
 Feature indices in results are 1-based, matching how selected sets are
 reported in tables.
@@ -43,8 +45,9 @@ from .kernels import (
 from .measures import Method, dcor_score, hsic_score, kcca_singular_value, pearson_score
 from .tuning import select_epsilon
 
-# The GCV sum over all p predictors is O(p n^3); above this many predictors
-# the tuning step uses a seeded uniform subsample unless told otherwise.
+# The GCV sum over all p predictors is O(p n r^2) for factors of rank r;
+# above this many predictors the tuning step uses a seeded uniform subsample
+# unless told otherwise.
 GCV_SUBSAMPLE_DEFAULT = 200
 
 
@@ -210,16 +213,18 @@ def screen(
         min(p, 200).  Pass p to force the full sum.
     threads : int
         Fan per-predictor score computation over this many threads; the
-        numeric result is independent of the thread count.  This pays
-        only with single-threaded BLAS: on a 2-core host with
-        OPENBLAS_NUM_THREADS=1 (n=200, p=200), threads=2 took 0.58-0.65 s
-        against 1.00-1.26 s for kcca and 0.34-0.46 s against 0.44-0.47 s
-        for hsic; with BLAS at 2 threads it was slower.
+        numeric result is independent of the thread count.  On low-rank
+        factors it no longer pays: on a 2-core host with
+        OPENBLAS_NUM_THREADS=1, threads=2 took 0.21-0.23 s against
+        0.19-0.21 s for kcca and 0.10-0.12 s against 0.09-0.11 s for hsic
+        at n=200, p=200, and 1.37-1.41 s against 1.32-1.37 s for kcca at
+        n=2000, p=200; with BLAS at 2 threads it was slower still.
 
     Unlike run_suite, screen does not pin the BLAS thread count, and scores
-    can differ in the last bits across BLAS thread counts (hsic scores of
-    about 0.05 by up to 1.4e-17 between OPENBLAS_NUM_THREADS=1 and 2 at
-    n=200, p=200, with the same ranking).
+    can differ in the last bits across BLAS thread counts: between
+    OPENBLAS_NUM_THREADS=1 and 2, hsic scores up to 0.034 differed by up
+    to 5.4e-20 at n=2000, p=200, with the same ranking; kcca scores, and
+    all scores at n=200, p=200, were identical.
     """
     method = Method(method)
     if x.n != y.n:
@@ -257,11 +262,15 @@ def screen(
         # Non-constant response plus the scale-free bandwidth rule guarantees
         # a nonzero centered Gram, so no rank guard is needed here.
         bw_y = _column_bandwidth(yv, "response")
-        ky = gram(yv, bw_y)
-        # KCCA reads each centered Gram's retained spectrum, HSIC the matrix.
-        gy = center_and_decompose(ky) if method is Method.KCCA else center(ky)
+        ly = gram(yv, bw_y)
+        # KCCA reads each centered Gram's retained spectrum, HSIC the
+        # centered factor itself.
+        gy = center_and_decompose(ly) if method is Method.KCCA else center(ly)
 
         bws = [_column_bandwidth(xv[:, r], f"feature {r + 1}") for r in range(p)]
+        # Each feature's factor is built once: the GCV subsample's factors
+        # wait here until their feature is scored.
+        factors = {}
 
         if method is Method.KCCA:
             if isinstance(epsilon, str):
@@ -275,21 +284,26 @@ def screen(
                     tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))
                 else:
                     tuning_idx = np.arange(p)
-                kx_raw = [gram(xv[:, r], bws[r]) for r in tuning_idx]
-                eps = select_epsilon(ky, kx_raw).epsilon
+                factors = {int(r): gram(xv[:, r], bws[r]) for r in tuning_idx}
+                eps = select_epsilon(ly, list(factors.values())).epsilon
             else:
                 eps = float(epsilon)
                 if not np.isfinite(eps) or eps <= 0.0:
                     raise ArgumentError(f"epsilon must be positive, got {epsilon!r}")
 
+        def factor(r):
+            lx = factors.pop(r, None)
+            return gram(xv[:, r], bws[r]) if lx is None else lx
+
+        if method is Method.KCCA:
+
             def score_one(r):
-                gx = center_and_decompose(gram(xv[:, r], bws[r]))
-                return kcca_singular_value(gx, gy, eps)
+                return kcca_singular_value(center_and_decompose(factor(r)), gy, eps)
 
         else:  # HSIC
 
             def score_one(r):
-                return hsic_score(center(gram(xv[:, r], bws[r])), gy)
+                return hsic_score(center(factor(r)), gy)
 
     scores = np.asarray(_map_indexed(score_one, p, threads), dtype=float)
 

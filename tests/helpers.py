@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to check the production paths.
 
-Everything here is written the slow, explicit way (loops, dense inverses,
-full eigenproblems) on purpose: these implementations must not share code
+Everything here is written the slow, explicit way (loops, dense n x n
+Grams, dense inverses, full eigenproblems) on purpose: these implementations must not share code
 with the library paths they validate.
 """
 
@@ -10,20 +10,47 @@ import numpy as np
 import kscreen as ks
 
 
-def random_kernel(rng, n):
-    """A Gaussian Gram from random scalar data."""
+def dense_gram(samples, bw):
+    """The full n x n Gaussian Gram, K_ij = exp(-gamma ||x_i - x_j||^2)."""
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.exp(-bw.gamma * np.sum(diff * diff, axis=2))
+
+
+def center_dense(k):
+    """Q k Q with the explicit centering matrix Q = I - (1/n) 1 1^T."""
+    n = k.shape[0]
+    q = np.eye(n) - np.full((n, n), 1.0 / n)
+    g = q @ k @ q
+    return 0.5 * (g + g.T)
+
+
+def decompose_dense(k):
+    """Dense eigendecomposition of the centered Gram, truncated as
+    kernels.center_and_decompose truncates: a CenteredGram."""
+    evals, evecs = np.linalg.eigh(center_dense(k))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    tol = ks.DEFAULT_TOL_REL * max(float(evals[0]), 1.0)
+    keep = evals >= tol
+    return ks.CenteredGram(u=evecs[:, keep].copy(), d=evals[keep].copy(), tol=tol)
+
+
+def random_factor(rng, n):
+    """A Gaussian Gram factor from random scalar data."""
     pts = rng.standard_normal(n)
     return ks.gram(pts, ks.bandwidth(pts))
 
 
 def random_gram(rng, n):
     """A centered-and-decomposed Gaussian Gram from random data."""
-    return ks.center_and_decompose(random_kernel(rng, n))
+    return ks.center_and_decompose(random_factor(rng, n))
 
 
 def random_centered(rng, n):
-    """A double-centered Gaussian Gram from random data."""
-    return ks.center(random_kernel(rng, n))
+    """A column-centered Gaussian Gram factor from random data."""
+    return ks.center(random_factor(rng, n))
 
 
 def kcca_dense_oracle(gx, gy, eps):

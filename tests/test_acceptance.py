@@ -2,8 +2,8 @@
 
 The simulation criteria (6, 7, 8, 10) run at the documented desk scale
 (n = 200, p = 500, 50 replications; trend at p = 200 with 30 replications)
-with frozen seeds.  On a 2-core container the whole module takes roughly
-15 minutes; worker count adapts to the host.
+with frozen seeds.  On a shared 2-core host the whole module takes about
+100 seconds; worker count adapts to the host.
 
 Run with:  pytest tests/test_acceptance.py -v
 """
@@ -19,7 +19,14 @@ import pytest
 
 import kscreen as ks
 from kscreen.cli import main as cli_main
-from tests.helpers import dcor_brute, gcv_dense_oracle, hsic_double_sum, kcca_dense_oracle
+from tests.helpers import (
+    center_dense,
+    dcor_brute,
+    dense_gram,
+    gcv_dense_oracle,
+    hsic_double_sum,
+    kcca_dense_oracle,
+)
 
 WORKERS = min(8, os.cpu_count() or 1)
 # Stated budget: 30 minutes on 8 cores; pro-rate for the host's workers.
@@ -112,13 +119,12 @@ def test_c03_hsic_trace_equals_double_sum():
         n = int(rng.integers(5, 21))
         x = rng.standard_normal(n)
         y = x * rng.uniform(-1, 1) + rng.standard_normal(n)
-        gx = ks.center(ks.gram(x, ks.bandwidth(x)))
-        gy = ks.center(ks.gram(y, ks.bandwidth(y)))
-        got = ks.hsic_score(gx, gy)
-        want = hsic_double_sum(gx, gy)
+        bx, by = ks.bandwidth(x), ks.bandwidth(y)
+        got = ks.hsic_score(ks.center(ks.gram(x, bx)), ks.center(ks.gram(y, by)))
+        want = hsic_double_sum(center_dense(dense_gram(x, bx)), center_dense(dense_gram(y, by)))
         worst = max(worst, abs(got - max(want, 0.0)))
         assert abs(got - max(want, 0.0)) <= 1e-10
-    _pass(3, "hsic trace form vs brute double sum", f"50 instances, worst abs {worst:.2e}")
+    _pass(3, "hsic factor form vs brute double sum", f"50 instances, worst abs {worst:.2e}")
 
 
 def test_c04_dcor_matches_independent_implementation():
@@ -145,11 +151,14 @@ def test_c05_gcv_matches_dense_assembly():
     n, p = 6, 2
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    ky = ks.gram(y, ks.bandwidth(y))
-    kxs = [ks.gram(x[:, r], ks.bandwidth(x[:, r])) for r in range(p)]
+    bws = [ks.bandwidth(y)] + [ks.bandwidth(x[:, r]) for r in range(p)]
+    ly = ks.gram(y, bws[0])
+    lxs = [ks.gram(x[:, r], bws[r + 1]) for r in range(p)]
+    ky = dense_gram(y, bws[0])
+    kxs = [dense_gram(x[:, r], bws[r + 1]) for r in range(p)]
     worst = 0.0
     for eps in ks.GCV_GRID:
-        got = ks.gcv_value(eps, ky, kxs)
+        got = ks.gcv_value(eps, ly, lxs)
         want = gcv_dense_oracle(eps, ky, kxs)
         rel = abs(got - want) / abs(want)
         worst = max(worst, rel)

@@ -1,11 +1,14 @@
-"""Kernel substrate: evaluation, bandwidth rule, Gram construction,
-centering, and the truncated spectral decomposition."""
+"""Kernel substrate: evaluation, bandwidth rule, low-rank Gram factors,
+centering, and the truncated spectral decomposition, checked against the
+dense n x n oracles."""
 
 import numpy as np
 import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, DegenerateDataError, NumericError
+from kscreen.kernels import RESIDUAL_TRACE_TOL
+from tests.helpers import center_dense, dense_gram
 
 
 class TestGaussianKernel:
@@ -72,6 +75,24 @@ class TestBandwidth:
         got = ks.bandwidth([[0.0, 0.0], [1.0, 1.0]]).gamma
         assert got == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sorted_scalar_sum_matches_pairwise_sum(self, seed):
+        # A zero second coordinate sends the same distances through the
+        # pairwise sum of the vector path.  Ties, an offset far above the
+        # spread and one outlier below a cluster are the hard cases for the
+        # sorted form.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        cases = (
+            rng.standard_normal(n),
+            np.round(rng.standard_normal(n), 1),
+            1e6 + rng.standard_normal(n),
+            np.concatenate([[-50.0], 1.0 + 1e-3 * rng.standard_normal(n)]),
+        )
+        for x in cases:
+            pairwise = ks.bandwidth(np.column_stack([x, np.zeros_like(x)])).gamma
+            assert ks.bandwidth(x).gamma == pytest.approx(pairwise, rel=1e-14)
+
 
 class TestGram:
     def test_single_sample(self):
@@ -79,34 +100,76 @@ class TestGram:
         assert k.shape == (1, 1) and k[0, 0] == 1.0
 
     def test_two_samples(self):
-        k = ks.gram([0.0, 1.0], ks.Bandwidth(0.5))
+        lf = ks.gram([0.0, 1.0], ks.Bandwidth(0.5))
         expected = np.array([[1.0, np.exp(-0.5)], [np.exp(-0.5), 1.0]])
-        np.testing.assert_allclose(k, expected, atol=1e-15)
+        np.testing.assert_allclose(lf @ lf.T, expected, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_psd_eigenvalue_oracle(self, seed):
+        # The residual K - L L^T of the dense oracle Gram is PSD with trace
+        # at most RESIDUAL_TRACE_TOL, up to rounding.
         rng = np.random.default_rng(seed)
-        pts = rng.standard_normal(10)
-        k = ks.gram(pts, ks.bandwidth(pts))
-        evals = np.linalg.eigvalsh(k)
-        assert evals.min() >= -1e-10
-        assert np.all(np.diag(k) == 1.0)
-        assert k.max() <= 1.0 and k.min() > 0.0
+        pts = rng.standard_normal(10 + 40 * seed)
+        bw = ks.bandwidth(pts)
+        lf = ks.gram(pts, bw)
+        resid = dense_gram(pts, bw) - lf @ lf.T
+        evals = np.linalg.eigvalsh(resid)
+        assert evals.min() >= -1e-13
+        assert np.trace(resid) <= RESIDUAL_TRACE_TOL + 1e-13
 
     def test_permutation_exchange_symmetry(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal(8)
         bw = ks.bandwidth(pts)
         perm = rng.permutation(8)
-        k = ks.gram(pts, bw)
-        kp = ks.gram(pts[perm], bw)
-        np.testing.assert_array_equal(kp, k[np.ix_(perm, perm)])
+        lf = ks.gram(pts, bw)
+        lp = ks.gram(pts[perm], bw)
+        np.testing.assert_allclose(lp @ lp.T, (lf @ lf.T)[np.ix_(perm, perm)], atol=1e-14)
+
+    def test_early_stop_well_below_full_rank(self):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal(500)
+        bw = ks.bandwidth(pts)
+        lf = ks.gram(pts, bw)
+        assert lf.shape[0] == 500 and 1 <= lf.shape[1] <= 40
+        resid = dense_gram(pts, bw) - lf @ lf.T
+        assert np.trace(resid) <= RESIDUAL_TRACE_TOL + 1e-13
+        # One fewer column would not have met the stopping rule.
+        short = lf[:, :-1]
+        assert np.trace(dense_gram(pts, bw) - short @ short.T) > RESIDUAL_TRACE_TOL
+
+    def test_full_rank_when_the_kernel_is_nearly_diagonal(self):
+        # Far-apart points: off-diagonal entries exp(-50 k^2) <= 2e-22, so no
+        # column can be skipped and the factor is a full Cholesky factor.
+        pts = np.arange(40.0)
+        bw = ks.Bandwidth(50.0)
+        lf = ks.gram(pts, bw)
+        assert lf.shape == (40, 40)
+        np.testing.assert_allclose(lf @ lf.T, dense_gram(pts, bw), rtol=0, atol=1e-15)
+
+    def test_vector_samples_match_dense_gram(self):
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((60, 3))
+        bw = ks.bandwidth(pts)
+        lf = ks.gram(pts, bw)
+        np.testing.assert_allclose(lf @ lf.T, dense_gram(pts, bw), rtol=0, atol=1e-13)
+
+    def test_constant_column_has_a_rank_zero_centered_factor(self):
+        lf = ks.gram(np.full(7, 2.5), ks.Bandwidth(1.0))
+        np.testing.assert_array_equal(lf, np.ones((7, 1)))
+        assert np.all(ks.center(lf) == 0.0)
+        assert ks.center_and_decompose(lf).rank == 0
+
+    def test_duplicate_samples_stop_at_the_distinct_count(self):
+        pts = np.repeat([0.0, 1.0, 3.0], 4)
+        lf = ks.gram(pts, ks.Bandwidth(20.0))
+        assert lf.shape == (12, 3)
 
 
 class TestCenterAndDecompose:
     def test_all_ones_kernel_annihilated(self):
-        assert np.all(ks.center(np.ones((6, 6))) == 0.0)
-        cg = ks.center_and_decompose(np.ones((6, 6)))
+        assert np.all(ks.center(np.ones((6, 1))) == 0.0)
+        cg = ks.center_and_decompose(np.ones((6, 1)))
         assert cg.rank == 0
         assert cg.u.shape == (6, 0) and cg.d.shape == (0,)
 
@@ -114,15 +177,15 @@ class TestCenterAndDecompose:
     def test_row_sums_zero(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal(12)
-        g = ks.center(ks.gram(pts, ks.bandwidth(pts)))
-        assert np.max(np.abs(g.sum(axis=1))) <= 1e-8
+        lc = ks.center(ks.gram(pts, ks.bandwidth(pts)))
+        assert np.max(np.abs((lc @ lc.T).sum(axis=1))) <= 1e-8
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         pts = rng.standard_normal(20)
-        k = ks.gram(pts, ks.bandwidth(pts))
-        cg = ks.center_and_decompose(k)
-        g = ks.center(k)
+        bw = ks.bandwidth(pts)
+        cg = ks.center_and_decompose(ks.gram(pts, bw))
+        g = center_dense(dense_gram(pts, bw))
         recon = cg.u @ np.diag(cg.d) @ cg.u.T
         err = np.linalg.norm(recon - g, "fro")
         assert err <= 1e-6 * max(1.0, np.linalg.norm(g, "fro"))
@@ -130,56 +193,48 @@ class TestCenterAndDecompose:
     def test_symmetry_and_descending_spectrum(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal(9)
-        k = ks.gram(pts, ks.bandwidth(pts))
-        g = ks.center(k)
-        assert np.max(np.abs(g - g.T)) <= 1e-10
-        cg = ks.center_and_decompose(k)
+        cg = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
         assert np.all(np.diff(cg.d) <= 0)
         assert cg.d.min() >= cg.tol > 0.0
 
     def test_centering_idempotent(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal(10)
-        g = ks.center(ks.gram(pts, ks.bandwidth(pts)))
-        # centering an already-centered PSD matrix changes nothing
-        again = ks.center(g + 0.0)
-        assert np.linalg.norm(again - g, "fro") <= 1e-10
+        lc = ks.center(ks.gram(pts, ks.bandwidth(pts)))
+        # centering an already-centered factor changes nothing
+        assert np.linalg.norm(ks.center(lc) - lc, "fro") <= 1e-14
 
     def test_pseudo_inverse_contract(self):
         # Pseudo-inverse powers downstream invert exactly the retained
         # eigenvalues: each is at least tol > 0, and every eigenvalue of the
-        # centered Gram that was dropped lies below tol.
+        # dense centered Gram that was dropped lies below tol, up to the
+        # factor's residual trace.
         rng = np.random.default_rng(6)
         pts = rng.standard_normal(15)
-        k = ks.gram(pts, ks.bandwidth(pts))
-        cg = ks.center_and_decompose(k)
-        evals = np.linalg.eigh(ks.center(k))[0][::-1]
+        bw = ks.bandwidth(pts)
+        cg = ks.center_and_decompose(ks.gram(pts, bw))
+        evals = np.linalg.eigvalsh(center_dense(dense_gram(pts, bw)))[::-1]
         assert cg.tol > 0.0 and np.all(cg.d >= cg.tol)
-        assert np.all(evals[cg.rank:] < cg.tol)
-        np.testing.assert_array_equal(cg.d, evals[: cg.rank])
+        assert np.all(evals[cg.rank:] < cg.tol + RESIDUAL_TRACE_TOL)
+        np.testing.assert_allclose(cg.d, evals[: cg.rank], rtol=0, atol=1e-13)
 
     def test_truncation_threshold(self):
         # a rank-1 PSD matrix plus the constant direction: centering leaves
         # exactly one nonzero eigenvalue
         v = np.array([1.0, -1.0, 0.5, -0.5])
-        k = np.outer(v, v) + np.ones((4, 4))
-        cg = ks.center_and_decompose(k)
+        cg = ks.center_and_decompose(np.column_stack([v, np.ones(4)]))
         assert cg.rank == 1
+        assert cg.d[0] == pytest.approx(np.dot(v, v), rel=1e-15)
         assert cg.tol > 0.0
 
-    def test_non_symmetric_rejected(self):
-        bad = np.array([[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(ArgumentError):
-            ks.center_and_decompose(bad)
-
-    def test_non_psd_rejected(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(ArgumentError):
-            ks.center_and_decompose(bad)
-
     def test_non_square_rejected(self):
+        # a factor never has more columns than rows; a wide one is most
+        # often a transposed factor
         with pytest.raises(ArgumentError):
             ks.center_and_decompose(np.ones((2, 3)))
+        for bad in (np.ones(3), np.ones((0, 0)), np.ones((2, 2, 2))):
+            with pytest.raises(ArgumentError):
+                ks.center(bad)
 
     def test_nan_rejected(self):
         bad = np.eye(3)
@@ -216,22 +271,23 @@ class TestValidationEdges:
             ks.gaussian_kernel(np.inf, 1.0, ks.Bandwidth(1.0))
 
     def test_unusable_gamma_from_underflowing_distances(self):
-        # distances underflow the squared sum entirely
+        # vector rows: the squared distances underflow the sum entirely
         with pytest.raises(DegenerateDataError):
-            ks.bandwidth([0.0, 1e-300])
-        # distances survive but the inverse-square power overflows
-        with pytest.raises(DegenerateDataError):
-            ks.bandwidth([0.0, 1e-160])
+            ks.bandwidth([[0.0, 0.0], [1e-300, 0.0]])
+        # scalars: the distances survive but the inverse-square power overflows
+        for tiny in (1e-300, 1e-160):
+            with pytest.raises(DegenerateDataError):
+                ks.bandwidth([0.0, tiny])
 
     def test_gram_needs_a_sample(self):
         with pytest.raises(ArgumentError):
             ks.gram([], ks.Bandwidth(1.0))
 
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch):
-        def boom(_):
+        def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", boom)
+        monkeypatch.setattr(np.linalg, "svd", boom)
         with pytest.raises(NumericError):
             ks.center_and_decompose(np.eye(3))
 

@@ -8,7 +8,9 @@ import pytest
 import kscreen as ks
 from kscreen.errors import ArgumentError, UnsupportedMethodError
 from tests.helpers import (
+    center_dense,
     dcor_brute,
+    dense_gram,
     hsic_double_sum,
     kcca_dense_oracle,
     random_centered,
@@ -48,12 +50,12 @@ class TestKccaScore:
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
             gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
-            ky = ks.gram(y, ks.bandwidth(y))
-            base = ks.kcca_singular_value(gx, ks.center_and_decompose(ky), eps)
+            ly = ks.gram(y, ks.bandwidth(y))
+            base = ks.kcca_singular_value(gx, ks.center_and_decompose(ly), eps)
             perm_scores = []
             for _ in range(n_perm):
                 pi = rng.permutation(n)
-                gyp = ks.center_and_decompose(ky[np.ix_(pi, pi)])
+                gyp = ks.center_and_decompose(ly[pi])
                 perm_scores.append(ks.kcca_singular_value(gx, gyp, eps))
             hits += float(np.mean(perm_scores)) > base
         assert hits / trials <= 0.60
@@ -96,15 +98,15 @@ class TestKccaScore:
         # Gram matrix, hence the score, unchanged
         rng = np.random.default_rng(13)
         x = rng.standard_normal(18)
+        l0 = ks.gram(x, ks.bandwidth(x))
         for c in (3.0, -0.2, 1e3):
-            k0 = ks.gram(x, ks.bandwidth(x))
-            k1 = ks.gram(c * x, ks.bandwidth(c * x))
-            assert np.max(np.abs(k1 - k0)) <= 1e-10
+            l1 = ks.gram(c * x, ks.bandwidth(c * x))
+            assert np.max(np.abs(l1 @ l1.T - l0 @ l0.T)) <= 1e-10
 
     def test_constant_side_scores_zero(self):
         rng = np.random.default_rng(3)
         gx = random_gram(rng, 10)
-        gzero = ks.center_and_decompose(np.ones((10, 10)))
+        gzero = ks.center_and_decompose(np.ones((10, 1)))
         assert ks.kcca_singular_value(gx, gzero, 0.5) == 0.0
         assert ks.kcca_singular_value(gzero, gx, 0.5) == 0.0
 
@@ -137,7 +139,7 @@ class TestHsicScore:
     def test_zero_operator(self):
         rng = np.random.default_rng(2)
         gx = random_centered(rng, 9)
-        gzero = ks.center(np.ones((9, 9)))
+        gzero = ks.center(np.ones((9, 1)))
         assert ks.hsic_score(gx, gzero) == 0.0
 
     def test_symmetry_exact(self):
@@ -149,15 +151,20 @@ class TestHsicScore:
     @pytest.mark.parametrize("seed", range(5))
     def test_double_sum_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        gx = random_centered(rng, 8)
-        gy = random_centered(rng, 8)
-        got = ks.hsic_score(gx, gy)
-        assert got == pytest.approx(hsic_double_sum(gx, gy), abs=1e-10)
+        x, y = rng.standard_normal(8), rng.standard_normal(8)
+        bx, by = ks.bandwidth(x), ks.bandwidth(y)
+        got = ks.hsic_score(ks.center(ks.gram(x, bx)), ks.center(ks.gram(y, by)))
+        want = hsic_double_sum(center_dense(dense_gram(x, bx)), center_dense(dense_gram(y, by)))
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_mismatched_n(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ArgumentError):
             ks.hsic_score(random_centered(rng, 7), random_centered(rng, 8))
+
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(ArgumentError):
+            ks.hsic_score(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def dcor(x, y):
@@ -209,6 +216,10 @@ class TestDcorScore:
         for left, right in ((a, b), (b, a), (a, a[:, :4]), (a[:4], a[:4]), (a[0], a[0])):
             with pytest.raises(ArgumentError):
                 ks.dcor_score(left, right)
+
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(ArgumentError):
+            ks.dcor_score(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 class TestPearsonScore:

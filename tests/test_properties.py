@@ -1,7 +1,9 @@
 """Property-based checks of the README's promises: scale-freeness, sample
 relabeling invariance, feature-permutation equivariance, and the [0, 1)
 score range; and of the per-feature representation behind them, the
-retained spectrum of a centered Gram and the HSIC it feeds.
+low-rank Gram factor, checked against the dense n x n oracles: the
+retained spectrum of its centered Gram, and the KCCA, HSIC and GCV values
+it feeds.
 
 Data come from hypothesis as integer arrays divided by 100, so every entry
 sits on a 0.01 grid in [-10, 10].  Distinct values are therefore at least
@@ -15,11 +17,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
+from tests.helpers import center_dense, decompose_dense, dense_gram, gcv_dense_oracle
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -114,52 +117,120 @@ def test_kcca_and_dc_scores_lie_in_unit_interval(table, epsilon):
 
 
 
-def sample_gram(draw, n):
-    # Scalar or bivariate samples on the 0.01 grid; a constant draw falls
-    # back to gamma = 1 as screen does, giving a Gram that centers to 0.
+def sample_kernel(draw, n):
+    # Scalar or bivariate samples on the 0.01 grid, with their bandwidth; a
+    # constant draw falls back to gamma = 1 as screen does, giving a Gram
+    # that centers to 0.
     d = draw(st.integers(1, 2))
     pts = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-1000, 1000))) / 100.0
     try:
         bw = ks.bandwidth(pts)
     except ks.DegenerateDataError:
         bw = ks.Bandwidth(1.0)
-    return ks.gram(pts, bw)
+    return pts, bw
 
 
 @st.composite
-def grams(draw):
-    return sample_gram(draw, draw(st.integers(2, 30)))
+def kernels(draw, min_n=2, max_n=30):
+    return sample_kernel(draw, draw(st.integers(min_n, max_n)))
 
 
 @SETTINGS
-@given(k=grams())
-def test_retained_spectrum_is_a_thin_orthonormal_factor_of_the_centered_gram(k):
-    cg = ks.center_and_decompose(k)
-    g = ks.center(k)
-    n, rank = k.shape[0], cg.rank
+@given(kernel=kernels())
+def test_retained_spectrum_is_a_thin_orthonormal_factor_of_the_centered_gram(kernel):
+    pts, bw = kernel
+    cg = ks.center_and_decompose(ks.gram(pts, bw))
+    g = center_dense(dense_gram(pts, bw))
+    n, rank = g.shape[0], cg.rank
     assert cg.u.shape == (n, rank) and cg.d.shape == (rank,)
-    # eigh returns vectors orthonormal to a few ulps (observed: 4e-15).
+    # The SVD returns vectors orthonormal to a few ulps (observed: 4e-15).
     assert np.max(np.abs(cg.u.T @ cg.u - np.eye(rank)), initial=0.0) <= 1e-12
     # The columns are orthogonal to the constant vector, which centering
     # maps to 0.  An eigenvector is resolved only to ~1e-16 * d_max / d_i,
-    # so u^T 1 itself reaches 1e-5 for eigenvalues near tol; the product
-    # with d, (U D)^T 1 = U D U^T 1, is tight (observed: 1.1e-14).
+    # so u^T 1 itself can reach 1e-5 for eigenvalues near tol; the product
+    # with d, (U D)^T 1 = U D U^T 1, is tight (observed: 4.3e-15 * d_max).
     dmax = cg.d[0] if rank else 0.0
     ones = np.ones(n)
     assert np.max(np.abs(cg.d * (cg.u.T @ ones)), initial=0.0) <= 1e-12 * max(1.0, dmax)
     assert cg.tol > 0.0
     assert np.all(np.diff(cg.d) <= 0.0) and np.all(cg.d >= cg.tol)
-    # Every dropped eigenvalue lies below tol, so the truncated part has
-    # Frobenius norm below sqrt(n) * tol (observed: at most 0.31 of it).
+    # Every dropped eigenvalue lies below tol, and the factor's residual
+    # trace is a thousandth of tol, so the truncated part has Frobenius
+    # norm below sqrt(n) * tol (observed: at most 0.27 of it).
     recon = cg.u @ np.diag(cg.d) @ cg.u.T
     assert np.linalg.norm(recon - g, "fro") <= np.sqrt(n) * cg.tol
 
 
 @SETTINGS
-@given(kx=grams(), draw=st.data())
+@given(kernel=kernels(min_n=2, max_n=120))
+def test_factor_spectrum_matches_the_dense_eigendecomposition(kernel):
+    # Both sides resolve an eigenvalue only to ~1e-16 * d_max, and the
+    # factor's residual trace moves it by at most 1e-13; eigenvalues below
+    # 1e-6 * d_max are left out because near the truncation threshold the
+    # two sides may keep different counts.  Observed: 7.7e-15 *
+    # max(1, d_max) over 1500 draws.
+    pts, bw = kernel
+    got = ks.center_and_decompose(ks.gram(pts, bw)).d
+    want = decompose_dense(dense_gram(pts, bw)).d
+    dmax = want[0] if want.size else 0.0
+    big = want >= 1e-6 * dmax
+    assert got.shape[0] >= np.count_nonzero(big)
+    np.testing.assert_allclose(got[: big.sum()], want[big], rtol=0, atol=1e-12 * max(1.0, dmax))
+
+
+@SETTINGS
+@given(kx=kernels(min_n=4, max_n=60), draw=st.data())
+def test_kcca_of_factors_matches_the_dense_path_at_every_grid_point(kx, draw):
+    # The same measure on both sides, so only the representation differs
+    # (observed: 2.4e-10 over 1500 draws and the whole grid).
+    pts, bw = kx
+    ypts, ybw = sample_kernel(draw.draw, pts.shape[0])
+    gx = ks.center_and_decompose(ks.gram(pts, bw))
+    gy = ks.center_and_decompose(ks.gram(ypts, ybw))
+    dx = decompose_dense(dense_gram(pts, bw))
+    dy = decompose_dense(dense_gram(ypts, ybw))
+    for eps in ks.GCV_GRID:
+        got = ks.kcca_singular_value(gx, gy, eps)
+        want = ks.kcca_singular_value(dx, dy, eps)
+        assert got == pytest.approx(want, abs=TOL["kcca"]), eps
+
+
+@SETTINGS
+@given(kx=kernels(min_n=2, max_n=60), draw=st.data())
+def test_hsic_of_factors_matches_the_dense_double_centered_grams(kx, draw):
+    # Observed: 3.1e-16 over 1500 draws.
+    pts, bw = kx
+    ypts, ybw = sample_kernel(draw.draw, pts.shape[0])
+    got = ks.hsic_score(ks.center(ks.gram(pts, bw)), ks.center(ks.gram(ypts, ybw)))
+    gx = center_dense(dense_gram(pts, bw))
+    gy = center_dense(dense_gram(ypts, ybw))
+    want = float(np.sum(gx * gy)) / pts.shape[0] ** 2
+    assert got == pytest.approx(want, abs=TOL["hsic"])
+
+
+@SETTINGS
+@given(ky=kernels(min_n=6, max_n=40), draw=st.data(), eps=st.sampled_from(ks.GCV_GRID))
+def test_gcv_of_factors_matches_the_explicit_inverse_assembly(ky, draw, eps):
+    # The oracle is the less accurate side.  In some 20000 draws, wherever
+    # the two differed by more than 2e-9, 50-digit arithmetic put the
+    # factor form within 1.4e-12 and the explicit inverse of
+    # Z Z^T + eps I further off: up to 7e-8 below n = 6, up to 9e-5 with a
+    # constant response (which screen rejects), and at most 2.7e-9 for
+    # n >= 6 and a non-constant response, the domain drawn here.
+    ypts, ybw = ky
+    assume(np.ptp(ypts) > 0.0)
+    xs = [sample_kernel(draw.draw, ypts.shape[0]) for _ in range(draw.draw(st.integers(1, 3)))]
+    got = ks.gcv_value(eps, ks.gram(ypts, ybw), [ks.gram(p, b) for p, b in xs])
+    want = gcv_dense_oracle(eps, dense_gram(ypts, ybw), [dense_gram(p, b) for p, b in xs])
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+@SETTINGS
+@given(kx=kernels(), draw=st.data())
 def test_hsic_of_centered_grams_is_nonnegative_and_exactly_symmetric(kx, draw):
-    gx = ks.center(kx)
-    gy = ks.center(sample_gram(draw.draw, kx.shape[0]))
+    pts, bw = kx
+    gx = ks.center(ks.gram(pts, bw))
+    gy = ks.center(ks.gram(*sample_kernel(draw.draw, pts.shape[0])))
     forward = ks.hsic_score(gx, gy)
     assert forward >= 0.0
     assert forward == ks.hsic_score(gy, gx)

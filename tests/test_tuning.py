@@ -1,5 +1,5 @@
-"""GCV criterion and ridge grid search, checked against a from-scratch
-dense assembly with explicit matrix inverses."""
+"""GCV criterion and ridge grid search on kernel factors, checked against a
+from-scratch dense assembly with explicit matrix inverses."""
 
 import warnings
 
@@ -8,16 +8,25 @@ import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, NumericGuardWarning, TuningError
-from tests.helpers import gcv_dense_oracle
+from tests.helpers import dense_gram, gcv_dense_oracle
+
+
+def toy_columns(seed, n, p):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = np.sin(x[:, 0]) + rng.standard_normal(n)
+    return [y] + [x[:, r] for r in range(p)]
 
 
 def toy_kernels(seed=42, n=6, p=2):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, p))
-    y = rng.standard_normal(n)
-    ky = ks.gram(y, ks.bandwidth(y))
-    kxs = [ks.gram(x[:, r], ks.bandwidth(x[:, r])) for r in range(p)]
-    return ky, kxs
+    """Factors of the response and predictor Grams."""
+    factors = [ks.gram(c, ks.bandwidth(c)) for c in toy_columns(seed, n, p)]
+    return factors[0], factors[1:]
+
+
+def dense_kernels(columns):
+    grams = [dense_gram(c, ks.bandwidth(c)) for c in columns]
+    return grams[0], grams[1:]
 
 
 class TestGcvValue:
@@ -28,18 +37,55 @@ class TestGcvValue:
         assert all(r == pytest.approx(10.0) for r in ratios)
 
     def test_dense_oracle_across_grid(self):
-        ky, kxs = toy_kernels()
+        ly, lxs = toy_kernels()
+        ky, kxs = dense_kernels(toy_columns(42, 6, 2))
         for eps in ks.GCV_GRID:
-            got = ks.gcv_value(eps, ky, kxs)
+            got = ks.gcv_value(eps, ly, lxs)
             want = gcv_dense_oracle(eps, ky, kxs)
             assert got == pytest.approx(want, rel=1e-8)
 
+    def test_early_stopped_factors_match_dense_oracle(self):
+        # Every factor stops well below rank n, so the null space of
+        # 1 1^T + K^2 carries part of the numerator.
+        ly, lxs = toy_kernels(42, 80, 3)
+        assert max(lf.shape[1] for lf in [ly] + lxs) < 40
+        ky, kxs = dense_kernels(toy_columns(42, 80, 3))
+        for eps in ks.GCV_GRID:
+            got = ks.gcv_value(eps, ly, lxs)
+            assert got == pytest.approx(gcv_dense_oracle(eps, ky, kxs), rel=1e-8)
+
+    def test_full_rank_factors_match_dense_oracle(self):
+        # Far-apart samples and a narrow kernel leave nothing to truncate.
+        bw = ks.Bandwidth(50.0)
+        columns = [np.arange(30.0), np.arange(30.0)[::-1] * 1.5, np.sqrt(np.arange(30.0)) * 9]
+        factors = [ks.gram(c, bw) for c in columns]
+        assert all(lf.shape == (30, 30) for lf in factors)
+        grams = [dense_gram(c, bw) for c in columns]
+        for eps in ks.GCV_GRID:
+            got = ks.gcv_value(eps, factors[0], factors[1:])
+            assert got == pytest.approx(gcv_dense_oracle(eps, grams[0], grams[1:]), rel=1e-8)
+
+    def test_constant_predictor_matches_dense_oracle(self):
+        # A constant column's factor is a single column of ones, whose
+        # centered factor has rank 0.
+        columns = toy_columns(3, 12, 1)
+        columns.append(np.full(12, 0.7))
+        ly, lxs = toy_kernels(3, 12, 1)
+        lxs.append(ks.gram(columns[-1], ks.Bandwidth(1.0)))
+        ky, kxs = dense_kernels(columns[:-1])
+        kxs.append(dense_gram(columns[-1], ks.Bandwidth(1.0)))
+        for eps in ks.GCV_GRID:
+            got = ks.gcv_value(eps, ly, lxs)
+            assert got == pytest.approx(gcv_dense_oracle(eps, ky, kxs), rel=1e-8)
+
     def test_large_epsilon_limit(self):
-        ky, kxs = toy_kernels()
+        columns = toy_columns(42, 6, 2)
+        ly, lxs = toy_kernels()
+        ky, _ = dense_kernels(columns)
         n = ky.shape[0]
-        ly = np.vstack([np.ones((1, n)), ky])
-        want = len(kxs) * np.linalg.norm(ly, "fro") ** 2
-        assert ks.gcv_value(1e12, ky, kxs) == pytest.approx(want, rel=1e-4)
+        zy = np.vstack([np.ones((1, n)), ky])
+        want = len(lxs) * np.linalg.norm(zy, "fro") ** 2
+        assert ks.gcv_value(1e12, ly, lxs) == pytest.approx(want, rel=1e-4)
 
     def test_never_fails_on_valid_input(self):
         # (L L^T + eps I) is PD for every eps > 0, so all grid points evaluate
@@ -103,9 +149,10 @@ class TestSelectEpsilon:
         assert sel.skipped_counts == (0,) * len(sel.grid)
 
     def test_all_terms_skipped_raises(self):
-        # enormous ridgeless spectra drive every denominator to the guard
+        # enormous ridgeless spectra drive every denominator to the guard:
+        # the factor 1e4 I is the kernel 1e8 I
         n = 4
-        huge = [1e8 * np.eye(n)]
+        huge = [1e4 * np.eye(n)]
         ky = np.eye(n)
         with pytest.raises(TuningError):
             with warnings.catch_warnings():
@@ -125,7 +172,7 @@ class TestSelectEpsilon:
     def test_partial_skips_warn_but_select(self):
         # the tiny grid point loses every summand, the huge one survives
         n = 4
-        kxs = [1e8 * np.eye(n)]
+        kxs = [1e4 * np.eye(n)]
         ky = np.eye(n)
         with pytest.warns(NumericGuardWarning):
             sel = ks.select_epsilon(ky, kxs, grid=(1e-5, 1e5))
@@ -135,7 +182,7 @@ class TestSelectEpsilon:
     def test_gcv_value_warns_on_skip(self):
         n = 4
         with pytest.warns(NumericGuardWarning):
-            ks.gcv_value(1e-5, np.eye(n), [1e8 * np.eye(n)])
+            ks.gcv_value(1e-5, np.eye(n), [1e4 * np.eye(n)])
 
     def test_selection_membership_validated(self):
         with pytest.raises(ArgumentError):
@@ -144,6 +191,7 @@ class TestSelectEpsilon:
             )
 
     def test_response_kernel_must_be_square(self):
+        # a response factor with more columns than rows
         with pytest.raises(ArgumentError):
             ks.gcv_value(0.1, np.ones((2, 3)), [np.ones((2, 2))])
 
