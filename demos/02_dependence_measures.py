@@ -18,17 +18,17 @@ cases = {
 
 # Each Gram matrix is held as a low-rank factor L with K ~= L L^T.  kcca
 # reads the retained eigenpairs of each centered Gram, hsic the centered
-# factor itself, and dcor the double-centered distance matrices.
+# factor itself, and dcor scores x's raw samples against the response's
+# double-centered distance matrix.
 lx = ks.gram(x, ks.bandwidth(x))
 gx = ks.center_and_decompose(lx)
-dx = ks.centered_distances(x)
 
 print(f"{'relationship':38s} {'kcca':>8s} {'hsic':>8s} {'dcor':>8s} {'|pearson|':>10s}")
 for label, y in cases.items():
     ly = ks.gram(y, ks.bandwidth(y))
     kcca = ks.kcca_singular_value(gx, ks.center_and_decompose(ly), epsilon=0.1)
     hsic = ks.hsic_score(ks.center(lx), ks.center(ly))
-    dcor = ks.dcor_score(dx, ks.centered_distances(y))
+    dcor = ks.dcor_score(x, ks.centered_distances(y))
     pear = ks.pearson_score(x, y)
     print(f"{label:38s} {kcca:8.4f} {hsic:8.4f} {dcor:8.4f} {pear:10.4f}")
 

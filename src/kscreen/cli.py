@@ -2,18 +2,13 @@
 `kscreen simulate` runs a benchmark suite and reports the S/P metrics.
 
 Exit codes map error families: 2 argument, 3 data, 4 numeric, 5 tuning.
-Outputs are deterministic for a fixed seed, and `--threads` does not change
-them.  `simulate` pins BLAS to one thread per worker, so its bytes never
-depend on the host.  `screen` runs in this process with whatever BLAS
-thread count the environment sets, and its scores can differ in the last
-bits across BLAS thread counts (hsic scores up to 0.034 by up to 5.4e-20
-between OPENBLAS_NUM_THREADS=1 and 2 at n=2000, p=200, ranking unchanged;
-identical at n=200, p=200).
-
-`screen --threads` no longer speeds scoring: on a 2-core host with
-OPENBLAS_NUM_THREADS=1, `--threads 2` took 0.21-0.23 s against
-0.19-0.21 s for kcca at n=200, p=200, and 1.37-1.41 s against 1.32-1.37 s
-at n=2000, p=200; with BLAS at 2 threads it was slower still.
+Outputs are deterministic for a fixed seed, and `simulate --threads` does
+not change them.  `simulate` pins BLAS to one thread per worker, so its
+bytes never depend on the host.  `screen` runs in this process with
+whatever BLAS thread count the environment sets, and its scores can differ
+in the last bits across BLAS thread counts (hsic scores up to 0.034 by up
+to 5.4e-20 between OPENBLAS_NUM_THREADS=1 and 2 at n=2000, p=200, ranking
+unchanged; identical at n=200, p=200).
 """
 
 from __future__ import annotations
@@ -104,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=_threads, default=1,
-                        help="worker count, or 'auto' for the CPU count (default 1)")
 
     sc = sub.add_parser("screen", parents=[common], help="rank CSV features against a response")
     sc.add_argument("--input", required=True, help="CSV file with a header row")
@@ -132,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override d1,d2,d3 (default: suite-specific)")
     sm.add_argument("--epsilon", type=_parse_epsilon, default="auto")
     sm.add_argument("--gcv-subsample", type=_positive_int, default=None)
+    sm.add_argument("--threads", type=_threads, default=1,
+                    help="worker processes, or 'auto' for the CPU count (default 1)")
     return parser
 
 
@@ -189,7 +184,6 @@ def _run_screen(args: argparse.Namespace):
         epsilon=args.epsilon,
         seed=args.seed,
         gcv_subsample=args.gcv_subsample,
-        threads=args.threads,
     )
     doc = _screen_document(args, result, x, y)
     if args.format == "json":

@@ -13,6 +13,7 @@ whitespace fixed, making equal documents byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -49,6 +50,30 @@ def _resolve_response_columns(header, response_columns):
     return positions
 
 
+def _parse_row(row, i, header) -> np.ndarray:
+    """Data row i as floats.  numpy converts the whole row at once; a row it
+    rejects goes cell by cell, which names the failing cell or, for cells
+    that only str.strip() makes readable, parses them as before."""
+    if len(row) != len(header):
+        raise DataError(f"row {i}: expected {len(header)} cells, found {len(row)}")
+    try:
+        return np.array(row, dtype=float)
+    except ValueError:
+        pass
+    values = np.empty(len(header))
+    for j, cell in enumerate(row):
+        text = cell.strip()
+        if text == "":
+            raise DataError(f"missing value at row {i}, column {j + 1} ('{header[j]}')")
+        try:
+            values[j] = float(text)
+        except ValueError:
+            raise DataError(
+                f"could not parse '{text}' at row {i}, column {j + 1} ('{header[j]}')"
+            ) from None
+    return values
+
+
 def load_csv(path, response_columns):
     """Load a CSV file into predictor and response matrices.
 
@@ -56,6 +81,10 @@ def load_csv(path, response_columns):
     the header holds more than once must be given by position.  The
     remaining columns become predictors, preserving file order; column
     names are retained on both matrices.
+
+    Rows are converted as they are read.  A missing, unparsable or
+    miscounted cell anywhere is reported before any NaN/Inf cell, which is
+    reported at its first occurrence in row-major order.
 
     Returns
     -------
@@ -71,43 +100,31 @@ def load_csv(path, response_columns):
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no data rows below the header")
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows below the header")
 
-    y_pos = _resolve_response_columns(header, response_columns)
-    x_pos = [j for j in range(len(header)) if j not in y_pos]
-    if not x_pos:
-        raise ArgumentError("every column was taken as a response; no predictors remain")
+        y_pos = _resolve_response_columns(header, response_columns)
+        x_pos = [j for j in range(len(header)) if j not in y_pos]
+        if not x_pos:
+            raise ArgumentError("every column was taken as a response; no predictors remain")
 
-    values = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"row {i}: expected {len(header)} cells, found {len(row)}"
-            )
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if text == "":
-                raise DataError(
-                    f"missing value at row {i}, column {j + 1} ('{header[j]}')"
+        rows = []
+        non_finite = None
+        for i, row in enumerate(itertools.chain([first], reader), start=1):
+            parsed = _parse_row(row, i, header)
+            # float() accepts nan/inf spellings; keep the first such cell.
+            if non_finite is None and not np.isfinite(parsed).all():
+                j = int(np.argmin(np.isfinite(parsed)))
+                non_finite = (
+                    f"non-finite value '{row[j].strip()}' at row {i}, "
+                    f"column {j + 1} ('{header[j]}')"
                 )
-            try:
-                values[i - 1, j] = float(text)
-            except ValueError:
-                raise DataError(
-                    f"could not parse '{text}' at row {i}, column {j + 1} ('{header[j]}')"
-                ) from None
+            rows.append(parsed)
+    if non_finite is not None:
+        raise DataError(non_finite)
 
-    # float() accepts nan/inf spellings; find the first such cell in one pass.
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise DataError(
-            f"non-finite value '{rows[i][j].strip()}' at row {i + 1}, "
-            f"column {j + 1} ('{header[j]}')"
-        )
-
+    values = np.array(rows)
     x = DataMatrix(values=values[:, x_pos], columns=[header[j] for j in x_pos])
     y = DataMatrix(values=values[:, y_pos], columns=[header[j] for j in y_pos])
     return x, y

@@ -280,8 +280,9 @@ def center(factor) -> np.ndarray:
 def centered_distances(samples) -> np.ndarray:
     """Double-centered Euclidean distance matrix Q D Q, D_ij = ||x_i - x_j||.
 
-    Distance correlation's per-variable input (measures.dcor_score).
-    Scalars or same-length vectors are accepted, as for bandwidth.
+    The response side of measures.dcor_score, built once per screen; the
+    predictor side is the raw samples.  Scalars or same-length vectors are
+    accepted, as for bandwidth.
     """
     pts = _as_samples(samples)
     if pts.shape[0] < 2:

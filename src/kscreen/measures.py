@@ -1,9 +1,10 @@
 """Marginal dependence statistics: the regularized kernel-CCA score, HSIC,
 distance correlation, and absolute Pearson correlation.
 
-Every measure scores two prepared sides and returns a plain float: KCCA two
-``CenteredGram``s, HSIC two column-centered kernel factors (kernels.center),
-distance correlation two double-centered distance matrices
+Every measure scores a predictor side against a response side and returns
+a plain float: KCCA two ``CenteredGram``s, HSIC two column-centered kernel
+factors (kernels.center), distance correlation a predictor's raw samples
+against the response's double-centered distance matrix
 (kernels.centered_distances), and Pearson two scalar sample vectors.  A
 caller screening many predictors against one response prepares the
 response side once.
@@ -25,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
-from .kernels import CenteredGram, _as_factor, _as_samples
+from .kernels import CenteredGram, _as_factor, _as_samples, _pairwise_sq_dists
 
 
 class Method(str, Enum):
@@ -81,22 +82,56 @@ def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
     return float(np.vdot(cross, cross)) / (n * n)
 
 
-def dcor_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Sample distance correlation of two double-centered n x n distance
-    matrices (kernels.centered_distances), clamped to [0, 1].
+def dcor_score(x_samples, dy: np.ndarray) -> float:
+    """Sample distance correlation of a variable's raw samples (scalars or
+    same-length vectors) with a response side
+    dy = kernels.centered_distances(y), clamped to [0, 1].
+
+    With D the distance matrix of x, Q = I - (1/n) 1 1^T a projection and
+    dy = Q D_Y Q, the x side needs no double centering:
+
+        dCov^2    = <D, dy> / n^2,
+        dVar^2(x) = sum D^2 / n^2 - 2 sum_i a_i^2 / n^3 + (sum_i a_i)^2 / n^4,
+
+    where sum D^2 = 2 n sum_i ||x_i - mean||^2 and a_i are the row sums of
+    D.  For scalar samples the row sums are taken in sorted form on the
+    centered samples, in O(n log n); vector rows sum D.  One n x n distance
+    pass and two inner products per call.
 
     Returns 0 when either side has zero distance variance (a constant
-    variable).  Raises ArgumentError unless both are n x n with n >= 1.
+    variable).  Raises ArgumentError unless x has n >= 1 samples and dy is
+    n x n.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape or a.size == 0:
+    pts = _as_samples(x_samples)
+    n = pts.shape[0]
+    dy = np.asarray(dy, dtype=float)
+    if n < 1 or dy.shape != (n, n):
         raise ArgumentError(
-            "dcor needs two n x n centered distance matrices with n >= 1, "
-            f"got {a.shape} and {b.shape}"
+            "dcor needs n >= 1 samples and an n x n centered distance matrix, "
+            f"got {n} samples and shape {dy.shape}"
         )
-    n2 = a.shape[0] * a.shape[0]
-    dcov2 = float(np.vdot(a, b)) / n2
-    dvar_x = float(np.vdot(a, a)) / n2
-    dvar_y = float(np.vdot(b, b)) / n2
+    centered = pts - pts.mean(axis=0)
+    if pts.shape[1] == 1:
+        c = centered[:, 0]
+        dist = np.subtract.outer(c, c)
+        np.abs(dist, out=dist)
+        # Order statistic k (0-based) has row sum
+        # (2k - n + 2) s_k + sum(s) - 2 cumsum(s)_k.  Only sums over the
+        # rows are needed, so they stay in sorted order.
+        s = np.sort(c)
+        cum = np.cumsum(s)
+        rows = (2.0 * np.arange(n) - (n - 2)) * s + (cum[-1] - 2.0 * cum)
+    else:
+        dist = np.sqrt(_pairwise_sq_dists(pts))
+        rows = dist.sum(axis=1)
+    n2 = float(n * n)
+    dcov2 = float(np.vdot(dist, dy)) / n2
+    dvar_x = (
+        2.0 * n * float(np.vdot(centered, centered)) / n2
+        - 2.0 * float(np.dot(rows, rows)) / (n2 * n)
+        + float(rows.sum()) ** 2 / (n2 * n2)
+    )
+    dvar_y = float(np.vdot(dy, dy)) / n2
     if dvar_x <= 0.0 or dvar_y <= 0.0:
         return 0.0
     r2 = dcov2 / np.sqrt(dvar_x * dvar_y)

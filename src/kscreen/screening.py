@@ -16,8 +16,9 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
-Distance correlation skips (a) and (c) and uses double-centered distance
-matrices in (b); SIS scores the raw columns.
+Distance correlation skips (a) and (c): (b) builds only the response's
+double-centered distance matrix, and (d) scores each raw column against it.
+SIS scores the raw columns.
 
 Feature indices in results are 1-based, matching how selected sets are
 reported in tables.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,19 +168,6 @@ def _resolve_m(rule, method: Method, epsilon, n: int, p: int) -> int:
     return auto_threshold(epsilon, n, p)
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    out = [None] * count
-    if threads > 1 and count > 1:
-        def run(r):
-            out[r] = fn(r)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run, range(count)))
-    else:
-        for r in range(count):
-            out[r] = fn(r)
-    return out
-
-
 def screen(
     x: DataMatrix,
     y: DataMatrix,
@@ -190,7 +177,6 @@ def screen(
     seed: int = 0,
     *,
     gcv_subsample: int | None = None,
-    threads: int = 1,
 ) -> ScreeningResult:
     """Rank all features of x by marginal dependence with y and select the top m.
 
@@ -211,14 +197,6 @@ def screen(
     gcv_subsample : int, optional
         Number of predictors entering the GCV sum; defaults to
         min(p, 200).  Pass p to force the full sum.
-    threads : int
-        Fan per-predictor score computation over this many threads; the
-        numeric result is independent of the thread count.  On low-rank
-        factors it no longer pays: on a 2-core host with
-        OPENBLAS_NUM_THREADS=1, threads=2 took 0.21-0.23 s against
-        0.19-0.21 s for kcca and 0.10-0.12 s against 0.09-0.11 s for hsic
-        at n=200, p=200, and 1.37-1.41 s against 1.32-1.37 s for kcca at
-        n=2000, p=200; with BLAS at 2 threads it was slower still.
 
     Unlike run_suite, screen does not pin the BLAS thread count, and scores
     can differ in the last bits across BLAS thread counts: between
@@ -234,8 +212,6 @@ def screen(
         raise ArgumentError(f"screening needs at least 4 samples, got {n}")
     if p < 1:
         raise ArgumentError("x has no feature columns")
-    if threads < 1:
-        raise ArgumentError(f"threads must be >= 1, got {threads}")
     if np.all(np.ptp(y.values, axis=0) == 0.0):
         raise DegenerateDataError("response is constant; screening is meaningless")
     if method is Method.SIS and y.p != 1:
@@ -256,7 +232,7 @@ def screen(
         dy = centered_distances(yv)
 
         def score_one(r):
-            return dcor_score(centered_distances(xv[:, r]), dy)
+            return dcor_score(xv[:, r], dy)
 
     else:
         # Non-constant response plus the scale-free bandwidth rule guarantees
@@ -305,7 +281,7 @@ def screen(
             def score_one(r):
                 return hsic_score(center(factor(r)), gy)
 
-    scores = np.asarray(_map_indexed(score_one, p, threads), dtype=float)
+    scores = np.array([score_one(r) for r in range(p)], dtype=float)
 
     ranking = rank_by_score(scores)
     m = _resolve_m(rule, method, eps, n, p)

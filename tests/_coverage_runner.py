@@ -4,12 +4,12 @@ per-module line coverage.
 
 Usage: python tests/_coverage_runner.py OUTPUT.json
 
-Installs a sys.settrace collector restricted to the five math modules,
-imports the package under trace (so module-level lines count), runs the
-invariant test files, and writes a JSON report with executed/executable
-line counts per module and the pytest exit code.  No third-party coverage
-tooling is available in this environment; executable lines are derived
-from the compiled bytecode's line table.
+Installs a sys.settrace collector restricted to the five math modules and
+the CSV parser (dataio), imports the package under trace (so module-level
+lines count), runs the invariant test files, and writes a JSON report with
+executed/executable line counts per module and the pytest exit code.  No
+third-party coverage tooling is available in this environment; executable
+lines are derived from the compiled bytecode's line table.
 """
 
 import dis
@@ -18,13 +18,14 @@ import os
 import sys
 import threading
 
-TARGET_MODULES = ("kernels", "measures", "tuning", "screening", "simulation")
+TARGET_MODULES = ("kernels", "measures", "tuning", "screening", "simulation", "dataio")
 TEST_FILES = (
     "test_kernels.py",
     "test_measures.py",
     "test_tuning.py",
     "test_screening.py",
     "test_simulation.py",
+    "test_dataio.py",
 )
 
 

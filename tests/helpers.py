@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to check the production paths.
 
 Everything here is written the slow, explicit way (loops, dense n x n
-Grams, dense inverses, full eigenproblems) on purpose: these implementations must not share code
+Grams, dense solves, full eigenproblems) on purpose: these implementations must not share code
 with the library paths they validate.
 """
 
@@ -107,18 +107,24 @@ def dcor_brute(xs, ys):
 
 
 def gcv_dense_oracle(eps, ky, kxs):
-    """Eq-faithful assembly with explicit (n+1)-sized matrix inverses."""
+    """The GCV sum assembled from dense n x n matrices by linear solves.
+
+    With Z_r = (1, K_r)^T, (n+1) x n, and A = Z_r^T Z_r, the hat matrix
+    H = Z_r^T (Z_r Z_r^T + eps I)^{-1} Z_r satisfies I - H = eps (A + eps I)^{-1},
+    so the residual Z_Y (I - H) and the denominator
+    1 - tr(H) / n = eps tr((A + eps I)^{-1}) / n are formed without the
+    cancellation of subtracting H from I.
+    """
     ky = np.asarray(ky, dtype=float)
     n = ky.shape[0]
     ly = np.vstack([np.ones((1, n)), ky])
     total = 0.0
     for kx in kxs:
         lr = np.vstack([np.ones((1, n)), np.asarray(kx, dtype=float)])
-        inv = np.linalg.inv(lr @ lr.T + eps * np.eye(n + 1))
-        h = lr.T @ inv @ lr
-        num = np.linalg.norm(ly - ly @ h, "fro") ** 2
-        den = (1.0 - np.trace(h) / n) ** 2
-        total += num / den
+        shifted = lr.T @ lr + eps * np.eye(n)
+        resid = eps * np.linalg.solve(shifted, ly.T)
+        tr_inv = np.trace(np.linalg.solve(shifted, np.eye(n)))
+        total += float(np.sum(resid * resid)) / (eps * tr_inv / n) ** 2
     return total
 
 

@@ -135,13 +135,12 @@ def test_c04_dcor_matches_independent_implementation():
         dx = int(rng.integers(1, 3))
         x = rng.standard_normal((n, dx))
         y = rng.standard_normal(n) + 0.5 * x[:, 0]
-        got = ks.dcor_score(ks.centered_distances(x), ks.centered_distances(y))
+        got = ks.dcor_score(x, ks.centered_distances(y))
         want = dcor_brute(x, y)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-10
     z = rng.standard_normal(15)
-    dz = ks.centered_distances(z)
-    assert abs(ks.dcor_score(dz, dz) - 1.0) <= 1e-10
+    assert abs(ks.dcor_score(z, ks.centered_distances(z)) - 1.0) <= 1e-10
     _pass(4, "distance correlation vs brute-force oracle",
           f"50 instances + dcor(x,x)=1, worst abs {worst:.2e}")
 
@@ -203,9 +202,9 @@ def test_c08_sis_fails_on_model4(sim1_reports):
 
 def test_c09_invariant_suites_pass_with_line_coverage(tmp_path):
     # pytest-cov/coverage are unavailable in this environment; line coverage
-    # of the five math modules is measured with a settrace collector while
-    # re-running the invariant suites (branch coverage is not measurable
-    # here; see the repository notes).
+    # of the five math modules and dataio is measured with a settrace
+    # collector while re-running the invariant suites (branch coverage is
+    # not measurable here; see the repository notes).
     runner = os.path.join(os.path.dirname(__file__), "_coverage_runner.py")
     out = tmp_path / "coverage.json"
     t0 = time.perf_counter()

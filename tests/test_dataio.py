@@ -35,6 +35,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=rf"'{cell}' at row 3, column 2 \('b'\)"):
             ks.load_csv(path, ["a"])
 
+    @pytest.mark.parametrize("bad_row", ["7,8,abc", "7,8", "7,,9"])
+    def test_later_row_error_outranks_earlier_non_finite_cell(self, tmp_path, bad_row):
+        path = write_csv(tmp_path, f"a,b,c\n1,nan,3\n4,5,6\n{bad_row}\n")
+        with pytest.raises(DataError, match="row 3") as err:
+            ks.load_csv(path, ["a"])
+        assert "non-finite" not in str(err.value)
+
+    def test_cell_only_str_strip_can_parse_is_accepted(self, tmp_path):
+        # str.strip() removes the information separator \x1c, float() and
+        # numpy do not: such a row takes the cell-by-cell path.
+        path = write_csv(tmp_path, "a,b\n1,\x1c2\n3,4\n")
+        x, y = ks.load_csv(path, ["a"])
+        np.testing.assert_array_equal(x.values[:, 0], [2.0, 4.0])
+
     def test_missing_value_rejected(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,\n3,4\n")
         with pytest.raises(DataError, match="missing value"):
@@ -81,6 +95,21 @@ class TestLoadCsv:
         with pytest.raises(ArgumentError):
             ks.load_csv(path, ["a", "b"])
 
+    def test_empty_response_list_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "a,b\n1,2\n")
+        with pytest.raises(ArgumentError, match="at least one response column"):
+            ks.load_csv(path, [])
+
+    def test_duplicate_response_positions_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,c\n1,2,3\n")
+        with pytest.raises(ArgumentError, match="duplicate response columns"):
+            ks.load_csv(path, ["a", 1])
+
+    def test_header_without_data_rows_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "a,b\n")
+        with pytest.raises(DataError, match="no data rows"):
+            ks.load_csv(path, ["a"])
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2"):
@@ -114,6 +143,13 @@ class TestSerialization:
         assert parsed["name"] == 'x"quote'
         assert parsed["values"] == [1.5, 2, None]
         assert parsed["flag"] is True
+
+    def test_json_empty_containers(self):
+        assert json_dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+
+    def test_json_rejects_unsupported_values(self):
+        with pytest.raises(ArgumentError, match="cannot serialize set"):
+            json_dumps({"a": {1, 2}})
 
     def test_csv_rows_use_same_float_format(self, tmp_path):
         import io

@@ -168,7 +168,7 @@ class TestHsicScore:
 
 
 def dcor(x, y):
-    return ks.dcor_score(ks.centered_distances(x), ks.centered_distances(y))
+    return ks.dcor_score(x, ks.centered_distances(y))
 
 
 class TestDcorScore:
@@ -211,15 +211,17 @@ class TestDcorScore:
             dcor([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_rejects_mismatched_and_non_square_shapes(self):
-        a = ks.centered_distances(np.arange(5.0))
+        x = np.arange(5.0)
+        a = ks.centered_distances(x)
         b = ks.centered_distances(np.arange(4.0))
-        for left, right in ((a, b), (b, a), (a, a[:, :4]), (a[:4], a[:4]), (a[0], a[0])):
+        for samples, dy in ((x, b), (x[:4], a), (x, a[:, :4]), (x[:4], a[:4]), (x, a[0]),
+                            (np.ones((4, 2)), a)):
             with pytest.raises(ArgumentError):
-                ks.dcor_score(left, right)
+                ks.dcor_score(samples, dy)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ArgumentError):
-            ks.dcor_score(np.zeros((0, 0)), np.zeros((0, 0)))
+            ks.dcor_score(np.zeros(0), np.zeros((0, 0)))
 
 
 class TestPearsonScore:

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
-from tests.helpers import center_dense, decompose_dense, dense_gram, gcv_dense_oracle
+from tests.helpers import (
+    center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -209,14 +211,41 @@ def test_hsic_of_factors_matches_the_dense_double_centered_grams(kx, draw):
 
 
 @SETTINGS
+@given(
+    n=st.integers(4, 40),
+    dims=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    levels=st.sampled_from([1, 3, 1000]),
+    shift=st.floats(-1e3, 1e3),
+    draw=st.data(),
+)
+def test_dcor_of_raw_samples_matches_the_dense_double_centered_form(n, dims, levels, shift, draw):
+    # Few levels give ties and constant columns; the shift, up to 1e3 times
+    # the spread, is cancelled by the distances only up to rounding.  The
+    # response carries noise from a drawn seed, so its distance covariance
+    # with x is never an exact 0 whose square root would magnify rounding.
+    # Observed: 2.4e-15 over 3000 draws.
+    x_dim, y_dim = dims
+    grid = draw.draw(hnp.arrays(np.int64, (n, x_dim), elements=st.integers(-levels, levels)))
+    spread = max(float(np.ptp(grid)), 1.0)
+    x = grid / 100.0 + shift * spread / 100.0
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    y = np.sin(grid[:, :1] / 100.0) + rng.standard_normal((n, y_dim))
+    got = ks.dcor_score(x[:, 0] if x_dim == 1 else x, ks.centered_distances(y))
+    if np.ptp(grid) == 0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(dcor_brute(x, y), abs=TOL["dc"])
+
+
+@SETTINGS
 @given(ky=kernels(min_n=6, max_n=40), draw=st.data(), eps=st.sampled_from(ks.GCV_GRID))
 def test_gcv_of_factors_matches_the_explicit_inverse_assembly(ky, draw, eps):
-    # The oracle is the less accurate side.  In some 20000 draws, wherever
-    # the two differed by more than 2e-9, 50-digit arithmetic put the
-    # factor form within 1.4e-12 and the explicit inverse of
-    # Z Z^T + eps I further off: up to 7e-8 below n = 6, up to 9e-5 with a
-    # constant response (which screen rejects), and at most 2.7e-9 for
-    # n >= 6 and a non-constant response, the domain drawn here.
+    # The oracle is the less accurate side.  Against 50-digit arithmetic,
+    # over 5000 draws of kernels() (n from 2 to 30, constant responses
+    # allowed), its linear solves were within 2.2e-9 relative (worst: a
+    # constant response at n = 27, eps = 1e-5) and the factor form within
+    # 2.2e-12.  The oracle's error is not below a tenth of the rel 1e-8
+    # gate, so the domain stays n >= 6 with a non-constant response.
     ypts, ybw = ky
     assume(np.ptp(ypts) > 0.0)
     xs = [sample_kernel(draw.draw, ypts.shape[0]) for _ in range(draw.draw(st.integers(1, 3)))]

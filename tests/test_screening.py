@@ -148,16 +148,7 @@ class TestScreen:
             dc = ks.screen(x, resp, method="dc")
             dy = ks.centered_distances(resp.values)
             for r in range(x.p):
-                assert dc.scores[r] == ks.dcor_score(ks.centered_distances(x.values[:, r]), dy)
-
-    def test_threads_do_not_change_output(self):
-        x, y = make_data(seed=21, n=30, p=12)
-        for method in ("kcca", "hsic", "dc"):
-            one = ks.screen(x, y, method=method, epsilon=0.7 if method == "kcca" else "auto")
-            four = ks.screen(
-                x, y, method=method, epsilon=0.7 if method == "kcca" else "auto", threads=4
-            )
-            np.testing.assert_array_equal(one.scores, four.scores)
+                assert dc.scores[r] == ks.dcor_score(x.values[:, r], dy)
 
     def test_sis_needs_univariate_response(self):
         rng = np.random.default_rng(2)
@@ -237,11 +228,6 @@ class TestScreen:
         y = ks.DataMatrix(rng.standard_normal((10, 1)))
         with pytest.raises(ArgumentError):
             ks.screen(x, y, method="dc")
-
-    def test_bad_threads_rejected(self):
-        x, y = make_data(seed=1)
-        with pytest.raises(ArgumentError):
-            ks.screen(x, y, method="dc", threads=0)
 
     def test_bad_epsilon_strings_rejected(self):
         x, y = make_data(seed=1)
