@@ -28,7 +28,7 @@ for label, y in cases.items():
     ly = ks.gram(y, ks.bandwidth(y))
     kcca = ks.kcca_singular_value(gx, ks.center_and_decompose(ly), epsilon=0.1)
     hsic = ks.hsic_score(ks.center(lx), ks.center(ly))
-    dcor = ks.dcor_score(x, ks.centered_distances(y))
+    dcor = ks.dcor_score(x, dy=ks.centered_distances(y))
     pear = ks.pearson_score(x, y)
     print(f"{label:38s} {kcca:8.4f} {hsic:8.4f} {dcor:8.4f} {pear:10.4f}")
 

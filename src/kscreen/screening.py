@@ -232,7 +232,7 @@ def screen(
         dy = centered_distances(yv)
 
         def score_one(r):
-            return dcor_score(xv[:, r], dy)
+            return dcor_score(xv[:, r], dy=dy)
 
     else:
         # Non-constant response plus the scale-free bandwidth rule guarantees

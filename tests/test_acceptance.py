@@ -135,12 +135,12 @@ def test_c04_dcor_matches_independent_implementation():
         dx = int(rng.integers(1, 3))
         x = rng.standard_normal((n, dx))
         y = rng.standard_normal(n) + 0.5 * x[:, 0]
-        got = ks.dcor_score(x, ks.centered_distances(y))
+        got = ks.dcor_score(x, dy=ks.centered_distances(y))
         want = dcor_brute(x, y)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-10
     z = rng.standard_normal(15)
-    assert abs(ks.dcor_score(z, ks.centered_distances(z)) - 1.0) <= 1e-10
+    assert abs(ks.dcor_score(z, dy=ks.centered_distances(z)) - 1.0) <= 1e-10
     _pass(4, "distance correlation vs brute-force oracle",
           f"50 instances + dcor(x,x)=1, worst abs {worst:.2e}")
 

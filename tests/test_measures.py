@@ -168,7 +168,7 @@ class TestHsicScore:
 
 
 def dcor(x, y):
-    return ks.dcor_score(x, ks.centered_distances(y))
+    return ks.dcor_score(x, dy=ks.centered_distances(y))
 
 
 class TestDcorScore:
@@ -217,11 +217,18 @@ class TestDcorScore:
         for samples, dy in ((x, b), (x[:4], a), (x, a[:, :4]), (x[:4], a[:4]), (x, a[0]),
                             (np.ones((4, 2)), a)):
             with pytest.raises(ArgumentError):
-                ks.dcor_score(samples, dy)
+                ks.dcor_score(samples, dy=dy)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ArgumentError):
-            ks.dcor_score(np.zeros(0), np.zeros((0, 0)))
+            ks.dcor_score(np.zeros(0), dy=np.zeros((0, 0)))
+
+    def test_response_side_is_keyword_only(self):
+        # An n x n first argument would read as n vector samples, so a
+        # positional call in the two-matrix form must not run.
+        a = ks.centered_distances(np.arange(5.0))
+        with pytest.raises(TypeError):
+            ks.dcor_score(a, a)
 
 
 class TestPearsonScore:

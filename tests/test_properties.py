@@ -230,7 +230,7 @@ def test_dcor_of_raw_samples_matches_the_dense_double_centered_form(n, dims, lev
     x = grid / 100.0 + shift * spread / 100.0
     rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
     y = np.sin(grid[:, :1] / 100.0) + rng.standard_normal((n, y_dim))
-    got = ks.dcor_score(x[:, 0] if x_dim == 1 else x, ks.centered_distances(y))
+    got = ks.dcor_score(x[:, 0] if x_dim == 1 else x, dy=ks.centered_distances(y))
     if np.ptp(grid) == 0:
         assert got == 0.0
     else:

@@ -148,7 +148,7 @@ class TestScreen:
             dc = ks.screen(x, resp, method="dc")
             dy = ks.centered_distances(resp.values)
             for r in range(x.p):
-                assert dc.scores[r] == ks.dcor_score(x.values[:, r], dy)
+                assert dc.scores[r] == ks.dcor_score(x.values[:, r], dy=dy)
 
     def test_sis_needs_univariate_response(self):
         rng = np.random.default_rng(2)
