@@ -43,8 +43,8 @@ class TestLoadCsv:
         assert "non-finite" not in str(err.value)
 
     def test_cell_only_str_strip_can_parse_is_accepted(self, tmp_path):
-        # Cells are stripped before float(), which alone rejects the
-        # information separator \x1c.
+        # str.strip() removes the information separator \x1c, float() and
+        # numpy do not: such a row takes the cell-by-cell path.
         path = write_csv(tmp_path, "a,b\n1,\x1c2\n3,4\n")
         x, y = ks.load_csv(path, ["a"])
         np.testing.assert_array_equal(x.values[:, 0], [2.0, 4.0])
