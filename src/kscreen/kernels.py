@@ -231,34 +231,70 @@ def gram(samples, bw: Bandwidth) -> np.ndarray:
     """Low-rank factor L of the Gaussian kernel Gram matrix: K ~= L L^T,
     with K_ij = k(x_i, x_j).
 
-    Built by pivoted incomplete Cholesky (Fine & Scheinberg, JMLR 2001):
-    each step evaluates the kernel column of the sample with the largest
-    residual diagonal, in O(n d), and orthogonalizes it against the columns
-    so far, in O(n r).  The steps stop once the residual trace
-    tr(K - L L^T), which is PSD, is at most RESIDUAL_TRACE_TOL, or at rank
-    n.  Returns an n x r array with 1 <= r <= n; K itself is never formed.
+    The block of one variable in gram_block, which describes the steps and
+    the stopping rule.  Returns an n x r array with 1 <= r <= n; K itself
+    is never formed.
     """
-    pts = _as_samples(samples)
-    n = pts.shape[0]
+    return gram_block(_as_samples(samples)[None], [bw])[0]
+
+
+def gram_block(samples, bws) -> list:
+    """Gram factors of b variables over the same n samples, built together.
+
+    ``samples`` is (b, n) for scalar variables or (b, n, d) for d-vector
+    rows, and ``bws`` holds one Bandwidth per variable.  Returns b factors
+    L_m, each n x r_m with 1 <= r_m <= n and K_m ~= L_m L_m^T.
+
+    Each factor is a pivoted incomplete Cholesky (Fine & Scheinberg, JMLR
+    2001; Bach & Jordan, JMLR 2002): a step evaluates the kernel column of
+    the sample with the largest residual diagonal, in O(n d), and
+    orthogonalizes it against the columns so far, in O(n r).  A variable
+    stops once its residual trace tr(K - L L^T), which is PSD, is at most
+    RESIDUAL_TRACE_TOL, or at rank n.  Every step runs on all b variables
+    at once, each with its own pivot; a stopped variable stays in the
+    arrays with a zero projection and a unit pivot, and its extra columns
+    are dropped.  A variable's arithmetic never mixes with another's, so
+    its factor is bitwise the same in any block, alone included.
+    """
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim == 2:
+        pts = pts[:, :, None]
+    if pts.ndim != 3 or pts.shape[0] != len(bws):
+        raise ArgumentError(
+            f"gram_block needs (b, n) or (b, n, d) samples and b bandwidths, "
+            f"got shape {pts.shape} and {len(bws)} bandwidths"
+        )
+    if not np.all(np.isfinite(pts)):
+        raise DataError("samples must be finite")
+    b, n, _ = pts.shape
     if n < 1:
         raise ArgumentError("gram needs at least 1 sample")
-    resid = np.ones(n)  # diagonal of K - L L^T; K has a unit diagonal
-    rows = np.empty((min(n, 32), n))  # L^T, doubled in height when full
+    neg_gamma = np.array([-bw.gamma for bw in bws])[:, None]
+    members = np.arange(b)
+    resid = np.ones((b, n))  # diagonals of K - L L^T; K has a unit diagonal
+    rows = np.empty((b, min(n, 32), n))  # L^T per variable, doubled when full
+    live = np.ones(b, dtype=bool)
+    ranks = np.zeros(b, dtype=int)
     r = 0
-    while r < n and resid.sum() > RESIDUAL_TRACE_TOL:
-        if r == rows.shape[0]:
-            rows = np.concatenate([rows, np.empty((min(r, n - r), n))])
-        j = int(np.argmax(resid))
-        diff = pts - pts[j]
-        col = np.exp(-bw.gamma * np.einsum("ij,ij->i", diff, diff))
-        col -= rows[:r, j] @ rows[:r]
-        col /= np.sqrt(resid[j])
-        rows[r] = col
+    while r < n:
+        live &= resid.sum(axis=1) > RESIDUAL_TRACE_TOL
+        if not live.any():
+            break
+        ranks[live] += 1
+        if r == rows.shape[1]:
+            rows = np.concatenate([rows, np.empty((b, min(r, n - r), n))], axis=1)
+        j = np.argmax(resid, axis=1)
+        diff = pts - pts[members, j][:, None]
+        col = np.exp(neg_gamma * np.einsum("bij,bij->bi", diff, diff))
+        coef = np.where(live[:, None], rows[members, :r, j], 0.0)
+        col -= (coef[:, None] @ rows[:, :r])[:, 0]
+        col /= np.sqrt(np.where(live, resid[members, j], 1.0))[:, None]
+        rows[:, r] = col
         resid -= col * col
-        resid[j] = 0.0
+        resid[members, j] = 0.0
         np.maximum(resid, 0.0, out=resid)
         r += 1
-    return np.ascontiguousarray(rows[:r].T)
+    return [np.ascontiguousarray(rows[m, :k].T) for m, k in enumerate(ranks)]
 
 
 def center(factor) -> np.ndarray:

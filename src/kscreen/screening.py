@@ -7,8 +7,9 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
   (a) bandwidths gamma_1..gamma_p and gamma_Y from the mean pairwise
       distance rule (a constant feature falls back to gamma = 1 with a
       warning);
-  (b) one low-rank Gram factor per variable (kernels.gram), each built
-      once, the response one shared across all predictors;
+  (b) one low-rank Gram factor per variable, each built once: the
+      response's by kernels.gram, shared across all predictors, and the
+      predictors' by kernels.gram_block, a block of features at a time;
   (c) ridge epsilon from the GCV grid search over a subsample of the
       predictor factors (KCCA only, when auto);
   (d) one dependence score per predictor: KCCA reads the retained
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .kernels import (
     Bandwidth, DataMatrix, bandwidth, center, center_and_decompose, centered_distances, gram,
+    gram_block,
 )
 from .measures import Method, dcor_score, hsic_score, kcca_singular_value, pearson_score
 from .tuning import select_epsilon
@@ -49,6 +51,11 @@ from .tuning import select_epsilon
 # above this many predictors the tuning step uses a seeded uniform subsample
 # unless told otherwise.
 GCV_SUBSAMPLE_DEFAULT = 200
+
+# Features whose Gram factors kernels.gram_block builds together.  A
+# factor is bitwise the same in any block, so this trades only speed
+# against the (block, rank, n) working arrays.
+_GRAM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -220,19 +227,16 @@ def screen(
     xv = x.values
     yv = y.values
     eps = None
+    scores = np.empty(p)
 
-    # Each branch prepares the response side once and defines score_one(r),
-    # which prepares feature r's side and scores the pair.
     if method is Method.SIS:
-
-        def score_one(r):
-            return pearson_score(xv[:, r], yv[:, 0])
+        for r in range(p):
+            scores[r] = pearson_score(xv[:, r], yv[:, 0])
 
     elif method is Method.DC:
         dy = centered_distances(yv)
-
-        def score_one(r):
-            return dcor_score(xv[:, r], dy=dy)
+        for r in range(p):
+            scores[r] = dcor_score(xv[:, r], dy=dy)
 
     else:
         # Non-constant response plus the scale-free bandwidth rule guarantees
@@ -244,9 +248,16 @@ def screen(
         gy = center_and_decompose(ly) if method is Method.KCCA else center(ly)
 
         bws = [_column_bandwidth(xv[:, r], f"feature {r + 1}") for r in range(p)]
+
+        def factors(idx):
+            # (feature, factor) pairs for the features idx, built in blocks.
+            for start in range(0, len(idx), _GRAM_BLOCK):
+                block = idx[start:start + _GRAM_BLOCK]
+                yield from zip(block, gram_block(xv[:, block].T, [bws[r] for r in block]))
+
         # Each feature's factor is built once: the GCV subsample's factors
-        # wait here until their feature is scored.
-        factors = {}
+        # are kept for scoring, the rest are built as they are scored.
+        tuned = {}
 
         if method is Method.KCCA:
             if isinstance(epsilon, str):
@@ -260,28 +271,27 @@ def screen(
                     tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))
                 else:
                     tuning_idx = np.arange(p)
-                factors = {int(r): gram(xv[:, r], bws[r]) for r in tuning_idx}
-                eps = select_epsilon(ly, list(factors.values())).epsilon
+                tuned = dict(factors(tuning_idx))
+                eps = select_epsilon(ly, list(tuned.values())).epsilon
             else:
                 eps = float(epsilon)
                 if not np.isfinite(eps) or eps <= 0.0:
                     raise ArgumentError(f"epsilon must be positive, got {epsilon!r}")
 
-        def factor(r):
-            lx = factors.pop(r, None)
-            return gram(xv[:, r], bws[r]) if lx is None else lx
-
-        if method is Method.KCCA:
-
-            def score_one(r):
-                return kcca_singular_value(center_and_decompose(factor(r)), gy, eps)
+            def score(lx):
+                return kcca_singular_value(center_and_decompose(lx), gy, eps)
 
         else:  # HSIC
 
-            def score_one(r):
-                return hsic_score(center(factor(r)), gy)
+            def score(lx):
+                return hsic_score(center(lx), gy)
 
-    scores = np.array([score_one(r) for r in range(p)], dtype=float)
+        rest = [r for r in range(p) if r not in tuned]
+        while tuned:
+            r, lx = tuned.popitem()
+            scores[r] = score(lx)
+        for r, lx in factors(rest):
+            scores[r] = score(lx)
 
     ranking = rank_by_score(scores)
     m = _resolve_m(rule, method, eps, n, p)

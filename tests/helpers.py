@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to check the production paths.
 
 Everything here is written the slow, explicit way (loops, dense n x n
-Grams, dense solves, full eigenproblems) on purpose: these implementations must not share code
+Grams, dense SVDs, full eigenproblems) on purpose: these implementations must not share code
 with the library paths they validate.
 """
 
@@ -107,24 +107,26 @@ def dcor_brute(xs, ys):
 
 
 def gcv_dense_oracle(eps, ky, kxs):
-    """The GCV sum assembled from dense n x n matrices by linear solves.
+    """The GCV sum assembled from dense n x n matrices by a dense SVD.
 
-    With Z_r = (1, K_r)^T, (n+1) x n, and A = Z_r^T Z_r, the hat matrix
-    H = Z_r^T (Z_r Z_r^T + eps I)^{-1} Z_r satisfies I - H = eps (A + eps I)^{-1},
-    so the residual Z_Y (I - H) and the denominator
-    1 - tr(H) / n = eps tr((A + eps I)^{-1}) / n are formed without the
-    cancellation of subtracting H from I.
+    With Z_r = (1, K_r)^T, (n+1) x n, and Z_r = W diag(sigma) V^T its SVD,
+    V n x n orthogonal, the hat matrix H = Z_r^T (Z_r Z_r^T + eps I)^{-1} Z_r
+    is V diag(sigma^2 / (sigma^2 + eps)) V^T, so
+    I - H = V diag(eps / (sigma^2 + eps)) V^T.  The residual norm
+    ||Z_Y (I - H)||_F = ||Z_Y V diag(eps / (sigma^2 + eps))||_F and the
+    denominator 1 - tr(H) / n = sum(eps / (sigma^2 + eps)) / n are formed
+    from the same sigma, without the cancellation of subtracting H from I.
     """
     ky = np.asarray(ky, dtype=float)
     n = ky.shape[0]
-    ly = np.vstack([np.ones((1, n)), ky])
+    zy = np.vstack([np.ones((1, n)), ky])
     total = 0.0
     for kx in kxs:
-        lr = np.vstack([np.ones((1, n)), np.asarray(kx, dtype=float)])
-        shifted = lr.T @ lr + eps * np.eye(n)
-        resid = eps * np.linalg.solve(shifted, ly.T)
-        tr_inv = np.trace(np.linalg.solve(shifted, np.eye(n)))
-        total += float(np.sum(resid * resid)) / (eps * tr_inv / n) ** 2
+        zr = np.vstack([np.ones((1, n)), np.asarray(kx, dtype=float)])
+        _, sigma, vt = np.linalg.svd(zr, full_matrices=False)
+        shrink = eps / (sigma * sigma + eps)
+        resid = (zy @ vt.T) * shrink
+        total += float(np.sum(resid * resid)) / (float(np.sum(shrink)) / n) ** 2
     return total
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, DegenerateDataError, NumericError
-from kscreen.kernels import RESIDUAL_TRACE_TOL
+from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
 from tests.helpers import center_dense, dense_gram
 
 
@@ -282,6 +282,17 @@ class TestValidationEdges:
     def test_gram_needs_a_sample(self):
         with pytest.raises(ArgumentError):
             ks.gram([], ks.Bandwidth(1.0))
+
+    def test_gram_block_checks_its_arguments(self):
+        bw = ks.Bandwidth(1.0)
+        with pytest.raises(ArgumentError):
+            gram_block(np.zeros((2, 5)), [bw])  # one bandwidth for two variables
+        with pytest.raises(ArgumentError):
+            gram_block(np.zeros((2, 5, 1, 1)), [bw, bw])
+        with pytest.raises(ArgumentError):
+            gram_block(np.zeros((1, 0)), [bw])
+        with pytest.raises(DataError):
+            gram_block(np.array([[0.0, np.nan]]), [bw])
 
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -17,11 +17,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
+from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
 from tests.helpers import (
     center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle,
 )
@@ -138,6 +139,36 @@ def kernels(draw, min_n=2, max_n=30):
 
 
 @SETTINGS
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 3),
+    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=8),
+    draw=st.data(),
+)
+def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
+    # Each member of a block is built by the same arithmetic on its own
+    # rows of the working arrays, so its factor is bitwise the one built
+    # alone, at any block size and position.  A level of 0 gives a constant
+    # member, which takes the gamma = 1 fallback as in screen.
+    pts = np.stack([
+        draw.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-k, k))) / 100.0
+        for k in levels
+    ])
+    bws = []
+    for member in pts:
+        try:
+            bws.append(ks.bandwidth(member))
+        except (ks.DegenerateDataError, ks.ArgumentError):  # constant, or n = 1
+            bws.append(ks.Bandwidth(1.0))
+    alone = [ks.gram(member, bw) for member, bw in zip(pts, bws)]
+    order = np.array(draw.draw(st.permutations(range(len(levels)))))
+    block = gram_block(pts[order], [bws[m] for m in order])
+    for lf, m in zip(block, order):
+        assert lf.shape == alone[m].shape and lf.tobytes() == alone[m].tobytes()
+        assert np.trace(dense_gram(pts[m], bws[m]) - lf @ lf.T) <= RESIDUAL_TRACE_TOL
+
+
+@SETTINGS
 @given(kernel=kernels())
 def test_retained_spectrum_is_a_thin_orthonormal_factor_of_the_centered_gram(kernel):
     pts, bw = kernel
@@ -238,16 +269,14 @@ def test_dcor_of_raw_samples_matches_the_dense_double_centered_form(n, dims, lev
 
 
 @SETTINGS
-@given(ky=kernels(min_n=6, max_n=40), draw=st.data(), eps=st.sampled_from(ks.GCV_GRID))
+@given(ky=kernels(), draw=st.data(), eps=st.sampled_from(ks.GCV_GRID))
 def test_gcv_of_factors_matches_the_explicit_inverse_assembly(ky, draw, eps):
-    # The oracle is the less accurate side.  Against 50-digit arithmetic,
-    # over 5000 draws of kernels() (n from 2 to 30, constant responses
-    # allowed), its linear solves were within 2.2e-9 relative (worst: a
-    # constant response at n = 27, eps = 1e-5) and the factor form within
-    # 2.2e-12.  The oracle's error is not below a tenth of the rel 1e-8
-    # gate, so the domain stays n >= 6 with a non-constant response.
+    # Over the whole kernels() domain, constant responses included.
+    # Against 50-digit arithmetic, over 5000 draws of it, the dense-SVD
+    # oracle was within 8.4e-12 relative and the factor form within 3.3e-12
+    # (worst for both: a constant response at n = 17, eps = 1e-5), far
+    # below a tenth of the rel 1e-8 gate.
     ypts, ybw = ky
-    assume(np.ptp(ypts) > 0.0)
     xs = [sample_kernel(draw.draw, ypts.shape[0]) for _ in range(draw.draw(st.integers(1, 3)))]
     got = ks.gcv_value(eps, ks.gram(ypts, ybw), [ks.gram(p, b) for p, b in xs])
     want = gcv_dense_oracle(eps, dense_gram(ypts, ybw), [dense_gram(p, b) for p, b in xs])

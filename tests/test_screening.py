@@ -222,6 +222,20 @@ class TestScreen:
         b = ks.screen(x, y, method="kcca", epsilon="auto", seed=5, gcv_subsample=4)
         assert a.epsilon == b.epsilon
 
+    def test_seed_and_gcv_subsample_leave_scores_at_an_epsilon_bitwise_unchanged(self):
+        # seed and gcv_subsample pick the GCV subsample, whose factors are
+        # built first in blocks of their own, so they decide which features
+        # share a block.  At a given epsilon the scores must not notice.
+        x, y = make_data(seed=20, n=24, p=40)
+        base = {m: ks.screen(x, y, method=m, epsilon=0.1).scores.tobytes() for m in ("kcca", "hsic")}
+        for seed, k in ((0, 7), (1, 16), (2, 23), (3, 40)):
+            for method, want in base.items():
+                got = ks.screen(x, y, method=method, epsilon=0.1, seed=seed, gcv_subsample=k)
+                assert got.scores.tobytes() == want, (method, seed, k)
+            tuned = ks.screen(x, y, method="kcca", seed=seed, gcv_subsample=k)
+            fixed = ks.screen(x, y, method="kcca", epsilon=tuned.epsilon)
+            assert tuned.scores.tobytes() == fixed.scores.tobytes(), (seed, k)
+
     def test_no_features_rejected(self):
         rng = np.random.default_rng(1)
         x = ks.DataMatrix(np.empty((10, 0)))
