@@ -3,8 +3,8 @@ centering, centered distance matrices, and the retained spectrum of a
 centered Gram.
 
 Every kernel Gram matrix K is held as an n x r factor L with K ~= L L^T,
-built by pivoted incomplete Cholesky (``gram``); no n x n kernel matrix is
-formed.  KCCA, HSIC and the GCV tuning all read this one representation.
+built by pivoted incomplete Cholesky (``gram_block`` for a block of
+variables at once, ``gram`` for one); no n x n kernel matrix is formed.  KCCA, HSIC and the GCV tuning all read this one representation.
 Every dependence measure in this package is built on top of the objects
 defined here.  All functions are pure and all returned containers are
 immutable, so instances can be shared freely across concurrent workers.

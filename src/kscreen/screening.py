@@ -207,8 +207,8 @@ def screen(
 
     Unlike run_suite, screen does not pin the BLAS thread count, and scores
     can differ in the last bits across BLAS thread counts: between
-    OPENBLAS_NUM_THREADS=1 and 2, hsic scores up to 0.034 differed by up
-    to 5.4e-20 at n=2000, p=200, with the same ranking; kcca scores, and
+    OPENBLAS_NUM_THREADS=1 and 2, hsic scores up to 0.011 differed by up
+    to 8.7e-19 at n=2000, p=200, with the same ranking; kcca scores, and
     all scores at n=200, p=200, were identical.
     """
     method = Method(method)

@@ -142,7 +142,7 @@ def kernels(draw, min_n=2, max_n=30):
 @given(
     n=st.integers(1, 40),
     d=st.integers(1, 3),
-    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=8),
+    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=17),
     draw=st.data(),
 )
 def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
@@ -163,9 +163,14 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
     alone = [ks.gram(member, bw) for member, bw in zip(pts, bws)]
     order = np.array(draw.draw(st.permutations(range(len(levels)))))
     block = gram_block(pts[order], [bws[m] for m in order])
+    # The stopping test reads the running residual diagonal; each of the n
+    # diagonal entries of the dense K - L L^T rounds by about an ulp of 1
+    # (observed excess over the tolerance: 1.1e-15 at n = 40 over 100000
+    # draws), hence the n * eps allowance.
+    tol = RESIDUAL_TRACE_TOL + n * np.finfo(float).eps
     for lf, m in zip(block, order):
         assert lf.shape == alone[m].shape and lf.tobytes() == alone[m].tobytes()
-        assert np.trace(dense_gram(pts[m], bws[m]) - lf @ lf.T) <= RESIDUAL_TRACE_TOL
+        assert np.trace(dense_gram(pts[m], bws[m]) - lf @ lf.T) <= tol
 
 
 @SETTINGS
