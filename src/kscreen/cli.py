@@ -36,6 +36,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _threads(text: str) -> int:
     if text == "auto":
         return os.cpu_count() or 1
@@ -98,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    common.add_argument("--seed", type=_nonnegative_int, default=0,
+                        help="non-negative RNG seed (default 0)")
 
     sc = sub.add_parser("screen", parents=[common], help="rank CSV features against a response")
     sc.add_argument("--input", required=True, help="CSV file with a header row")

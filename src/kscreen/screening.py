@@ -28,6 +28,7 @@ reported in tables.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,6 +57,12 @@ GCV_SUBSAMPLE_DEFAULT = 200
 # factor is bitwise the same in any block, so this trades only speed
 # against the (block, rank, n) working arrays.
 _GRAM_BLOCK = 16
+
+
+def _check_int(name: str, value, minimum: int):
+    """Raise ArgumentError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -199,11 +206,13 @@ def screen(
     epsilon : "auto" or positive float
         KCCA ridge parameter; "auto" runs the GCV grid search.
     seed : int
-        Seeds the GCV predictor subsample draw (used when p exceeds the
-        subsample size); has no other effect.
+        Non-negative; seeds the GCV predictor subsample draw (used when p
+        exceeds the subsample size) and has no other effect.
     gcv_subsample : int, optional
-        Number of predictors entering the GCV sum; defaults to
-        min(p, 200).  Pass p to force the full sum.
+        Number of predictors entering the GCV sum, at least 1; defaults to
+        min(p, 200).  Pass p to force the full sum.  A seed or subsample
+        size that is not an integer in range raises ArgumentError before
+        any work.
 
     Unlike run_suite, screen does not pin the BLAS thread count, and scores
     can differ in the last bits across BLAS thread counts: between
@@ -212,6 +221,9 @@ def screen(
     all scores at n=200, p=200, were identical.
     """
     method = Method(method)
+    _check_int("seed", seed, 0)
+    if gcv_subsample is not None:
+        _check_int("gcv_subsample", gcv_subsample, 1)
     if x.n != y.n:
         raise ArgumentError(f"x and y sample counts differ: {x.n} vs {y.n}")
     n, p = x.n, x.p
@@ -264,8 +276,6 @@ def screen(
                 if epsilon != "auto":
                     raise ArgumentError(f"epsilon must be 'auto' or a positive real, got {epsilon!r}")
                 k_budget = gcv_subsample if gcv_subsample is not None else min(p, GCV_SUBSAMPLE_DEFAULT)
-                if k_budget < 1:
-                    raise ArgumentError(f"gcv_subsample must be >= 1, got {k_budget}")
                 if k_budget < p:
                     rng = np.random.default_rng(seed)
                     tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ArgumentError, KScreenError, UnsupportedMethodError
 from .kernels import DataMatrix
 from .measures import Method
-from .screening import ScreeningResult, ThresholdRule, screen
+from .screening import ScreeningResult, ThresholdRule, _check_int, screen
 
 SIM1_CONSTANTS = (2.0, 0.5, 3.0, 2.0)
 SIM1_ACTIVE = (1, 2, 12, 22)
@@ -61,6 +61,7 @@ class SimulationSpec:
             raise ArgumentError(f"n must be >= 4, got {self.n}")
         if self.reps < 1:
             raise ArgumentError(f"reps must be >= 1, got {self.reps}")
+        _check_int("seed", self.seed, 0)
         if not -1.0 < self.ar_rho < 1.0:
             raise ArgumentError(f"ar_rho must lie in (-1, 1), got {self.ar_rho}")
         min_p = 22 if self.suite == "sim1" else 4
@@ -306,6 +307,8 @@ def run_suite(
         raise UnsupportedMethodError("sis cannot be applied to the bivariate sim2 response")
     if threads < 1:
         raise ArgumentError(f"threads must be >= 1, got {threads}")
+    if gcv_subsample is not None:
+        _check_int("gcv_subsample", gcv_subsample, 1)
     d_values = tuple(int(d) for d in (d_values if d_values is not None else default_d_values(spec)))
     if len(d_values) != 3:
         raise ArgumentError(f"expected three d values, got {d_values}")

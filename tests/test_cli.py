@@ -74,6 +74,11 @@ class TestParsing:
             ["simulate", "--suite", "sim1", "--model", "1", "--d-values", "1,2"],
             ["unknowncmd"],
             ["screen", "--input", "x.csv", "--response", "y", "--threads", "2"],
+            ["screen", "--input", "x.csv", "--response", "y", "--seed", "-1",
+             "--gcv-subsample", "5"],
+            ["screen", "--input", "x.csv", "--response", "y", "--seed", "1.5"],
+            ["screen", "--input", "x.csv", "--response", "y", "--gcv-subsample", "10.0"],
+            ["simulate", "--suite", "sim1", "--model", "1", "--seed", "-1"],
         ],
     )
     def test_malformed_flags_are_usage_errors(self, argv):
@@ -193,6 +198,26 @@ class TestErrorMapping:
                          "--method", "sis"])
         assert code == 2
         assert "error[argument]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "-1", "--gcv-subsample", "5"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, csv_file, capsys, argv):
+        code = run_main(["screen", "--input", csv_file, "--response", "y", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-negative integer" in err and "internal" not in err
+
+    def test_negative_simulate_seed_is_a_usage_error(self, capsys):
+        code = run_main(["simulate", "--suite", "sim2", "--model", "1", "--n", "10",
+                         "--p", "10", "--reps", "1", "--methods", "dc", "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-negative integer" in err and "internal" not in err
 
     def test_data_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

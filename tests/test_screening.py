@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kscreen as ks
+from kscreen import screening
 from kscreen.errors import (
     ArgumentError,
     DataError,
@@ -254,6 +255,30 @@ class TestScreen:
         x, y = make_data(seed=1)
         with pytest.raises(ArgumentError):
             ks.screen(x, y, method="kcca", epsilon="auto", gcv_subsample=0)
+
+    @pytest.mark.parametrize("method", ["kcca", "hsic", "dc", "sis"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
+         {"gcv_subsample": 10.0}, {"gcv_subsample": True}, {"gcv_subsample": -2},
+         {"seed": -1, "gcv_subsample": 5}],
+    )
+    def test_bad_seed_or_gcv_subsample_rejected_before_any_work(self, monkeypatch, method, kwargs):
+        x, y = make_data(seed=1)
+
+        def boom(*args, **kw):
+            raise AssertionError("screen did work before checking its arguments")
+
+        for name in ("_column_bandwidth", "centered_distances", "pearson_score"):
+            monkeypatch.setattr(screening, name, boom)
+        with pytest.raises(ArgumentError):
+            ks.screen(x, y, method=method, **kwargs)
+
+    def test_numpy_integer_seed_and_gcv_subsample_accepted(self):
+        x, y = make_data(seed=19, n=25, p=12)
+        a = ks.screen(x, y, method="kcca", seed=np.int64(5), gcv_subsample=np.int32(4))
+        b = ks.screen(x, y, method="kcca", seed=5, gcv_subsample=4)
+        assert a.scores.tobytes() == b.scores.tobytes() and a.epsilon == b.epsilon
 
     def test_m_bounds_validated(self):
         with pytest.raises(ArgumentError):

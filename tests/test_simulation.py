@@ -189,6 +189,17 @@ class TestSpecAndDefaults:
         with pytest.raises(ArgumentError):
             ks.SimulationSpec(suite="sim1", model_id=1, n=10, p=30, reps=1, seed=0, ar_rho=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ArgumentError):
+            ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=10, reps=1, seed=seed)
+
+    @pytest.mark.parametrize("gcv_subsample", [10.0, True, 0])
+    def test_bad_gcv_subsample_rejected_before_any_replication(self, gcv_subsample):
+        spec = ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=10, reps=1, seed=0)
+        with pytest.raises(ArgumentError, match="gcv_subsample"):
+            ks.run_suite(spec, ("kcca",), gcv_subsample=gcv_subsample)
+
     def test_invalid_generator_arguments(self):
         x = ks.ar_gaussian(20, 25, 0.8, seed=0)
         with pytest.raises(ArgumentError):

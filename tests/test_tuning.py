@@ -1,13 +1,16 @@
 """GCV criterion and ridge grid search on kernel factors, checked against a
 from-scratch dense assembly with explicit matrix inverses."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kscreen as ks
-from kscreen.errors import ArgumentError, NumericGuardWarning, TuningError
+from kscreen.errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
 from tests.helpers import dense_gram, gcv_dense_oracle
 
 
@@ -78,6 +81,40 @@ class TestGcvValue:
             got = ks.gcv_value(eps, ly, lxs)
             assert got == pytest.approx(gcv_dense_oracle(eps, ky, kxs), rel=1e-8)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_singular_factor_grams_match_dense_oracle(self, seed):
+        # Caller-supplied factors whose r x r Gram L^T L is singular: a
+        # repeated column, an appended zero column, repeated constant
+        # columns.  Their Gram eigenvalues round to 0 or just below it.
+        ly, (lx,) = toy_kernels(seed, 12, 1)
+        lx, ly = lx[:, :6], ly[:, :6]
+        const = np.full(12, 0.7)
+        lxs = [
+            np.column_stack([lx, lx[:, :1]]),
+            np.column_stack([lx, lx]),
+            np.column_stack([lx, np.zeros(12)]),
+            np.column_stack([lx, const, const]),
+            np.column_stack([const, const, const]),
+        ]
+        assert any(np.linalg.eigvalsh(f.T @ f).min() < 0.0 for f in lxs)
+        for fy in (ly, np.column_stack([ly, ly[:, -1:]])):
+            for eps in ks.GCV_GRID:
+                got = ks.gcv_value(eps, fy, lxs)
+                assert np.isfinite(got)
+                want = gcv_dense_oracle(eps, fy @ fy.T, [f @ f.T for f in lxs])
+                assert got == pytest.approx(want, rel=1e-8)
+
+    def test_lapack_failure_maps_to_numeric_error(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        ly, lxs = toy_kernels()
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(NumericError):
+            ks.gcv_value(0.1, ly, lxs)
+        with pytest.raises(NumericError):
+            ks.select_epsilon(ly, lxs)
+
     def test_large_epsilon_limit(self):
         columns = toy_columns(42, 6, 2)
         ly, lxs = toy_kernels()
@@ -135,6 +172,32 @@ class TestSelectEpsilon:
         # tie-break toward the larger epsilon
         want = max(e for e, v in zip(sel.grid, values) if v == best)
         assert sel.epsilon == want
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(6, 16),
+        k=st.integers(9, 40),
+        huge=st.integers(0, 2),
+    )
+    def test_agrees_bitwise_with_gcv_value_past_the_summation_block(self, seed, n, k, huge):
+        # More predictors than numpy's pairwise-summation block of 8, so a
+        # second summation order would show.  The huge full-rank factors
+        # (kernel 1e8 I) lose their summands to the guard at small epsilon.
+        ly, lxs = toy_kernels(seed, n, k - huge)
+        lxs += [1e4 * np.eye(n)] * huge
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericGuardWarning)
+            sel = ks.select_epsilon(ly, lxs)
+        for eps, value, skipped in zip(sel.grid, sel.gcv_values, sel.skipped_counts):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", NumericGuardWarning)
+                got = ks.gcv_value(eps, ly, lxs)
+            assert got == value
+            counts = [int(re.search(r"skipped (\d+) of", str(w.message)).group(1))
+                      for w in caught if issubclass(w.category, NumericGuardWarning)]
+            assert sum(counts) == skipped
+        assert sel.skipped_counts[0] == huge
 
     def test_grid_order_does_not_matter(self):
         ky, kxs = toy_kernels(seed=14, n=9, p=2)
