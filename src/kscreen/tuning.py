@@ -22,11 +22,13 @@ predictor:
 with q_i = ||B_Y^T p_i||^2 and q_perp = ||(I - P_r P_r^T) B_Y||_F^2, which
 is tr(Z_Y^T Z_Y) - sum_i q_i but is formed directly from the residual
 B_Y - P_r P_r^T B_Y: the null space of A_r adds q_perp to the numerator and
-nothing to the denominator.  The a_i and q_i of all
-predictors are held as rows of two arrays, zero-padded to the widest basis
-(a padded a_i = q_i = 0 adds nothing to either sum), and one evaluator
-computes a grid point for every predictor at once; gcv_value and
-select_epsilon both call it, so their values agree bitwise.
+nothing to the denominator.
+
+The a_i and q_i of all predictors are held as rows of two arrays,
+zero-padded to the widest basis (a padded a_i = q_i = 0 adds nothing to
+either sum), and one evaluator computes a grid point for every predictor
+at once.  gcv_value and select_epsilon both call it, so their values agree
+bitwise.
 """
 
 from __future__ import annotations
