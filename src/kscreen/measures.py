@@ -2,7 +2,8 @@
 distance correlation, and absolute Pearson correlation.
 
 Every measure scores a predictor side against a response side and returns
-a plain float: KCCA two ``CenteredGram``s, HSIC two column-centered kernel
+a plain float: KCCA two ``CenteredGram``s (kcca_block scores a block of
+predictor kernel factors at once), HSIC two column-centered kernel
 factors (kernels.center), distance correlation a predictor's raw samples
 against the response's double-centered distance matrix
 (kernels.centered_distances), and Pearson two scalar sample vectors.  A
@@ -26,7 +27,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
-from .kernels import CenteredGram, _as_factor, _as_samples, _pairwise_sq_dists
+from .kernels import (
+    DEFAULT_TOL_REL, CenteredGram, _as_factor, _as_samples, _pairwise_sq_dists, gram_eigh,
+)
 
 
 class Method(str, Enum):
@@ -53,12 +56,62 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     wx = np.sqrt(gx.d / (gx.d + epsilon))
     wy = np.sqrt(gy.d / (gy.d + epsilon))
     cross = gy.u.T @ gx.u
-    m = (wy[:, None] * cross) * wx[None, :]
+    return float(_top_singular_values((wy[:, None] * cross) * wx[None, :]))
+
+
+def kcca_block(lxs, gy: CenteredGram, epsilon: float) -> np.ndarray:
+    """KCCA scores of b predictors against one response, in one batched pass.
+
+    ``lxs`` holds the predictors' n x r_m kernel factors, as
+    kernels.gram_block returns them, and ``gy`` is the response's
+    CenteredGram.  The factors are zero-padded to the widest rank r and
+    column-centered into a (b, n, r) stack C.  With C^T C = W Lambda W^T,
+    one batched eigh of the r x r Grams, the retained eigenvectors of the
+    centered Gram C C^T are U_X = C W Lambda^(-1/2), so
+
+        M = diag(w_Y) U_Y^T C W diag(keep / sqrt(lambda + eps))
+
+    is the whitened cross-Gram matrix of kcca_singular_value.  Eigenvalues
+    are kept by center_and_decompose's rule, lambda >= DEFAULT_TOL_REL *
+    max(lambda_max, 1); the padding adds only zero eigenvalues, which the
+    rule drops.  No n x r eigenvector matrix is formed.  The scores agree
+    with kcca_singular_value(center_and_decompose(L), gy, eps) up to
+    rounding, and each depends only on its own factor and the block's
+    width.
+
+    Raises ArgumentError unless lxs holds at least one n x r factor over
+    gy's n samples and epsilon is positive and finite; NumericError if
+    LAPACK fails.
+    """
+    if not np.isfinite(epsilon) or epsilon <= 0.0:
+        raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
+    factors = [_as_factor(lx) for lx in lxs]
+    if not factors:
+        raise ArgumentError("kcca_block needs at least one predictor factor")
+    for m, lx in enumerate(factors):
+        if lx.shape[0] != gy.n:
+            raise ArgumentError(f"kernel factor {m} has {lx.shape[0]} rows, expected {gy.n}")
+    if gy.rank == 0:
+        return np.zeros(len(factors))
+    c = np.zeros((len(factors), gy.n, max(lx.shape[1] for lx in factors)))
+    for m, lx in enumerate(factors):
+        c[m, :, :lx.shape[1]] = lx
+    c -= c.mean(axis=1, keepdims=True)
+    lam, w = gram_eigh(c)
+    keep = lam >= DEFAULT_TOL_REL * np.maximum(lam[:, -1:], 1.0)
+    scale = keep / np.sqrt(np.where(keep, lam, 0.0) + epsilon)
+    wy = np.sqrt(gy.d / (gy.d + epsilon))
+    return _top_singular_values(wy[:, None] * (gy.u.T @ c) @ (w * scale[:, None, :]))
+
+
+def _top_singular_values(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of a matrix, or of each in a stack, clipped at
+    1, with LAPACK failures mapped to NumericError."""
     try:
-        sv = float(np.linalg.svd(m, compute_uv=False)[0])
+        sv = np.linalg.svd(m, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as e:
         raise NumericError(f"singular value computation failed: {e}") from None
-    return min(sv, 1.0)
+    return np.minimum(sv, 1.0)
 
 
 def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:

@@ -12,8 +12,10 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       predictors' by kernels.gram_block, a block of features at a time;
   (c) ridge epsilon from the GCV grid search over a subsample of the
       predictor factors (KCCA only, when auto);
-  (d) one dependence score per predictor: KCCA reads the retained
-      eigenpairs of each centered Gram, HSIC the centered factor;
+  (d) one dependence score per predictor: KCCA scores a block of features
+      at a time from the r x r Grams of their centered factors
+      (measures.kcca_block) against the response's retained eigenpairs,
+      HSIC each centered factor;
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -45,7 +47,11 @@ from .kernels import (
     Bandwidth, DataMatrix, bandwidth, center, center_and_decompose, centered_distances, gram,
     gram_block,
 )
-from .measures import Method, dcor_score, hsic_score, kcca_singular_value, pearson_score
+# kcca_singular_value is not called here; it stays a name of this module
+# because bench/tracing.py rebinds it.
+from .measures import (
+    Method, dcor_score, hsic_score, kcca_block, kcca_singular_value, pearson_score,  # noqa: F401
+)
 from .tuning import select_epsilon
 
 # The GCV sum over all p predictors is O(p n r^2) for factors of rank r;
@@ -53,9 +59,10 @@ from .tuning import select_epsilon
 # unless told otherwise.
 GCV_SUBSAMPLE_DEFAULT = 200
 
-# Features whose Gram factors kernels.gram_block builds together.  A
-# factor is bitwise the same in any block, so this trades only speed
-# against the (block, rank, n) working arrays.
+# Features whose Gram factors kernels.gram_block builds together, and whose
+# KCCA scores measures.kcca_block computes together.  A factor is bitwise
+# the same in any block, and screen scores fixed index blocks, so this
+# trades only speed against the (block, rank, n) working arrays.
 _GRAM_BLOCK = 16
 
 
@@ -160,6 +167,18 @@ def rank_by_score(scores) -> np.ndarray:
     return order.astype(int) + 1
 
 
+def _check_epsilon(epsilon) -> float | None:
+    """None for "auto", else epsilon as a positive finite float; anything
+    else raises ArgumentError."""
+    if isinstance(epsilon, str):
+        if epsilon == "auto":
+            return None
+    elif (isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+          and np.isfinite(epsilon) and epsilon > 0.0):
+        return float(epsilon)
+    raise ArgumentError(f"epsilon must be 'auto' or a positive finite real, got {epsilon!r}")
+
+
 def _column_bandwidth(values: np.ndarray, label: str) -> Bandwidth:
     try:
         return bandwidth(values)
@@ -204,7 +223,9 @@ def screen(
         Selection size; defaults to the top 1 percent of features.  The
         auto rule is valid for kcca only (its formula needs epsilon).
     epsilon : "auto" or positive float
-        KCCA ridge parameter; "auto" runs the GCV grid search.
+        KCCA ridge parameter; "auto" runs the GCV grid search.  Other
+        methods ignore it, but every method rejects a value that is neither
+        "auto" nor a positive finite real before any work.
     seed : int
         Non-negative; seeds the GCV predictor subsample draw (used when p
         exceeds the subsample size) and has no other effect.
@@ -224,6 +245,7 @@ def screen(
     _check_int("seed", seed, 0)
     if gcv_subsample is not None:
         _check_int("gcv_subsample", gcv_subsample, 1)
+    fixed_eps = _check_epsilon(epsilon)
     if x.n != y.n:
         raise ArgumentError(f"x and y sample counts differ: {x.n} vs {y.n}")
     n, p = x.n, x.p
@@ -272,9 +294,8 @@ def screen(
         tuned = {}
 
         if method is Method.KCCA:
-            if isinstance(epsilon, str):
-                if epsilon != "auto":
-                    raise ArgumentError(f"epsilon must be 'auto' or a positive real, got {epsilon!r}")
+            eps = fixed_eps
+            if eps is None:
                 k_budget = gcv_subsample if gcv_subsample is not None else min(p, GCV_SUBSAMPLE_DEFAULT)
                 if k_budget < p:
                     rng = np.random.default_rng(seed)
@@ -283,25 +304,22 @@ def screen(
                     tuning_idx = np.arange(p)
                 tuned = dict(factors(tuning_idx))
                 eps = select_epsilon(ly, list(tuned.values())).epsilon
-            else:
-                eps = float(epsilon)
-                if not np.isfinite(eps) or eps <= 0.0:
-                    raise ArgumentError(f"epsilon must be positive, got {epsilon!r}")
 
-            def score(lx):
-                return kcca_singular_value(center_and_decompose(lx), gy, eps)
+            def score_block(lxs):
+                return kcca_block(lxs, gy, eps)
 
         else:  # HSIC
 
-            def score(lx):
-                return hsic_score(center(lx), gy)
+            def score_block(lxs):
+                return [hsic_score(center(lx), gy) for lx in lxs]
 
-        rest = [r for r in range(p) if r not in tuned]
-        while tuned:
-            r, lx = tuned.popitem()
-            scores[r] = score(lx)
-        for r, lx in factors(rest):
-            scores[r] = score(lx)
+        # Scored in fixed index blocks [0, 16), [16, 32), ...: a KCCA score
+        # depends on the width of its block, which must not depend on seed
+        # or gcv_subsample.
+        for start in range(0, p, _GRAM_BLOCK):
+            stop = min(start + _GRAM_BLOCK, p)
+            tuned.update(factors([r for r in range(start, stop) if r not in tuned]))
+            scores[start:stop] = score_block([tuned.pop(r) for r in range(start, stop)])
 
     ranking = rank_by_score(scores)
     m = _resolve_m(rule, method, eps, n, p)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ArgumentError, KScreenError, UnsupportedMethodError
 from .kernels import DataMatrix
 from .measures import Method
-from .screening import ScreeningResult, ThresholdRule, _check_int, screen
+from .screening import ScreeningResult, ThresholdRule, _check_epsilon, _check_int, screen
 
 SIM1_CONSTANTS = (2.0, 0.5, 3.0, 2.0)
 SIM1_ACTIVE = (1, 2, 12, 22)
@@ -309,6 +309,7 @@ def run_suite(
         raise ArgumentError(f"threads must be >= 1, got {threads}")
     if gcv_subsample is not None:
         _check_int("gcv_subsample", gcv_subsample, 1)
+    _check_epsilon(epsilon)
     d_values = tuple(int(d) for d in (d_values if d_values is not None else default_d_values(spec)))
     if len(d_values) != 3:
         raise ArgumentError(f"expected three d values, got {d_values}")

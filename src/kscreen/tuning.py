@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
-from .kernels import _as_factor, thin_svd
+from .errors import ArgumentError, NumericGuardWarning, TuningError
+from .kernels import _as_factor, gram_eigh, thin_svd
 
 # The prescribed 9-point search grid 1e-5 ... 1e3.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
@@ -81,20 +81,11 @@ def _check_factor_args(epsilon, ly, lxs):
     return ly, factors
 
 
-def _gram_eigh(factor: np.ndarray) -> tuple:
-    """np.linalg.eigh of the r x r Gram L^T L, with LAPACK failures mapped to
-    NumericError."""
-    try:
-        return np.linalg.eigh(factor.T @ factor)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"eigendecomposition of a factor Gram failed: {e}") from None
-
-
 def _gcv_basis(factor: np.ndarray) -> np.ndarray:
     """B = [1, L V Lambda^(1/2)] for L^T L = V Lambda V^T, so that
     B B^T = 1 1^T + L L^T L L^T = 1 1^T + K^2.  Eigenvalues that round
     below 0 are clipped to 0."""
-    lam, v = _gram_eigh(factor)
+    lam, v = gram_eigh(factor)
     root = v * np.sqrt(np.maximum(lam, 0.0))
     return np.column_stack([np.ones(factor.shape[0]), factor @ root])
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import kscreen as ks
-from kscreen.errors import ArgumentError, UnsupportedMethodError
+from kscreen.errors import ArgumentError, NumericError, UnsupportedMethodError
+from kscreen.measures import kcca_block
 from tests.helpers import (
     center_dense,
     dcor_brute,
@@ -14,6 +15,7 @@ from tests.helpers import (
     hsic_double_sum,
     kcca_dense_oracle,
     random_centered,
+    random_factor,
     random_gram,
 )
 
@@ -122,8 +124,6 @@ class TestKccaScore:
             ks.kcca_singular_value(gx, gx, -1.0)
 
     def test_svd_failure_maps_to_numeric_error(self, monkeypatch):
-        from kscreen.errors import NumericError
-
         rng = np.random.default_rng(0)
         gx = random_gram(rng, 8)
 
@@ -133,6 +133,39 @@ class TestKccaScore:
         monkeypatch.setattr(np.linalg, "svd", boom)
         with pytest.raises(NumericError):
             ks.kcca_singular_value(gx, gx, 0.5)
+
+
+class TestKccaBlock:
+    def test_constant_members_and_a_rank_zero_response_score_exactly_zero(self):
+        rng = np.random.default_rng(4)
+        lxs = [random_factor(rng, 10), np.ones((10, 1)), random_factor(rng, 10)]
+        gy = random_gram(rng, 10)
+        got = kcca_block(lxs, gy, 0.5)
+        assert got.shape == (3,) and got[1] == 0.0 and np.all(got[[0, 2]] > 0.0)
+        gzero = ks.center_and_decompose(np.ones((10, 1)))
+        assert kcca_block(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
+
+    def test_argument_errors(self):
+        rng = np.random.default_rng(0)
+        lx = random_factor(rng, 8)
+        gy = random_gram(rng, 8)
+        for lxs, eps in (([lx], 0.0), ([lx], -1.0), ([lx], float("nan")), ([], 0.5),
+                         ([lx, random_factor(rng, 9)], 0.5), ([lx[:, :, None]], 0.5)):
+            with pytest.raises(ArgumentError):
+                kcca_block(lxs, gy, eps)
+
+    @pytest.mark.parametrize("routine", ["eigh", "svd"])
+    def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
+        rng = np.random.default_rng(0)
+        lxs = [random_factor(rng, 8) for _ in range(3)]
+        gy = random_gram(rng, 8)
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, routine, boom)
+        with pytest.raises(NumericError):
+            kcca_block(lxs, gy, 0.5)
 
 
 class TestHsicScore:

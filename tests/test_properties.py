@@ -23,8 +23,9 @@ from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
 from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
+from kscreen.measures import kcca_block
 from tests.helpers import (
-    center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle,
+    center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle, kcca_dense_oracle,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -231,6 +232,44 @@ def test_kcca_of_factors_matches_the_dense_path_at_every_grid_point(kx, draw):
         got = ks.kcca_singular_value(gx, gy, eps)
         want = ks.kcca_singular_value(dx, dy, eps)
         assert got == pytest.approx(want, abs=TOL["kcca"]), eps
+
+
+@SETTINGS
+@given(
+    n=st.integers(4, 40),
+    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=17),
+    draw=st.data(),
+)
+def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, draw):
+    # A level of 0 gives a constant member, 3 a low-rank one.  The block
+    # takes its eigenvalues from eigh of C^T C, where the per-pair score
+    # takes them from the SVD of C (observed: 2.3e-12 relative over 3000
+    # draws and the whole grid); the dense oracle builds n x n Grams
+    # (observed: 3.9e-10 relative).
+    pts = np.stack([
+        draw.draw(hnp.arrays(np.int64, n, elements=st.integers(-k, k))) / 100.0 for k in levels
+    ])
+    bws = []
+    for member in pts:
+        try:
+            bws.append(ks.bandwidth(member))
+        except ks.DegenerateDataError:
+            bws.append(ks.Bandwidth(1.0))
+    lxs = gram_block(pts, bws)
+    ypts, ybw = sample_kernel(draw.draw, n)
+    gy = ks.center_and_decompose(ks.gram(ypts, ybw))
+    dy = decompose_dense(dense_gram(ypts, ybw))
+    for eps in ks.GCV_GRID:
+        got = kcca_block(lxs, gy, eps)
+        assert got.shape == (len(levels),)
+        for m, lx in enumerate(lxs):
+            want = ks.kcca_singular_value(ks.center_and_decompose(lx), gy, eps)
+            if levels[m] == 0:
+                assert got[m] == 0.0 and want == 0.0
+                continue
+            assert got[m] == pytest.approx(want, rel=1e-10, abs=0.0), (m, eps)
+            oracle = kcca_dense_oracle(decompose_dense(dense_gram(pts[m], bws[m])), dy, eps)
+            assert got[m] == pytest.approx(oracle, rel=1e-6, abs=0.0), (m, eps)
 
 
 @SETTINGS

@@ -261,7 +261,9 @@ class TestScreen:
         "kwargs",
         [{"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
          {"gcv_subsample": 10.0}, {"gcv_subsample": True}, {"gcv_subsample": -2},
-         {"seed": -1, "gcv_subsample": 5}],
+         {"seed": -1, "gcv_subsample": 5},
+         {"epsilon": "bogus"}, {"epsilon": -3.0}, {"epsilon": 0.0}, {"epsilon": float("nan")},
+         {"epsilon": float("inf")}, {"epsilon": None}, {"epsilon": True}],
     )
     def test_bad_seed_or_gcv_subsample_rejected_before_any_work(self, monkeypatch, method, kwargs):
         x, y = make_data(seed=1)

@@ -200,6 +200,17 @@ class TestSpecAndDefaults:
         with pytest.raises(ArgumentError, match="gcv_subsample"):
             ks.run_suite(spec, ("kcca",), gcv_subsample=gcv_subsample)
 
+    @pytest.mark.parametrize("methods", [("kcca",), ("dc",)])
+    @pytest.mark.parametrize("epsilon", ["bogus", -1.0, 0.0, float("nan"), None])
+    def test_bad_epsilon_rejected_before_the_pool_starts(self, monkeypatch, methods, epsilon):
+        def boom(*args, **kwargs):
+            raise AssertionError("run_suite started its pool before checking epsilon")
+
+        monkeypatch.setattr(ks.simulation, "ProcessPoolExecutor", boom)
+        spec = ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=10, reps=2, seed=0)
+        with pytest.raises(ArgumentError, match="epsilon"):
+            ks.run_suite(spec, methods, epsilon=epsilon)
+
     def test_invalid_generator_arguments(self):
         x = ks.ar_gaussian(20, 25, 0.8, seed=0)
         with pytest.raises(ArgumentError):
