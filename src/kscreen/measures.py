@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, UnsupportedMethodError
+from .errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from .kernels import (
     DEFAULT_TOL_REL, CenteredGram, _as_factor, _as_samples, _pairwise_sq_dists, gram_eigh,
 )
@@ -85,17 +85,24 @@ def kcca_block(lxs, gy: CenteredGram, epsilon: float) -> np.ndarray:
     """
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
-    factors = [_as_factor(lx) for lx in lxs]
+    factors = [np.asarray(lx, dtype=float) for lx in lxs]
     if not factors:
         raise ArgumentError("kcca_block needs at least one predictor factor")
+    n = gy.n
     for m, lx in enumerate(factors):
-        if lx.shape[0] != gy.n:
-            raise ArgumentError(f"kernel factor {m} has {lx.shape[0]} rows, expected {gy.n}")
-    if gy.rank == 0:
-        return np.zeros(len(factors))
-    c = np.zeros((len(factors), gy.n, max(lx.shape[1] for lx in factors)))
+        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
+            raise ArgumentError(
+                f"kernel factor {m} must be {n} x r with r <= {n}, got shape {lx.shape}"
+            )
+    # At least one column, so that a block of n x 0 factors scores 0 too.
+    c = np.zeros((len(factors), n, max(1, *(lx.shape[1] for lx in factors))))
     for m, lx in enumerate(factors):
         c[m, :, :lx.shape[1]] = lx
+    # One finiteness check for the whole block, not one per factor.
+    if not np.all(np.isfinite(c)):
+        raise DataError("kernel factor entries must be finite")
+    if gy.rank == 0:
+        return np.zeros(len(factors))
     c -= c.mean(axis=1, keepdims=True)
     lam, w = gram_eigh(c)
     keep = lam >= DEFAULT_TOL_REL * np.maximum(lam[:, -1:], 1.0)

@@ -237,9 +237,10 @@ def screen(
 
     Unlike run_suite, screen does not pin the BLAS thread count, and scores
     can differ in the last bits across BLAS thread counts: between
-    OPENBLAS_NUM_THREADS=1 and 2, hsic scores up to 0.011 differed by up
-    to 8.7e-19 at n=2000, p=200, with the same ranking; kcca scores, and
-    all scores at n=200, p=200, were identical.
+    OPENBLAS_NUM_THREADS=1 and 2, at n=2000, p=200, kcca scores up to 0.90
+    differed by up to 3.3e-16 and hsic scores up to 0.012 by up to
+    8.7e-19, with the same rankings; all scores at n=200, p=200 were
+    identical.
     """
     method = Method(method)
     _check_int("seed", seed, 0)
@@ -315,11 +316,14 @@ def screen(
 
         # Scored in fixed index blocks [0, 16), [16, 32), ...: a KCCA score
         # depends on the width of its block, which must not depend on seed
-        # or gcv_subsample.
+        # or gcv_subsample.  The features outside the GCV subsample are
+        # built in blocks of their own, in index order, as scoring needs them.
+        rest = (lx for _, lx in factors([r for r in range(p) if r not in tuned]))
         for start in range(0, p, _GRAM_BLOCK):
             stop = min(start + _GRAM_BLOCK, p)
-            tuned.update(factors([r for r in range(start, stop) if r not in tuned]))
-            scores[start:stop] = score_block([tuned.pop(r) for r in range(start, stop)])
+            scores[start:stop] = score_block(
+                [tuned.pop(r) if r in tuned else next(rest) for r in range(start, stop)]
+            )
 
     ranking = rank_by_score(scores)
     m = _resolve_m(rule, method, eps, n, p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kscreen as ks
-from kscreen.errors import ArgumentError, NumericError, UnsupportedMethodError
+from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from kscreen.measures import kcca_block
 from tests.helpers import (
     center_dense,
@@ -144,6 +144,7 @@ class TestKccaBlock:
         assert got.shape == (3,) and got[1] == 0.0 and np.all(got[[0, 2]] > 0.0)
         gzero = ks.center_and_decompose(np.ones((10, 1)))
         assert kcca_block(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
+        assert kcca_block([np.zeros((10, 0))], gy, 0.5).tobytes() == np.zeros(1).tobytes()
 
     def test_argument_errors(self):
         rng = np.random.default_rng(0)
@@ -153,6 +154,10 @@ class TestKccaBlock:
                          ([lx, random_factor(rng, 9)], 0.5), ([lx[:, :, None]], 0.5)):
             with pytest.raises(ArgumentError):
                 kcca_block(lxs, gy, eps)
+        bad = lx.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(DataError):
+            kcca_block([lx, bad], gy, 0.5)
 
     @pytest.mark.parametrize("routine", ["eigh", "svd"])
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
