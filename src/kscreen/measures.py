@@ -80,8 +80,8 @@ def kcca_block(lxs, gy: CenteredGram, epsilon: float) -> np.ndarray:
     width.
 
     Raises ArgumentError unless lxs holds at least one n x r factor over
-    gy's n samples and epsilon is positive and finite; NumericError if
-    LAPACK fails.
+    gy's n samples and epsilon is positive and finite; DataError if a
+    factor has a non-finite entry; NumericError if LAPACK fails.
     """
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
