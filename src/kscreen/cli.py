@@ -5,10 +5,9 @@ Exit codes map error families: 2 argument, 3 data, 4 numeric, 5 tuning.
 Outputs are deterministic for a fixed seed, and `simulate --threads` does
 not change them.  `simulate` pins BLAS to one thread per worker, so its
 bytes never depend on the host.  `screen` runs in this process with
-whatever BLAS thread count the environment sets, and its scores can differ
-in the last bits across BLAS thread counts (hsic scores up to 0.034 by up
-to 5.4e-20 between OPENBLAS_NUM_THREADS=1 and 2 at n=2000, p=200, ranking
-unchanged; identical at n=200, p=200).
+whatever BLAS thread count the environment sets, and its kcca and hsic
+scores can differ in the last bits across BLAS thread counts; the README's
+BLAS paragraph has the measured differences.
 """
 
 from __future__ import annotations

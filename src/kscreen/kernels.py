@@ -4,7 +4,8 @@ centered Gram.
 
 Every kernel Gram matrix K is held as an n x r factor L with K ~= L L^T,
 built by pivoted incomplete Cholesky (``gram_block`` for a block of
-variables at once, ``gram`` for one); no n x n kernel matrix is formed.  KCCA, HSIC and the GCV tuning all read this one representation.
+variables at once, ``gram`` for one); no n x n kernel matrix is formed.
+KCCA, HSIC and the GCV tuning all read this one representation.
 Every dependence measure in this package is built on top of the objects
 defined here.  All functions are pure and all returned containers are
 immutable, so instances can be shared freely across concurrent workers.
@@ -166,6 +167,12 @@ def _as_factor(factor) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DataError("kernel factor entries must be finite")
     return arr
+
+
+def _check_positive_epsilon(epsilon):
+    """Raise ArgumentError unless the ridge epsilon is positive and finite."""
+    if not np.isfinite(epsilon) or epsilon <= 0.0:
+        raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:

@@ -2,13 +2,15 @@
 distance correlation, and absolute Pearson correlation.
 
 Every measure scores a predictor side against a response side and returns
-a plain float: KCCA two ``CenteredGram``s (kcca_block scores a block of
-predictor kernel factors at once), HSIC two column-centered kernel
+a plain float: KCCA two ``CenteredGram``s, HSIC two column-centered kernel
 factors (kernels.center), distance correlation a predictor's raw samples
 against the response's double-centered distance matrix
 (kernels.centered_distances), and Pearson two scalar sample vectors.  A
 caller screening many predictors against one response prepares the
-response side once.
+response side once.  kcca_block and hsic_block score a block of predictor
+kernel factors at once, from one zero-padded, column-centered stack of
+them, and return an array; hsic_score runs hsic_block's arithmetic on a
+stack of one.
 
 The KCCA score of a predictor against the response is the largest singular
 value of the whitened cross-Gram coordinate matrix
@@ -28,7 +30,8 @@ import numpy as np
 
 from .errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from .kernels import (
-    DEFAULT_TOL_REL, CenteredGram, _as_factor, _as_samples, _pairwise_sq_dists, gram_eigh,
+    DEFAULT_TOL_REL, CenteredGram, _as_factor, _as_samples, _check_positive_epsilon,
+    _pairwise_sq_dists, gram_eigh,
 )
 
 
@@ -49,14 +52,40 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     """
     if gx.n != gy.n:
         raise ArgumentError(f"Gram matrices built from different sample counts: {gx.n} vs {gy.n}")
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_positive_epsilon(epsilon)
     if gx.rank == 0 or gy.rank == 0:
         return 0.0
     wx = np.sqrt(gx.d / (gx.d + epsilon))
     wy = np.sqrt(gy.d / (gy.d + epsilon))
     cross = gy.u.T @ gx.u
     return float(_top_singular_values((wy[:, None] * cross) * wx[None, :]))
+
+
+def _centered_stack(lxs, n: int) -> tuple:
+    """A block's kernel factors, zero-padded to the widest rank r and
+    column-centered into one (b, n, r) stack, and the list of their ranks.
+
+    Raises ArgumentError unless lxs holds at least one n x r factor with
+    r <= n, and DataError if a factor has a non-finite entry.
+    """
+    factors = [np.asarray(lx, dtype=float) for lx in lxs]
+    if not factors:
+        raise ArgumentError("a block needs at least one predictor factor")
+    for m, lx in enumerate(factors):
+        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
+            raise ArgumentError(
+                f"kernel factor {m} must be {n} x r with r <= {n}, got shape {lx.shape}"
+            )
+    ranks = [lx.shape[1] for lx in factors]
+    # At least one column, so that a block of n x 0 factors scores 0 too.
+    c = np.zeros((len(factors), n, max(1, *ranks)))
+    for m, lx in enumerate(factors):
+        c[m, :, :lx.shape[1]] = lx
+    # One finiteness check for the whole block, not one per factor.
+    if not np.all(np.isfinite(c)):
+        raise DataError("kernel factor entries must be finite")
+    c -= c.mean(axis=1, keepdims=True)
+    return c, ranks
 
 
 def kcca_block(lxs, gy: CenteredGram, epsilon: float) -> np.ndarray:
@@ -83,27 +112,10 @@ def kcca_block(lxs, gy: CenteredGram, epsilon: float) -> np.ndarray:
     gy's n samples and epsilon is positive and finite; DataError if a
     factor has a non-finite entry; NumericError if LAPACK fails.
     """
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
-    factors = [np.asarray(lx, dtype=float) for lx in lxs]
-    if not factors:
-        raise ArgumentError("kcca_block needs at least one predictor factor")
-    n = gy.n
-    for m, lx in enumerate(factors):
-        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
-            raise ArgumentError(
-                f"kernel factor {m} must be {n} x r with r <= {n}, got shape {lx.shape}"
-            )
-    # At least one column, so that a block of n x 0 factors scores 0 too.
-    c = np.zeros((len(factors), n, max(1, *(lx.shape[1] for lx in factors))))
-    for m, lx in enumerate(factors):
-        c[m, :, :lx.shape[1]] = lx
-    # One finiteness check for the whole block, not one per factor.
-    if not np.all(np.isfinite(c)):
-        raise DataError("kernel factor entries must be finite")
+    _check_positive_epsilon(epsilon)
+    c, _ = _centered_stack(lxs, gy.n)
     if gy.rank == 0:
-        return np.zeros(len(factors))
-    c -= c.mean(axis=1, keepdims=True)
+        return np.zeros(c.shape[0])
     lam, w = gram_eigh(c)
     keep = lam >= DEFAULT_TOL_REL * np.maximum(lam[:, -1:], 1.0)
     scale = keep / np.sqrt(np.where(keep, lam, 0.0) + epsilon)
@@ -121,25 +133,58 @@ def _top_singular_values(m: np.ndarray) -> np.ndarray:
     return np.minimum(sv, 1.0)
 
 
+def hsic_block(lxs, ly_c) -> np.ndarray:
+    """HSIC of b predictors against one response, in one batched pass.
+
+    ``lxs`` holds the predictors' n x r_m kernel factors, as
+    kernels.gram_block returns them, and ``ly_c`` is the response's
+    column-centered factor (kernels.center).  The factors are zero-padded
+    and column-centered into kcca_block's (b, n, r) stack C, and member m
+    scores hsic_score's ||C_m^T L_Y||_F^2 / n^2 over its own r_m columns,
+    so each score is bitwise hsic_score(center(L_m), ly_c) whatever the
+    block.
+
+    Raises ArgumentError unless lxs holds at least one n x r factor over
+    ly_c's n >= 1 samples and ly_c is n x r_Y with r_Y <= n; DataError if a
+    factor has a non-finite entry.
+    """
+    ly = _as_factor(ly_c)
+    c, ranks = _centered_stack(lxs, ly.shape[0])
+    return _stack_hsic(c, ranks, ly)
+
+
 def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
     """Biased V-statistic HSIC, trace(G_X G_Y) / n^2, of two column-centered
     kernel factors (kernels.center): with G = L L^T it is
-    ||L_X^T L_Y||_F^2 / n^2, in O(n r_X r_Y).
+    ||L_X^T L_Y||_F^2 / n^2, in O(n r_X r_Y).  hsic_block's arithmetic on
+    a block of one factor that is already centered.
 
     Raises ArgumentError unless both are n x r factors over the same n >= 1
     samples.
     """
     a, b = _as_factor(lx), _as_factor(ly)
-    n = a.shape[0]
-    if b.shape[0] != n:
+    if b.shape[0] != a.shape[0]:
         raise ArgumentError(
             f"hsic needs factors over the same samples, got {a.shape} and {b.shape}"
         )
-    # A fixed operand order makes the score exactly symmetric in its arguments.
-    if (a.shape[1], a.tobytes()) > (b.shape[1], b.tobytes()):
-        a, b = b, a
-    cross = a.T @ b
-    return float(np.vdot(cross, cross)) / (n * n)
+    return float(_stack_hsic(a[None], [a.shape[1]], b)[0])
+
+
+def _stack_hsic(c: np.ndarray, ranks: list, ly: np.ndarray) -> np.ndarray:
+    """||C_m^T L_Y||_F^2 / n^2 for each centered factor C_m of a (b, n, r)
+    stack, over its first ranks[m] columns.
+
+    Each sum of squares is the smaller of its row-major and column-major
+    sums.  Swapping the two factors transposes the cross product, which
+    swaps the two sums, so the score is exactly symmetric in them.
+    """
+    n = c.shape[1]
+    cross = np.swapaxes(c, 1, 2) @ ly
+    sums = np.empty(len(ranks))
+    for m, r in enumerate(ranks):
+        x = cross[m, :r]
+        sums[m] = min(np.vdot(x, x), np.vdot(x.T, x.T))
+    return sums / (n * n)
 
 
 def dcor_score(x_samples, *, dy: np.ndarray) -> float:

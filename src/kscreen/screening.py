@@ -12,10 +12,11 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       predictors' by kernels.gram_block, a block of features at a time;
   (c) ridge epsilon from the GCV grid search over a subsample of the
       predictor factors (KCCA only, when auto);
-  (d) one dependence score per predictor: KCCA scores a block of features
-      at a time from the r x r Grams of their centered factors
-      (measures.kcca_block) against the response's retained eigenpairs,
-      HSIC each centered factor;
+  (d) one dependence score per predictor, a block of features at a time
+      from one zero-padded stack of their centered factors: KCCA from the
+      stack's r x r Grams against the response's retained eigenpairs
+      (measures.kcca_block), HSIC against the response's centered factor
+      (measures.hsic_block);
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -44,13 +45,13 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .kernels import (
-    Bandwidth, DataMatrix, bandwidth, center, center_and_decompose, centered_distances, gram,
-    gram_block,
+    Bandwidth, DataMatrix, _check_positive_epsilon, bandwidth, center, center_and_decompose,
+    centered_distances, gram, gram_block,
 )
-# kcca_singular_value is not called here; it stays a name of this module
-# because bench/tracing.py rebinds it.
-from .measures import (
-    Method, dcor_score, hsic_score, kcca_block, kcca_singular_value, pearson_score,  # noqa: F401
+# hsic_score and kcca_singular_value are not called here; they stay names of
+# this module because bench/tracing.py rebinds them.
+from .measures import (  # noqa: F401
+    Method, dcor_score, hsic_block, hsic_score, kcca_block, kcca_singular_value, pearson_score,
 )
 from .tuning import select_epsilon
 
@@ -60,9 +61,10 @@ from .tuning import select_epsilon
 GCV_SUBSAMPLE_DEFAULT = 200
 
 # Features whose Gram factors kernels.gram_block builds together, and whose
-# KCCA scores measures.kcca_block computes together.  A factor is bitwise
-# the same in any block, and screen scores fixed index blocks, so this
-# trades only speed against the (block, rank, n) working arrays.
+# scores measures.kcca_block or measures.hsic_block computes together.  A
+# factor is bitwise the same in any block, and screen scores fixed index
+# blocks, so this trades only speed against the (block, rank, n) working
+# arrays.
 _GRAM_BLOCK = 16
 
 
@@ -90,8 +92,7 @@ class ThresholdRule:
         if self.kind not in ("fixed_m", "auto"):
             raise ArgumentError(f"unknown threshold rule kind {self.kind!r}")
         if self.kind == "fixed_m":
-            if self.m is None or int(self.m) < 1:
-                raise ArgumentError("fixed_m rule requires a positive m")
+            _check_int("m", self.m, 1)
             object.__setattr__(self, "m", int(self.m))
         elif self.m is not None:
             raise ArgumentError("auto rule takes no m")
@@ -144,8 +145,7 @@ class ScreeningResult:
 
 def auto_threshold(epsilon: float, n: int, p: int) -> int:
     """Recommended model size m = ceil(1.5 * eps^(-3/2) * n^(1/4)), in [1, p]."""
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_positive_epsilon(epsilon)
     if n < 1 or p < 1:
         raise ArgumentError(f"n and p must be positive, got n={n}, p={p}")
     m = math.ceil(1.5 * epsilon ** -1.5 * n ** 0.25)
@@ -235,12 +235,9 @@ def screen(
         size that is not an integer in range raises ArgumentError before
         any work.
 
-    Unlike run_suite, screen does not pin the BLAS thread count, and scores
-    can differ in the last bits across BLAS thread counts: between
-    OPENBLAS_NUM_THREADS=1 and 2, at n=2000, p=200, kcca scores up to 0.90
-    differed by up to 3.3e-16 and hsic scores up to 0.012 by up to
-    8.7e-19, with the same rankings; all scores at n=200, p=200 were
-    identical.
+    Unlike run_suite, screen does not pin the BLAS thread count, and kcca
+    and hsic scores can differ in the last bits across BLAS thread counts;
+    the README's BLAS paragraph has the measured differences.
     """
     method = Method(method)
     _check_int("seed", seed, 0)
@@ -312,7 +309,7 @@ def screen(
         else:  # HSIC
 
             def score_block(lxs):
-                return [hsic_score(center(lx), gy) for lx in lxs]
+                return hsic_block(lxs, gy)
 
         # Scored in fixed index blocks [0, 16), [16, 32), ...: a KCCA score
         # depends on the width of its block, which must not depend on seed

@@ -55,18 +55,15 @@ class SimulationSpec:
     def __post_init__(self):
         if self.suite not in _SUITE_MODELS:
             raise ArgumentError(f"unknown suite {self.suite!r}")
+        _check_int("model_id", self.model_id, 1)
         if self.model_id not in _SUITE_MODELS[self.suite]:
             raise ArgumentError(f"suite {self.suite} has no model {self.model_id}")
-        if self.n < 4:
-            raise ArgumentError(f"n must be >= 4, got {self.n}")
-        if self.reps < 1:
-            raise ArgumentError(f"reps must be >= 1, got {self.reps}")
+        _check_int("n", self.n, 4)
+        _check_int("reps", self.reps, 1)
         _check_int("seed", self.seed, 0)
         if not -1.0 < self.ar_rho < 1.0:
             raise ArgumentError(f"ar_rho must lie in (-1, 1), got {self.ar_rho}")
-        min_p = 22 if self.suite == "sim1" else 4
-        if self.p < min_p:
-            raise ArgumentError(f"suite {self.suite} needs p >= {min_p}, got {self.p}")
+        _check_int("p", self.p, 22 if self.suite == "sim1" else 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +302,7 @@ def run_suite(
         raise ArgumentError("duplicate methods in list")
     if spec.suite == "sim2" and Method.SIS in methods:
         raise UnsupportedMethodError("sis cannot be applied to the bivariate sim2 response")
-    if threads < 1:
-        raise ArgumentError(f"threads must be >= 1, got {threads}")
+    _check_int("threads", threads, 1)
     if gcv_subsample is not None:
         _check_int("gcv_subsample", gcv_subsample, 1)
     _check_epsilon(epsilon)

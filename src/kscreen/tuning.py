@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericGuardWarning, TuningError
-from .kernels import _as_factor, gram_eigh, thin_svd
+from .kernels import _as_factor, _check_positive_epsilon, gram_eigh, thin_svd
 
 # The prescribed 9-point search grid 1e-5 ... 1e3.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
@@ -66,8 +66,7 @@ class RidgeSelection:
 
 
 def _check_factor_args(epsilon, ly, lxs):
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_positive_epsilon(epsilon)
     ly = _as_factor(ly)
     n = ly.shape[0]
     factors = []

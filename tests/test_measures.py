@@ -7,7 +7,7 @@ import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
-from kscreen.measures import kcca_block
+from kscreen.measures import hsic_block, kcca_block
 from tests.helpers import (
     center_dense,
     dcor_brute,
@@ -171,6 +171,49 @@ class TestKccaBlock:
         monkeypatch.setattr(np.linalg, routine, boom)
         with pytest.raises(NumericError):
             kcca_block(lxs, gy, 0.5)
+
+
+class TestHsicBlock:
+    def test_constant_and_rank_zero_members_score_exactly_zero(self):
+        rng = np.random.default_rng(4)
+        lxs = [random_factor(rng, 10), np.ones((10, 1)), np.zeros((10, 0))]
+        ly = random_centered(rng, 10)
+        got = hsic_block(lxs, ly)
+        assert got.shape == (3,) and got[0] > 0.0 and got[1] == 0.0 and got[2] == 0.0
+        assert got[0] == ks.hsic_score(ks.center(lxs[0]), ly)
+
+    def test_empty_block_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ArgumentError, match="at least one"):
+            hsic_block([], random_centered(rng, 8))
+
+    @pytest.mark.parametrize("shape", [(9, 3), (7, 3), (8, 9), (8, 3, 1), (8,)])
+    def test_factor_of_the_wrong_shape_rejected(self, shape):
+        # Other sample counts, r > n, and factors that are not 2-D.
+        rng = np.random.default_rng(0)
+        lxs = [random_factor(rng, 8), np.ones(shape)]
+        with pytest.raises(ArgumentError, match="kernel factor 1"):
+            hsic_block(lxs, random_centered(rng, 8))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_entry_rejected(self, value):
+        rng = np.random.default_rng(0)
+        bad = random_factor(rng, 8)
+        bad[3, 0] = value
+        with pytest.raises(DataError):
+            hsic_block([random_factor(rng, 8), bad], random_centered(rng, 8))
+
+    def test_bad_response_factor_rejected(self):
+        rng = np.random.default_rng(0)
+        lxs = [random_factor(rng, 8)]
+        for ly in (random_centered(rng, 9), np.ones((8, 9)), np.ones((8, 2, 1)),
+                   np.zeros((0, 0))):
+            with pytest.raises(ArgumentError):
+                hsic_block(lxs, ly)
+        ly = random_centered(rng, 8)
+        ly[0, 0] = np.nan
+        with pytest.raises(DataError):
+            hsic_block(lxs, ly)
 
 
 class TestHsicScore:

@@ -23,9 +23,10 @@ from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
 from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
-from kscreen.measures import kcca_block
+from kscreen.measures import hsic_block, kcca_block
 from tests.helpers import (
-    center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle, kcca_dense_oracle,
+    center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle, hsic_double_sum,
+    kcca_dense_oracle,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -234,6 +235,23 @@ def test_kcca_of_factors_matches_the_dense_path_at_every_grid_point(kx, draw):
         assert got == pytest.approx(want, abs=TOL["kcca"]), eps
 
 
+def block_factors(draw, n, levels):
+    # Scalar samples of one block member per level, on a grid of 2 k + 1
+    # values for level k: 0 gives a constant member, which takes the
+    # gamma = 1 fallback as in screen, and 3 a low-rank one.  Returns the
+    # samples, their bandwidths and their factors, built as one block.
+    pts = np.stack([
+        draw(hnp.arrays(np.int64, n, elements=st.integers(-k, k))) / 100.0 for k in levels
+    ])
+    bws = []
+    for member in pts:
+        try:
+            bws.append(ks.bandwidth(member))
+        except ks.DegenerateDataError:
+            bws.append(ks.Bandwidth(1.0))
+    return pts, bws, gram_block(pts, bws)
+
+
 @SETTINGS
 @given(
     n=st.integers(4, 40),
@@ -246,16 +264,7 @@ def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, d
     # takes them from the SVD of C (observed: 2.3e-12 relative over 3000
     # draws and the whole grid); the dense oracle builds n x n Grams
     # (observed: 3.9e-10 relative).
-    pts = np.stack([
-        draw.draw(hnp.arrays(np.int64, n, elements=st.integers(-k, k))) / 100.0 for k in levels
-    ])
-    bws = []
-    for member in pts:
-        try:
-            bws.append(ks.bandwidth(member))
-        except ks.DegenerateDataError:
-            bws.append(ks.Bandwidth(1.0))
-    lxs = gram_block(pts, bws)
+    pts, bws, lxs = block_factors(draw.draw, n, levels)
     ypts, ybw = sample_kernel(draw.draw, n)
     gy = ks.center_and_decompose(ks.gram(ypts, ybw))
     dy = decompose_dense(dense_gram(ypts, ybw))
@@ -270,6 +279,30 @@ def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, d
             assert got[m] == pytest.approx(want, rel=1e-10, abs=0.0), (m, eps)
             oracle = kcca_dense_oracle(decompose_dense(dense_gram(pts[m], bws[m])), dy, eps)
             assert got[m] == pytest.approx(oracle, rel=1e-6, abs=0.0), (m, eps)
+
+
+@SETTINGS
+@given(
+    n=st.integers(2, 40),
+    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=17),
+    draw=st.data(),
+)
+def test_block_hsic_is_bitwise_the_per_pair_score_and_matches_the_dense_grams(n, levels, draw):
+    # Centering a member in the padded stack, its product with the response
+    # and its sum of squares over its own columns are the per-pair
+    # arithmetic, so neither the padding nor the other members change a bit.
+    pts, bws, lxs = block_factors(draw.draw, n, levels)
+    ypts, ybw = sample_kernel(draw.draw, n)
+    ly_c = ks.center(ks.gram(ypts, ybw))
+    gy = center_dense(dense_gram(ypts, ybw))
+    got = hsic_block(lxs, ly_c)
+    assert got.shape == (len(levels),)
+    for m, lx in enumerate(lxs):
+        assert got[m] == ks.hsic_score(ks.center(lx), ly_c), m
+        if levels[m] == 0:
+            assert got[m] == 0.0
+        want = hsic_double_sum(center_dense(dense_gram(pts[m], bws[m])), gy)
+        assert got[m] == pytest.approx(want, abs=TOL["hsic"]), m
 
 
 @SETTINGS

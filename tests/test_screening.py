@@ -1,6 +1,9 @@
 """Screening pipeline: dominance of a duplicated predictor, permutation and
 scale invariance, determinism, threshold rules, and ranking."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,15 @@ class TestThresholdRule:
         with pytest.raises(ArgumentError):
             ks.ThresholdRule.fixed(0)
         assert ks.ThresholdRule.fixed(5).m == 5
+
+    @pytest.mark.parametrize("m", [2.7, 3.0, "3", True, None, -1])
+    def test_fixed_m_must_be_an_integer(self, m):
+        with pytest.raises(ArgumentError, match="m must be an integer"):
+            ks.ThresholdRule.fixed(m)
+
+    def test_fixed_accepts_numpy_integers(self):
+        rule = ks.ThresholdRule.fixed(np.int64(3))
+        assert rule.m == 3 and type(rule.m) is int
 
     def test_auto_takes_no_m(self):
         with pytest.raises(ArgumentError):
@@ -313,3 +325,17 @@ class TestScreen:
                 method=ks.Method.DC,
                 m=1,
             )
+
+
+def test_every_name_the_benchmark_tracer_rebinds_exists():
+    # bench/tracing.py looks each of its targets up with getattr when it
+    # installs its spans, so a traced name deleted from the package would
+    # break only the benchmark.  The file is loaded by path and only read.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("kscreen_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, _ in tracing.TARGETS:
+        module = importlib.import_module(f"kscreen.{module_name}") if module_name else ks
+        assert callable(getattr(module, attr, None)), (module_name, attr)

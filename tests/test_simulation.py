@@ -189,6 +189,21 @@ class TestSpecAndDefaults:
         with pytest.raises(ArgumentError):
             ks.SimulationSpec(suite="sim1", model_id=1, n=10, p=30, reps=1, seed=0, ar_rho=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 40.5), ("n", "40"), ("p", 30.5), ("p", None), ("reps", 2.5), ("reps", True),
+        ("model_id", 1.0), ("model_id", True),
+    ])
+    def test_non_integer_size_rejected(self, field, value):
+        args = dict(suite="sim1", model_id=1, n=40, p=30, reps=2, seed=0)
+        args[field] = value
+        with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
+            ks.SimulationSpec(**args)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = ks.SimulationSpec(suite="sim1", model_id=np.int64(1), n=np.int32(40),
+                                 p=np.int64(30), reps=np.uint8(2), seed=np.int16(0))
+        assert (spec.model_id, spec.n, spec.p, spec.reps) == (1, 40, 30, 2)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ArgumentError):
@@ -210,6 +225,16 @@ class TestSpecAndDefaults:
         spec = ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=10, reps=2, seed=0)
         with pytest.raises(ArgumentError, match="epsilon"):
             ks.run_suite(spec, methods, epsilon=epsilon)
+
+    @pytest.mark.parametrize("threads", [1.5, True, "2", None, 0])
+    def test_bad_threads_rejected_before_the_pool_starts(self, monkeypatch, threads):
+        def boom(*args, **kwargs):
+            raise AssertionError("run_suite started its pool before checking threads")
+
+        monkeypatch.setattr(ks.simulation, "ProcessPoolExecutor", boom)
+        spec = ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=10, reps=2, seed=0)
+        with pytest.raises(ArgumentError, match="threads"):
+            ks.run_suite(spec, ("dc",), threads=threads)
 
     def test_invalid_generator_arguments(self):
         x = ks.ar_gaussian(20, 25, 0.8, seed=0)
