@@ -10,7 +10,9 @@ caller screening many predictors against one response prepares the
 response side once.  kcca_block and hsic_block score a block of predictor
 kernel factors at once, from one zero-padded, column-centered stack of
 them, and return an array; hsic_score runs hsic_block's arithmetic on a
-stack of one.
+stack of one.  Both are thin wrappers: the stack is built by
+_centered_stack and scored by _stack_kcca and _stack_hsic, which the
+screening pipeline calls directly to score both methods from one stack.
 
 The KCCA score of a predictor against the response is the largest singular
 value of the whitened cross-Gram coordinate matrix
@@ -113,7 +115,11 @@ def kcca_block(lxs, gy: CenteredGram, epsilon: float) -> np.ndarray:
     factor has a non-finite entry; NumericError if LAPACK fails.
     """
     _check_positive_epsilon(epsilon)
-    c, _ = _centered_stack(lxs, gy.n)
+    return _stack_kcca(_centered_stack(lxs, gy.n)[0], gy, epsilon)
+
+
+def _stack_kcca(c: np.ndarray, gy: CenteredGram, epsilon: float) -> np.ndarray:
+    """kcca_block's scores of each centered factor of a (b, n, r) stack."""
     if gy.rank == 0:
         return np.zeros(c.shape[0])
     lam, w = gram_eigh(c)

@@ -15,10 +15,14 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
   (d) one dependence score per predictor, a block of features at a time
       from one zero-padded stack of their centered factors: KCCA from the
       stack's r x r Grams against the response's retained eigenpairs
-      (measures.kcca_block), HSIC against the response's centered factor
-      (measures.hsic_block);
+      (as measures.kcca_block), HSIC against the response's centered
+      factor (as measures.hsic_block);
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
+
+Screening one (X, Y) by KCCA and HSIC together (as each run_suite
+replication does) shares one kernel preparation: (a) and (b) run once, and
+each block's stack is formed once and scored by both methods.
 
 Distance correlation skips (a) and (c): (b) builds only the response's
 double-centered distance matrix, and (d) scores each raw column against it.
@@ -51,7 +55,8 @@ from .kernels import (
 # hsic_score and kcca_singular_value are not called here; they stay names of
 # this module because bench/tracing.py rebinds them.
 from .measures import (  # noqa: F401
-    Method, dcor_score, hsic_block, hsic_score, kcca_block, kcca_singular_value, pearson_score,
+    Method, _centered_stack, _stack_hsic, _stack_kcca, dcor_score, hsic_score,
+    kcca_singular_value, pearson_score,
 )
 from .tuning import select_epsilon
 
@@ -61,7 +66,7 @@ from .tuning import select_epsilon
 GCV_SUBSAMPLE_DEFAULT = 200
 
 # Features whose Gram factors kernels.gram_block builds together, and whose
-# scores measures.kcca_block or measures.hsic_block computes together.  A
+# KCCA and HSIC scores are computed together from one centered stack.  A
 # factor is bitwise the same in any block, and screen scores fixed index
 # blocks, so this trades only speed against the (block, rank, n) working
 # arrays.
@@ -146,8 +151,8 @@ class ScreeningResult:
 def auto_threshold(epsilon: float, n: int, p: int) -> int:
     """Recommended model size m = ceil(1.5 * eps^(-3/2) * n^(1/4)), in [1, p]."""
     _check_positive_epsilon(epsilon)
-    if n < 1 or p < 1:
-        raise ArgumentError(f"n and p must be positive, got n={n}, p={p}")
+    _check_int("n", n, 1)
+    _check_int("p", p, 1)
     m = math.ceil(1.5 * epsilon ** -1.5 * n ** 0.25)
     return min(p, max(1, m))
 
@@ -190,13 +195,13 @@ def _column_bandwidth(values: np.ndarray, label: str) -> Bandwidth:
         return Bandwidth(gamma=1.0)
 
 
-def _resolve_m(rule, method: Method, epsilon, n: int, p: int) -> int:
+def _resolve_m(rule, epsilon, n: int, p: int) -> int:
     if rule is None:
         # Default selection size: the top 1 percent of features.
         rule = ThresholdRule.fixed(min(p, max(1, math.ceil(0.01 * p))))
     if rule.kind == "fixed_m":
         return min(rule.m, p)
-    if method is not Method.KCCA or epsilon is None:
+    if epsilon is None:
         raise ArgumentError("auto threshold rule requires a KCCA epsilon")
     return auto_threshold(epsilon, n, p)
 
@@ -240,6 +245,16 @@ def screen(
     the README's BLAS paragraph has the measured differences.
     """
     method = Method(method)
+    return _screen_methods(x, y, (method,), rule, epsilon, seed, gcv_subsample)[method]
+
+
+def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
+    """screen for several methods over one (x, y), as {Method: ScreeningResult}.
+
+    Bandwidths, Gram factors and each block's centered stack are built once
+    and shared by the kernel methods; each result is bitwise the one screen
+    returns for its method alone.
+    """
     _check_int("seed", seed, 0)
     if gcv_subsample is not None:
         _check_int("gcv_subsample", gcv_subsample, 1)
@@ -253,31 +268,34 @@ def screen(
         raise ArgumentError("x has no feature columns")
     if np.all(np.ptp(y.values, axis=0) == 0.0):
         raise DegenerateDataError("response is constant; screening is meaningless")
-    if method is Method.SIS and y.p != 1:
+    if Method.SIS in methods and y.p != 1:
         raise UnsupportedMethodError("sis requires a univariate response")
 
     xv = x.values
     yv = y.values
     eps = None
-    scores = np.empty(p)
+    scores = {method: np.empty(p) for method in methods}
 
-    if method is Method.SIS:
+    if Method.SIS in scores:
         for r in range(p):
-            scores[r] = pearson_score(xv[:, r], yv[:, 0])
+            scores[Method.SIS][r] = pearson_score(xv[:, r], yv[:, 0])
 
-    elif method is Method.DC:
+    if Method.DC in scores:
         dy = centered_distances(yv)
         for r in range(p):
-            scores[r] = dcor_score(xv[:, r], dy=dy)
+            scores[Method.DC][r] = dcor_score(xv[:, r], dy=dy)
+        del dy  # n x n, and not needed by the kernel methods
 
-    else:
+    kcca, hsic = Method.KCCA in scores, Method.HSIC in scores
+    if kcca or hsic:
         # Non-constant response plus the scale-free bandwidth rule guarantees
         # a nonzero centered Gram, so no rank guard is needed here.
         bw_y = _column_bandwidth(yv, "response")
         ly = gram(yv, bw_y)
-        # KCCA reads each centered Gram's retained spectrum, HSIC the
+        # KCCA reads the centered Gram's retained spectrum, HSIC the
         # centered factor itself.
-        gy = center_and_decompose(ly) if method is Method.KCCA else center(ly)
+        gy = center_and_decompose(ly) if kcca else None
+        ly_c = center(ly) if hsic else None
 
         bws = [_column_bandwidth(xv[:, r], f"feature {r + 1}") for r in range(p)]
 
@@ -290,8 +308,7 @@ def screen(
         # Each feature's factor is built once: the GCV subsample's factors
         # are kept for scoring, the rest are built as they are scored.
         tuned = {}
-
-        if method is Method.KCCA:
+        if kcca:
             eps = fixed_eps
             if eps is None:
                 k_budget = gcv_subsample if gcv_subsample is not None else min(p, GCV_SUBSAMPLE_DEFAULT)
@@ -303,13 +320,15 @@ def screen(
                 tuned = dict(factors(tuning_idx))
                 eps = select_epsilon(ly, list(tuned.values())).epsilon
 
-            def score_block(lxs):
-                return kcca_block(lxs, gy, eps)
-
-        else:  # HSIC
-
-            def score_block(lxs):
-                return hsic_block(lxs, gy)
+        def score_block(start, lxs):
+            # One centered stack per block, scored by every kernel method and
+            # dropped on return, before the next block's factors are built.
+            c, ranks = _centered_stack(lxs, n)
+            stop = start + len(lxs)
+            if kcca:
+                scores[Method.KCCA][start:stop] = _stack_kcca(c, gy, eps)
+            if hsic:
+                scores[Method.HSIC][start:stop] = _stack_hsic(c, ranks, ly_c)
 
         # Scored in fixed index blocks [0, 16), [16, 32), ...: a KCCA score
         # depends on the width of its block, which must not depend on seed
@@ -317,18 +336,20 @@ def screen(
         # built in blocks of their own, in index order, as scoring needs them.
         rest = (lx for _, lx in factors([r for r in range(p) if r not in tuned]))
         for start in range(0, p, _GRAM_BLOCK):
-            stop = min(start + _GRAM_BLOCK, p)
-            scores[start:stop] = score_block(
-                [tuned.pop(r) if r in tuned else next(rest) for r in range(start, stop)]
-            )
+            score_block(start, [tuned.pop(r) if r in tuned else next(rest)
+                                for r in range(start, min(start + _GRAM_BLOCK, p))])
 
-    ranking = rank_by_score(scores)
-    m = _resolve_m(rule, method, eps, n, p)
-    return ScreeningResult(
-        scores=scores,
-        ranking=ranking,
-        selected=ranking[:m].copy(),
-        epsilon=eps,
-        method=method,
-        m=m,
-    )
+    results = {}
+    for method in methods:
+        ranking = rank_by_score(scores[method])
+        method_eps = eps if method is Method.KCCA else None
+        m = _resolve_m(rule, method_eps, n, p)
+        results[method] = ScreeningResult(
+            scores=scores[method],
+            ranking=ranking,
+            selected=ranking[:m].copy(),
+            epsilon=method_eps,
+            method=method,
+            m=m,
+        )
+    return results

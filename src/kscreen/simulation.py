@@ -7,8 +7,10 @@ coefficients.  Suite "sim2" keeps the same design and draws a bivariate
 normal response whose cross-correlation is a nonlinear function of the
 active predictors, so only the multivariate-capable methods apply.
 
-Per replication, every method screens identical data; the recorded metric
-is the minimum model size S needed to cover the active set.  A report
+Per replication, every method screens identical data in one call
+(screening._screen_methods), so kcca and hsic share one kernel
+preparation: each bandwidth and Gram factor is built once.  The recorded
+metric is the minimum model size S needed to cover the active set.  A report
 aggregates the 25/50/75 percent quantiles of S and the proportion P of
 replications with S <= d for three model-size budgets d1 < d2 < d3, with
 d1 = floor(n / log n) for sim1 and the model-specific sizes for sim2.
@@ -32,7 +34,9 @@ import numpy as np
 from .errors import ArgumentError, KScreenError, UnsupportedMethodError
 from .kernels import DataMatrix
 from .measures import Method
-from .screening import ScreeningResult, ThresholdRule, _check_epsilon, _check_int, screen
+from .screening import (
+    ScreeningResult, ThresholdRule, _check_epsilon, _check_int, _screen_methods,
+)
 
 SIM1_CONSTANTS = (2.0, 0.5, 3.0, 2.0)
 SIM1_ACTIVE = (1, 2, 12, 22)
@@ -125,8 +129,8 @@ def ar_gaussian(n: int, p: int, rho: float, seed) -> DataMatrix:
     """
     if not -1.0 < rho < 1.0:
         raise ArgumentError(f"rho must lie in (-1, 1), got {rho}")
-    if n < 1 or p < 1:
-        raise ArgumentError(f"n and p must be positive, got n={n}, p={p}")
+    _check_int("n", n, 1)
+    _check_int("p", p, 1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, p))
     out = np.empty((n, p))
@@ -259,19 +263,9 @@ def _replication_sizes(spec, methods, epsilon, gcv_subsample, rep: int) -> dict:
     rep_seed = spec.seed + rep
     try:
         inst = _generate_instance(spec, rep_seed)
-        out = {}
-        for method in methods:
-            result = screen(
-                inst.x,
-                inst.y,
-                method=method,
-                rule=ThresholdRule.fixed(spec.p),
-                epsilon=epsilon if method is Method.KCCA else "auto",
-                seed=rep_seed,
-                gcv_subsample=gcv_subsample,
-            )
-            out[method.value] = min_model_size(result, inst.active)
-        return out
+        results = _screen_methods(inst.x, inst.y, methods, ThresholdRule.fixed(spec.p),
+                                  epsilon, rep_seed, gcv_subsample)
+        return {method.value: min_model_size(results[method], inst.active) for method in methods}
     except KScreenError as e:
         raise type(e)(f"replication {rep}: {e}") from None
 
@@ -306,9 +300,14 @@ def run_suite(
     if gcv_subsample is not None:
         _check_int("gcv_subsample", gcv_subsample, 1)
     _check_epsilon(epsilon)
-    d_values = tuple(int(d) for d in (d_values if d_values is not None else default_d_values(spec)))
+    d_values = tuple(d_values if d_values is not None else default_d_values(spec))
     if len(d_values) != 3:
         raise ArgumentError(f"expected three d values, got {d_values}")
+    for d in d_values:
+        _check_int("d value", d, 1)
+    if not d_values[0] <= d_values[1] <= d_values[2]:
+        raise ArgumentError(f"d values must be nondecreasing, got {d_values}")
+    d_values = tuple(int(d) for d in d_values)
 
     worker = partial(_replication_sizes, spec, methods, epsilon, gcv_subsample)
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
+from kscreen import screening
 from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
 from kscreen.measures import hsic_block, kcca_block
 from tests.helpers import (
@@ -369,3 +370,47 @@ def test_hsic_of_centered_grams_is_nonnegative_and_exactly_symmetric(kx, draw):
     forward = ks.hsic_score(gx, gy)
     assert forward >= 0.0
     assert forward == ks.hsic_score(gy, gx)
+
+
+@st.composite
+def wide_tables(draw):
+    # p is never a multiple of the 16-feature block, so the last block is
+    # narrower; some columns may be constant, and the response may be
+    # bivariate.
+    n = draw(st.integers(6, 14))
+    p = draw(st.integers(17, 40).filter(lambda p: p % 16))
+    x = draw(hnp.arrays(np.int64, (n, p), elements=st.integers(-1000, 1000))) / 100.0
+    for r in draw(st.lists(st.integers(0, p - 1), max_size=3)):
+        x[:, r] = x[0, r]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.sin(x[:, :1]) + x[:, :1] ** 2 / 10.0 + rng.standard_normal((n, 1))
+    if draw(st.booleans()):
+        y = np.column_stack([y[:, 0], np.cos(x[:, 1]) + rng.standard_normal(n)])
+    return x, y
+
+
+@SETTINGS
+@given(table=wide_tables(), draw=st.data())
+def test_methods_screened_together_are_bitwise_the_separate_screens(table, draw):
+    # One shared kernel preparation per call, as in a run_suite replication.
+    x, y = table
+    p = x.shape[1]
+    pool = ["kcca", "hsic", "dc"] + (["sis"] if y.shape[1] == 1 else [])
+    methods = tuple(ks.Method(m) for m in draw.draw(st.permutations(pool)))
+    epsilon = draw.draw(st.sampled_from(["auto", 1e-5, 0.1]))
+    seed = draw.draw(st.integers(0, 1000))
+    gcv_subsample = draw.draw(st.integers(1, p - 1))
+    rule = ks.ThresholdRule.fixed(draw.draw(st.integers(1, p)))
+    xm, ym = ks.DataMatrix(x), ks.DataMatrix(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ks.DegenerateDataWarning)
+        together = screening._screen_methods(xm, ym, methods, rule, epsilon, seed, gcv_subsample)
+        for method in methods:
+            alone = ks.screen(xm, ym, method=method, rule=rule, epsilon=epsilon, seed=seed,
+                              gcv_subsample=gcv_subsample)
+            got = together[method]
+            assert got.method is method
+            assert got.scores.tobytes() == alone.scores.tobytes(), method
+            assert got.ranking.tobytes() == alone.ranking.tobytes(), method
+            assert got.selected.tobytes() == alone.selected.tobytes(), method
+            assert got.epsilon == alone.epsilon and got.m == alone.m, method

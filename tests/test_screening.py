@@ -41,6 +41,11 @@ class TestAutoThreshold:
         with pytest.raises(ArgumentError):
             ks.auto_threshold(1.0, 0, 100)
 
+    @pytest.mark.parametrize("n, p", [(16.5, 100), (16, 100.7), (True, 100), (16, "100")])
+    def test_non_integer_sizes_rejected(self, n, p):
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            ks.auto_threshold(0.5, n, p)
+
 
 class TestRankByScore:
     def test_example(self):

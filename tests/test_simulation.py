@@ -37,6 +37,15 @@ class TestArGaussian:
         with pytest.raises(ArgumentError):
             ks.ar_gaussian(10, 2, 1.0, seed=0)
 
+    @pytest.mark.parametrize("n, p", [(40.5, 5), (40, 5.5), (True, 5), (40, "5"), (np.int64(0), 5)])
+    def test_non_integer_or_nonpositive_size_rejected(self, n, p):
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            ks.ar_gaussian(n, p, 0.5, seed=0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        a = ks.ar_gaussian(np.int64(12), np.int32(4), 0.5, seed=3).values
+        np.testing.assert_array_equal(a, ks.ar_gaussian(12, 4, 0.5, seed=3).values)
+
 
 class TestGenSim1:
     def test_constants(self):
@@ -226,6 +235,25 @@ class TestSpecAndDefaults:
         with pytest.raises(ArgumentError, match="epsilon"):
             ks.run_suite(spec, methods, epsilon=epsilon)
 
+    @pytest.mark.parametrize("d_values", [
+        (2.7, 4.2, 6.9), (2.7, True, 6.9), (2, 4.0, 6), (0, 4, 6), (2, "4", 6), (2, 1, 6),
+        (2, 6, 4),
+    ])
+    def test_bad_d_values_rejected_before_the_pool_starts(self, monkeypatch, d_values):
+        def boom(*args, **kwargs):
+            raise AssertionError("run_suite started its pool before checking d_values")
+
+        monkeypatch.setattr(ks.simulation, "ProcessPoolExecutor", boom)
+        spec = ks.SimulationSpec(suite="sim1", model_id=1, n=20, p=25, reps=1, seed=0)
+        with pytest.raises(ArgumentError, match="d value"):
+            ks.run_suite(spec, ("sis",), d_values=d_values)
+
+    def test_numpy_integer_d_values_reported_as_ints(self):
+        spec = ks.SimulationSpec(suite="sim1", model_id=1, n=20, p=25, reps=1, seed=0)
+        rep = ks.run_suite(spec, ("sis",), d_values=(np.int64(2), 4, np.int32(4)))
+        assert rep.d_values == (2, 4, 4)
+        assert all(type(d) is int for d in rep.d_values)
+
     @pytest.mark.parametrize("threads", [1.5, True, "2", None, 0])
     def test_bad_threads_rejected_before_the_pool_starts(self, monkeypatch, threads):
         def boom(*args, **kwargs):
@@ -377,3 +405,53 @@ class TestReplicationWorker:
         spec = ks.SimulationSpec(suite="sim1", model_id=1, n=20, p=25, reps=5, seed=0)
         with pytest.raises(ArgumentError, match="replication 3"):
             _replication_sizes(spec, (Method.KCCA,), -1.0, None, 3)
+
+    def test_one_kernel_preparation_per_replication(self, monkeypatch):
+        # kcca and hsic share every bandwidth, factor and centered stack:
+        # p + 1 bandwidths, one factor per predictor and one stack per
+        # 16-feature block, with the GCV subsample drawn (p > 20).
+        from kscreen import screening
+        from kscreen.measures import Method
+        from kscreen.simulation import _replication_sizes
+
+        calls = {"bandwidth": 0, "factors": 0, "stacks": 0}
+
+        def counting(key, fn, size=lambda *a: 1):
+            def wrapped(*args, **kwargs):
+                calls[key] += size(*args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(screening, "bandwidth", counting("bandwidth", screening.bandwidth))
+        monkeypatch.setattr(screening, "gram_block",
+                            counting("factors", screening.gram_block, lambda s, b: len(b)))
+        monkeypatch.setattr(screening, "_centered_stack",
+                            counting("stacks", screening._centered_stack))
+        p = 40
+        spec = ks.SimulationSpec(suite="sim2", model_id=1, n=30, p=p, reps=1, seed=5)
+        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC), "auto", 20, 0)
+        assert set(out) == {"kcca", "hsic", "dc"}
+        assert calls == {"bandwidth": p + 1, "factors": p, "stacks": math.ceil(p / 16)}
+
+    def test_constant_column_warns_once_per_replication(self, monkeypatch):
+        import warnings
+
+        from kscreen import simulation
+        from kscreen.measures import Method
+
+        generate = simulation._generate_instance
+
+        def with_constant_column(spec, rep_seed):
+            inst = generate(spec, rep_seed)
+            x = inst.x.values.copy()
+            x[:, 5] = 1.0
+            return simulation.ModelInstance(ks.DataMatrix(x), inst.y, inst.active, inst.coeffs)
+
+        monkeypatch.setattr(simulation, "_generate_instance", with_constant_column)
+        spec = ks.SimulationSpec(suite="sim1", model_id=1, n=30, p=25, reps=1, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulation._replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC, Method.SIS),
+                                          "auto", None, 0)
+        degenerate = [w for w in caught if issubclass(w.category, ks.DegenerateDataWarning)]
+        assert len(degenerate) == 1 and "feature 6" in str(degenerate[0].message)
