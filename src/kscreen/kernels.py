@@ -13,6 +13,7 @@ immutable, so instances can be shared freely across concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +28,7 @@ DEFAULT_TOL_REL = 1e-10
 # DEFAULT_TOL_REL * max(lambda_max, 1) >= DEFAULT_TOL_REL.
 RESIDUAL_TRACE_TOL = 1e-3 * DEFAULT_TOL_REL
 
-
-def thin_svd(matrix: np.ndarray) -> tuple:
-    """np.linalg.svd(matrix, full_matrices=False) with LAPACK failures mapped
-    to NumericError."""
-    try:
-        return np.linalg.svd(matrix, full_matrices=False)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"singular value decomposition failed: {e}") from None
+_TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 def gram_eigh(factor: np.ndarray) -> tuple:
@@ -169,6 +163,32 @@ def _as_factor(factor) -> np.ndarray:
     return arr
 
 
+def _factor_stack(lxs, n: int) -> tuple:
+    """A block's kernel factors, zero-padded to the widest rank r into one
+    (b, n, r) stack, and the list of their ranks.
+
+    Raises ArgumentError unless lxs holds at least one n x r factor with
+    r <= n, and DataError if a factor has a non-finite entry.
+    """
+    factors = [np.asarray(lx, dtype=float) for lx in lxs]
+    if not factors:
+        raise ArgumentError("a block needs at least one predictor factor")
+    for m, lx in enumerate(factors):
+        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
+            raise ArgumentError(
+                f"kernel factor {m} must be {n} x r with r <= {n}, got shape {lx.shape}"
+            )
+    ranks = [lx.shape[1] for lx in factors]
+    # At least one column, so that a block of n x 0 factors scores 0 too.
+    stack = np.zeros((len(factors), n, max(1, *ranks)))
+    for m, lx in enumerate(factors):
+        stack[m, :, :lx.shape[1]] = lx
+    # One finiteness check for the whole block, not one per factor.
+    if not np.all(np.isfinite(stack)):
+        raise DataError("kernel factor entries must be finite")
+    return stack, ranks
+
+
 def _check_positive_epsilon(epsilon):
     """Raise ArgumentError unless the ridge epsilon is positive and finite."""
     if not np.isfinite(epsilon) or epsilon <= 0.0:
@@ -226,19 +246,43 @@ def bandwidth(samples) -> Bandwidth:
     if n < 2:
         raise ArgumentError(f"bandwidth needs at least 2 samples, got {n}")
     if pts.shape[1] == 1:
-        gaps = np.diff(np.sort(pts[:, 0]))
-        k = np.arange(1, n)
-        total = float(np.sum(gaps * (k * (n - k))))
+        (total,) = _scalar_distance_sums(pts.T)
     else:
         d2 = _pairwise_sq_dists(pts)
         iu = np.triu_indices(n, k=1)
         total = float(np.sum(np.sqrt(d2[iu])))
+    return _bandwidth_from_sum(total, n)
+
+
+def _scalar_distance_sums(rows: np.ndarray) -> list:
+    """sum_{i<j} |x_i - x_j| of each row of a (p, n) array of scalar
+    samples, from one sort of all rows, by bandwidth's sorted form.
+
+    Each row is summed as a 1-D array, so its sum is bitwise the one of
+    that row alone.
+    """
+    n = rows.shape[1]
+    k = np.arange(1, n)
+    weighted = np.diff(np.sort(rows, axis=1), axis=1)
+    weighted *= k * (n - k)
+    return [float(row.sum()) for row in weighted]
+
+
+def _bandwidth_from_sum(total: float, n: int) -> Bandwidth:
+    """bandwidth's gamma from the sum of the n (n - 1) / 2 pairwise
+    distances; raises DegenerateDataError as bandwidth does.
+
+    The arithmetic is on Python floats, whose operations round as numpy's
+    scalar ones do; an array power would round differently.
+    """
     if total == 0.0:
         raise DegenerateDataError("all samples identical: mean pairwise distance is 0")
-    inv_sqrt_gamma = 2.0 * np.sqrt(2.0) * total / (n * (n - 1))
-    with np.errstate(over="ignore"):
+    inv_sqrt_gamma = _TWO_SQRT2 * total / (n * (n - 1))
+    try:
         gamma = inv_sqrt_gamma ** -2.0
-    if not np.isfinite(gamma) or gamma <= 0.0:
+    except OverflowError:
+        gamma = math.inf
+    if not 0.0 < gamma < math.inf:
         raise DegenerateDataError(f"pairwise distances produce unusable gamma {gamma!r}")
     return Bandwidth(gamma=gamma)
 
@@ -358,7 +402,10 @@ def center_and_decompose(factor) -> CenteredGram:
     DataError
         If it has a non-finite entry.
     """
-    u, s, _ = thin_svd(center(factor))
+    try:
+        u, s, _ = np.linalg.svd(center(factor), full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"singular value decomposition failed: {e}") from None
     d = s * s
     tol_abs = DEFAULT_TOL_REL * max(float(d[0]) if d.size else 0.0, 1.0)
     rank = int(np.count_nonzero(d >= tol_abs))

@@ -30,10 +30,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
+from .errors import ArgumentError, NumericError, UnsupportedMethodError
 from .kernels import (
     DEFAULT_TOL_REL, CenteredGram, _as_factor, _as_samples, _check_positive_epsilon,
-    _pairwise_sq_dists, gram_eigh,
+    _factor_stack, _pairwise_sq_dists, gram_eigh,
 )
 
 
@@ -67,25 +67,9 @@ def _centered_stack(lxs, n: int) -> tuple:
     """A block's kernel factors, zero-padded to the widest rank r and
     column-centered into one (b, n, r) stack, and the list of their ranks.
 
-    Raises ArgumentError unless lxs holds at least one n x r factor with
-    r <= n, and DataError if a factor has a non-finite entry.
+    Raises as kernels._factor_stack, which pads them.
     """
-    factors = [np.asarray(lx, dtype=float) for lx in lxs]
-    if not factors:
-        raise ArgumentError("a block needs at least one predictor factor")
-    for m, lx in enumerate(factors):
-        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
-            raise ArgumentError(
-                f"kernel factor {m} must be {n} x r with r <= {n}, got shape {lx.shape}"
-            )
-    ranks = [lx.shape[1] for lx in factors]
-    # At least one column, so that a block of n x 0 factors scores 0 too.
-    c = np.zeros((len(factors), n, max(1, *ranks)))
-    for m, lx in enumerate(factors):
-        c[m, :, :lx.shape[1]] = lx
-    # One finiteness check for the whole block, not one per factor.
-    if not np.all(np.isfinite(c)):
-        raise DataError("kernel factor entries must be finite")
+    c, ranks = _factor_stack(lxs, n)
     c -= c.mean(axis=1, keepdims=True)
     return c, ranks
 

@@ -49,8 +49,8 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .kernels import (
-    Bandwidth, DataMatrix, _check_positive_epsilon, bandwidth, center, center_and_decompose,
-    centered_distances, gram, gram_block,
+    Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon, _scalar_distance_sums,
+    bandwidth, center, center_and_decompose, centered_distances, gram, gram_block,
 )
 # hsic_score and kcca_singular_value are not called here; they stay names of
 # this module because bench/tracing.py rebinds them.
@@ -184,9 +184,11 @@ def _check_epsilon(epsilon) -> float | None:
     raise ArgumentError(f"epsilon must be 'auto' or a positive finite real, got {epsilon!r}")
 
 
-def _column_bandwidth(values: np.ndarray, label: str) -> Bandwidth:
+def _column_bandwidth(label: str, make, *args) -> Bandwidth:
+    """make(*args), or gamma = 1 with a warning naming label if the samples
+    are constant."""
     try:
-        return bandwidth(values)
+        return make(*args)
     except DegenerateDataError:
         warnings.warn(
             f"{label} is constant; substituting gamma = 1 (its score will be 0)",
@@ -201,8 +203,7 @@ def _resolve_m(rule, epsilon, n: int, p: int) -> int:
         rule = ThresholdRule.fixed(min(p, max(1, math.ceil(0.01 * p))))
     if rule.kind == "fixed_m":
         return min(rule.m, p)
-    if epsilon is None:
-        raise ArgumentError("auto threshold rule requires a KCCA epsilon")
+    # _screen_methods admits the auto rule for kcca alone, which has epsilon.
     return auto_threshold(epsilon, n, p)
 
 
@@ -270,6 +271,8 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
         raise DegenerateDataError("response is constant; screening is meaningless")
     if Method.SIS in methods and y.p != 1:
         raise UnsupportedMethodError("sis requires a univariate response")
+    if rule is not None and rule.kind == "auto" and any(m is not Method.KCCA for m in methods):
+        raise ArgumentError("auto threshold rule requires a KCCA epsilon")
 
     xv = x.values
     yv = y.values
@@ -290,14 +293,16 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
     if kcca or hsic:
         # Non-constant response plus the scale-free bandwidth rule guarantees
         # a nonzero centered Gram, so no rank guard is needed here.
-        bw_y = _column_bandwidth(yv, "response")
+        bw_y = _column_bandwidth("response", bandwidth, yv)
         ly = gram(yv, bw_y)
         # KCCA reads the centered Gram's retained spectrum, HSIC the
         # centered factor itself.
         gy = center_and_decompose(ly) if kcca else None
         ly_c = center(ly) if hsic else None
 
-        bws = [_column_bandwidth(xv[:, r], f"feature {r + 1}") for r in range(p)]
+        # Every column's pairwise-distance sum from one sort of the table.
+        bws = [_column_bandwidth(f"feature {r + 1}", _bandwidth_from_sum, total, n)
+               for r, total in enumerate(_scalar_distance_sums(xv.T))]
 
         def factors(idx):
             # (feature, factor) pairs for the features idx, built in blocks.

@@ -11,24 +11,40 @@ factor L (kernels.gram, K ~= L L^T).  The push-through identity reduces the
 (n+1)-sized inverse to A_r = Z_r^T Z_r = 1 1^T + K_r^2 = B_r B_r^T with
 B_r = [1, L_r V_r Lambda_r^(1/2)], n x (r+1), where L_r^T L_r = V_r Lambda_r
 V_r^T is the eigendecomposition of the factor's r x r Gram (eigenvalues that
-round below 0 are clipped to 0).  With B_r = P_r Sigma_r W_r^T its thin SVD,
-A_r has the eigenvalues a_i = sigma_i^2 on the columns p_i of P_r and is 0
-on their orthogonal complement, so all grid points share one small SVD per
-predictor:
+round below 0 are clipped to 0).  With B_r^T B_r = W diag(a) W^T, A_r has
+the eigenvalues a_i on the unit vectors p_i = B_r w_i / sqrt(a_i) and is 0
+on their orthogonal complement, so all grid points share
 
-    num(eps) = sum_i (eps / (a_i + eps))^2 * q_i  +  q_perp,
+    num(eps) = q_perp + sum_i (eps / (a_i + eps))^2 q_i,
     den(eps) = (1 - sum_i a_i / (a_i + eps) / n)^2,
 
-with q_i = ||B_Y^T p_i||^2 and q_perp = ||(I - P_r P_r^T) B_Y||_F^2, which
-is tr(Z_Y^T Z_Y) - sum_i q_i but is formed directly from the residual
-B_Y - P_r P_r^T B_Y: the null space of A_r adds q_perp to the numerator and
-nothing to the denominator.
+with q_i = ||B_Y^T p_i||^2 = ||c_i||^2 / a_i for c_i = B_Y^T B_r w_i, and
+q_perp = ||B_Y||_F^2 - sum_i q_i: the null space of A_r adds q_perp to the
+numerator and nothing to the denominator.
 
-The a_i and q_i of all predictors are held as rows of two arrays,
-zero-padded to the widest basis (a padded a_i = q_i = 0 adds nothing to
-either sum), and one evaluator computes a grid point for every predictor
-at once.  gcv_value and select_epsilon both call it, so their values agree
-bitwise.
+No n-sized decomposition is taken.  The factors are zero-padded into one
+(b, n, r) stack per block of _GCV_BLOCK predictors, which takes one batched
+eigh of its r x r Grams L^T L and one of its (r+1) x (r+1) arrowhead Grams
+B^T B = [[n, s^T], [s, Lambda^2]], s = Lambda^(1/2) V^T L^T 1.  An
+eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so a_i
+is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
+product B W, which keeps a small a_i as accurate as a thin SVD of B would,
+and c_i = B_Y^T (B W) comes from the same product.  A direction whose
+||B w_i||^2 is under its rounding floor is numerically null: as a padded
+one, it is held as a_i = c_i = 0 and adds exactly 0 to both sums.
+
+A direction with a_i > eps enters the numerator as (eps / (a_i + eps))^2
+q_i.  One with a_i <= eps, whose q_i would divide by a small a_i, enters as
+q_i - (a_i + 2 eps) / (a_i + eps)^2 ||c_i||^2 (since 1 - (eps / (a_i +
+eps))^2 = a_i (a_i + 2 eps) / (a_i + eps)^2), and its q_i is folded into
+q_perp + sum_{a_i <= eps} q_i = ||B_Y||_F^2 - sum_{a_i > eps} q_i.  When
+B_r spans R^n and no a_i <= eps that remainder is exactly q_perp = 0, and
+it is set to 0 rather than left as the rounding of a difference.
+
+The a_i and ||c_i||^2 of all predictors are held as rows of two arrays,
+zero-padded to the widest basis, and one evaluator computes a grid point
+for every predictor at once.  gcv_value and select_epsilon both call it, so
+their values agree bitwise.
 """
 
 from __future__ import annotations
@@ -38,13 +54,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericGuardWarning, TuningError
-from .kernels import _as_factor, _check_positive_epsilon, gram_eigh, thin_svd
+from .errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
+from .kernels import _as_factor, _check_positive_epsilon, _factor_stack, gram_eigh
 
 # The prescribed 9-point search grid 1e-5 ... 1e3.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
 
 _DENOM_GUARD = 1e-12
+
+# Predictors whose bases are decomposed together, as one zero-padded stack.
+_GCV_BLOCK = 16
+
+_ROUNDOFF = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -80,42 +101,82 @@ def _check_factor_args(epsilon, ly, lxs):
     return ly, factors
 
 
-def _gcv_basis(factor: np.ndarray) -> np.ndarray:
-    """B = [1, L V Lambda^(1/2)] for L^T L = V Lambda V^T, so that
-    B B^T = 1 1^T + L L^T L L^T = 1 1^T + K^2.  Eigenvalues that round
-    below 0 are clipped to 0."""
-    lam, v = gram_eigh(factor)
-    root = v * np.sqrt(np.maximum(lam, 0.0))
-    return np.column_stack([np.ones(factor.shape[0]), factor @ root])
-
-
 def _gcv_components(ly: np.ndarray, lxs: list) -> tuple:
-    """(n, a, q, q_perp) shared by every grid point: row m of a and q holds
-    predictor m's a_i and q_i, zero-padded to the widest basis, and q_perp[m]
-    its q_perp."""
+    """(n, a, c2, by_norm2, spans) shared by every grid point: row m of a
+    and c2 holds predictor m's a_i and ||c_i||^2, zero-padded to the widest
+    basis, by_norm2 is ||B_Y||_F^2 and spans[m] says whether predictor m's
+    basis spans all n dimensions."""
     n = ly.shape[0]
-    by = _gcv_basis(ly)
-    width = min(n, 1 + max(lx.shape[1] for lx in lxs))
+    lam, v = gram_eigh(ly)
+    by = np.column_stack([np.ones(n), ly @ (v * np.sqrt(np.maximum(lam, 0.0)))])
+    width = 1 + max(lx.shape[1] for lx in lxs)
     a = np.zeros((len(lxs), width))
-    q = np.zeros((len(lxs), width))
-    q_perp = np.empty(len(lxs))
-    for m, lx in enumerate(lxs):
-        p, sigma, _ = thin_svd(_gcv_basis(lx))
-        c = p.T @ by
-        perp = by - p @ c
-        a[m, :sigma.size] = sigma * sigma
-        q[m, :sigma.size] = np.einsum("ij,ij->i", c, c)
-        q_perp[m] = np.vdot(perp, perp)
-    return n, a, q, q_perp
+    c2 = np.zeros((len(lxs), width))
+    spans = np.zeros(len(lxs), dtype=bool)
+    for start in range(0, len(lxs), _GCV_BLOCK):
+        stop = min(start + _GCV_BLOCK, len(lxs))
+        ai, ci2, spans[start:stop] = _block_spectrum(lxs[start:stop], by)
+        a[start:stop, :ai.shape[1]] = ai
+        c2[start:stop, :ai.shape[1]] = ci2
+    return n, a, c2, np.vdot(by, by), spans
 
 
-def _gcv_at(epsilon: float, n: int, a, q, q_perp) -> tuple:
+def _block_spectrum(lxs: list, by: np.ndarray) -> tuple:
+    """a_i and ||c_i||^2 of each of a block of factors, zero-padded into one
+    (b, n, r) stack, as (b, r + 1) arrays, and whether each one's basis
+    spans R^n."""
+    n = by.shape[0]
+    stack, _ = _factor_stack(lxs, n)
+    b, _, r = stack.shape
+    lam, v = gram_eigh(stack)
+    lam = np.maximum(lam, 0.0)
+    root = v * np.sqrt(lam)[:, None, :]
+    # B^T B = [[n, s^T], [s, Lambda^2]] with s = Lambda^(1/2) V^T L^T 1.
+    arrow = np.zeros((b, r + 1, r + 1))
+    arrow[:, 0, 0] = n
+    arrow[:, 0, 1:] = arrow[:, 1:, 0] = (stack.sum(axis=1)[:, None, :] @ root)[:, 0]
+    diag = np.arange(1, r + 1)
+    arrow[:, diag, diag] = lam * lam
+    try:
+        _, w = np.linalg.eigh(arrow)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"eigendecomposition of a GCV basis Gram failed: {e}") from None
+    # B W = [1, L V Lambda^(1/2)] W in one batched product.  a_i is the
+    # Rayleigh quotient ||B w_i||^2 of the unsquared basis, which keeps a
+    # small a_i as accurate as a thin SVD of B would; the eigenvalue of
+    # B^T B is accurate only to ~1e-16 a_max.
+    bw = stack @ (root @ w[:, 1:])
+    del stack  # freed before c is allocated
+    bw += w[:, None, 0]
+    a = np.einsum("bij,bij->bj", bw, bw)
+    a_max = a.max(axis=1, keepdims=True)
+    c = by.T @ bw
+    c2 = np.einsum("bij,bij->bj", c, c)
+    # A direction above ~1e-16 (r + 1) a_max, where eigh separates it from
+    # the null space, is not null.  When n of them span R^n, every other
+    # direction is null; otherwise those under the rounding floor of
+    # ||B w_i||^2 are.  A null direction adds exactly 0.
+    real = a > (r + 1) * _ROUNDOFF * a_max
+    spans = np.count_nonzero(real, axis=1) >= n
+    null = np.where(spans[:, None], ~real, a <= np.square((r + 1) * _ROUNDOFF) * a_max)
+    return np.where(null, 0.0, a), np.where(null, 0.0, c2), spans
+
+
+def _gcv_at(epsilon: float, n: int, a, c2, by_norm2, spans) -> tuple:
     """GCV value and skipped-summand count at one ridge value, for every
-    predictor at once.  Padded entries (a = q = 0) add 0 to both sums."""
+    predictor at once.  Padded and null entries (a = c2 = 0) add 0 to every
+    sum."""
     shift = a + epsilon
     den = 1.0 - (a / shift).sum(axis=1) / n
+    large = a > epsilon
+    q = np.where(large, c2 / np.where(large, a, 1.0), 0.0)
     resid = epsilon / shift
-    num = (resid * resid * q).sum(axis=1) + q_perp
+    small = np.where(large, 0.0, (a + 2.0 * epsilon) / (shift * shift) * c2)
+    # ||B_Y||^2 - sum of q_i over a_i > eps, which is exactly q_perp = 0 for
+    # a basis that spans R^n with no a_i <= eps: set, not left as rounding.
+    rest = by_norm2 - q.sum(axis=1)
+    rest[spans & ~((a > 0.0) & ~large).any(axis=1)] = 0.0
+    num = rest + (resid * resid * q).sum(axis=1) - small.sum(axis=1)
     kept = den > _DENOM_GUARD
     return float(np.sum(num[kept] / (den[kept] * den[kept]))), int(kept.size - kept.sum())
 

@@ -350,10 +350,12 @@ def test_dcor_of_raw_samples_matches_the_dense_double_centered_form(n, dims, lev
 @given(ky=kernels(), draw=st.data(), eps=st.sampled_from(ks.GCV_GRID))
 def test_gcv_of_factors_matches_the_explicit_inverse_assembly(ky, draw, eps):
     # Over the whole kernels() domain, constant responses included.
-    # Against 50-digit arithmetic, over 5000 draws of it, the dense-SVD
-    # oracle was within 8.4e-12 relative and the factor form within 3.3e-12
-    # (worst for both: a constant response at n = 17, eps = 1e-5), far
-    # below a tenth of the rel 1e-8 gate.
+    # Against 50-digit arithmetic, over 5000 random draws of it, the
+    # dense-SVD oracle was within 5.5e-14 relative and the factor form
+    # within 1.5e-10 (worst: n = 27, eps = 1e-5, a rank-27 predictor factor
+    # whose basis Gram has eigenvalues down to 1e-15), below a tenth of
+    # the rel 1e-8 gate.  The thin-SVD factor form it replaced was within
+    # 1.9e-12 on the same draws.
     ypts, ybw = ky
     xs = [sample_kernel(draw.draw, ypts.shape[0]) for _ in range(draw.draw(st.integers(1, 3)))]
     got = ks.gcv_value(eps, ks.gram(ypts, ybw), [ks.gram(p, b) for p, b in xs])

@@ -218,6 +218,28 @@ class TestScreen:
         with pytest.raises(ArgumentError):
             ks.screen(x, y, method="dc", rule=ks.ThresholdRule.auto())
 
+    def test_auto_rule_without_kcca_rejected_before_any_factor(self, monkeypatch):
+        calls = []
+        gram_block = screening.gram_block
+
+        def counting(samples, bws):
+            calls.append(len(bws))
+            return gram_block(samples, bws)
+
+        monkeypatch.setattr(screening, "gram_block", counting)
+        x, y = make_data(seed=15, n=30, p=40)
+        auto = ks.ThresholdRule.auto()
+        with pytest.raises(ArgumentError, match="auto threshold rule requires a KCCA epsilon"):
+            ks.screen(x, y, method="hsic", rule=auto)
+        # Several methods share the rule, so one that is not kcca rejects it.
+        with pytest.raises(ArgumentError, match="auto threshold rule requires a KCCA epsilon"):
+            screening._screen_methods(x, y, (ks.Method.KCCA, ks.Method.HSIC), auto, "auto", 0,
+                                      None)
+        assert calls == []
+        assert ks.screen(x, y, method="kcca", rule=auto).m == ks.auto_threshold(
+            ks.screen(x, y, method="kcca").epsilon, 30, 40)
+        assert sum(calls) > 0
+
     def test_default_rule_is_top_percent(self):
         x, y = make_data(seed=16, n=30, p=10)
         res = ks.screen(x, y, method="dc")

@@ -408,8 +408,9 @@ class TestReplicationWorker:
 
     def test_one_kernel_preparation_per_replication(self, monkeypatch):
         # kcca and hsic share every bandwidth, factor and centered stack:
-        # p + 1 bandwidths, one factor per predictor and one stack per
-        # 16-feature block, with the GCV subsample drawn (p > 20).
+        # p + 1 bandwidths (the response's by bandwidth, the p columns' from
+        # one batched distance-sum pass), one factor per predictor and one
+        # stack per 16-feature block, with the GCV subsample drawn (p > 20).
         from kscreen import screening
         from kscreen.measures import Method
         from kscreen.simulation import _replication_sizes
@@ -423,6 +424,8 @@ class TestReplicationWorker:
             return wrapped
 
         monkeypatch.setattr(screening, "bandwidth", counting("bandwidth", screening.bandwidth))
+        monkeypatch.setattr(screening, "_scalar_distance_sums",
+                            counting("bandwidth", screening._scalar_distance_sums, len))
         monkeypatch.setattr(screening, "gram_block",
                             counting("factors", screening.gram_block, lambda s, b: len(b)))
         monkeypatch.setattr(screening, "_centered_stack",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kscreen as ks
+from kscreen import tuning
 from kscreen.errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
 from tests.helpers import dense_gram, gcv_dense_oracle
 
@@ -114,6 +115,17 @@ class TestGcvValue:
             ks.gcv_value(0.1, ly, lxs)
         with pytest.raises(NumericError):
             ks.select_epsilon(ly, lxs)
+
+    def test_no_singular_value_decomposition(self, monkeypatch):
+        # Every predictor's basis is decomposed through eigh of small Grams.
+        def boom(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        ly, lxs = toy_kernels(seed=4, n=40, p=20)
+        want = [ks.gcv_value(eps, ly, lxs) for eps in ks.GCV_GRID]
+        monkeypatch.setattr(np.linalg, "svd", boom)
+        assert [ks.gcv_value(eps, ly, lxs) for eps in ks.GCV_GRID] == want
+        assert ks.select_epsilon(ly, lxs).gcv_values == tuple(want)
 
     def test_large_epsilon_limit(self):
         columns = toy_columns(42, 6, 2)
@@ -261,3 +273,34 @@ class TestSelectEpsilon:
     def test_predictor_list_must_be_nonempty(self):
         with pytest.raises(ArgumentError):
             ks.gcv_value(0.1, np.eye(3), [])
+
+
+def level_factor(draw, n):
+    # Few levels give low-rank and constant predictors, many give wide ones.
+    levels = draw(st.sampled_from([1, 3, 50, 1000]))
+    pts = np.array(draw(st.lists(st.integers(-levels, levels), min_size=n, max_size=n))) / 100.0
+    try:
+        bw = ks.bandwidth(pts)
+    except ks.DegenerateDataError:
+        bw = ks.Bandwidth(1.0)
+    return ks.gram(pts, bw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(6, 30), k=st.integers(0, 40), draw=st.data())
+def test_gcv_summand_does_not_depend_on_its_block(n, k, draw):
+    # A predictor's summand, alone or zero-padded into a block of up to 41
+    # factors of other ranks at any position, agrees up to the rounding of
+    # the padded eighs: at most 2.0e-10 relative over 5000 random draws of
+    # this domain (n = 6, eps = 1e-5, rank 5 padded to 6), so the bound is
+    # ten times that.
+    ly = level_factor(draw.draw, n)
+    lx = level_factor(draw.draw, n)
+    others = [level_factor(draw.draw, n) for _ in range(k)]
+    m = draw.draw(st.integers(0, k))
+    alone = tuning._gcv_components(ly, [lx])
+    n_, a, c2, by_norm2, spans = tuning._gcv_components(ly, others[:m] + [lx] + others[m:])
+    for eps in ks.GCV_GRID:
+        want, _ = tuning._gcv_at(eps, *alone)
+        got, _ = tuning._gcv_at(eps, n_, a[m:m + 1], c2[m:m + 1], by_norm2, spans[m:m + 1])
+        assert got == pytest.approx(want, rel=2e-9, abs=0.0)
