@@ -141,17 +141,23 @@ def _block_spectrum(lxs: list, by: np.ndarray) -> tuple:
         _, w = np.linalg.eigh(arrow)
     except np.linalg.LinAlgError as e:
         raise NumericError(f"eigendecomposition of a GCV basis Gram failed: {e}") from None
-    # B W = [1, L V Lambda^(1/2)] W in one batched product.  a_i is the
-    # Rayleigh quotient ||B w_i||^2 of the unsquared basis, which keeps a
-    # small a_i as accurate as a thin SVD of B would; the eigenvalue of
-    # B^T B is accurate only to ~1e-16 a_max.
-    bw = stack @ (root @ w[:, 1:])
-    del stack  # freed before c is allocated
-    bw += w[:, None, 0]
-    a = np.einsum("bij,bij->bj", bw, bw)
+    # a_i is the Rayleigh quotient ||B w_i||^2 of the unsquared basis, which
+    # keeps a small a_i as accurate as a thin SVD of B would; the eigenvalue
+    # of B^T B is accurate only to ~1e-16 a_max.  B W = [1, L V
+    # Lambda^(1/2)] W is formed half a block at a time, so that it adds at
+    # most half the stack's size to the memory the stack holds.
+    proj = root @ w[:, 1:]
+    a = np.empty((b, r + 1))
+    c2 = np.empty((b, r + 1))
+    for h in range(0, b, _GCV_BLOCK // 2):
+        half = slice(h, h + _GCV_BLOCK // 2)
+        bw = stack[half] @ proj[half]
+        bw += w[half, None, 0]
+        a[half] = np.einsum("bij,bij->bj", bw, bw)
+        c = by.T @ bw
+        c2[half] = np.einsum("bij,bij->bj", c, c)
+        del bw, c  # before the next half's are allocated
     a_max = a.max(axis=1, keepdims=True)
-    c = by.T @ bw
-    c2 = np.einsum("bij,bij->bj", c, c)
     # A direction above ~1e-16 (r + 1) a_max, where eigh separates it from
     # the null space, is not null.  When n of them span R^n, every other
     # direction is null; otherwise those under the rounding floor of
