@@ -29,9 +29,11 @@ B^T B = [[n, s^T], [s, Lambda^2]], s = Lambda^(1/2) V^T L^T 1.  An
 eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so a_i
 is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
 product B W, which keeps a small a_i as accurate as a thin SVD of B would,
-and c_i = B_Y^T (B W) comes from the same product.  A direction whose
-||B w_i||^2 is under its rounding floor is numerically null: as a padded
-one, it is held as a_i = c_i = 0 and adds exactly 0 to both sums.
+and c_i = B_Y^T (B W) comes from the same product.  A direction is
+numerically null when its ||B w_i||^2 is under its rounding floor, or when
+n other directions, each clearly above the resolution of eigh, already
+span R^n.  As a padded one, it is held as a_i = c_i = 0 and adds exactly 0
+to both sums.
 
 A direction with a_i > eps enters the numerator as (eps / (a_i + eps))^2
 q_i.  One with a_i <= eps, whose q_i would divide by a small a_i, enters as
