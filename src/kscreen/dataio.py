@@ -3,7 +3,9 @@
 CSV input is UTF-8 with a header row, comma-delimited, '.' decimal.  Every
 cell must parse as a finite number; missing, NaN and infinite values are
 rejected rather than imputed.  Row/column positions in error messages are
-1-based (rows count data rows, excluding the header).
+1-based (rows count data rows, excluding the header).  The body is parsed
+by numpy's C parser; a body it cannot read in full goes through the csv
+module row by row, which gives the same values and reports every error.
 
 Output floats are rendered with 17 significant digits so a reload
 reproduces the exact value; the JSON emitter below keeps key order and
@@ -76,6 +78,81 @@ def _parse_row(row, i, header) -> np.ndarray:
     return values
 
 
+def _column_positions(header, response_columns) -> tuple:
+    """(y_pos, x_pos): the response columns' 0-based positions and the
+    remaining columns' positions, in file order."""
+    y_pos = _resolve_response_columns(header, response_columns)
+    x_pos = [j for j in range(len(header)) if j not in y_pos]
+    if not x_pos:
+        raise ArgumentError("every column was taken as a response; no predictors remain")
+    return y_pos, x_pos
+
+
+def _read_header(reader, path) -> list:
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    return [h.strip() for h in header]
+
+
+# loadtxt skips blank lines, which the row path rejects; each one is passed
+# on as this text, which no float parser reads, so that the parse fails.
+_BLANK_LINE = "?\n"
+
+
+def _parse_body(lines, width: int):
+    """The data rows of an open CSV body as an (n, width) float array, by
+    numpy's C parser, or None if it cannot stand in for the row path.
+
+    ``lines`` yields the file's lines after the header.  None is returned
+    when the body has no line, when loadtxt rejects a line (quotes, missing
+    or unparsable cells, ragged or blank lines), and when a cell is NaN or
+    infinite; the row path then reports the error where it always has.
+    Every cell loadtxt reads is one float() reads to the same value.
+    """
+    first = next(lines, None)
+    if first is None:
+        return None
+    body = itertools.chain([first], lines)
+    try:
+        values = np.loadtxt(
+            (line if line.strip("\r\n") else _BLANK_LINE for line in body),
+            delimiter=",", comments=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_rows(reader, header, path, response_columns) -> np.ndarray:
+    """The data rows below the header as an (n, p) array, row by row: the
+    first missing, unparsable or miscounted cell is reported before any
+    NaN/Inf cell, which is reported at its first occurrence in row-major
+    order."""
+    first = next(reader, None)
+    if first is None:
+        raise DataError(f"{path}: no data rows below the header")
+    # The response columns are checked before any row is parsed.
+    _column_positions(header, response_columns)
+    rows = []
+    non_finite = None
+    for i, row in enumerate(itertools.chain([first], reader), start=1):
+        parsed = _parse_row(row, i, header)
+        # float() accepts nan/inf spellings; keep the first such cell.
+        if non_finite is None and not np.isfinite(parsed).all():
+            j = int(np.argmin(np.isfinite(parsed)))
+            non_finite = (
+                f"non-finite value '{row[j].strip()}' at row {i}, "
+                f"column {j + 1} ('{header[j]}')"
+            )
+        rows.append(parsed)
+    if non_finite is not None:
+        raise DataError(non_finite)
+    return np.array(rows)
+
+
 def load_csv(path, response_columns):
     """Load a CSV file into predictor and response matrices.
 
@@ -84,9 +161,14 @@ def load_csv(path, response_columns):
     remaining columns become predictors, preserving file order; column
     names are retained on both matrices.
 
-    Rows are converted as they are read.  A missing, unparsable or
-    miscounted cell anywhere is reported before any NaN/Inf cell, which is
-    reported at its first occurrence in row-major order.
+    The header is read by the csv module.  The body goes line by line
+    through numpy's C parser (np.loadtxt); a body it cannot parse in full,
+    or that holds a NaN or infinite cell, is read again from the start by
+    the row path, which converts each csv row as it is read.  The two give
+    bitwise the same values, and every error comes from the row path: a
+    missing, unparsable or miscounted cell anywhere is reported before any
+    NaN/Inf cell, which is reported at its first occurrence in row-major
+    order.
 
     Returns
     -------
@@ -97,36 +179,14 @@ def load_csv(path, response_columns):
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        first = next(reader, None)
-        if first is None:
-            raise DataError(f"{path}: no data rows below the header")
-
-        y_pos = _resolve_response_columns(header, response_columns)
-        x_pos = [j for j in range(len(header)) if j not in y_pos]
-        if not x_pos:
-            raise ArgumentError("every column was taken as a response; no predictors remain")
-
-        rows = []
-        non_finite = None
-        for i, row in enumerate(itertools.chain([first], reader), start=1):
-            parsed = _parse_row(row, i, header)
-            # float() accepts nan/inf spellings; keep the first such cell.
-            if non_finite is None and not np.isfinite(parsed).all():
-                j = int(np.argmin(np.isfinite(parsed)))
-                non_finite = (
-                    f"non-finite value '{row[j].strip()}' at row {i}, "
-                    f"column {j + 1} ('{header[j]}')"
-                )
-            rows.append(parsed)
-    if non_finite is not None:
-        raise DataError(non_finite)
-
-    values = np.array(rows)
+        header = _read_header(csv.reader(fh), path)
+        values = _parse_body(iter(fh), len(header))
+        if values is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            _read_header(reader, path)
+            values = _parse_rows(reader, header, path, response_columns)
+    y_pos, x_pos = _column_positions(header, response_columns)
     x = DataMatrix(values=values[:, x_pos], columns=[header[j] for j in x_pos])
     y = DataMatrix(values=values[:, y_pos], columns=[header[j] for j in y_pos])
     return x, y

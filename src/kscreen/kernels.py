@@ -142,13 +142,14 @@ def _as_samples(samples) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ArgumentError(f"samples must be scalars or same-length vectors, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError("samples must be finite")
     return arr
 
 
-def _as_factor(factor) -> np.ndarray:
-    """Check an n x r kernel factor as gram returns it: n >= 1, r <= n, finite.
+def _factor_shape(factor) -> np.ndarray:
+    """A kernel factor as a float array, checked to be n x r with n >= 1 and
+    r <= n but not checked to be finite.
 
     A factor with more columns than rows is rejected; it is most often a
     transposed one.
@@ -158,6 +159,13 @@ def _as_factor(factor) -> np.ndarray:
         raise ArgumentError(
             f"a kernel factor must be n x r with n >= 1 and r <= n, got shape {arr.shape}"
         )
+    return arr
+
+
+def _as_factor(factor) -> np.ndarray:
+    """Check an n x r kernel factor as gram returns it: _factor_shape's
+    shape, and finite."""
+    arr = _factor_shape(factor)
     if not np.all(np.isfinite(arr)):
         raise DataError("kernel factor entries must be finite")
     return arr

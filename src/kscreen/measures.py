@@ -7,7 +7,9 @@ factors (kernels.center), distance correlation a predictor's raw samples
 against the response's double-centered distance matrix
 (kernels.centered_distances), and Pearson two scalar sample vectors.  A
 caller screening many predictors against one response prepares the
-response side once.  kcca_block and hsic_block score a block of predictor
+response side once; for distance correlation that is a private
+_DistanceResponse, which also holds the response's row sums, its distance
+variance and the n x n buffer every scalar predictor's score reuses.  kcca_block and hsic_block score a block of predictor
 kernel factors at once, from one zero-padded, column-centered stack of
 them, and return an array; hsic_score runs hsic_block's arithmetic on a
 stack of one.  Both are thin wrappers: the stack is built by
@@ -26,6 +28,7 @@ centered operators are orthogonal.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -177,7 +180,27 @@ def _stack_hsic(c: np.ndarray, ranks: list, ly: np.ndarray) -> np.ndarray:
     return sums / (n * n)
 
 
-def dcor_score(x_samples, *, dy: np.ndarray) -> float:
+class _DistanceResponse:
+    """The response side of dcor_score, prepared once: the double-centered
+    distance matrix dy, its row sums dy 1 and <dy, dy> / n^2, and one n x n
+    buffer that the scalar path overwrites for each feature.  screen builds
+    one per screen and passes it as dy, so that p features reuse it; a
+    plain matrix dy is prepared anew on every call.
+    """
+
+    __slots__ = ("dy", "rows", "dvar", "buf", "weights")
+
+    def __init__(self, dy: np.ndarray):
+        n = dy.shape[0]
+        self.dy = dy
+        self.rows = dy.sum(axis=1)
+        self.dvar = float(np.vdot(dy, dy)) / float(n * n)
+        self.buf = np.empty((n, n))
+        # 2k - n + 2 for the 0-based sorted position k (see _scalar_dcov).
+        self.weights = 2.0 * np.arange(n) - (n - 2)
+
+
+def dcor_score(x_samples, *, dy) -> float:
     """Sample distance correlation of a variable's raw samples (scalars or
     same-length vectors) with a response side
     dy = kernels.centered_distances(y), clamped to [0, 1].
@@ -189,7 +212,19 @@ def dcor_score(x_samples, *, dy: np.ndarray) -> float:
         dVar^2(x) = sum D^2 / n^2 - 2 sum_i a_i^2 / n^3 + (sum_i a_i)^2 / n^4,
 
     where sum D^2 = 2 n sum_i ||x_i - mean||^2 and a_i are the row sums of
-    D.  One n x n distance pass and two inner products per call.
+    D.  The samples are centered and scaled by the power of two that brings
+    their largest |value| into [1/2, 1); the statistic is scale-free and the
+    scaling is exact, so a score is the same bitwise at any scale whose
+    products neither overflow nor underflow, and no square goes subnormal.
+
+    A scalar variable forms no distance matrix.  Its row sums a_i come
+    from one sort and one cumulative sum, and |c_i - c_j| = 2 max(c_i, c_j)
+    - c_i - c_j turns the cross term into
+
+        <D, dy> = 2 <max(c_i, c_j), dy> - 2 c^T (dy 1),
+
+    one n x n max pass into a reused buffer and one inner product.  Vector
+    samples form their n x n distance matrix.
 
     Returns 0 when either side has zero distance variance (a constant
     variable).  Raises ArgumentError unless x has n >= 1 samples and dy is
@@ -197,33 +232,72 @@ def dcor_score(x_samples, *, dy: np.ndarray) -> float:
     """
     pts = _as_samples(x_samples)
     n = pts.shape[0]
-    dy = np.asarray(dy, dtype=float)
-    if n < 1 or dy.shape != (n, n):
+    side = dy if isinstance(dy, _DistanceResponse) else None
+    shape = side.dy.shape if side is not None else np.shape(dy)
+    if n < 1 or shape != (n, n):
         raise ArgumentError(
             "dcor needs n >= 1 samples and an n x n centered distance matrix, "
-            f"got {n} samples and shape {dy.shape}"
+            f"got {n} samples and shape {shape}"
         )
-    centered = pts - pts.mean(axis=0)
+    if side is None:
+        side = _DistanceResponse(np.asarray(dy, dtype=float))
+    if side.dvar <= 0.0:
+        return 0.0
     if pts.shape[1] == 1:
-        # |x_i - x_j| directly: the general squared-distance pass and its
-        # square root took ~0.28 s more per 3000 features at n=200.
-        dist = np.abs(np.subtract.outer(centered[:, 0], centered[:, 0]))
+        dcov2, dvar_x = _scalar_dcov(pts[:, 0], side)
     else:
-        dist = np.sqrt(_pairwise_sq_dists(centered))
-    rows = dist.sum(axis=1)
+        dcov2, dvar_x = _vector_dcov(pts, side.dy)
+    if dvar_x <= 0.0:
+        return 0.0
+    r2 = dcov2 / math.sqrt(dvar_x * side.dvar)
+    return min(math.sqrt(max(r2, 0.0)), 1.0)
+
+
+def _scalar_dcov(x: np.ndarray, side: _DistanceResponse) -> tuple:
+    """(dCov^2, dVar^2) of scalar samples x, centered and scaled by a power
+    of two, against side.  dVar^2 is 0 for a constant x."""
+    n = x.shape[0]
+    c = x - x.mean()
+    s = np.sort(c)
+    if s[0] == s[-1]:
+        return 0.0, 0.0
+    e = -math.frexp(max(-s[0], s[-1]))[1]
+    np.ldexp(c, e, out=c)
+    np.ldexp(s, e, out=s)
+    # Row sums in sorted order, a_k = (2k - n + 2) s_k + sum(s) - 2 cumsum(s)_k.
+    cum = s.cumsum()
+    rows = side.weights * s
+    rows += cum[-1]
+    cum *= 2.0
+    rows -= cum
+    np.maximum(c[:, None], c, out=side.buf)
     n2 = float(n * n)
-    dcov2 = float(np.vdot(dist, dy)) / n2
-    dvar_x = (
+    dcov2 = (2.0 * float(np.vdot(side.buf, side.dy)) - 2.0 * float(np.dot(c, side.rows))) / n2
+    return dcov2, _distance_variance(c, rows, n)
+
+
+def _vector_dcov(pts: np.ndarray, dy: np.ndarray) -> tuple:
+    """(dCov^2, dVar^2) of vector samples, centered and scaled by a power
+    of two, against dy."""
+    n = pts.shape[0]
+    centered = pts - pts.mean(axis=0)
+    top = float(np.max(np.abs(centered)))
+    if top == 0.0:
+        return 0.0, 0.0
+    centered = np.ldexp(centered, -math.frexp(top)[1])
+    dist = np.sqrt(_pairwise_sq_dists(centered))
+    return float(np.vdot(dist, dy)) / float(n * n), _distance_variance(
+        centered, dist.sum(axis=1), n)
+
+
+def _distance_variance(centered: np.ndarray, rows: np.ndarray, n: int) -> float:
+    """dVar^2 from the centered samples and the row sums of their distances."""
+    n2 = float(n * n)
+    return (
         2.0 * n * float(np.vdot(centered, centered)) / n2
         - 2.0 * float(np.dot(rows, rows)) / (n2 * n)
         + float(rows.sum()) ** 2 / (n2 * n2)
     )
-    dvar_y = float(np.vdot(dy, dy)) / n2
-    if dvar_x <= 0.0 or dvar_y <= 0.0:
-        return 0.0
-    r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
-    value = float(np.sqrt(max(r2, 0.0)))
-    return min(value, 1.0)
 
 
 def pearson_score(x_samples, y_samples) -> float:

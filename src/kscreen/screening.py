@@ -5,8 +5,9 @@ selection.
 Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
 
   (a) bandwidths gamma_1..gamma_p and gamma_Y from the mean pairwise
-      distance rule (a constant feature falls back to gamma = 1 with a
-      warning);
+      distance rule (a constant feature, or one whose spread makes gamma
+      overflow or underflow, falls back to gamma = 1 with a warning that
+      says which);
   (b) one low-rank Gram factor per variable, each built once: the
       response's by kernels.gram, shared across all predictors, and the
       predictors' by kernels.gram_block, a block of features at a time;
@@ -25,7 +26,9 @@ replication does) shares one kernel preparation: (a) and (b) run once, and
 each block's stack is formed once and scored by both methods.
 
 Distance correlation skips (a) and (c): (b) builds only the response's
-double-centered distance matrix, and (d) scores each raw column against it.
+double-centered distance matrix, prepared once with its row sums and one
+n x n buffer, and (d) scores each raw column against it by
+measures.dcor_score, from one sort and one n x n max pass per column.
 SIS scores the raw columns.
 
 Feature indices in results are 1-based, matching how selected sets are
@@ -55,8 +58,8 @@ from .kernels import (
 # hsic_score and kcca_singular_value are not called here; they stay names of
 # this module because bench/tracing.py rebinds them.
 from .measures import (  # noqa: F401
-    Method, _centered_stack, _stack_hsic, _stack_kcca, dcor_score, hsic_score,
-    kcca_singular_value, pearson_score,
+    Method, _centered_stack, _DistanceResponse, _stack_hsic, _stack_kcca, dcor_score,
+    hsic_score, kcca_singular_value, pearson_score,
 )
 from .tuning import select_epsilon
 
@@ -185,15 +188,13 @@ def _check_epsilon(epsilon) -> float | None:
 
 
 def _column_bandwidth(label: str, make, *args) -> Bandwidth:
-    """make(*args), or gamma = 1 with a warning naming label if the samples
-    are constant."""
+    """make(*args), or gamma = 1 with a warning naming label and giving the
+    reason, if the samples are constant or their spread makes gamma
+    overflow or underflow."""
     try:
         return make(*args)
-    except DegenerateDataError:
-        warnings.warn(
-            f"{label} is constant; substituting gamma = 1 (its score will be 0)",
-            DegenerateDataWarning,
-        )
+    except DegenerateDataError as e:
+        warnings.warn(f"{label}: {e}; substituting gamma = 1", DegenerateDataWarning)
         return Bandwidth(gamma=1.0)
 
 
@@ -284,10 +285,13 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
             scores[Method.SIS][r] = pearson_score(xv[:, r], yv[:, 0])
 
     if Method.DC in scores:
-        dy = centered_distances(yv)
+        # The response side and its n x n scratch buffer, prepared once.
+        # Each column still goes through dcor_score, the layer that
+        # bench/tracing.py counts and times.
+        dy = _DistanceResponse(centered_distances(yv))
         for r in range(p):
             scores[Method.DC][r] = dcor_score(xv[:, r], dy=dy)
-        del dy  # n x n, and not needed by the kernel methods
+        del dy  # two n x n arrays, not needed by the kernel methods
 
     kcca, hsic = Method.KCCA in scores, Method.HSIC in scores
     if kcca or hsic:

@@ -57,7 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
-from .kernels import _as_factor, _check_positive_epsilon, _factor_stack, gram_eigh
+from .kernels import (
+    _as_factor, _check_positive_epsilon, _factor_shape, _factor_stack, gram_eigh,
+)
 
 # The prescribed 9-point search grid 1e-5 ... 1e3.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
@@ -89,12 +91,15 @@ class RidgeSelection:
 
 
 def _check_factor_args(epsilon, ly, lxs):
+    """epsilon, the response factor and the predictor factors' shapes.  The
+    predictor factors' entries are checked for finiteness once, a block at
+    a time, where _gcv_components stacks them (DataError)."""
     _check_positive_epsilon(epsilon)
     ly = _as_factor(ly)
     n = ly.shape[0]
     factors = []
     for i, lx in enumerate(lxs):
-        lx = _as_factor(lx)
+        lx = _factor_shape(lx)
         if lx.shape[0] != n:
             raise ArgumentError(f"kernel factor {i} has {lx.shape[0]} rows, expected {n}")
         factors.append(lx)

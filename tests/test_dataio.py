@@ -1,9 +1,16 @@
 """CSV ingestion contract and deterministic serialization."""
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kscreen as ks
+from kscreen import dataio
 from kscreen.dataio import format_float, json_dumps, write_csv_rows
 from kscreen.errors import ArgumentError, DataError
 
@@ -123,6 +130,87 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "")
         with pytest.raises(DataError):
             ks.load_csv(path, ["y"])
+
+
+# Finite cells that numpy's C parser and float() both read; NaN and infinite
+# cells; and cells that only the row path reads or that no parser reads.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e-320", "-0", "+.5", "5.", "1E5", " 1.5 ", "\t2", "\u00a03"]),
+)
+NON_FINITE = st.sampled_from(["nan", "NaN", "-inf", "Infinity", " inf", "1e400", "-1E999"])
+SPECIAL = st.one_of(NON_FINITE, st.sampled_from([
+    '"3"', '"4,5"', "1_0", "\u0661\u0662", "\uff11", "\x1c2", "", " ", "abc", "0x10", "1 2",
+    "#1",
+]))
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = [",".join("abcd"[:width])]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["number"] * 12 + ["special", "non-finite", "ragged",
+                                                      "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c"])))
+            continue
+        cells = st.one_of(NUMBERS, SPECIAL) if kind == "special" else NUMBERS
+        count = width + draw(st.sampled_from([-1, 1])) if kind == "ragged" else width
+        row = [draw(cells) for _ in range(count)]
+        if kind == "non-finite":
+            row[draw(st.integers(0, width - 1))] = draw(NON_FINITE)
+        lines.append(",".join(row))
+    endings = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    text = lines[0]
+    # No final newline, a final newline, or a trailing blank line.
+    for line in lines[1:] + [""] * draw(st.sampled_from([0, 1, 1, 1, 2])):
+        text += (draw(st.sampled_from(["\n", "\r\n"])) if endings == "mixed" else endings) + line
+    return text
+
+
+def load_outcome(path, response):
+    """load_csv's matrices, or its error's class and message."""
+    try:
+        x, y = ks.load_csv(path, [response])
+    except Exception as e:  # noqa: BLE001 - the class is part of the outcome
+        return type(e), str(e)
+    return x.values.shape, x.values.tobytes(), x.columns, y.values.tobytes(), y.columns
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=csv_texts(), response=st.sampled_from(["a", "2"]))
+def test_fast_body_parse_gives_the_row_paths_values_or_error(text, response):
+    # The row path alone is load_csv with the numpy body parse switched off.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        got = load_outcome(path, response)
+        with mock.patch.object(dataio, "_parse_body", lambda lines, width: None):
+            want = load_outcome(path, response)
+    assert got == want
+
+
+def test_clean_body_skips_the_row_path(tmp_path, monkeypatch):
+    def row_path(*args):
+        raise AssertionError("a body numpy can parse went through the row path")
+
+    monkeypatch.setattr(dataio, "_parse_rows", row_path)
+    path = write_csv(tmp_path, "y,a\r\n1, 2.5\r\n-3e2,\t4")
+    x, y = ks.load_csv(path, ["y"])
+    np.testing.assert_array_equal(x.values[:, 0], [2.5, 4.0])
+    np.testing.assert_array_equal(y.values[:, 0], [1.0, -300.0])
+
+
+@pytest.mark.parametrize("body, row", [("1,2\n\n3,4\n", 2), ("1,2\n3,4\n\n", 3),
+                                       ("1,2\r\n\r\n", 2)])
+def test_blank_line_is_still_rejected(tmp_path, body, row):
+    # numpy's parser skips blank lines; the row path names them.
+    path = write_csv(tmp_path, "a,b\n" + body)
+    with pytest.raises(DataError, match=f"row {row}: expected 2 cells, found 0"):
+        ks.load_csv(path, ["a"])
 
 
 class TestSerialization:

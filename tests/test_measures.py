@@ -7,7 +7,7 @@ import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
-from kscreen.measures import hsic_block, kcca_block
+from kscreen.measures import _DistanceResponse, hsic_block, kcca_block
 from tests.helpers import (
     center_dense,
     dcor_brute,
@@ -303,6 +303,39 @@ class TestDcorScore:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ArgumentError):
             ks.dcor_score(np.zeros(0), dy=np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bivariate", [False, True])
+    def test_power_of_two_scaling_is_bitwise_invisible(self, bivariate):
+        # 2^-531 ~ 1.4e-160 and 2^498 ~ 8.2e149: the squares of such
+        # distances are subnormal or near overflow unless the scorer
+        # rescales the centered samples first.
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 2)) if bivariate else rng.standard_normal(40)
+        dy = ks.centered_distances(np.abs(x).sum(axis=-1) if bivariate else x ** 2)
+        base = ks.dcor_score(x, dy=dy)
+        for scale in (2.0 ** -531, 2.0 ** 498):
+            assert ks.dcor_score(x * scale, dy=dy) == base
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e-300, 1e300])
+    def test_decimal_scaling_moves_only_the_rounding_of_the_samples(self, scale):
+        # x * scale is rounded once per entry, so the score may move by a
+        # few ulps, not through subnormal squares (-4.4e-5 at 1e-160 before
+        # the rescaling) or an overflow (OverflowError at 1e300).
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(50)
+        dy = ks.centered_distances(x ** 2 + rng.standard_normal(50))
+        assert ks.dcor_score(x * scale, dy=dy) == pytest.approx(
+            ks.dcor_score(x, dy=dy), abs=1e-15)
+
+    def test_prepared_response_scores_like_the_matrix(self):
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((12, 2))
+        dy = ks.centered_distances(y)
+        side = _DistanceResponse(dy)
+        for x in (rng.standard_normal(12), rng.standard_normal((12, 2)), np.full(12, 0.1)):
+            assert ks.dcor_score(x, dy=side) == ks.dcor_score(x, dy=dy)
+        with pytest.raises(ArgumentError):
+            ks.dcor_score(np.ones(11), dy=side)
 
     def test_response_side_is_keyword_only(self):
         # An n x n first argument would read as n vector samples, so a

@@ -416,3 +416,32 @@ def test_methods_screened_together_are_bitwise_the_separate_screens(table, draw)
             assert got.ranking.tobytes() == alone.ranking.tobytes(), method
             assert got.selected.tobytes() == alone.selected.tobytes(), method
             assert got.epsilon == alone.epsilon and got.m == alone.m, method
+
+
+@SETTINGS
+@given(
+    n=st.integers(2, 30),
+    p=st.integers(1, 4),
+    y_dim=st.integers(1, 2),
+    levels=st.sampled_from([0, 1, 3, 1000]),
+    draw=st.data(),
+)
+def test_scalar_dcor_matches_the_brute_form_and_ignores_the_other_columns(
+        n, p, y_dim, levels, draw):
+    # Few levels give ties, and 0 levels a constant column.  Each column is
+    # scored by dcor_score alone and by a dc screen of the whole table, whose
+    # scalar path shares one prepared response and one n x n buffer.
+    grid = draw.draw(hnp.arrays(np.int64, (n, p), elements=st.integers(-levels, levels)))
+    x = grid / 100.0
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    y = np.sin(x[:, :1]) + rng.standard_normal((n, y_dim))
+    dy = ks.centered_distances(y)
+    alone = np.array([ks.dcor_score(x[:, r], dy=dy) for r in range(p)])
+    for r in range(p):
+        if np.ptp(grid[:, r]) == 0:
+            assert alone[r] == 0.0
+        else:
+            assert alone[r] == pytest.approx(dcor_brute(x[:, r], y), abs=TOL["dc"])
+    if n >= 4:
+        together = ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method="dc").scores
+        assert together.tobytes() == alone.tobytes()

@@ -207,6 +207,24 @@ class TestScreen:
         assert res.scores[1] == 0.0
         assert res.ranking[-1] == 2
 
+    @pytest.mark.parametrize("method", ["kcca", "hsic"])
+    def test_degenerate_bandwidth_warning_gives_its_reason(self, method):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20, 3))
+        y = ks.DataMatrix((x[:, 0] + 0.1 * rng.standard_normal(20))[:, None])
+        constant, tiny = x.copy(), x.copy()
+        constant[:, 2] = 4.0
+        # Not constant, but its mean pairwise distance makes gamma overflow.
+        tiny[:, 2] *= 1e-160
+        for data, reason in ((constant, "all samples identical"),
+                             (tiny, "unusable gamma inf")):
+            with pytest.warns(DegenerateDataWarning) as record:
+                res = ks.screen(ks.DataMatrix(data), y, method=method, epsilon=0.5)
+            (message,) = [str(w.message) for w in record]
+            assert message.startswith("feature 3: ") and reason in message
+            assert "constant" not in message
+            assert res.scores[2] == 0.0
+
     def test_auto_rule_uses_threshold_formula(self):
         x, y = make_data(seed=15, n=30, p=10)
         res = ks.screen(x, y, method="kcca", rule=ks.ThresholdRule.auto(), epsilon=1.0)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import kscreen as ks
 from kscreen import tuning
-from kscreen.errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
+from kscreen.errors import (
+    ArgumentError, DataError, NumericError, NumericGuardWarning, TuningError,
+)
 from tests.helpers import dense_gram, gcv_dense_oracle
 
 
@@ -273,6 +275,19 @@ class TestSelectEpsilon:
     def test_predictor_list_must_be_nonempty(self):
         with pytest.raises(ArgumentError):
             ks.gcv_value(0.1, np.eye(3), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("member", [0, 17])
+    def test_non_finite_predictor_factor_is_a_data_error(self, bad, member):
+        # Predictor factors are checked for finiteness only where they are
+        # stacked, 16 at a time; member 17 sits in the second stack.
+        ky, kxs = toy_kernels(seed=3, n=8, p=20)
+        kxs = [kx.copy() for kx in kxs]
+        kxs[member][2, 0] = bad
+        with pytest.raises(DataError, match="finite"):
+            ks.gcv_value(0.1, ky, kxs)
+        with pytest.raises(DataError, match="finite"):
+            ks.select_epsilon(ky, kxs)
 
 
 def level_factor(draw, n):
