@@ -387,11 +387,18 @@ def centered_distances(samples) -> np.ndarray:
     The response side of measures.dcor_score, built once per screen; the
     predictor side is the raw samples.  Scalars or same-length vectors are
     accepted, as for bandwidth.
+
+    The matrix is formed from the samples scaled by the power of two that
+    brings their largest |value| into [1/2, 1), and scaled back.  Scaling
+    by a power of two is exact, so no normal-range entry changes by a bit,
+    and no squared distance overflows or goes subnormal.
     """
     pts = _as_samples(samples)
     if pts.shape[0] < 2:
         raise ArgumentError(f"distance matrices need n >= 2, got {pts.shape[0]}")
-    return _double_center(np.sqrt(_pairwise_sq_dists(pts)))
+    e = math.frexp(float(np.max(np.abs(pts))))[1]
+    dist = _double_center(np.sqrt(_pairwise_sq_dists(np.ldexp(pts, -e))))
+    return np.ldexp(dist, e, out=dist)
 
 
 def center_and_decompose(factor) -> CenteredGram:

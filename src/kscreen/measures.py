@@ -182,16 +182,18 @@ def _stack_hsic(c: np.ndarray, ranks: list, ly: np.ndarray) -> np.ndarray:
 
 class _DistanceResponse:
     """The response side of dcor_score, prepared once: the double-centered
-    distance matrix dy, its row sums dy 1 and <dy, dy> / n^2, and one n x n
-    buffer that the scalar path overwrites for each feature.  screen builds
-    one per screen and passes it as dy, so that p features reuse it; a
-    plain matrix dy is prepared anew on every call.
+    distance matrix dy, scaled by the power of two that brings its largest
+    |entry| into [1/2, 1), its row sums dy 1 and <dy, dy> / n^2, and one
+    n x n buffer that the scalar path overwrites for each feature.  screen
+    builds one per screen and passes it as dy, so that p features reuse it;
+    a plain matrix dy is prepared anew on every call.
     """
 
     __slots__ = ("dy", "rows", "dvar", "buf", "weights")
 
     def __init__(self, dy: np.ndarray):
         n = dy.shape[0]
+        dy = np.ldexp(dy, -math.frexp(max(float(dy.max()), -float(dy.min())))[1])
         self.dy = dy
         self.rows = dy.sum(axis=1)
         self.dvar = float(np.vdot(dy, dy)) / float(n * n)

@@ -256,6 +256,16 @@ class TestCenteredDistances:
         with pytest.raises(DataError):
             ks.centered_distances([0.0, 1.0, np.inf])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scales_exactly_where_squared_distances_leave_the_float_range(self, d):
+        # 2^530 and 2^-531: the squared distances would overflow to inf or
+        # go subnormal, and before the rescaling the matrix held NaN at 1e160.
+        pts = np.random.default_rng(d).standard_normal((9, d))
+        base = ks.centered_distances(pts)
+        for k in (530, -531):
+            got = ks.centered_distances(np.ldexp(pts, k))
+            assert got.tobytes() == np.ldexp(base, k).tobytes()
+
 
 class TestValidationEdges:
     def test_samples_wrong_ndim(self):

@@ -311,21 +311,25 @@ class TestDcorScore:
         # rescales the centered samples first.
         rng = np.random.default_rng(11)
         x = rng.standard_normal((40, 2)) if bivariate else rng.standard_normal(40)
-        dy = ks.centered_distances(np.abs(x).sum(axis=-1) if bivariate else x ** 2)
-        base = ks.dcor_score(x, dy=dy)
+        y = np.abs(x).sum(axis=-1) if bivariate else x ** 2
+        base = ks.dcor_score(x, dy=ks.centered_distances(y))
         for scale in (2.0 ** -531, 2.0 ** 498):
-            assert ks.dcor_score(x * scale, dy=dy) == base
+            assert ks.dcor_score(x * scale, dy=ks.centered_distances(y)) == base
+            assert ks.dcor_score(x, dy=ks.centered_distances(y * scale)) == base
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e-300, 1e300])
+    @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e160, 1e-300, 1e300])
     def test_decimal_scaling_moves_only_the_rounding_of_the_samples(self, scale):
         # x * scale is rounded once per entry, so the score may move by a
-        # few ulps, not through subnormal squares (-4.4e-5 at 1e-160 before
-        # the rescaling) or an overflow (OverflowError at 1e300).
+        # few ulps, not through subnormal squares (by -4.4e-5 for x and
+        # 1.7e-4 for y at 1e-160 before the rescaling) or an overflow
+        # (OverflowError for x at 1e300, NaN for y at 1e160).
         rng = np.random.default_rng(3)
         x = rng.standard_normal(50)
-        dy = ks.centered_distances(x ** 2 + rng.standard_normal(50))
-        assert ks.dcor_score(x * scale, dy=dy) == pytest.approx(
-            ks.dcor_score(x, dy=dy), abs=1e-15)
+        y = x ** 2 + rng.standard_normal(50)
+        base = ks.dcor_score(x, dy=ks.centered_distances(y))
+        for xs, ys in ((x * scale, y), (x, y * scale), (x * scale, y * scale)):
+            assert ks.dcor_score(xs, dy=ks.centered_distances(ys)) == pytest.approx(
+                base, abs=2e-15)
 
     def test_prepared_response_scores_like_the_matrix(self):
         rng = np.random.default_rng(8)

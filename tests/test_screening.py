@@ -212,18 +212,22 @@ class TestScreen:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 3))
         y = ks.DataMatrix((x[:, 0] + 0.1 * rng.standard_normal(20))[:, None])
-        constant, tiny = x.copy(), x.copy()
+        constant, tiny, huge = x.copy(), x.copy(), x.copy()
         constant[:, 2] = 4.0
-        # Not constant, but its mean pairwise distance makes gamma overflow.
+        # Not constant, but their mean pairwise distances make gamma
+        # overflow and underflow.
         tiny[:, 2] *= 1e-160
+        huge[:, 2] *= 1e200
         for data, reason in ((constant, "all samples identical"),
-                             (tiny, "unusable gamma inf")):
+                             (tiny, "unusable gamma inf"), (huge, "unusable gamma 0.0")):
             with pytest.warns(DegenerateDataWarning) as record:
                 res = ks.screen(ks.DataMatrix(data), y, method=method, epsilon=0.5)
             (message,) = [str(w.message) for w in record]
             assert message.startswith("feature 3: ") and reason in message
             assert "constant" not in message
-            assert res.scores[2] == 0.0
+            # gamma = 1 makes the kernel of the tiny column all ones.
+            if data is not huge:
+                assert res.scores[2] == 0.0
 
     def test_auto_rule_uses_threshold_formula(self):
         x, y = make_data(seed=15, n=30, p=10)
