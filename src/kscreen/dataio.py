@@ -180,7 +180,7 @@ def load_csv(path, response_columns):
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
         header = _read_header(csv.reader(fh), path)
-        values = _parse_body(iter(fh), len(header))
+        values = _parse_body(fh, len(header))
         if values is None:
             fh.seek(0)
             reader = csv.reader(fh)
