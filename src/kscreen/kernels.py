@@ -14,6 +14,7 @@ immutable, so instances can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ DEFAULT_TOL_REL = 1e-10
 RESIDUAL_TRACE_TOL = 1e-3 * DEFAULT_TOL_REL
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
+
+# Features per block: of factors gram_block builds in screen, and of the
+# zero-padded stacks that scoring and the GCV read.  Factors and HSIC scores
+# are bitwise the same in any block, but KCCA scores and GCV sums depend on
+# the block width in the last bits, so screen scores fixed index blocks.
+_BLOCK = 16
 
 
 def gram_eigh(factor: np.ndarray) -> tuple:
@@ -147,9 +154,9 @@ def _as_samples(samples) -> np.ndarray:
     return arr
 
 
-def _factor_shape(factor) -> np.ndarray:
-    """A kernel factor as a float array, checked to be n x r with n >= 1 and
-    r <= n but not checked to be finite.
+def _as_factor(factor) -> np.ndarray:
+    """Check an n x r kernel factor as gram returns it: a finite float array
+    with n >= 1 and r <= n.
 
     A factor with more columns than rows is rejected; it is most often a
     transposed one.
@@ -159,39 +166,24 @@ def _factor_shape(factor) -> np.ndarray:
         raise ArgumentError(
             f"a kernel factor must be n x r with n >= 1 and r <= n, got shape {arr.shape}"
         )
-    return arr
-
-
-def _as_factor(factor) -> np.ndarray:
-    """Check an n x r kernel factor as gram returns it: _factor_shape's
-    shape, and finite."""
-    arr = _factor_shape(factor)
     if not np.all(np.isfinite(arr)):
         raise DataError("kernel factor entries must be finite")
     return arr
 
 
 def _factor_stack(lxs, n: int) -> tuple:
-    """A block's kernel factors, zero-padded to the widest rank r into one
-    (b, n, r) stack, and the list of their ranks.
+    """A block's n x r_m float kernel factors, zero-padded to the widest
+    rank r into one (b, n, r) stack, and the list of their ranks.
 
-    Raises ArgumentError unless lxs holds at least one n x r factor with
-    r <= n, and DataError if a factor has a non-finite entry.
+    Shapes are the caller's to check: screen passes gram_block's factors,
+    and gcv_value and select_epsilon check theirs first.  Raises DataError
+    if a factor has a non-finite entry, from one check of the whole stack.
     """
-    factors = [np.asarray(lx, dtype=float) for lx in lxs]
-    if not factors:
-        raise ArgumentError("a block needs at least one predictor factor")
-    for m, lx in enumerate(factors):
-        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
-            raise ArgumentError(
-                f"kernel factor {m} must be {n} x r with r <= {n}, got shape {lx.shape}"
-            )
-    ranks = [lx.shape[1] for lx in factors]
+    ranks = [lx.shape[1] for lx in lxs]
     # At least one column, so that a block of n x 0 factors scores 0 too.
-    stack = np.zeros((len(factors), n, max(1, *ranks)))
-    for m, lx in enumerate(factors):
-        stack[m, :, :lx.shape[1]] = lx
-    # One finiteness check for the whole block, not one per factor.
+    stack = np.zeros((len(lxs), n, max(1, *ranks)))
+    for m, lx in enumerate(lxs):
+        stack[m, :, :ranks[m]] = lx
     if not np.all(np.isfinite(stack)):
         raise DataError("kernel factor entries must be finite")
     return stack, ranks
@@ -246,7 +238,8 @@ def bandwidth(samples) -> Bandwidth:
     Raises
     ------
     DegenerateDataError
-        If all samples are identical (zero pairwise distance); callers
+        If all samples are identical (zero pairwise distance), or if gamma
+        overflows or falls below the smallest normal float; callers
         screening real data substitute gamma = 1 with a warning.
     """
     pts = _as_samples(samples)
@@ -290,7 +283,8 @@ def _bandwidth_from_sum(total: float, n: int) -> Bandwidth:
         gamma = inv_sqrt_gamma ** -2.0
     except OverflowError:
         gamma = math.inf
-    if not 0.0 < gamma < math.inf:
+    # A subnormal gamma has lost bits; its squared distances are near overflow.
+    if not sys.float_info.min <= gamma < math.inf:
         raise DegenerateDataError(f"pairwise distances produce unusable gamma {gamma!r}")
     return Bandwidth(gamma=gamma)
 

@@ -9,12 +9,13 @@ against the response's double-centered distance matrix
 caller screening many predictors against one response prepares the
 response side once; for distance correlation that is a private
 _DistanceResponse, which also holds the response's row sums, its distance
-variance and the n x n buffer every scalar predictor's score reuses.  kcca_block and hsic_block score a block of predictor
-kernel factors at once, from one zero-padded, column-centered stack of
-them, and return an array; hsic_score runs hsic_block's arithmetic on a
-stack of one.  Both are thin wrappers: the stack is built by
-_centered_stack and scored by _stack_kcca and _stack_hsic, which the
-screening pipeline calls directly to score both methods from one stack.
+variance and the n x n buffer every scalar predictor's score reuses.
+
+The screening pipeline scores KCCA and HSIC a block of predictors at a
+time: _centered_stack zero-pads and column-centers the block's kernel
+factors into one (b, n, r) stack, and _stack_kcca and _stack_hsic score
+every member of it, each returning an array.  hsic_score is _stack_hsic
+on a stack of one.
 
 The KCCA score of a predictor against the response is the largest singular
 value of the whitened cross-Gram coordinate matrix
@@ -67,46 +68,32 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
 
 
 def _centered_stack(lxs, n: int) -> tuple:
-    """A block's kernel factors, zero-padded to the widest rank r and
-    column-centered into one (b, n, r) stack, and the list of their ranks.
-
-    Raises as kernels._factor_stack, which pads them.
-    """
+    """kernels._factor_stack's (b, n, r) stack of a block's factors, with
+    every member column-centered, and the list of their ranks.  Shapes are
+    not checked; raises DataError if a factor has a non-finite entry."""
     c, ranks = _factor_stack(lxs, n)
     c -= c.mean(axis=1, keepdims=True)
     return c, ranks
 
 
-def kcca_block(lxs, gy: CenteredGram, epsilon: float) -> np.ndarray:
-    """KCCA scores of b predictors against one response, in one batched pass.
+def _stack_kcca(c: np.ndarray, gy: CenteredGram, epsilon: float) -> np.ndarray:
+    """KCCA scores of each centered factor of a (b, n, r) stack C against
+    the response's CenteredGram gy, in one batched pass.
 
-    ``lxs`` holds the predictors' n x r_m kernel factors, as
-    kernels.gram_block returns them, and ``gy`` is the response's
-    CenteredGram.  The factors are zero-padded to the widest rank r and
-    column-centered into a (b, n, r) stack C.  With C^T C = W Lambda W^T,
-    one batched eigh of the r x r Grams, the retained eigenvectors of the
-    centered Gram C C^T are U_X = C W Lambda^(-1/2), so
+    With C^T C = W Lambda W^T from one batched eigh of the r x r Grams, the
+    retained eigenvectors of C C^T are U_X = C W Lambda^(-1/2), so
 
         M = diag(w_Y) U_Y^T C W diag(keep / sqrt(lambda + eps))
 
-    is the whitened cross-Gram matrix of kcca_singular_value.  Eigenvalues
-    are kept by center_and_decompose's rule, lambda >= DEFAULT_TOL_REL *
-    max(lambda_max, 1); the padding adds only zero eigenvalues, which the
-    rule drops.  No n x r eigenvector matrix is formed.  The scores agree
-    with kcca_singular_value(center_and_decompose(L), gy, eps) up to
-    rounding, and each depends only on its own factor and the block's
-    width.
-
-    Raises ArgumentError unless lxs holds at least one n x r factor over
-    gy's n samples and epsilon is positive and finite; DataError if a
-    factor has a non-finite entry; NumericError if LAPACK fails.
+    is kcca_singular_value's whitened cross-Gram matrix.  Eigenvalues are
+    kept by center_and_decompose's rule, lambda >= DEFAULT_TOL_REL *
+    max(lambda_max, 1), which drops the padding's zero eigenvalues; no
+    n x r eigenvector matrix is formed.  The scores agree with
+    kcca_singular_value(center_and_decompose(L), gy, eps) up to rounding,
+    and each depends only on its own factor and the stack's width.  A
+    rank-0 member or response scores 0; epsilon is not checked.  Raises
+    NumericError if LAPACK fails.
     """
-    _check_positive_epsilon(epsilon)
-    return _stack_kcca(_centered_stack(lxs, gy.n)[0], gy, epsilon)
-
-
-def _stack_kcca(c: np.ndarray, gy: CenteredGram, epsilon: float) -> np.ndarray:
-    """kcca_block's scores of each centered factor of a (b, n, r) stack."""
     if gy.rank == 0:
         return np.zeros(c.shape[0])
     lam, w = gram_eigh(c)
@@ -126,31 +113,12 @@ def _top_singular_values(m: np.ndarray) -> np.ndarray:
     return np.minimum(sv, 1.0)
 
 
-def hsic_block(lxs, ly_c) -> np.ndarray:
-    """HSIC of b predictors against one response, in one batched pass.
-
-    ``lxs`` holds the predictors' n x r_m kernel factors, as
-    kernels.gram_block returns them, and ``ly_c`` is the response's
-    column-centered factor (kernels.center).  The factors are zero-padded
-    and column-centered into kcca_block's (b, n, r) stack C, and member m
-    scores hsic_score's ||C_m^T L_Y||_F^2 / n^2 over its own r_m columns,
-    so each score is bitwise hsic_score(center(L_m), ly_c) whatever the
-    block.
-
-    Raises ArgumentError unless lxs holds at least one n x r factor over
-    ly_c's n >= 1 samples and ly_c is n x r_Y with r_Y <= n; DataError if a
-    factor has a non-finite entry.
-    """
-    ly = _as_factor(ly_c)
-    c, ranks = _centered_stack(lxs, ly.shape[0])
-    return _stack_hsic(c, ranks, ly)
-
-
 def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
     """Biased V-statistic HSIC, trace(G_X G_Y) / n^2, of two column-centered
     kernel factors (kernels.center): with G = L L^T it is
-    ||L_X^T L_Y||_F^2 / n^2, in O(n r_X r_Y).  hsic_block's arithmetic on
-    a block of one factor that is already centered.
+    ||L_X^T L_Y||_F^2 / n^2, in O(n r_X r_Y).  _stack_hsic's arithmetic on
+    a stack of one factor that is already centered, so a screen's HSIC
+    score is bitwise hsic_score(center(L), ly).
 
     Raises ArgumentError unless both are n x r factors over the same n >= 1
     samples.
@@ -164,8 +132,10 @@ def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
 
 
 def _stack_hsic(c: np.ndarray, ranks: list, ly: np.ndarray) -> np.ndarray:
-    """||C_m^T L_Y||_F^2 / n^2 for each centered factor C_m of a (b, n, r)
-    stack, over its first ranks[m] columns.
+    """HSIC, ||C_m^T L_Y||_F^2 / n^2, of each centered factor C_m of a
+    (b, n, r) stack against the response's centered factor L_Y, over C_m's
+    first ranks[m] columns.  Neither the padding nor the other members
+    change a bit of a member's score.
 
     Each sum of squares is the smaller of its row-major and column-major
     sums.  Swapping the two factors transposes the cross product, which

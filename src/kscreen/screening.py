@@ -14,10 +14,10 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
   (c) ridge epsilon from the GCV grid search over a subsample of the
       predictor factors (KCCA only, when auto);
   (d) one dependence score per predictor, a block of features at a time
-      from one zero-padded stack of their centered factors: KCCA from the
-      stack's r x r Grams against the response's retained eigenpairs
-      (as measures.kcca_block), HSIC against the response's centered
-      factor (as measures.hsic_block);
+      from one zero-padded stack of their centered factors
+      (measures._centered_stack): KCCA from the stack's r x r Grams
+      against the response's retained eigenpairs (measures._stack_kcca),
+      HSIC against the response's centered factor (measures._stack_hsic);
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -52,8 +52,9 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .kernels import (
-    Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon, _scalar_distance_sums,
-    bandwidth, center, center_and_decompose, centered_distances, gram, gram_block,
+    _BLOCK, Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon,
+    _scalar_distance_sums, bandwidth, center, center_and_decompose, centered_distances, gram,
+    gram_block,
 )
 # hsic_score and kcca_singular_value are not called here; they stay names of
 # this module because bench/tracing.py rebinds them.
@@ -67,13 +68,6 @@ from .tuning import select_epsilon
 # above this many predictors the tuning step uses a seeded uniform subsample
 # unless told otherwise.
 GCV_SUBSAMPLE_DEFAULT = 200
-
-# Features whose Gram factors kernels.gram_block builds together, and whose
-# KCCA and HSIC scores are computed together from one centered stack.  A
-# factor is bitwise the same in any block, and screen scores fixed index
-# blocks, so this trades only speed against the (block, rank, n) working
-# arrays.
-_GRAM_BLOCK = 16
 
 
 def _check_int(name: str, value, minimum: int):
@@ -310,8 +304,8 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
 
         def factors(idx):
             # (feature, factor) pairs for the features idx, built in blocks.
-            for start in range(0, len(idx), _GRAM_BLOCK):
-                block = idx[start:start + _GRAM_BLOCK]
+            for start in range(0, len(idx), _BLOCK):
+                block = idx[start:start + _BLOCK]
                 yield from zip(block, gram_block(xv[:, block].T, [bws[r] for r in block]))
 
         # Each feature's factor is built once: the GCV subsample's factors
@@ -339,14 +333,13 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
             if hsic:
                 scores[Method.HSIC][start:stop] = _stack_hsic(c, ranks, ly_c)
 
-        # Scored in fixed index blocks [0, 16), [16, 32), ...: a KCCA score
-        # depends on the width of its block, which must not depend on seed
-        # or gcv_subsample.  The features outside the GCV subsample are
-        # built in blocks of their own, in index order, as scoring needs them.
+        # Scored in fixed index blocks, whatever seed and gcv_subsample; the
+        # features outside the GCV subsample are built in blocks of their
+        # own, in index order, as scoring needs them.
         rest = (lx for _, lx in factors([r for r in range(p) if r not in tuned]))
-        for start in range(0, p, _GRAM_BLOCK):
+        for start in range(0, p, _BLOCK):
             score_block(start, [tuned.pop(r) if r in tuned else next(rest)
-                                for r in range(start, min(start + _GRAM_BLOCK, p))])
+                                for r in range(start, min(start + _BLOCK, p))])
 
     results = {}
     for method in methods:

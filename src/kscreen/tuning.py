@@ -23,13 +23,13 @@ q_perp = ||B_Y||_F^2 - sum_i q_i: the null space of A_r adds q_perp to the
 numerator and nothing to the denominator.
 
 No n-sized decomposition is taken.  The factors are zero-padded into one
-(b, n, r) stack per block of _GCV_BLOCK predictors, which takes one batched
-eigh of its r x r Grams L^T L and one of its (r+1) x (r+1) arrowhead Grams
-B^T B = [[n, s^T], [s, Lambda^2]], s = Lambda^(1/2) V^T L^T 1.  An
-eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so a_i
-is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
-product B W, which keeps a small a_i as accurate as a thin SVD of B would,
-and c_i = B_Y^T (B W) comes from the same product.  A direction is
+(b, n, r) stack per block of kernels._BLOCK predictors, which takes one
+batched eigh of its r x r Grams L^T L and one of its (r+1) x (r+1)
+arrowhead Grams B^T B = [[n, s^T], [s, Lambda^2]], s = Lambda^(1/2) V^T
+L^T 1.  An eigenvalue of that squared Gram is accurate only to ~1e-16
+a_max, so a_i is taken as the Rayleigh quotient ||B w_i||^2 of one
+batched n-space product B W, which keeps a small a_i as accurate as a
+thin SVD of B would, and c_i = B_Y^T (B W) comes from the same product.  A direction is
 numerically null when its ||B w_i||^2 is under its rounding floor, or when
 n other directions, each clearly above the resolution of eigh, already
 span R^n.  As a padded one, it is held as a_i = c_i = 0 and adds exactly 0
@@ -57,17 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
-from .kernels import (
-    _as_factor, _check_positive_epsilon, _factor_shape, _factor_stack, gram_eigh,
-)
+from .kernels import _BLOCK, _as_factor, _check_positive_epsilon, _factor_stack, gram_eigh
 
 # The prescribed 9-point search grid 1e-5 ... 1e3.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
 
 _DENOM_GUARD = 1e-12
-
-# Predictors whose bases are decomposed together, as one zero-padded stack.
-_GCV_BLOCK = 16
 
 _ROUNDOFF = np.finfo(float).eps
 
@@ -91,18 +86,18 @@ class RidgeSelection:
 
 
 def _check_factor_args(epsilon, ly, lxs):
-    """epsilon, the response factor and the predictor factors' shapes.  The
-    predictor factors' entries are checked for finiteness once, a block at
-    a time, where _gcv_components stacks them (DataError)."""
+    """epsilon, the response factor and the predictor factors' shapes, as
+    float arrays.  The predictor factors' entries are checked for finiteness
+    once, a block at a time, where _gcv_components stacks them (DataError)."""
     _check_positive_epsilon(epsilon)
     ly = _as_factor(ly)
     n = ly.shape[0]
-    factors = []
-    for i, lx in enumerate(lxs):
-        lx = _factor_shape(lx)
-        if lx.shape[0] != n:
-            raise ArgumentError(f"kernel factor {i} has {lx.shape[0]} rows, expected {n}")
-        factors.append(lx)
+    factors = [np.asarray(lx, dtype=float) for lx in lxs]
+    for i, lx in enumerate(factors):
+        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
+            raise ArgumentError(
+                f"kernel factor {i} must be {n} x r with r <= {n}, got shape {lx.shape}"
+            )
     if not factors:
         raise ArgumentError("at least one predictor kernel factor is required")
     return ly, factors
@@ -120,8 +115,8 @@ def _gcv_components(ly: np.ndarray, lxs: list) -> tuple:
     a = np.zeros((len(lxs), width))
     c2 = np.zeros((len(lxs), width))
     spans = np.zeros(len(lxs), dtype=bool)
-    for start in range(0, len(lxs), _GCV_BLOCK):
-        stop = min(start + _GCV_BLOCK, len(lxs))
+    for start in range(0, len(lxs), _BLOCK):
+        stop = min(start + _BLOCK, len(lxs))
         ai, ci2, spans[start:stop] = _block_spectrum(lxs[start:stop], by)
         a[start:stop, :ai.shape[1]] = ai
         c2[start:stop, :ai.shape[1]] = ci2
@@ -148,16 +143,14 @@ def _block_spectrum(lxs: list, by: np.ndarray) -> tuple:
         _, w = np.linalg.eigh(arrow)
     except np.linalg.LinAlgError as e:
         raise NumericError(f"eigendecomposition of a GCV basis Gram failed: {e}") from None
-    # a_i is the Rayleigh quotient ||B w_i||^2 of the unsquared basis, which
-    # keeps a small a_i as accurate as a thin SVD of B would; the eigenvalue
-    # of B^T B is accurate only to ~1e-16 a_max.  B W = [1, L V
-    # Lambda^(1/2)] W is formed half a block at a time, so that it adds at
-    # most half the stack's size to the memory the stack holds.
+    # B W = [1, L V Lambda^(1/2)] W, whose squared column norms are the
+    # a_i, is formed half a block at a time, so that it adds at most half
+    # the stack's size to the memory the stack holds.
     proj = root @ w[:, 1:]
     a = np.empty((b, r + 1))
     c2 = np.empty((b, r + 1))
-    for h in range(0, b, _GCV_BLOCK // 2):
-        half = slice(h, h + _GCV_BLOCK // 2)
+    for h in range(0, b, _BLOCK // 2):
+        half = slice(h, h + _BLOCK // 2)
         bw = stack[half] @ proj[half]
         bw += w[half, None, 0]
         a[half] = np.einsum("bij,bij->bj", bw, bw)

@@ -2,6 +2,8 @@
 centering, and the truncated spectral decomposition, checked against the
 dense n x n oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,15 @@ class TestValidationEdges:
         for tiny in (1e-300, 1e-160):
             with pytest.raises(DegenerateDataError):
                 ks.bandwidth([0.0, tiny])
+
+    def test_subnormal_gamma_rejected(self):
+        # gamma = 1 / (2 d^2) for two samples d apart: subnormal at 1e160,
+        # the smallest normal float just above 4.74e153.
+        with pytest.raises(DegenerateDataError, match="unusable gamma 5e-321"):
+            ks.bandwidth([0.0, 1e160])
+        with pytest.raises(DegenerateDataError, match="unusable gamma"):
+            ks.bandwidth([0.0, 4.75e153])
+        assert ks.bandwidth([0.0, 4.74e153]).gamma >= sys.float_info.min
 
     def test_gram_needs_a_sample(self):
         with pytest.raises(ArgumentError):

@@ -7,7 +7,7 @@ import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
-from kscreen.measures import _DistanceResponse, hsic_block, kcca_block
+from kscreen.measures import _centered_stack, _DistanceResponse, _stack_hsic, _stack_kcca
 from tests.helpers import (
     center_dense,
     dcor_brute,
@@ -135,34 +135,29 @@ class TestKccaScore:
             ks.kcca_singular_value(gx, gx, 0.5)
 
 
-class TestKccaBlock:
+def stack_kcca(lxs, gy, eps):
+    return _stack_kcca(_centered_stack(lxs, gy.n)[0], gy, eps)
+
+
+def stack_hsic(lxs, ly_c):
+    return _stack_hsic(*_centered_stack(lxs, ly_c.shape[0]), ly_c)
+
+
+class TestStackKcca:
     def test_constant_members_and_a_rank_zero_response_score_exactly_zero(self):
         rng = np.random.default_rng(4)
         lxs = [random_factor(rng, 10), np.ones((10, 1)), random_factor(rng, 10)]
         gy = random_gram(rng, 10)
-        got = kcca_block(lxs, gy, 0.5)
+        got = stack_kcca(lxs, gy, 0.5)
         assert got.shape == (3,) and got[1] == 0.0 and np.all(got[[0, 2]] > 0.0)
         gzero = ks.center_and_decompose(np.ones((10, 1)))
-        assert kcca_block(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
-        assert kcca_block([np.zeros((10, 0))], gy, 0.5).tobytes() == np.zeros(1).tobytes()
-
-    def test_argument_errors(self):
-        rng = np.random.default_rng(0)
-        lx = random_factor(rng, 8)
-        gy = random_gram(rng, 8)
-        for lxs, eps in (([lx], 0.0), ([lx], -1.0), ([lx], float("nan")), ([], 0.5),
-                         ([lx, random_factor(rng, 9)], 0.5), ([lx[:, :, None]], 0.5)):
-            with pytest.raises(ArgumentError):
-                kcca_block(lxs, gy, eps)
-        bad = lx.copy()
-        bad[0, 0] = np.nan
-        with pytest.raises(DataError):
-            kcca_block([lx, bad], gy, 0.5)
+        assert stack_kcca(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
+        assert stack_kcca([np.zeros((10, 0))], gy, 0.5).tobytes() == np.zeros(1).tobytes()
 
     @pytest.mark.parametrize("routine", ["eigh", "svd"])
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
         rng = np.random.default_rng(0)
-        lxs = [random_factor(rng, 8) for _ in range(3)]
+        c, _ = _centered_stack([random_factor(rng, 8) for _ in range(3)], 8)
         gy = random_gram(rng, 8)
 
         def boom(*args, **kwargs):
@@ -170,30 +165,17 @@ class TestKccaBlock:
 
         monkeypatch.setattr(np.linalg, routine, boom)
         with pytest.raises(NumericError):
-            kcca_block(lxs, gy, 0.5)
+            _stack_kcca(c, gy, 0.5)
 
 
-class TestHsicBlock:
+class TestStackHsic:
     def test_constant_and_rank_zero_members_score_exactly_zero(self):
         rng = np.random.default_rng(4)
         lxs = [random_factor(rng, 10), np.ones((10, 1)), np.zeros((10, 0))]
         ly = random_centered(rng, 10)
-        got = hsic_block(lxs, ly)
+        got = stack_hsic(lxs, ly)
         assert got.shape == (3,) and got[0] > 0.0 and got[1] == 0.0 and got[2] == 0.0
         assert got[0] == ks.hsic_score(ks.center(lxs[0]), ly)
-
-    def test_empty_block_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ArgumentError, match="at least one"):
-            hsic_block([], random_centered(rng, 8))
-
-    @pytest.mark.parametrize("shape", [(9, 3), (7, 3), (8, 9), (8, 3, 1), (8,)])
-    def test_factor_of_the_wrong_shape_rejected(self, shape):
-        # Other sample counts, r > n, and factors that are not 2-D.
-        rng = np.random.default_rng(0)
-        lxs = [random_factor(rng, 8), np.ones(shape)]
-        with pytest.raises(ArgumentError, match="kernel factor 1"):
-            hsic_block(lxs, random_centered(rng, 8))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_factor_entry_rejected(self, value):
@@ -201,19 +183,7 @@ class TestHsicBlock:
         bad = random_factor(rng, 8)
         bad[3, 0] = value
         with pytest.raises(DataError):
-            hsic_block([random_factor(rng, 8), bad], random_centered(rng, 8))
-
-    def test_bad_response_factor_rejected(self):
-        rng = np.random.default_rng(0)
-        lxs = [random_factor(rng, 8)]
-        for ly in (random_centered(rng, 9), np.ones((8, 9)), np.ones((8, 2, 1)),
-                   np.zeros((0, 0))):
-            with pytest.raises(ArgumentError):
-                hsic_block(lxs, ly)
-        ly = random_centered(rng, 8)
-        ly[0, 0] = np.nan
-        with pytest.raises(DataError):
-            hsic_block(lxs, ly)
+            _centered_stack([random_factor(rng, 8), bad], 8)
 
 
 class TestHsicScore:
@@ -246,6 +216,18 @@ class TestHsicScore:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ArgumentError):
             ks.hsic_score(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_bad_response_factor_rejected(self):
+        rng = np.random.default_rng(0)
+        lx = random_centered(rng, 8)
+        for ly in (random_centered(rng, 9), np.ones((8, 9)), np.ones((8, 2, 1)),
+                   np.zeros((0, 0))):
+            with pytest.raises(ArgumentError):
+                ks.hsic_score(lx, ly)
+        ly = random_centered(rng, 8)
+        ly[0, 0] = np.nan
+        with pytest.raises(DataError):
+            ks.hsic_score(lx, ly)
 
 
 def dcor(x, y):

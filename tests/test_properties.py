@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 import kscreen as ks
 from kscreen import screening
 from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
-from kscreen.measures import hsic_block, kcca_block
+from kscreen.measures import _centered_stack, _stack_hsic, _stack_kcca
 from tests.helpers import (
     center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle, hsic_double_sum,
     kcca_dense_oracle,
@@ -269,8 +269,9 @@ def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, d
     ypts, ybw = sample_kernel(draw.draw, n)
     gy = ks.center_and_decompose(ks.gram(ypts, ybw))
     dy = decompose_dense(dense_gram(ypts, ybw))
+    c, _ = _centered_stack(lxs, n)
     for eps in ks.GCV_GRID:
-        got = kcca_block(lxs, gy, eps)
+        got = _stack_kcca(c, gy, eps)
         assert got.shape == (len(levels),)
         for m, lx in enumerate(lxs):
             want = ks.kcca_singular_value(ks.center_and_decompose(lx), gy, eps)
@@ -296,7 +297,7 @@ def test_block_hsic_is_bitwise_the_per_pair_score_and_matches_the_dense_grams(n,
     ypts, ybw = sample_kernel(draw.draw, n)
     ly_c = ks.center(ks.gram(ypts, ybw))
     gy = center_dense(dense_gram(ypts, ybw))
-    got = hsic_block(lxs, ly_c)
+    got = _stack_hsic(*_centered_stack(lxs, n), ly_c)
     assert got.shape == (len(levels),)
     for m, lx in enumerate(lxs):
         assert got[m] == ks.hsic_score(ks.center(lx), ly_c), m

@@ -212,21 +212,24 @@ class TestScreen:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 3))
         y = ks.DataMatrix((x[:, 0] + 0.1 * rng.standard_normal(20))[:, None])
-        constant, tiny, huge = x.copy(), x.copy(), x.copy()
+        constant, tiny, subnormal, huge = x.copy(), x.copy(), x.copy(), x.copy()
         constant[:, 2] = 4.0
         # Not constant, but their mean pairwise distances make gamma
-        # overflow and underflow.
+        # overflow, subnormal and underflow.
         tiny[:, 2] *= 1e-160
+        subnormal[:, 2] *= 1e160
         huge[:, 2] *= 1e200
         for data, reason in ((constant, "all samples identical"),
-                             (tiny, "unusable gamma inf"), (huge, "unusable gamma 0.0")):
+                             (tiny, "unusable gamma inf"),
+                             (subnormal, "unusable gamma 7.045e-321"),
+                             (huge, "unusable gamma 0.0")):
             with pytest.warns(DegenerateDataWarning) as record:
                 res = ks.screen(ks.DataMatrix(data), y, method=method, epsilon=0.5)
             (message,) = [str(w.message) for w in record]
             assert message.startswith("feature 3: ") and reason in message
             assert "constant" not in message
             # gamma = 1 makes the kernel of the tiny column all ones.
-            if data is not huge:
+            if data is constant or data is tiny:
                 assert res.scores[2] == 0.0
 
     def test_auto_rule_uses_threshold_formula(self):
