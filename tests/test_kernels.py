@@ -292,8 +292,9 @@ class TestValidationEdges:
                 ks.bandwidth([0.0, tiny])
 
     def test_subnormal_gamma_rejected(self):
-        # gamma = 1 / (2 d^2) for two samples d apart: subnormal at 1e160,
-        # the smallest normal float just above 4.74e153.
+        # gamma = 1 / (2 d^2) for two samples d apart falls below the
+        # smallest normal float just above d = 4.74e153; at 1e160 it is
+        # subnormal.
         with pytest.raises(DegenerateDataError, match="unusable gamma 5e-321"):
             ks.bandwidth([0.0, 1e160])
         with pytest.raises(DegenerateDataError, match="unusable gamma"):

@@ -143,7 +143,7 @@ def stack_hsic(lxs, ly_c):
     return _stack_hsic(*_centered_stack(lxs, ly_c.shape[0]), ly_c)
 
 
-class TestStackKcca:
+class TestKccaBlock:
     def test_constant_members_and_a_rank_zero_response_score_exactly_zero(self):
         rng = np.random.default_rng(4)
         lxs = [random_factor(rng, 10), np.ones((10, 1)), random_factor(rng, 10)]
@@ -168,7 +168,7 @@ class TestStackKcca:
             _stack_kcca(c, gy, 0.5)
 
 
-class TestStackHsic:
+class TestHsicBlock:
     def test_constant_and_rank_zero_members_score_exactly_zero(self):
         rng = np.random.default_rng(4)
         lxs = [random_factor(rng, 10), np.ones((10, 1)), np.zeros((10, 0))]

@@ -215,7 +215,7 @@ class TestScreen:
         constant, tiny, subnormal, huge = x.copy(), x.copy(), x.copy(), x.copy()
         constant[:, 2] = 4.0
         # Not constant, but their mean pairwise distances make gamma
-        # overflow, subnormal and underflow.
+        # overflow, go subnormal and underflow.
         tiny[:, 2] *= 1e-160
         subnormal[:, 2] *= 1e160
         huge[:, 2] *= 1e200
