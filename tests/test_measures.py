@@ -154,6 +154,24 @@ class TestKccaBlock:
         assert stack_kcca(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
         assert stack_kcca([np.zeros((10, 0))], gy, 0.5).tobytes() == np.zeros(1).tobytes()
 
+    def test_a_score_depends_only_on_its_own_factor_and_the_stack_width(self):
+        # screen scores fixed index blocks so that a score does not depend
+        # on which other features share its block.
+        rng = np.random.default_rng(6)
+        lxs = [random_factor(rng, 12) for _ in range(5)]
+        gy = random_gram(rng, 12)
+        r = max(lx.shape[1] for lx in lxs)
+        wide = max(range(5), key=lambda m: lxs[m].shape[1])
+        full = stack_kcca(lxs, gy, 0.5)
+        for m in range(5):
+            # Alone, or among other members, in another order, at width r.
+            pad = np.zeros((12, r - lxs[m].shape[1]))
+            alone = stack_kcca([np.hstack([lxs[m], pad])], gy, 0.5)
+            others = [lxs[k] for k in range(5) if k not in (m, wide)] + [lxs[wide]]
+            mixed = stack_kcca(others[::-1] + [lxs[m]], gy, 0.5)
+            assert alone[0].tobytes() == full[m].tobytes(), m
+            assert mixed[-1].tobytes() == full[m].tobytes(), m
+
     @pytest.mark.parametrize("routine", ["eigh", "svd"])
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
         rng = np.random.default_rng(0)

@@ -168,15 +168,18 @@ class TestGcvValue:
         ky, kxs = toy_kernels()
         with pytest.raises(ArgumentError):
             ks.gcv_value(0.1, ky, [np.ones((3, 3))])
-        # Shapes are checked before any stacking: factor 17 would sit in
-        # the second block of 16.  Other sample counts, r > n, and factors
-        # that are not 2-D.
+
+    @pytest.mark.parametrize("shape", [(9, 3), (7, 3), (8, 9), (8, 3, 1), (8,)])
+    def test_factor_of_the_wrong_shape_rejected(self, shape):
+        # Other sample counts, r > n, and factors that are not 2-D.  Shapes
+        # are checked before any stacking: factor 1 sits in the first block
+        # of 16, factor 17 in the second.
         ky, kxs = toy_kernels(seed=3, n=8, p=20)
-        for shape in ((9, 3), (7, 3), (8, 9), (8, 3, 1), (8,)):
-            bad = kxs[:17] + [np.ones(shape)] + kxs[18:]
-            with pytest.raises(ArgumentError, match="kernel factor 17"):
+        for i in (1, 17):
+            bad = kxs[:i] + [np.ones(shape)] + kxs[i + 1:]
+            with pytest.raises(ArgumentError, match=f"kernel factor {i} "):
                 ks.gcv_value(0.1, ky, bad)
-            with pytest.raises(ArgumentError, match="kernel factor 17"):
+            with pytest.raises(ArgumentError, match=f"kernel factor {i} "):
                 ks.select_epsilon(ky, bad)
 
 
