@@ -31,11 +31,15 @@ RESIDUAL_TRACE_TOL = 1e-3 * DEFAULT_TOL_REL
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
-# Features per block: of factors gram_block builds in screen, and of the
-# zero-padded stacks that scoring and the GCV read.  Factors and HSIC scores
+# Features per zero-padded stack that scoring and the GCV read.  HSIC scores
 # are bitwise the same in any block, but KCCA scores and GCV sums depend on
 # the block width in the last bits, so screen scores fixed index blocks.
 _BLOCK = 16
+
+# Features per gram_block call in screen.  A factor is bitwise the same in
+# any block, so this width is free of _BLOCK; a wider build spreads a
+# step's numpy calls over more features.
+_BUILD = 32
 
 
 def gram_eigh(factor: np.ndarray) -> tuple:
@@ -313,10 +317,19 @@ def gram_block(samples, bws) -> list:
     orthogonalizes it against the columns so far, in O(n r).  A variable
     stops once its residual trace tr(K - L L^T), which is PSD, is at most
     RESIDUAL_TRACE_TOL, or at rank n.  Every step runs on all b variables
-    at once, each with its own pivot; a stopped variable stays in the
-    arrays with a zero projection and a unit pivot, and its extra columns
-    are dropped.  A variable's arithmetic never mixes with another's, so
-    its factor is bitwise the same in any block, alone included.
+    at once, each with its own pivot.  Once some variable has stopped, the
+    steps after give every stopped one a zero projection and a unit pivot,
+    and its extra columns are dropped.  A variable's arithmetic never mixes
+    with another's, so its factor is bitwise the same in any block, alone
+    included.
+
+    Each variable's squared distances are formed at a power-of-two scale,
+    as in centered_distances: its samples times 2^-e and its gamma times
+    2^2e, with e bringing the largest |sample| into [1/2, 1).  Both are
+    exact, so no normal-range bit changes, and no pair's squared distance
+    overflows while gamma 2^2e is finite.  Where it would not be (a huge
+    column at the gamma = 1 fallback, say), e is the largest that keeps it
+    finite, and a product that then overflows has kernel value 0.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 2:
@@ -328,34 +341,56 @@ def gram_block(samples, bws) -> list:
         )
     if not np.all(np.isfinite(pts)):
         raise DataError("samples must be finite")
-    b, n, _ = pts.shape
+    b, n, d = pts.shape
     if n < 1:
         raise ArgumentError("gram needs at least 1 sample")
-    neg_gamma = np.array([-bw.gamma for bw in bws])[:, None]
+    gamma = np.array([bw.gamma for bw in bws])
+    # gamma 2^2e is finite for e <= (1024 - exponent of gamma) / 2.
+    e = np.minimum(np.frexp(np.max(np.abs(pts), axis=(1, 2), initial=0.0))[1],
+                   (1024 - np.frexp(gamma)[1]) // 2)
+    pts = np.ldexp(pts, -e[:, None, None])
+    neg_gamma = np.ldexp(-gamma, 2 * e)[:, None]
+    if d == 1:
+        pts = pts[:, :, 0]  # scalar differences are squared in place
+    diff = np.empty_like(pts)
     members = np.arange(b)
     resid = np.ones((b, n))  # diagonals of K - L L^T; K has a unit diagonal
     rows = np.empty((b, min(n, 32), n))  # L^T per variable, doubled when full
     live = np.ones(b, dtype=bool)
+    all_live = True
     ranks = np.zeros(b, dtype=int)
     r = 0
-    while r < n:
-        live &= resid.sum(axis=1) > RESIDUAL_TRACE_TOL
-        if not live.any():
-            break
-        ranks[live] += 1
-        if r == rows.shape[1]:
-            rows = np.concatenate([rows, np.empty((b, min(r, n - r), n))], axis=1)
-        j = np.argmax(resid, axis=1)
-        diff = pts - pts[members, j][:, None]
-        col = np.exp(neg_gamma * np.einsum("bij,bij->bi", diff, diff))
-        coef = np.where(live[:, None], rows[members, :r, j], 0.0)
-        col -= (coef[:, None] @ rows[:, :r])[:, 0]
-        col /= np.sqrt(np.where(live, resid[members, j], 1.0))[:, None]
-        rows[:, r] = col
-        resid -= col * col
-        resid[members, j] = 0.0
-        np.maximum(resid, 0.0, out=resid)
-        r += 1
+    with np.errstate(over="ignore"):
+        while r < n:
+            live &= resid.sum(axis=1) > RESIDUAL_TRACE_TOL
+            if all_live:
+                all_live = live.all()
+            if not (all_live or live.any()):
+                break
+            ranks += live
+            if r == rows.shape[1]:
+                rows = np.concatenate([rows, np.empty((b, min(r, n - r), n))], axis=1)
+            j = np.argmax(resid, axis=1)
+            np.subtract(pts, pts[members, j][:, None], out=diff)
+            if d == 1:
+                col = np.multiply(diff, diff, out=diff)
+            else:
+                col = np.einsum("bij,bij->bi", diff, diff)
+            col *= neg_gamma
+            np.exp(col, out=col)
+            coef = rows[members, :r, j]
+            pivot = resid[members, j]
+            if not all_live:
+                coef[~live] = 0.0
+                pivot[~live] = 1.0
+            col -= (coef[:, None] @ rows[:, :r])[:, 0]
+            col /= np.sqrt(pivot, out=pivot)[:, None]
+            rows[:, r] = col
+            col *= col
+            resid -= col
+            resid[members, j] = 0.0
+            np.maximum(resid, 0.0, out=resid)
+            r += 1
     return [np.ascontiguousarray(rows[m, :k].T) for m, k in enumerate(ranks)]
 
 

@@ -10,7 +10,9 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       says which);
   (b) one low-rank Gram factor per variable, each built once: the
       response's by kernels.gram, shared across all predictors, and the
-      predictors' by kernels.gram_block, a block of features at a time;
+      predictors' by kernels.gram_block, kernels._BUILD features per call
+      (wider than the scoring blocks of (d), since a factor is bitwise the
+      same in any build block);
   (c) ridge epsilon from the GCV grid search over a subsample of the
       predictor factors (KCCA only, when auto);
   (d) one dependence score per predictor, a block of features at a time
@@ -52,7 +54,7 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .kernels import (
-    _BLOCK, Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon,
+    _BLOCK, _BUILD, Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon,
     _scalar_distance_sums, bandwidth, center, center_and_decompose, centered_distances, gram,
     gram_block,
 )
@@ -304,8 +306,8 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
 
         def factors(idx):
             # (feature, factor) pairs for the features idx, built in blocks.
-            for start in range(0, len(idx), _BLOCK):
-                block = idx[start:start + _BLOCK]
+            for start in range(0, len(idx), _BUILD):
+                block = idx[start:start + _BUILD]
                 yield from zip(block, gram_block(xv[:, block].T, [bws[r] for r in block]))
 
         # Each feature's factor is built once: the GCV subsample's factors

@@ -152,27 +152,42 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
     # Each member of a block is built by the same arithmetic on its own
     # rows of the working arrays, so its factor is bitwise the one built
     # alone, at any block size and position.  A level of 0 gives a constant
-    # member, which takes the gamma = 1 fallback as in screen.
+    # member, which takes the gamma = 1 fallback as in screen; levels 3 and
+    # 1000 give members that stop at different steps.
     pts = np.stack([
         draw.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-k, k))) / 100.0
         for k in levels
     ])
-    bws = []
+    bws, fallback = [], []
     for member in pts:
         try:
             bws.append(ks.bandwidth(member))
+            fallback.append(False)
         except (ks.DegenerateDataError, ks.ArgumentError):  # constant, or n = 1
             bws.append(ks.Bandwidth(1.0))
+            fallback.append(True)
     alone = [ks.gram(member, bw) for member, bw in zip(pts, bws)]
     order = np.array(draw.draw(st.permutations(range(len(levels)))))
     block = gram_block(pts[order], [bws[m] for m in order])
+    # The samples times 2^k and each gamma times 2^-2k, for k in the range
+    # where every such gamma is a normal float, as bandwidth requires of
+    # the scaled samples' own gamma (which it gives up to the rounding of
+    # its power).  A fallback gamma stays 1.  Both scalings are exact, so
+    # the scaled block's factors are bitwise the same too.
+    exps = [np.frexp(bw.gamma)[1] for bw, f in zip(bws, fallback) if not f]
+    k = draw.draw(st.integers(max([-((1024 - g) // 2) for g in exps], default=-500),
+                              min([(g + 1021) // 2 for g in exps], default=500)))
+    scaled = gram_block(np.ldexp(pts[order], k),
+                        [bws[m] if fallback[m] else ks.Bandwidth(np.ldexp(bws[m].gamma, -2 * k))
+                         for m in order])
     # The stopping test reads the running residual diagonal; each of the n
     # diagonal entries of the dense K - L L^T rounds by about an ulp of 1
     # (observed excess over the tolerance: 1.1e-15 at n = 40 over 100000
     # draws), hence the n * eps allowance.
     tol = RESIDUAL_TRACE_TOL + n * np.finfo(float).eps
-    for lf, m in zip(block, order):
+    for lf, lk, m in zip(block, scaled, order):
         assert lf.shape == alone[m].shape and lf.tobytes() == alone[m].tobytes()
+        assert lk.shape == alone[m].shape and lk.tobytes() == alone[m].tobytes()
         assert np.trace(dense_gram(pts[m], bws[m]) - lf @ lf.T) <= tol
 
 
