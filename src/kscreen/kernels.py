@@ -31,14 +31,9 @@ RESIDUAL_TRACE_TOL = 1e-3 * DEFAULT_TOL_REL
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
-# Features per zero-padded stack that scoring and the GCV read.  HSIC scores
-# are bitwise the same in any block, but KCCA scores and GCV sums depend on
-# the block width in the last bits, so screen scores fixed index blocks.
-_BLOCK = 16
-
 # Features per gram_block call in screen.  A factor is bitwise the same in
-# any block, so this width is free of _BLOCK; a wider build spreads a
-# step's numpy calls over more features.
+# any block, and so is each of its scores in any stack of its rank; a wider
+# build spreads a step's numpy calls over more features.
 _BUILD = 32
 
 
@@ -175,22 +170,25 @@ def _as_factor(factor) -> np.ndarray:
     return arr
 
 
-def _factor_stack(lxs, n: int) -> tuple:
-    """A block's n x r_m float kernel factors, zero-padded to the widest
-    rank r into one (b, n, r) stack, and the list of their ranks.
-
-    Shapes are the caller's to check: screen passes gram_block's factors,
-    and gcv_value and select_epsilon check theirs first.  Raises DataError
-    if a factor has a non-finite entry, from one check of the whole stack.
+def _rank_stacks(factors, cap: int):
+    """Yield the n x r factors grouped by rank, with no padding, as
+    (positions, stack) pairs: positions is an ascending int array of at
+    most cap indices into factors, all of one rank r, and stack a
+    C-contiguous (len(positions), n, r) copy of them.  Ranks come in
+    ascending order.  Each member is copied once, so a factor given as a
+    transposed view costs no second copy.
     """
-    ranks = [lx.shape[1] for lx in lxs]
-    # At least one column, so that a block of n x 0 factors scores 0 too.
-    stack = np.zeros((len(lxs), n, max(1, *ranks)))
-    for m, lx in enumerate(lxs):
-        stack[m, :, :ranks[m]] = lx
-    if not np.all(np.isfinite(stack)):
-        raise DataError("kernel factor entries must be finite")
-    return stack, ranks
+    ranks = np.array([lx.shape[1] for lx in factors])
+    # sorted(set()) rather than np.unique, whose first call in a process
+    # loads ~1.7 MB of code.
+    for r in sorted(set(ranks.tolist())):
+        same = np.flatnonzero(ranks == r)
+        for start in range(0, len(same), cap):
+            pos = same[start:start + cap]
+            stack = np.empty((len(pos), factors[pos[0]].shape[0], r))
+            for i, m in enumerate(pos):
+                stack[i] = factors[m]
+            yield pos, stack
 
 
 def _check_positive_epsilon(epsilon):
@@ -301,15 +299,20 @@ def gram(samples, bw: Bandwidth) -> np.ndarray:
     the stopping rule.  Returns an n x r array with 1 <= r <= n; K itself
     is never formed.
     """
-    return gram_block(_as_samples(samples)[None], [bw])[0]
+    ((_, stack),) = gram_block(_as_samples(samples)[None], [bw])
+    return stack[0]
 
 
 def gram_block(samples, bws) -> list:
     """Gram factors of b variables over the same n samples, built together.
 
     ``samples`` is (b, n) for scalar variables or (b, n, d) for d-vector
-    rows, and ``bws`` holds one Bandwidth per variable.  Returns b factors
-    L_m, each n x r_m with 1 <= r_m <= n and K_m ~= L_m L_m^T.
+    rows, and ``bws`` holds one Bandwidth per variable.  The factors L_m,
+    each n x r_m with 1 <= r_m <= n and K_m ~= L_m L_m^T, are returned
+    grouped by rank, unpadded: a list of (positions, stack) pairs, one per
+    rank r in ascending order, where stack is a C-contiguous
+    (len(positions), n, r) array whose member i is the factor of variable
+    positions[i].  Every variable is in exactly one stack.
 
     Each factor is a pivoted incomplete Cholesky (Fine & Scheinberg, JMLR
     2001; Bach & Jordan, JMLR 2002): a step evaluates the kernel column of
@@ -391,7 +394,7 @@ def gram_block(samples, bws) -> list:
             resid[members, j] = 0.0
             np.maximum(resid, 0.0, out=resid)
             r += 1
-    return [np.ascontiguousarray(rows[m, :k].T) for m, k in enumerate(ranks)]
+    return list(_rank_stacks([rows[m, :k].T for m, k in enumerate(ranks)], b))
 
 
 def center(factor) -> np.ndarray:

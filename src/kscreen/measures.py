@@ -11,11 +11,12 @@ response side once; for distance correlation that is a private
 _DistanceResponse, which also holds the response's row sums, its distance
 variance and the n x n buffer every scalar predictor's score reuses.
 
-The screening pipeline scores KCCA and HSIC a block of predictors at a
-time: _centered_stack zero-pads and column-centers the block's kernel
-factors into one (b, n, r) stack, and _stack_kcca and _stack_hsic score
-every member of it, each returning an array.  hsic_score is _stack_hsic
-on a stack of one.
+The screening pipeline scores KCCA and HSIC a stack of predictors at a
+time: kernels.gram_block hands back its factors as (b, n, r) stacks of one
+rank r each, the pipeline column-centers each in place, and _stack_kcca
+and _stack_hsic score every member of it, each returning an array.  A
+member's scores are bitwise the same in any stack of its rank, alone
+included; hsic_score is _stack_hsic on a stack of one.
 
 The KCCA score of a predictor against the response is the largest singular
 value of the whitened cross-Gram coordinate matrix
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
 from .kernels import (
     DEFAULT_TOL_REL, CenteredGram, _as_factor, _as_samples, _check_positive_epsilon,
-    _factor_stack, _pairwise_sq_dists, gram_eigh,
+    _pairwise_sq_dists, gram_eigh,
 )
 
 
@@ -67,18 +68,9 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     return float(_top_singular_values((wy[:, None] * cross) * wx[None, :]))
 
 
-def _centered_stack(lxs, n: int) -> tuple:
-    """kernels._factor_stack's (b, n, r) stack of a block's factors, with
-    every member column-centered, and the list of their ranks.  Shapes are
-    not checked; raises DataError if a factor has a non-finite entry."""
-    c, ranks = _factor_stack(lxs, n)
-    c -= c.mean(axis=1, keepdims=True)
-    return c, ranks
-
-
 def _stack_kcca(c: np.ndarray, gy: CenteredGram, epsilon: float) -> np.ndarray:
-    """KCCA scores of each centered factor of a (b, n, r) stack C against
-    the response's CenteredGram gy, in one batched pass.
+    """KCCA scores of each centered factor of a (b, n, r) stack C, all of
+    rank r, against the response's CenteredGram gy, in one batched pass.
 
     With C^T C = W Lambda W^T from one batched eigh of the r x r Grams, the
     retained eigenvectors of C C^T are U_X = C W Lambda^(-1/2), so
@@ -87,14 +79,13 @@ def _stack_kcca(c: np.ndarray, gy: CenteredGram, epsilon: float) -> np.ndarray:
 
     is kcca_singular_value's whitened cross-Gram matrix.  Eigenvalues are
     kept by center_and_decompose's rule, lambda >= DEFAULT_TOL_REL *
-    max(lambda_max, 1), which drops the padding's zero eigenvalues; no
-    n x r eigenvector matrix is formed.  The scores agree with
-    kcca_singular_value(center_and_decompose(L), gy, eps) up to rounding,
-    and each depends only on its own factor and the stack's width.  A
-    rank-0 member or response scores 0; epsilon is not checked.  Raises
-    NumericError if LAPACK fails.
+    max(lambda_max, 1); no n x r eigenvector matrix is formed.  The scores
+    agree with kcca_singular_value(center_and_decompose(L), gy, eps) up to
+    rounding, and each is bitwise the same in any stack of its rank, alone
+    included.  A rank-0 stack or response scores 0; epsilon is not
+    checked.  Raises NumericError if LAPACK fails.
     """
-    if gy.rank == 0:
+    if gy.rank == 0 or c.shape[2] == 0:
         return np.zeros(c.shape[0])
     lam, w = gram_eigh(c)
     keep = lam >= DEFAULT_TOL_REL * np.maximum(lam[:, -1:], 1.0)
@@ -128,14 +119,13 @@ def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
         raise ArgumentError(
             f"hsic needs factors over the same samples, got {a.shape} and {b.shape}"
         )
-    return float(_stack_hsic(a[None], [a.shape[1]], b)[0])
+    return float(_stack_hsic(a[None], b)[0])
 
 
-def _stack_hsic(c: np.ndarray, ranks: list, ly: np.ndarray) -> np.ndarray:
+def _stack_hsic(c: np.ndarray, ly: np.ndarray) -> np.ndarray:
     """HSIC, ||C_m^T L_Y||_F^2 / n^2, of each centered factor C_m of a
-    (b, n, r) stack against the response's centered factor L_Y, over C_m's
-    first ranks[m] columns.  Neither the padding nor the other members
-    change a bit of a member's score.
+    (b, n, r) stack against the response's centered factor L_Y.  The other
+    members do not change a bit of a member's score.
 
     Each sum of squares is the smaller of its row-major and column-major
     sums.  Swapping the two factors transposes the cross product, which
@@ -143,9 +133,8 @@ def _stack_hsic(c: np.ndarray, ranks: list, ly: np.ndarray) -> np.ndarray:
     """
     n = c.shape[1]
     cross = np.swapaxes(c, 1, 2) @ ly
-    sums = np.empty(len(ranks))
-    for m, r in enumerate(ranks):
-        x = cross[m, :r]
+    sums = np.empty(c.shape[0])
+    for m, x in enumerate(cross):
         sums[m] = min(np.vdot(x, x), np.vdot(x.T, x.T))
     return sums / (n * n)
 

@@ -10,22 +10,21 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       says which);
   (b) one low-rank Gram factor per variable, each built once: the
       response's by kernels.gram, shared across all predictors, and the
-      predictors' by kernels.gram_block, kernels._BUILD features per call
-      (wider than the scoring blocks of (d), since a factor is bitwise the
-      same in any build block);
+      predictors' by kernels.gram_block, kernels._BUILD features per call,
+      which hands them back in unpadded stacks of one rank each;
   (c) ridge epsilon from the GCV grid search over a subsample of the
       predictor factors (KCCA only, when auto);
-  (d) one dependence score per predictor, a block of features at a time
-      from one zero-padded stack of their centered factors
-      (measures._centered_stack): KCCA from the stack's r x r Grams
-      against the response's retained eigenpairs (measures._stack_kcca),
-      HSIC against the response's centered factor (measures._stack_hsic);
+  (d) one dependence score per predictor, a stack at a time as (b) builds
+      it (the GCV subsample's once (c) has read them), each stack
+      column-centered in place: KCCA from its r x r Grams against the
+      response's retained eigenpairs (measures._stack_kcca), HSIC against
+      the response's centered factor (measures._stack_hsic);
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
 Screening one (X, Y) by KCCA and HSIC together (as each run_suite
 replication does) shares one kernel preparation: (a) and (b) run once, and
-each block's stack is formed once and scored by both methods.
+each stack is centered once and scored by both methods.
 
 Distance correlation skips (a) and (c): (b) builds only the response's
 double-centered distance matrix, prepared once with its row sums and one
@@ -54,14 +53,14 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .kernels import (
-    _BLOCK, _BUILD, Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon,
+    _BUILD, Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon,
     _scalar_distance_sums, bandwidth, center, center_and_decompose, centered_distances, gram,
     gram_block,
 )
 # hsic_score and kcca_singular_value are not called here; they stay names of
 # this module because bench/tracing.py rebinds them.
 from .measures import (  # noqa: F401
-    Method, _centered_stack, _DistanceResponse, _stack_hsic, _stack_kcca, dcor_score,
+    Method, _DistanceResponse, _stack_hsic, _stack_kcca, dcor_score,
     hsic_score, kcca_singular_value, pearson_score,
 )
 from .tuning import select_epsilon
@@ -249,8 +248,8 @@ def screen(
 def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
     """screen for several methods over one (x, y), as {Method: ScreeningResult}.
 
-    Bandwidths, Gram factors and each block's centered stack are built once
-    and shared by the kernel methods; each result is bitwise the one screen
+    Bandwidths and Gram factor stacks are built and centered once and
+    shared by the kernel methods; each result is bitwise the one screen
     returns for its method alone.
     """
     _check_int("seed", seed, 0)
@@ -304,15 +303,26 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
         bws = [_column_bandwidth(f"feature {r + 1}", _bandwidth_from_sum, total, n)
                for r, total in enumerate(_scalar_distance_sums(xv.T))]
 
-        def factors(idx):
-            # (feature, factor) pairs for the features idx, built in blocks.
+        def built(idx):
+            # (features, stack) pairs for the features idx, _BUILD per
+            # gram_block call, each stack holding one rank.
             for start in range(0, len(idx), _BUILD):
                 block = idx[start:start + _BUILD]
-                yield from zip(block, gram_block(xv[:, block].T, [bws[r] for r in block]))
+                for pos, stack in gram_block(xv[:, block].T, [bws[r] for r in block]):
+                    yield block[pos], stack
 
-        # Each feature's factor is built once: the GCV subsample's factors
-        # are kept for scoring, the rest are built as they are scored.
-        tuned = {}
+        def score(features, stack):
+            # Centered in place and scored by every kernel method; a score is
+            # bitwise the same in any stack of its rank.
+            stack -= stack.mean(axis=1, keepdims=True)
+            if kcca:
+                scores[Method.KCCA][features] = _stack_kcca(stack, gy, eps)
+            if hsic:
+                scores[Method.HSIC][features] = _stack_hsic(stack, ly_c)
+
+        # Each feature's factor is built once: the GCV subsample's stacks
+        # are scored once the GCV has read them, then the rest as built.
+        rest = np.arange(p)
         if kcca:
             eps = fixed_eps
             if eps is None:
@@ -321,27 +331,18 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
                     rng = np.random.default_rng(seed)
                     tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))
                 else:
-                    tuning_idx = np.arange(p)
-                tuned = dict(factors(tuning_idx))
-                eps = select_epsilon(ly, list(tuned.values())).epsilon
-
-        def score_block(start, lxs):
-            # One centered stack per block, scored by every kernel method and
-            # dropped on return, before the next block's factors are built.
-            c, ranks = _centered_stack(lxs, n)
-            stop = start + len(lxs)
-            if kcca:
-                scores[Method.KCCA][start:stop] = _stack_kcca(c, gy, eps)
-            if hsic:
-                scores[Method.HSIC][start:stop] = _stack_hsic(c, ranks, ly_c)
-
-        # Scored in fixed index blocks, whatever seed and gcv_subsample; the
-        # features outside the GCV subsample are built in blocks of their
-        # own, in index order, as scoring needs them.
-        rest = (lx for _, lx in factors([r for r in range(p) if r not in tuned]))
-        for start in range(0, p, _BLOCK):
-            score_block(start, [tuned.pop(r) if r in tuned else next(rest)
-                                for r in range(start, min(start + _BLOCK, p))])
+                    tuning_idx = rest
+                tuned = list(built(tuning_idx))
+                # The GCV reads the uncentered factors, as views in feature order.
+                view = {r: lx for features, stack in tuned
+                        for r, lx in zip(features.tolist(), stack)}
+                eps = select_epsilon(ly, [view[r] for r in tuning_idx.tolist()]).epsilon
+                for features, stack in tuned:
+                    score(features, stack)
+                del tuned, view  # before the rest are built
+                rest = np.delete(rest, tuning_idx)
+        for features, stack in built(rest):
+            score(features, stack)
 
     results = {}
     for method in methods:

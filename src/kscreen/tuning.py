@@ -22,9 +22,9 @@ with q_i = ||B_Y^T p_i||^2 = ||c_i||^2 / a_i for c_i = B_Y^T B_r w_i, and
 q_perp = ||B_Y||_F^2 - sum_i q_i: the null space of A_r adds q_perp to the
 numerator and nothing to the denominator.
 
-No n-sized decomposition is taken.  The factors are zero-padded into one
-(b, n, r) stack per block of kernels._BLOCK predictors, which takes one
-batched eigh of its r x r Grams L^T L and one of its (r+1) x (r+1)
+No n-sized decomposition is taken.  The factors are grouped by rank into
+unpadded (b, n, r) stacks of at most _BLOCK predictors, and each stack
+takes one batched eigh of its r x r Grams L^T L and one of its (r+1) x (r+1)
 arrowhead Grams B^T B = [[n, s^T], [s, Lambda^2]], s = Lambda^(1/2) V^T
 L^T 1.  An eigenvalue of that squared Gram is accurate only to ~1e-16
 a_max, so a_i is taken as the Rayleigh quotient ||B w_i||^2 of one
@@ -32,8 +32,7 @@ batched n-space product B W, which keeps a small a_i as accurate as a
 thin SVD of B would, and c_i = B_Y^T (B W) comes from the same product.  A direction is
 numerically null when its ||B w_i||^2 is under its rounding floor, or when
 n other directions, each clearly above the resolution of eigh, already
-span R^n.  As a padded one, it is held as a_i = c_i = 0 and adds exactly 0
-to both sums.
+span R^n.  It is held as a_i = c_i = 0 and adds exactly 0 to both sums.
 
 A direction with a_i > eps enters the numerator as (eps / (a_i + eps))^2
 q_i.  One with a_i <= eps, whose q_i would divide by a small a_i, enters as
@@ -56,13 +55,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, NumericGuardWarning, TuningError
-from .kernels import _BLOCK, _as_factor, _check_positive_epsilon, _factor_stack, gram_eigh
+from .errors import ArgumentError, DataError, NumericError, NumericGuardWarning, TuningError
+from .kernels import _as_factor, _check_positive_epsilon, _rank_stacks, gram_eigh
 
 # The prescribed 9-point search grid 1e-5 ... 1e3.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
 
 _DENOM_GUARD = 1e-12
+
+# Predictors per stack of one rank.  A predictor's a_i and ||c_i||^2 are
+# bitwise the same in any stack of its rank, so this bounds memory only.
+_BLOCK = 16
 
 _ROUNDOFF = np.finfo(float).eps
 
@@ -88,7 +91,7 @@ class RidgeSelection:
 def _check_factor_args(epsilon, ly, lxs):
     """epsilon, the response factor and the predictor factors' shapes, as
     float arrays.  The predictor factors' entries are checked for finiteness
-    once, a block at a time, where _gcv_components stacks them (DataError)."""
+    once, a stack at a time, where _gcv_components stacks them (DataError)."""
     _check_positive_epsilon(epsilon)
     ly = _as_factor(ly)
     n = ly.shape[0]
@@ -115,20 +118,18 @@ def _gcv_components(ly: np.ndarray, lxs: list) -> tuple:
     a = np.zeros((len(lxs), width))
     c2 = np.zeros((len(lxs), width))
     spans = np.zeros(len(lxs), dtype=bool)
-    for start in range(0, len(lxs), _BLOCK):
-        stop = min(start + _BLOCK, len(lxs))
-        ai, ci2, spans[start:stop] = _block_spectrum(lxs[start:stop], by)
-        a[start:stop, :ai.shape[1]] = ai
-        c2[start:stop, :ai.shape[1]] = ci2
+    for pos, stack in _rank_stacks(lxs, _BLOCK):
+        if not np.all(np.isfinite(stack)):
+            raise DataError("kernel factor entries must be finite")
+        r1 = stack.shape[2] + 1
+        a[pos, :r1], c2[pos, :r1], spans[pos] = _block_spectrum(stack, by)
     return n, a, c2, np.vdot(by, by), spans
 
 
-def _block_spectrum(lxs: list, by: np.ndarray) -> tuple:
-    """a_i and ||c_i||^2 of each of a block of factors, zero-padded into one
-    (b, n, r) stack, as (b, r + 1) arrays, and whether each one's basis
-    spans R^n."""
+def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
+    """a_i and ||c_i||^2 of each factor of a (b, n, r) stack, as (b, r + 1)
+    arrays, and whether each one's basis spans R^n."""
     n = by.shape[0]
-    stack, _ = _factor_stack(lxs, n)
     b, _, r = stack.shape
     lam, v = gram_eigh(stack)
     lam = np.maximum(lam, 0.0)
@@ -170,8 +171,8 @@ def _block_spectrum(lxs: list, by: np.ndarray) -> tuple:
 
 def _gcv_at(epsilon: float, n: int, a, c2, by_norm2, spans) -> tuple:
     """GCV value and skipped-summand count at one ridge value, for every
-    predictor at once.  Padded and null entries (a = c2 = 0) add 0 to every
-    sum."""
+    predictor at once.  Null entries, and the zeros that fill a row out to
+    the widest basis (a = c2 = 0), add 0 to every sum."""
     shift = a + epsilon
     den = 1.0 - (a / shift).sum(axis=1) / n
     large = a > epsilon

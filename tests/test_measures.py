@@ -7,7 +7,8 @@ import pytest
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
-from kscreen.measures import _centered_stack, _DistanceResponse, _stack_hsic, _stack_kcca
+from kscreen.kernels import _rank_stacks
+from kscreen.measures import _DistanceResponse, _stack_hsic, _stack_kcca
 from tests.helpers import (
     center_dense,
     dcor_brute,
@@ -135,12 +136,22 @@ class TestKccaScore:
             ks.kcca_singular_value(gx, gx, 0.5)
 
 
+def stack_scores(score, lxs, *args):
+    # Factors of any ranks scored as screen scores them: one stack per rank,
+    # column-centered in place.
+    out = np.empty(len(lxs))
+    for pos, stack in _rank_stacks(lxs, len(lxs)):
+        stack -= stack.mean(axis=1, keepdims=True)
+        out[pos] = score(stack, *args)
+    return out
+
+
 def stack_kcca(lxs, gy, eps):
-    return _stack_kcca(_centered_stack(lxs, gy.n)[0], gy, eps)
+    return stack_scores(_stack_kcca, lxs, gy, eps)
 
 
 def stack_hsic(lxs, ly_c):
-    return _stack_hsic(*_centered_stack(lxs, ly_c.shape[0]), ly_c)
+    return stack_scores(_stack_hsic, lxs, ly_c)
 
 
 class TestKccaBlock:
@@ -154,28 +165,10 @@ class TestKccaBlock:
         assert stack_kcca(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
         assert stack_kcca([np.zeros((10, 0))], gy, 0.5).tobytes() == np.zeros(1).tobytes()
 
-    def test_a_score_depends_only_on_its_own_factor_and_the_stack_width(self):
-        # screen scores fixed index blocks so that a score does not depend
-        # on which other features share its block.
-        rng = np.random.default_rng(6)
-        lxs = [random_factor(rng, 12) for _ in range(5)]
-        gy = random_gram(rng, 12)
-        r = max(lx.shape[1] for lx in lxs)
-        wide = max(range(5), key=lambda m: lxs[m].shape[1])
-        full = stack_kcca(lxs, gy, 0.5)
-        for m in range(5):
-            # Alone, or among other members, in another order, at width r.
-            pad = np.zeros((12, r - lxs[m].shape[1]))
-            alone = stack_kcca([np.hstack([lxs[m], pad])], gy, 0.5)
-            others = [lxs[k] for k in range(5) if k not in (m, wide)] + [lxs[wide]]
-            mixed = stack_kcca(others[::-1] + [lxs[m]], gy, 0.5)
-            assert alone[0].tobytes() == full[m].tobytes(), m
-            assert mixed[-1].tobytes() == full[m].tobytes(), m
-
     @pytest.mark.parametrize("routine", ["eigh", "svd"])
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
         rng = np.random.default_rng(0)
-        c, _ = _centered_stack([random_factor(rng, 8) for _ in range(3)], 8)
+        c = ks.center(random_factor(rng, 8))[None]
         gy = random_gram(rng, 8)
 
         def boom(*args, **kwargs):
@@ -195,16 +188,17 @@ class TestHsicBlock:
         assert got.shape == (3,) and got[0] > 0.0 and got[1] == 0.0 and got[2] == 0.0
         assert got[0] == ks.hsic_score(ks.center(lxs[0]), ly)
 
+
+class TestHsicScore:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_factor_entry_rejected(self, value):
         rng = np.random.default_rng(0)
-        bad = random_factor(rng, 8)
+        bad = random_centered(rng, 8)
         bad[3, 0] = value
-        with pytest.raises(DataError):
-            _centered_stack([random_factor(rng, 8), bad], 8)
+        for pair in ((bad, random_centered(rng, 8)), (random_centered(rng, 8), bad)):
+            with pytest.raises(DataError):
+                ks.hsic_score(*pair)
 
-
-class TestHsicScore:
     def test_zero_operator(self):
         rng = np.random.default_rng(2)
         gx = random_centered(rng, 9)

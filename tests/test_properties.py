@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
-from kscreen import screening
+from kscreen import screening, tuning
 from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
-from kscreen.measures import _centered_stack, _stack_hsic, _stack_kcca
+from kscreen.measures import _stack_hsic, _stack_kcca
 from tests.helpers import (
     center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle, hsic_double_sum,
     kcca_dense_oracle,
@@ -141,6 +141,22 @@ def kernels(draw, min_n=2, max_n=30):
     return sample_kernel(draw, draw(st.integers(min_n, max_n)))
 
 
+def members(stacks, b):
+    # gram_block's b factors in variable order, once its (positions, stack)
+    # pairs are checked: one C-contiguous stack per rank, ranks ascending,
+    # and every position in exactly one stack.
+    ranks = [stack.shape[2] for _, stack in stacks]
+    assert ranks == sorted(set(ranks))
+    pos = np.concatenate([pos for pos, _ in stacks])
+    assert np.array_equal(np.sort(pos), np.arange(b))
+    out = [None] * b
+    for pos, stack in stacks:
+        assert stack.flags.c_contiguous and stack.shape[0] == len(pos)
+        for m, lx in zip(pos, stack):
+            out[m] = lx
+    return out
+
+
 @SETTINGS
 @given(
     n=st.integers(1, 40),
@@ -151,9 +167,10 @@ def kernels(draw, min_n=2, max_n=30):
 def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
     # Each member of a block is built by the same arithmetic on its own
     # rows of the working arrays, so its factor is bitwise the one built
-    # alone, at any block size and position.  A level of 0 gives a constant
-    # member, which takes the gamma = 1 fallback as in screen; levels 3 and
-    # 1000 give members that stop at different steps.
+    # alone, at any block size and position; members checks the unpadded
+    # stacks they come back in.  A level of 0 gives a constant member,
+    # which takes the gamma = 1 fallback as in screen; levels 3 and 1000
+    # give members that stop at different steps.
     pts = np.stack([
         draw.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-k, k))) / 100.0
         for k in levels
@@ -168,7 +185,7 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
             fallback.append(True)
     alone = [ks.gram(member, bw) for member, bw in zip(pts, bws)]
     order = np.array(draw.draw(st.permutations(range(len(levels)))))
-    block = gram_block(pts[order], [bws[m] for m in order])
+    block = members(gram_block(pts[order], [bws[m] for m in order]), len(levels))
     # The samples times 2^k and each gamma times 2^-2k, for k in the range
     # where every such gamma is a normal float, as bandwidth requires of
     # the scaled samples' own gamma (which it gives up to the rounding of
@@ -177,9 +194,9 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
     exps = [np.frexp(bw.gamma)[1] for bw, f in zip(bws, fallback) if not f]
     k = draw.draw(st.integers(max([-((1024 - g) // 2) for g in exps], default=-500),
                               min([(g + 1021) // 2 for g in exps], default=500)))
-    scaled = gram_block(np.ldexp(pts[order], k),
-                        [bws[m] if fallback[m] else ks.Bandwidth(np.ldexp(bws[m].gamma, -2 * k))
-                         for m in order])
+    scaled_bws = [bws[m] if fallback[m] else ks.Bandwidth(np.ldexp(bws[m].gamma, -2 * k))
+                  for m in order]
+    scaled = members(gram_block(np.ldexp(pts[order], k), scaled_bws), len(levels))
     # The stopping test reads the running residual diagonal; each of the n
     # diagonal entries of the dense K - L L^T rounds by about an ulp of 1
     # (observed excess over the tolerance: 1.1e-15 at n = 40 over 100000
@@ -255,7 +272,7 @@ def block_factors(draw, n, levels):
     # Scalar samples of one block member per level, on a grid of 2 k + 1
     # values for level k: 0 gives a constant member, which takes the
     # gamma = 1 fallback as in screen, and 3 a low-rank one.  Returns the
-    # samples, their bandwidths and their factors, built as one block.
+    # samples, their bandwidths and gram_block's stacks of their factors.
     pts = np.stack([
         draw(hnp.arrays(np.int64, n, elements=st.integers(-k, k))) / 100.0 for k in levels
     ])
@@ -275,27 +292,28 @@ def block_factors(draw, n, levels):
     draw=st.data(),
 )
 def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, draw):
-    # A level of 0 gives a constant member, 3 a low-rank one.  The block
+    # A level of 0 gives a constant member, 3 a low-rank one.  A stack
     # takes its eigenvalues from eigh of C^T C, where the per-pair score
     # takes them from the SVD of C (observed: 2.3e-12 relative over 3000
     # draws and the whole grid); the dense oracle builds n x n Grams
     # (observed: 3.9e-10 relative).
-    pts, bws, lxs = block_factors(draw.draw, n, levels)
+    pts, bws, stacks = block_factors(draw.draw, n, levels)
     ypts, ybw = sample_kernel(draw.draw, n)
     gy = ks.center_and_decompose(ks.gram(ypts, ybw))
     dy = decompose_dense(dense_gram(ypts, ybw))
-    c, _ = _centered_stack(lxs, n)
-    for eps in ks.GCV_GRID:
-        got = _stack_kcca(c, gy, eps)
-        assert got.shape == (len(levels),)
-        for m, lx in enumerate(lxs):
-            want = ks.kcca_singular_value(ks.center_and_decompose(lx), gy, eps)
-            if levels[m] == 0:
-                assert got[m] == 0.0 and want == 0.0
-                continue
-            assert got[m] == pytest.approx(want, rel=1e-10, abs=0.0), (m, eps)
-            oracle = kcca_dense_oracle(decompose_dense(dense_gram(pts[m], bws[m])), dy, eps)
-            assert got[m] == pytest.approx(oracle, rel=1e-6, abs=0.0), (m, eps)
+    for pos, stack in stacks:
+        c = stack - stack.mean(axis=1, keepdims=True)
+        for eps in ks.GCV_GRID:
+            got = _stack_kcca(c, gy, eps)
+            assert got.shape == (len(pos),)
+            for i, m in enumerate(pos):
+                want = ks.kcca_singular_value(ks.center_and_decompose(stack[i]), gy, eps)
+                if levels[m] == 0:
+                    assert got[i] == 0.0 and want == 0.0
+                    continue
+                assert got[i] == pytest.approx(want, rel=1e-10, abs=0.0), (m, eps)
+                oracle = kcca_dense_oracle(decompose_dense(dense_gram(pts[m], bws[m])), dy, eps)
+                assert got[i] == pytest.approx(oracle, rel=1e-6, abs=0.0), (m, eps)
 
 
 @SETTINGS
@@ -305,21 +323,58 @@ def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, d
     draw=st.data(),
 )
 def test_block_hsic_is_bitwise_the_per_pair_score_and_matches_the_dense_grams(n, levels, draw):
-    # Centering a member in the padded stack, its product with the response
-    # and its sum of squares over its own columns are the per-pair
-    # arithmetic, so neither the padding nor the other members change a bit.
-    pts, bws, lxs = block_factors(draw.draw, n, levels)
+    # Centering a member in its stack, its product with the response and
+    # its sum of squares are the per-pair arithmetic, so the other members
+    # change no bit.
+    pts, bws, stacks = block_factors(draw.draw, n, levels)
     ypts, ybw = sample_kernel(draw.draw, n)
     ly_c = ks.center(ks.gram(ypts, ybw))
     gy = center_dense(dense_gram(ypts, ybw))
-    got = _stack_hsic(*_centered_stack(lxs, n), ly_c)
-    assert got.shape == (len(levels),)
-    for m, lx in enumerate(lxs):
-        assert got[m] == ks.hsic_score(ks.center(lx), ly_c), m
-        if levels[m] == 0:
-            assert got[m] == 0.0
-        want = hsic_double_sum(center_dense(dense_gram(pts[m], bws[m])), gy)
-        assert got[m] == pytest.approx(want, abs=TOL["hsic"]), m
+    for pos, stack in stacks:
+        got = _stack_hsic(stack - stack.mean(axis=1, keepdims=True), ly_c)
+        assert got.shape == (len(pos),)
+        for i, m in enumerate(pos):
+            assert got[i] == ks.hsic_score(ks.center(stack[i]), ly_c), m
+            if levels[m] == 0:
+                assert got[i] == 0.0
+            want = hsic_double_sum(center_dense(dense_gram(pts[m], bws[m])), gy)
+            assert got[i] == pytest.approx(want, abs=TOL["hsic"]), m
+
+
+@SETTINGS
+@given(
+    n=st.integers(4, 40),
+    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=17),
+    draw=st.data(),
+)
+def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, levels, draw):
+    # No member's arithmetic mixes with another's and no stack is padded,
+    # so a factor's KCCA and HSIC scores and its GCV term (its a_i and
+    # ||c_i||^2, and the GCV value they give) are bitwise the same in a
+    # stack of one and in a stack of any size and order of factors of its
+    # rank, repeats included.  The GCV splits a stack of more than 16.
+    _, _, stacks = block_factors(draw.draw, n, levels)
+    _, stack = stacks[draw.draw(st.integers(0, len(stacks) - 1))]
+    picks = draw.draw(st.lists(st.integers(0, len(stack) - 1), min_size=1, max_size=40))
+    ypts, ybw = sample_kernel(draw.draw, n)
+    ly = ks.gram(ypts, ybw)
+    gy, ly_c = ks.center_and_decompose(ly), ks.center(ly)
+    eps = draw.draw(st.sampled_from(ks.GCV_GRID))
+
+    def scored(lxs):
+        comps = tuning._gcv_components(ly, list(lxs))
+        c = lxs - lxs.mean(axis=1, keepdims=True)
+        return _stack_kcca(c, gy, eps), _stack_hsic(c, ly_c), comps
+
+    kcca, hsic, (_, a, c2, by_norm2, spans) = scored(stack[picks])
+    for i, m in enumerate(picks):
+        kcca1, hsic1, alone = scored(stack[m:m + 1])
+        assert kcca1.tobytes() == kcca[i:i + 1].tobytes(), (m, eps)
+        assert hsic1.tobytes() == hsic[i:i + 1].tobytes(), m
+        assert alone[1].tobytes() == a[i:i + 1].tobytes()
+        assert alone[2].tobytes() == c2[i:i + 1].tobytes()
+        assert tuning._gcv_at(eps, *alone) == tuning._gcv_at(
+            eps, n, a[i:i + 1], c2[i:i + 1], by_norm2, spans[i:i + 1])
 
 
 @SETTINGS

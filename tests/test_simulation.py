@@ -409,13 +409,15 @@ class TestReplicationWorker:
     def test_one_kernel_preparation_per_replication(self, monkeypatch):
         # kcca and hsic share every bandwidth, factor and centered stack:
         # p + 1 bandwidths (the response's by bandwidth, the p columns' from
-        # one batched distance-sum pass), one factor per predictor and one
-        # stack per 16-feature block, with the GCV subsample drawn (p > 20).
+        # one batched distance-sum pass), one factor per predictor, and each
+        # stack gram_block returns centered once and scored once by each
+        # kernel method, with the GCV subsample drawn (p > 20).
         from kscreen import screening
         from kscreen.measures import Method
         from kscreen.simulation import _replication_sizes
 
-        calls = {"bandwidth": 0, "factors": 0, "stacks": 0}
+        calls = {"bandwidth": 0, "factors": 0}
+        stacks, scored = {}, {"kcca": [], "hsic": []}
 
         def counting(key, fn, size=lambda *a: 1):
             def wrapped(*args, **kwargs):
@@ -423,18 +425,36 @@ class TestReplicationWorker:
                 return fn(*args, **kwargs)
             return wrapped
 
+        gram_block = screening.gram_block
+
+        def building(samples, bws):
+            built = gram_block(samples, bws)
+            calls["factors"] += sum(len(pos) for pos, _ in built)
+            for _, stack in built:
+                # Kept alive, so that no other stack can take its id.
+                stacks[id(stack)] = (stack, stack - stack.mean(axis=1, keepdims=True))
+            return built
+
+        def scoring(key, fn):
+            def wrapped(c, *args):
+                _, centered = stacks[id(c)]
+                scored[key].append((id(c), c.tobytes() == centered.tobytes()))
+                return fn(c, *args)
+            return wrapped
+
         monkeypatch.setattr(screening, "bandwidth", counting("bandwidth", screening.bandwidth))
         monkeypatch.setattr(screening, "_scalar_distance_sums",
                             counting("bandwidth", screening._scalar_distance_sums, len))
-        monkeypatch.setattr(screening, "gram_block",
-                            counting("factors", screening.gram_block, lambda s, b: len(b)))
-        monkeypatch.setattr(screening, "_centered_stack",
-                            counting("stacks", screening._centered_stack))
+        monkeypatch.setattr(screening, "gram_block", building)
+        monkeypatch.setattr(screening, "_stack_kcca", scoring("kcca", screening._stack_kcca))
+        monkeypatch.setattr(screening, "_stack_hsic", scoring("hsic", screening._stack_hsic))
         p = 40
         spec = ks.SimulationSpec(suite="sim2", model_id=1, n=30, p=p, reps=1, seed=5)
         out = _replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC), "auto", 20, 0)
         assert set(out) == {"kcca", "hsic", "dc"}
-        assert calls == {"bandwidth": p + 1, "factors": p, "stacks": math.ceil(p / 16)}
+        assert calls == {"bandwidth": p + 1, "factors": p}
+        every_stack_centered_once = sorted((key, True) for key in stacks)
+        assert sorted(scored["kcca"]) == sorted(scored["hsic"]) == every_stack_centered_once
 
     def test_constant_column_warns_once_per_replication(self, monkeypatch):
         import warnings
