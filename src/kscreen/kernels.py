@@ -276,14 +276,18 @@ def _bandwidth_from_sum(total: float, n: int) -> Bandwidth:
     distances; raises DegenerateDataError as bandwidth does.
 
     The arithmetic is on Python floats, whose operations round as numpy's
-    scalar ones do; an array power would round differently.
+    scalar ones do.  Every step is a correctly rounded product or quotient,
+    so samples times 2^k give gamma times 2^-2k exactly while no step
+    leaves the normal range; a power would round differently.
     """
     if total == 0.0:
         raise DegenerateDataError("all samples identical: mean pairwise distance is 0")
     inv_sqrt_gamma = _TWO_SQRT2 * total / (n * (n - 1))
     try:
-        gamma = inv_sqrt_gamma ** -2.0
-    except OverflowError:
+        # Dividing twice, not by the square, so that a gamma that is
+        # subnormal is reported as such rather than as 0.
+        gamma = 1.0 / inv_sqrt_gamma / inv_sqrt_gamma
+    except ZeroDivisionError:  # inv_sqrt_gamma underflowed to 0
         gamma = math.inf
     # A subnormal gamma has lost bits; its squared distances are near overflow.
     if not sys.float_info.min <= gamma < math.inf:

@@ -286,10 +286,13 @@ class TestValidationEdges:
         # vector rows: the squared distances underflow the sum entirely
         with pytest.raises(DegenerateDataError):
             ks.bandwidth([[0.0, 0.0], [1e-300, 0.0]])
-        # scalars: the distances survive but the inverse-square power overflows
+        # scalars: the distances survive but gamma overflows
         for tiny in (1e-300, 1e-160):
             with pytest.raises(DegenerateDataError):
                 ks.bandwidth([0.0, tiny])
+        # or the mean distance itself underflows to 0
+        with pytest.raises(DegenerateDataError, match="unusable gamma inf"):
+            ks.bandwidth([0.0] * 99 + [5e-324])
 
     def test_subnormal_gamma_rejected(self):
         # gamma = 1 / (2 d^2) for two samples d apart falls below the

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -186,16 +186,15 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
     alone = [ks.gram(member, bw) for member, bw in zip(pts, bws)]
     order = np.array(draw.draw(st.permutations(range(len(levels)))))
     block = members(gram_block(pts[order], [bws[m] for m in order]), len(levels))
-    # The samples times 2^k and each gamma times 2^-2k, for k in the range
-    # where every such gamma is a normal float, as bandwidth requires of
-    # the scaled samples' own gamma (which it gives up to the rounding of
-    # its power).  A fallback gamma stays 1.  Both scalings are exact, so
-    # the scaled block's factors are bitwise the same too.
+    # The samples times 2^k with their own bandwidths, for k in the range
+    # where every such gamma is a normal float.  bandwidth gives gamma
+    # times 2^-2k exactly there, and a fallback gamma stays 1.  Both
+    # scalings are exact, so the scaled block's factors are bitwise the
+    # same too.
     exps = [np.frexp(bw.gamma)[1] for bw, f in zip(bws, fallback) if not f]
     k = draw.draw(st.integers(max([-((1024 - g) // 2) for g in exps], default=-500),
                               min([(g + 1021) // 2 for g in exps], default=500)))
-    scaled_bws = [bws[m] if fallback[m] else ks.Bandwidth(np.ldexp(bws[m].gamma, -2 * k))
-                  for m in order]
+    scaled_bws = [bws[m] if fallback[m] else ks.bandwidth(np.ldexp(pts[m], k)) for m in order]
     scaled = members(gram_block(np.ldexp(pts[order], k), scaled_bws), len(levels))
     # The stopping test reads the running residual diagonal; each of the n
     # diagonal entries of the dense K - L L^T rounds by about an ulp of 1
@@ -206,6 +205,24 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
         assert lf.shape == alone[m].shape and lf.tobytes() == alone[m].tobytes()
         assert lk.shape == alone[m].shape and lk.tobytes() == alone[m].tobytes()
         assert np.trace(dense_gram(pts[m], bws[m]) - lf @ lf.T) <= tol
+
+
+@SETTINGS
+@given(grid=hnp.arrays(np.int64, st.integers(2, 39), elements=st.integers(-1000, 1000)),
+       k=st.integers(-600, 600))
+@example(grid=np.array([129, -353]), k=-1)  # an ulp off when gamma was a power
+def test_bandwidth_scales_exactly_with_a_power_of_two(grid, k):
+    # Samples times 2^k give gamma times 2^-2k exactly, for every k that
+    # keeps that gamma a normal float (k is clamped to that range): each
+    # step of the rule is a correctly rounded product or quotient.
+    x = grid / 100.0
+    try:
+        gamma = ks.bandwidth(x).gamma
+    except ks.DegenerateDataError:  # constant samples
+        return
+    e = np.frexp(gamma)[1]
+    k = min(max(k, -((1024 - e) // 2)), (e + 1021) // 2)
+    assert ks.bandwidth(np.ldexp(x, k)).gamma == np.ldexp(gamma, -2 * k), k
 
 
 @SETTINGS
