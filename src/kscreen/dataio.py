@@ -53,17 +53,10 @@ def _resolve_response_columns(header, response_columns):
 
 
 def _parse_row(row, i, header) -> np.ndarray:
-    """Data row i as floats.  numpy converts the whole row at once; a row it
-    rejects goes cell by cell, which names the failing cell or, for cells
-    that only str.strip() makes readable, parses them as before.  Going
-    cell by cell for every row cost ~10% more per op on the 200 x 3001
-    cli-dc CSV (BENCH_pr7.json)."""
+    """Data row i as floats, cell by cell, naming the first cell that is
+    missing or does not parse."""
     if len(row) != len(header):
         raise DataError(f"row {i}: expected {len(header)} cells, found {len(row)}")
-    try:
-        return np.array(row, dtype=float)
-    except ValueError:
-        pass
     values = np.empty(len(header))
     for j, cell in enumerate(row):
         text = cell.strip()
