@@ -145,8 +145,8 @@ def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     except np.linalg.LinAlgError as e:
         raise NumericError(f"eigendecomposition of a GCV basis Gram failed: {e}") from None
     # B W = [1, L V Lambda^(1/2)] W, whose squared column norms are the
-    # a_i, is formed half a block at a time, so that it adds at most half
-    # the stack's size to the memory the stack holds.
+    # a_i, is formed _BLOCK // 2 members at a time, so that it adds at most
+    # half a full stack's size to the memory the stack holds.
     proj = root @ w[:, 1:]
     a = np.empty((b, r + 1))
     c2 = np.empty((b, r + 1))
