@@ -147,8 +147,8 @@ def members(stacks, b):
     # and every position in exactly one stack.
     ranks = [stack.shape[2] for _, stack in stacks]
     assert ranks == sorted(set(ranks))
-    pos = np.concatenate([pos for pos, _ in stacks])
-    assert np.array_equal(np.sort(pos), np.arange(b))
+    seen = np.concatenate([pos for pos, _ in stacks])
+    assert np.array_equal(np.sort(seen), np.arange(b))
     out = [None] * b
     for pos, stack in stacks:
         assert stack.flags.c_contiguous and stack.shape[0] == len(pos)
