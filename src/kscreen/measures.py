@@ -24,8 +24,9 @@ value of the whitened cross-Gram coordinate matrix
     M = (D_Y + eps I)^{-1/2} D_Y^{1/2} U_Y^T U_X D_X^{1/2} (D_X + eps I)^{-1/2},
 
 where (U, D) are the retained eigenpairs of the double-centered Gram
-matrices.  For any eps > 0 the score lies in [0, 1) and is 0 iff the
-centered operators are orthogonal.
+matrices, taken as the square root of the largest eigenvalue of M's
+smaller Gram (M M^T or M^T M).  For any eps > 0 the score lies in [0, 1)
+and is 0 iff the centered operators are orthogonal.
 """
 
 from __future__ import annotations
@@ -63,14 +64,21 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     if gx.rank == 0 or gy.rank == 0:
         return 0.0
     wx = np.sqrt(gx.d / (gx.d + epsilon))
-    wy = np.sqrt(gy.d / (gy.d + epsilon))
-    cross = gy.u.T @ gx.u
-    return float(_top_singular_values((wy[:, None] * cross) * wx[None, :]))
+    cross = _kcca_response(gy, epsilon) @ gx.u
+    return float(_top_singular_values(cross * wx[None, :]))
 
 
-def _stack_kcca(c: np.ndarray, gy: CenteredGram, epsilon: float) -> np.ndarray:
+def _kcca_response(gy: CenteredGram, epsilon: float) -> np.ndarray:
+    """The response's rows diag(w_Y) U_Y^T of M, rank_Y x n, with
+    w_Y = sqrt(d_Y / (d_Y + eps)); they depend only on epsilon, so a screen
+    forms them once for all its predictors."""
+    return np.sqrt(gy.d / (gy.d + epsilon))[:, None] * gy.u.T
+
+
+def _stack_kcca(c: np.ndarray, uy: np.ndarray, epsilon: float) -> np.ndarray:
     """KCCA scores of each centered factor of a (b, n, r) stack C, all of
-    rank r, against the response's CenteredGram gy, in one batched pass.
+    rank r, against the response rows uy = _kcca_response(gy, epsilon), in
+    one batched pass.
 
     With C^T C = W Lambda W^T from one batched eigh of the r x r Grams, the
     retained eigenvectors of C C^T are U_X = C W Lambda^(-1/2), so
@@ -85,23 +93,25 @@ def _stack_kcca(c: np.ndarray, gy: CenteredGram, epsilon: float) -> np.ndarray:
     included.  A rank-0 stack or response scores 0; epsilon is not
     checked.  Raises NumericError if LAPACK fails.
     """
-    if gy.rank == 0 or c.shape[2] == 0:
+    if uy.shape[0] == 0 or c.shape[2] == 0:
         return np.zeros(c.shape[0])
     lam, w = gram_eigh(c)
     keep = lam >= DEFAULT_TOL_REL * np.maximum(lam[:, -1:], 1.0)
     scale = keep / np.sqrt(np.where(keep, lam, 0.0) + epsilon)
-    wy = np.sqrt(gy.d / (gy.d + epsilon))
-    return _top_singular_values(wy[:, None] * (gy.u.T @ c) @ (w * scale[:, None, :]))
+    return _top_singular_values(uy @ c @ (w * scale[:, None, :]))
 
 
 def _top_singular_values(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of a matrix, or of each in a stack, clipped at
-    1, with LAPACK failures mapped to NumericError."""
+    """Largest singular value of a matrix, or of each in a stack, clipped to
+    [0, 1]: the square root of the largest eigenvalue of its smaller Gram,
+    M M^T or M^T M as the shape alone decides, so that a member's value is
+    bitwise the same in any stack.  LAPACK failures map to NumericError."""
+    mt = np.swapaxes(m, -1, -2)
     try:
-        sv = np.linalg.svd(m, compute_uv=False)[..., 0]
+        top = np.linalg.eigvalsh(m @ mt if m.shape[-2] <= m.shape[-1] else mt @ m)[..., -1]
     except np.linalg.LinAlgError as e:
         raise NumericError(f"singular value computation failed: {e}") from None
-    return np.minimum(sv, 1.0)
+    return np.sqrt(np.clip(top, 0.0, 1.0))
 
 
 def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:

@@ -60,7 +60,7 @@ from .kernels import (
 # hsic_score and kcca_singular_value are not called here; they stay names of
 # this module because bench/tracing.py rebinds them.
 from .measures import (  # noqa: F401
-    Method, _DistanceResponse, _stack_hsic, _stack_kcca, dcor_score,
+    Method, _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, dcor_score,
     hsic_score, kcca_singular_value, pearson_score,
 )
 from .tuning import select_epsilon
@@ -316,13 +316,14 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
             # bitwise the same in any stack of its rank.
             stack -= stack.mean(axis=1, keepdims=True)
             if kcca:
-                scores[Method.KCCA][features] = _stack_kcca(stack, gy, eps)
+                scores[Method.KCCA][features] = _stack_kcca(stack, uy, eps)
             if hsic:
                 scores[Method.HSIC][features] = _stack_hsic(stack, ly_c)
 
         # Each feature's factor is built once: the GCV subsample's stacks
         # are scored once the GCV has read them, then the rest as built.
         rest = np.arange(p)
+        tuned = []
         if kcca:
             eps = fixed_eps
             if eps is None:
@@ -337,10 +338,12 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
                 view = {r: lx for features, stack in tuned
                         for r, lx in zip(features.tolist(), stack)}
                 eps = select_epsilon(ly, [view[r] for r in tuning_idx.tolist()]).epsilon
-                for features, stack in tuned:
-                    score(features, stack)
-                del tuned, view  # before the rest are built
+                del view
                 rest = np.delete(rest, tuning_idx)
+            uy = _kcca_response(gy, eps)
+        for features, stack in tuned:
+            score(features, stack)
+        del tuned  # before the rest are built
         for features, stack in built(rest):
             score(features, stack)
 

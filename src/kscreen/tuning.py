@@ -9,9 +9,9 @@ Z_Y = (1, K_Y)^T both (n+1) x n, the criterion is
 minimized over a grid of eps values.  Every kernel arrives as its n x r
 factor L (kernels.gram, K ~= L L^T).  The push-through identity reduces the
 (n+1)-sized inverse to A_r = Z_r^T Z_r = 1 1^T + K_r^2 = B_r B_r^T with
-B_r = [1, L_r V_r Lambda_r^(1/2)], n x (r+1), where L_r^T L_r = V_r Lambda_r
-V_r^T is the eigendecomposition of the factor's r x r Gram (eigenvalues that
-round below 0 are clipped to 0).  With B_r^T B_r = W diag(a) W^T, A_r has
+B_r = [L_r R_r^T, 1], n x (r+1), where R_r is the r x r triangular factor of
+a QR of L_r: R_r^T R_r = L_r^T L_r, so L_r R_r^T R_r L_r^T = K_r^2.  The
+response's B_Y is built by the same rule.  With B_r^T B_r = W diag(a) W^T, A_r has
 the eigenvalues a_i on the unit vectors p_i = B_r w_i / sqrt(a_i) and is 0
 on their orthogonal complement, so all grid points share
 
@@ -24,12 +24,12 @@ numerator and nothing to the denominator.
 
 No n-sized decomposition is taken.  The factors are grouped by rank into
 unpadded (b, n, r) stacks of at most _BLOCK predictors, and each stack
-takes one batched eigh of its r x r Grams L^T L and one of its (r+1) x (r+1)
-arrowhead Grams B^T B = [[n, s^T], [s, Lambda^2]], s = Lambda^(1/2) V^T
-L^T 1.  An eigenvalue of that squared Gram is accurate only to ~1e-16
-a_max, so a_i is taken as the Rayleigh quotient ||B w_i||^2 of one
-batched n-space product B W, which keeps a small a_i as accurate as a
-thin SVD of B would, and c_i = B_Y^T (B W) comes from the same product.  A direction is
+takes one batched QR of its factors and one batched eigh of its
+(r+1) x (r+1) basis Grams B^T B = [[(R R^T)^2, t], [t^T, n]], t = R L^T 1.
+An eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so
+a_i is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
+product B W, which keeps a small a_i accurate, and c_i = B_Y^T (B W)
+comes from the same product.  A direction is
 numerically null when its ||B w_i||^2 is under its rounding floor, or when
 n other directions, each clearly above the resolution of eigh, already
 span R^n.  It is held as a_i = c_i = 0 and adds exactly 0 to both sums.
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, NumericError, NumericGuardWarning, TuningError
-from .kernels import _as_factor, _check_positive_epsilon, _rank_stacks, gram_eigh
+from .kernels import _as_factor, _check_positive_epsilon, _rank_stacks
 
 # The prescribed 9-point search grid 1e-5 ... 1e3.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
@@ -112,8 +112,7 @@ def _gcv_components(ly: np.ndarray, lxs: list) -> tuple:
     basis, by_norm2 is ||B_Y||_F^2 and spans[m] says whether predictor m's
     basis spans all n dimensions."""
     n = ly.shape[0]
-    lam, v = gram_eigh(ly)
-    by = np.column_stack([np.ones(n), ly @ (v * np.sqrt(np.maximum(lam, 0.0)))])
+    by = np.column_stack([ly @ _gram_root(ly), np.ones(n)])
     width = 1 + max(lx.shape[1] for lx in lxs)
     a = np.zeros((len(lxs), width))
     c2 = np.zeros((len(lxs), width))
@@ -126,34 +125,44 @@ def _gcv_components(ly: np.ndarray, lxs: list) -> tuple:
     return n, a, c2, np.vdot(by, by), spans
 
 
+def _gram_root(factor: np.ndarray) -> np.ndarray:
+    """R^T for the r x r R factor of a QR of an n x r factor L, or of each
+    in a (b, n, r) stack: R^T R = L^T L, so [L R^T, 1] is a GCV basis.
+    LAPACK failures map to NumericError."""
+    try:
+        return np.swapaxes(np.linalg.qr(factor, mode="r"), -1, -2)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"QR decomposition of a kernel factor failed: {e}") from None
+
+
 def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     """a_i and ||c_i||^2 of each factor of a (b, n, r) stack, as (b, r + 1)
     arrays, and whether each one's basis spans R^n."""
     n = by.shape[0]
     b, _, r = stack.shape
-    lam, v = gram_eigh(stack)
-    lam = np.maximum(lam, 0.0)
-    root = v * np.sqrt(lam)[:, None, :]
-    # B^T B = [[n, s^T], [s, Lambda^2]] with s = Lambda^(1/2) V^T L^T 1.
-    arrow = np.zeros((b, r + 1, r + 1))
-    arrow[:, 0, 0] = n
-    arrow[:, 0, 1:] = arrow[:, 1:, 0] = (stack.sum(axis=1)[:, None, :] @ root)[:, 0]
-    diag = np.arange(1, r + 1)
-    arrow[:, diag, diag] = lam * lam
+    root = _gram_root(stack)
+    # B^T B = [[(R R^T)^2, t], [t^T, n]] with t = R L^T 1.  The ones column
+    # goes last: R, from a QR of the pivoted factor, is graded from its
+    # first row down, and eigh keeps that grading's small a_i accurate.
+    btb = np.empty((b, r + 1, r + 1))
+    rrt = np.swapaxes(root, 1, 2) @ root
+    btb[:, :r, :r] = rrt @ rrt
+    btb[:, r, :r] = btb[:, :r, r] = (stack.sum(axis=1)[:, None, :] @ root)[:, 0]
+    btb[:, r, r] = n
     try:
-        _, w = np.linalg.eigh(arrow)
+        _, w = np.linalg.eigh(btb)
     except np.linalg.LinAlgError as e:
         raise NumericError(f"eigendecomposition of a GCV basis Gram failed: {e}") from None
-    # B W = [1, L V Lambda^(1/2)] W, whose squared column norms are the
-    # a_i, is formed _BLOCK // 2 members at a time, so that it adds at most
-    # half a full stack's size to the memory the stack holds.
-    proj = root @ w[:, 1:]
+    # B W = [L R^T, 1] W, whose squared column norms are the a_i, is formed
+    # _BLOCK // 2 members at a time, so that it adds at most half a full
+    # stack's size to the memory the stack holds.
+    proj = root @ w[:, :r]
     a = np.empty((b, r + 1))
     c2 = np.empty((b, r + 1))
     for h in range(0, b, _BLOCK // 2):
         half = slice(h, h + _BLOCK // 2)
         bw = stack[half] @ proj[half]
-        bw += w[half, None, 0]
+        bw += w[half, None, r]
         a[half] = np.einsum("bij,bij->bj", bw, bw)
         c = by.T @ bw
         c2[half] = np.einsum("bij,bij->bj", c, c)

@@ -4,11 +4,15 @@ implementation, and the Pearson baseline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from kscreen.kernels import _rank_stacks
-from kscreen.measures import _DistanceResponse, _stack_hsic, _stack_kcca
+from kscreen.measures import (
+    _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, _top_singular_values,
+)
 from tests.helpers import (
     center_dense,
     dcor_brute,
@@ -124,14 +128,15 @@ class TestKccaScore:
         with pytest.raises(ArgumentError):
             ks.kcca_singular_value(gx, gx, -1.0)
 
-    def test_svd_failure_maps_to_numeric_error(self, monkeypatch):
+    def test_eigvalsh_failure_maps_to_numeric_error(self, monkeypatch):
+        # The top singular value of M comes from eigvalsh of its smaller Gram.
         rng = np.random.default_rng(0)
         gx = random_gram(rng, 8)
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(np.linalg, "svd", boom)
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
         with pytest.raises(NumericError):
             ks.kcca_singular_value(gx, gx, 0.5)
 
@@ -147,7 +152,7 @@ def stack_scores(score, lxs, *args):
 
 
 def stack_kcca(lxs, gy, eps):
-    return stack_scores(_stack_kcca, lxs, gy, eps)
+    return stack_scores(_stack_kcca, lxs, _kcca_response(gy, eps), eps)
 
 
 def stack_hsic(lxs, ly_c):
@@ -165,7 +170,7 @@ class TestKccaBlock:
         assert stack_kcca(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
         assert stack_kcca([np.zeros((10, 0))], gy, 0.5).tobytes() == np.zeros(1).tobytes()
 
-    @pytest.mark.parametrize("routine", ["eigh", "svd"])
+    @pytest.mark.parametrize("routine", ["eigh", "eigvalsh"])
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
         rng = np.random.default_rng(0)
         c = ks.center(random_factor(rng, 8))[None]
@@ -176,7 +181,42 @@ class TestKccaBlock:
 
         monkeypatch.setattr(np.linalg, routine, boom)
         with pytest.raises(NumericError):
-            _stack_kcca(c, gy, 0.5)
+            _stack_kcca(c, _kcca_response(gy, 0.5), 0.5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    b=st.integers(1, 6),
+    k=st.integers(1, 24),
+    m=st.integers(1, 24),
+    kind=st.sampled_from(["full", "rank-one", "zero"]),
+    scale=st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    draw=st.data(),
+)
+def test_top_singular_value_matches_the_svd_and_is_its_own_in_any_stack(
+        b, k, m, kind, scale, seed, draw):
+    # sigma_max comes from eigvalsh of the smaller Gram, whose largest
+    # eigenvalue is accurate to a few ulps times its size, so sigma_max is
+    # too (observed: 1.2 eps * max(k, m) over 20000 random draws of this
+    # domain); the bound is 4 eps * max(k, m).  Values above 1 are clipped
+    # to 1, as M's largest singular value is at most 1 in exact arithmetic.
+    rng = np.random.default_rng(seed)
+    ms = rng.standard_normal((b, k, m))
+    if kind == "rank-one":
+        ms = rng.standard_normal((b, k, 1)) * rng.standard_normal((b, 1, m))
+    elif kind == "zero":
+        ms[:] = 0.0
+    ms *= scale / np.sqrt(k * m)
+    got = _top_singular_values(ms)
+    want = np.minimum(np.linalg.svd(ms, compute_uv=False)[..., 0], 1.0)
+    assert got.shape == (b,)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * max(k, m) * want)
+    picks = draw.draw(st.lists(st.integers(0, b - 1), min_size=1, max_size=8))
+    mixed = _top_singular_values(ms[picks])
+    for i, j in enumerate(picks):
+        assert _top_singular_values(ms[j:j + 1]).tobytes() == got[j:j + 1].tobytes()
+        assert mixed[i] == got[j]
 
 
 class TestHsicBlock:

@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 import kscreen as ks
 from kscreen import screening, tuning
 from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
-from kscreen.measures import _stack_hsic, _stack_kcca
+from kscreen.measures import _kcca_response, _stack_hsic, _stack_kcca
 from tests.helpers import (
     center_dense, dcor_brute, decompose_dense, dense_gram, gcv_dense_oracle, hsic_double_sum,
     kcca_dense_oracle,
@@ -120,7 +120,6 @@ def test_kcca_and_dc_scores_lie_in_unit_interval(table, epsilon):
     for method in ("kcca", "dc"):
         s = scores(x, y, method, epsilon)
         assert np.all(s >= 0.0) and np.all(s < 1.0), method
-
 
 
 def sample_kernel(draw, n):
@@ -321,7 +320,7 @@ def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, d
     for pos, stack in stacks:
         c = stack - stack.mean(axis=1, keepdims=True)
         for eps in ks.GCV_GRID:
-            got = _stack_kcca(c, gy, eps)
+            got = _stack_kcca(c, _kcca_response(gy, eps), eps)
             assert got.shape == (len(pos),)
             for i, m in enumerate(pos):
                 want = ks.kcca_singular_value(ks.center_and_decompose(stack[i]), gy, eps)
@@ -381,7 +380,7 @@ def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, l
     def scored(lxs):
         comps = tuning._gcv_components(ly, list(lxs))
         c = lxs - lxs.mean(axis=1, keepdims=True)
-        return _stack_kcca(c, gy, eps), _stack_hsic(c, ly_c), comps
+        return _stack_kcca(c, _kcca_response(gy, eps), eps), _stack_hsic(c, ly_c), comps
 
     kcca, hsic, (_, a, c2, by_norm2, spans) = scored(stack[picks])
     for i, m in enumerate(picks):

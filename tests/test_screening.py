@@ -391,3 +391,47 @@ def test_every_name_the_benchmark_tracer_rebinds_exists():
     for module_name, attr, _ in tracing.TARGETS:
         module = importlib.import_module(f"kscreen.{module_name}") if module_name else ks
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_lapack_budget_of_a_kcca_screen(monkeypatch):
+    # Every LAPACK decomposition of one auto-epsilon kcca screen, counted
+    # as the matrices each routine receives (a stack of b counts b): per
+    # predictor one r x r eigh of its centered Gram and one eigvalsh of the
+    # smaller Gram of its M; per GCV predictor one QR of its factor and one
+    # (r+1) x (r+1) eigh of its basis Gram; for the response one SVD of its
+    # centered factor and one QR of its factor for the GCV; nothing else.
+    n, p = 40, 60
+    x, y = make_data(seed=3, n=n, p=p)
+    ly = ks.gram(y.values, ks.bandwidth(y.values))
+    ry = ks.center_and_decompose(ly).rank
+    received = {name: [] for name in ("eigh", "eigvalsh", "svd", "qr")}
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            shape = np.shape(a)
+            received[name].extend([shape[-2:]] * int(np.prod(shape[:-2], dtype=int)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in received:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    ranks, tuned = [], []
+
+    def building(samples, bws, gram_block=screening.gram_block):
+        built = gram_block(samples, bws)
+        ranks.extend(stack.shape[2] for pos, stack in built for _ in pos)
+        return built
+
+    def selecting(ly, lxs, select_epsilon=screening.select_epsilon):
+        tuned.extend(lx.shape[1] for lx in lxs)
+        return select_epsilon(ly, lxs)
+
+    monkeypatch.setattr(screening, "gram_block", building)
+    monkeypatch.setattr(screening, "select_epsilon", selecting)
+    ks.screen(x, y, method="kcca", gcv_subsample=20)
+    assert len(ranks) == p and len(tuned) == 20 and min(ranks) > 0
+    assert sorted(received["eigh"]) == sorted([(r, r) for r in ranks]
+                                              + [(r + 1, r + 1) for r in tuned])
+    assert sorted(received["eigvalsh"]) == sorted([(min(r, ry),) * 2 for r in ranks])
+    assert received["svd"] == [ly.shape]
+    assert sorted(received["qr"]) == sorted([(n, r) for r in tuned] + [ly.shape])

@@ -118,6 +118,18 @@ class TestGcvValue:
         with pytest.raises(NumericError):
             ks.select_epsilon(ly, lxs)
 
+    def test_qr_failure_maps_to_numeric_error(self, monkeypatch):
+        # Each basis [L R^T, 1] takes R from a QR of its factor.
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        ly, lxs = toy_kernels()
+        monkeypatch.setattr(np.linalg, "qr", boom)
+        with pytest.raises(NumericError):
+            ks.gcv_value(0.1, ly, lxs)
+        with pytest.raises(NumericError):
+            ks.select_epsilon(ly, lxs)
+
     def test_no_singular_value_decomposition(self, monkeypatch):
         # Every predictor's basis is decomposed through eigh of small Grams.
         def boom(*args, **kwargs):
