@@ -44,8 +44,9 @@ it is set to 0 rather than left as the rounding of a difference.
 
 The a_i and ||c_i||^2 of all predictors are held as rows of two arrays,
 zero-padded to the widest basis, and one evaluator computes a grid point
-for every predictor at once.  gcv_value and select_epsilon both call it, so
-their values agree bitwise.
+for every predictor at once, summing each row in column order so that a
+predictor's summand does not depend on the other predictors.  gcv_value
+and select_epsilon both call it, so their values agree bitwise.
 """
 
 from __future__ import annotations
@@ -178,21 +179,29 @@ def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     return np.where(null, 0.0, a), np.where(null, 0.0, c2), spans
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, added in column order: the zeros that fill a row out
+    to the widest basis then change no bit of it, as a pairwise sum's
+    grouping by row width would."""
+    return np.cumsum(x, axis=1)[:, -1]
+
+
 def _gcv_at(epsilon: float, n: int, a, c2, by_norm2, spans) -> tuple:
     """GCV value and skipped-summand count at one ridge value, for every
     predictor at once.  Null entries, and the zeros that fill a row out to
-    the widest basis (a = c2 = 0), add 0 to every sum."""
+    the widest basis (a = c2 = 0), add exactly 0 to every sum, so a
+    predictor's summand is bitwise the same in any list."""
     shift = a + epsilon
-    den = 1.0 - (a / shift).sum(axis=1) / n
+    den = 1.0 - _row_sums(a / shift) / n
     large = a > epsilon
     q = np.where(large, c2 / np.where(large, a, 1.0), 0.0)
     resid = epsilon / shift
     small = np.where(large, 0.0, (a + 2.0 * epsilon) / (shift * shift) * c2)
     # ||B_Y||^2 - sum of q_i over a_i > eps, which is exactly q_perp = 0 for
     # a basis that spans R^n with no a_i <= eps: set, not left as rounding.
-    rest = by_norm2 - q.sum(axis=1)
+    rest = by_norm2 - _row_sums(q)
     rest[spans & ~((a > 0.0) & ~large).any(axis=1)] = 0.0
-    num = rest + (resid * resid * q).sum(axis=1) - small.sum(axis=1)
+    num = rest + _row_sums(resid * resid * q) - _row_sums(small)
     kept = den > _DENOM_GUARD
     return float(np.sum(num[kept] / (den[kept] * den[kept]))), int(kept.size - kept.sum())
 

@@ -330,10 +330,9 @@ def level_factor(draw, n):
 @given(n=st.integers(6, 30), k=st.integers(0, 40), draw=st.data())
 def test_gcv_summand_does_not_depend_on_its_block(n, k, draw):
     # A predictor's a_i and ||c_i||^2 are bitwise its own in any list (each
-    # is computed in a stack of its rank), but its row is zero-filled to
-    # the list's widest basis, which reorders the row sums of the summand:
-    # at most 5.4e-14 relative over 3000 random draws of this domain, so
-    # the bound is about twenty times that.
+    # is computed in a stack of its rank), and its row, zero-filled to the
+    # list's widest basis, is summed in column order, where the fill adds
+    # exactly 0, so its summand is bitwise its own too.
     ly = level_factor(draw.draw, n)
     lx = level_factor(draw.draw, n)
     others = [level_factor(draw.draw, n) for _ in range(k)]
@@ -343,4 +342,4 @@ def test_gcv_summand_does_not_depend_on_its_block(n, k, draw):
     for eps in ks.GCV_GRID:
         want, _ = tuning._gcv_at(eps, *alone)
         got, _ = tuning._gcv_at(eps, n_, a[m:m + 1], c2[m:m + 1], by_norm2, spans[m:m + 1])
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got == want
