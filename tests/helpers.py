@@ -74,8 +74,9 @@ def hsic_double_sum(gx, gy):
     return total / (n * n)
 
 
-def dcor_brute(xs, ys):
-    """Loop-based doubly-centered distance correlation."""
+def distance_moments_brute(xs, ys):
+    """Loop-based V-statistics (dCov^2, dVar^2(x), dVar^2(y)) from the
+    doubly-centered distance matrices."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim == 1:
@@ -98,9 +99,13 @@ def dcor_brute(xs, ys):
 
     a = centered_distances(xs)
     b = centered_distances(ys)
-    dcov2 = float((a * b).sum()) / n ** 2
-    dvx = float((a * a).sum()) / n ** 2
-    dvy = float((b * b).sum()) / n ** 2
+    return (float((a * b).sum()) / n ** 2, float((a * a).sum()) / n ** 2,
+            float((b * b).sum()) / n ** 2)
+
+
+def dcor_brute(xs, ys):
+    """Loop-based doubly-centered distance correlation."""
+    dcov2, dvx, dvy = distance_moments_brute(xs, ys)
     if dvx <= 0 or dvy <= 0:
         return 0.0
     return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(dvx * dvy)))
