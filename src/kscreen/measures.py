@@ -24,9 +24,8 @@ value of the whitened cross-Gram coordinate matrix
     M = (D_Y + eps I)^{-1/2} D_Y^{1/2} U_Y^T U_X D_X^{1/2} (D_X + eps I)^{-1/2},
 
 where (U, D) are the retained eigenpairs of the double-centered Gram
-matrices, taken as the square root of the largest eigenvalue of M's
-smaller Gram (M M^T or M^T M).  For any eps > 0 the score lies in [0, 1)
-and is 0 iff the centered operators are orthogonal.
+matrices, read from the top eigenvalue of M's smaller Gram.  For eps > 0
+it lies in [0, 1) and is 0 iff the centered operators are orthogonal.
 """
 
 from __future__ import annotations
@@ -64,21 +63,18 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     if gx.rank == 0 or gy.rank == 0:
         return 0.0
     wx = np.sqrt(gx.d / (gx.d + epsilon))
-    cross = _kcca_response(gy, epsilon) @ gx.u
-    return float(_top_singular_values(cross * wx[None, :]))
+    return float(_top_singular_values((_kcca_response(gy, epsilon) @ gx.u) * wx[None, :]))
 
 
 def _kcca_response(gy: CenteredGram, epsilon: float) -> np.ndarray:
-    """The response's rows diag(w_Y) U_Y^T of M, rank_Y x n, with
-    w_Y = sqrt(d_Y / (d_Y + eps)); they depend only on epsilon, so a screen
-    forms them once for all its predictors."""
+    """M's rows from the response, diag(w_Y) U_Y^T, which a screen forms
+    once for all its predictors."""
     return np.sqrt(gy.d / (gy.d + epsilon))[:, None] * gy.u.T
 
 
 def _stack_kcca(c: np.ndarray, uy: np.ndarray, epsilon: float) -> np.ndarray:
     """KCCA scores of each centered factor of a (b, n, r) stack C, all of
-    rank r, against the response rows uy = _kcca_response(gy, epsilon), in
-    one batched pass.
+    rank r, against the rows uy = _kcca_response(gy, eps), in one pass.
 
     With C^T C = W Lambda W^T from one batched eigh of the r x r Grams, the
     retained eigenvectors of C C^T are U_X = C W Lambda^(-1/2), so
@@ -103,9 +99,8 @@ def _stack_kcca(c: np.ndarray, uy: np.ndarray, epsilon: float) -> np.ndarray:
 
 def _top_singular_values(m: np.ndarray) -> np.ndarray:
     """Largest singular value of a matrix, or of each in a stack, clipped to
-    [0, 1]: the square root of the largest eigenvalue of its smaller Gram,
-    M M^T or M^T M as the shape alone decides, so that a member's value is
-    bitwise the same in any stack.  LAPACK failures map to NumericError."""
+    [0, 1], from the top eigenvalue of its smaller Gram (chosen by shape, so
+    bitwise the same in any stack); LAPACK failures map to NumericError."""
     mt = np.swapaxes(m, -1, -2)
     try:
         top = np.linalg.eigvalsh(m @ mt if m.shape[-2] <= m.shape[-1] else mt @ m)[..., -1]

@@ -44,8 +44,7 @@ it is set to 0 rather than left as the rounding of a difference.
 
 The a_i and ||c_i||^2 of all predictors are held as rows of two arrays,
 zero-padded to the widest basis, and one evaluator computes a grid point
-for every predictor at once, summing each row in column order so that a
-predictor's summand does not depend on the other predictors.  gcv_value
+for every predictor at once, each row summed in column order.  gcv_value
 and select_epsilon both call it, so their values agree bitwise.
 """
 
@@ -111,29 +110,22 @@ def _gcv_components(ly: np.ndarray, lxs: list) -> tuple:
     """(n, a, c2, by_norm2, spans) shared by every grid point: row m of a
     and c2 holds predictor m's a_i and ||c_i||^2, zero-padded to the widest
     basis, by_norm2 is ||B_Y||_F^2 and spans[m] says whether predictor m's
-    basis spans all n dimensions."""
+    basis spans all n dimensions.  LAPACK failures map to NumericError."""
     n = ly.shape[0]
-    by = np.column_stack([ly @ _gram_root(ly), np.ones(n)])
     width = 1 + max(lx.shape[1] for lx in lxs)
     a = np.zeros((len(lxs), width))
     c2 = np.zeros((len(lxs), width))
     spans = np.zeros(len(lxs), dtype=bool)
-    for pos, stack in _rank_stacks(lxs, _BLOCK):
-        if not np.all(np.isfinite(stack)):
-            raise DataError("kernel factor entries must be finite")
-        r1 = stack.shape[2] + 1
-        a[pos, :r1], c2[pos, :r1], spans[pos] = _block_spectrum(stack, by)
-    return n, a, c2, np.vdot(by, by), spans
-
-
-def _gram_root(factor: np.ndarray) -> np.ndarray:
-    """R^T for the r x r R factor of a QR of an n x r factor L, or of each
-    in a (b, n, r) stack: R^T R = L^T L, so [L R^T, 1] is a GCV basis.
-    LAPACK failures map to NumericError."""
     try:
-        return np.swapaxes(np.linalg.qr(factor, mode="r"), -1, -2)
+        by = np.column_stack([ly @ np.linalg.qr(ly, mode="r").T, np.ones(n)])
+        for pos, stack in _rank_stacks(lxs, _BLOCK):
+            if not np.all(np.isfinite(stack)):
+                raise DataError("kernel factor entries must be finite")
+            r1 = stack.shape[2] + 1
+            a[pos, :r1], c2[pos, :r1], spans[pos] = _block_spectrum(stack, by)
     except np.linalg.LinAlgError as e:
-        raise NumericError(f"QR decomposition of a kernel factor failed: {e}") from None
+        raise NumericError(f"decomposition of a GCV basis failed: {e}") from None
+    return n, a, c2, np.vdot(by, by), spans
 
 
 def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
@@ -141,19 +133,17 @@ def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     arrays, and whether each one's basis spans R^n."""
     n = by.shape[0]
     b, _, r = stack.shape
-    root = _gram_root(stack)
-    # B^T B = [[(R R^T)^2, t], [t^T, n]] with t = R L^T 1.  The ones column
-    # goes last: R, from a QR of the pivoted factor, is graded from its
-    # first row down, and eigh keeps that grading's small a_i accurate.
+    # R^T R = L^T L for the R of a QR of L, so B = [L R^T, 1] and B^T B =
+    # [[(R R^T)^2, t], [t^T, n]] with t = R L^T 1.  The ones column goes
+    # last: R, from a QR of the pivoted factor, is graded from its first
+    # row down, and eigh keeps that grading's small a_i accurate.
+    root = np.swapaxes(np.linalg.qr(stack, mode="r"), 1, 2)
     btb = np.empty((b, r + 1, r + 1))
     rrt = np.swapaxes(root, 1, 2) @ root
     btb[:, :r, :r] = rrt @ rrt
     btb[:, r, :r] = btb[:, :r, r] = (stack.sum(axis=1)[:, None, :] @ root)[:, 0]
     btb[:, r, r] = n
-    try:
-        _, w = np.linalg.eigh(btb)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"eigendecomposition of a GCV basis Gram failed: {e}") from None
+    _, w = np.linalg.eigh(btb)
     # B W = [L R^T, 1] W, whose squared column norms are the a_i, is formed
     # _BLOCK // 2 members at a time, so that it adds at most half a full
     # stack's size to the memory the stack holds.
@@ -179,29 +169,23 @@ def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     return np.where(null, 0.0, a), np.where(null, 0.0, c2), spans
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Each row's sum, added in column order: the zeros that fill a row out
-    to the widest basis then change no bit of it, as a pairwise sum's
-    grouping by row width would."""
-    return np.cumsum(x, axis=1)[:, -1]
-
-
 def _gcv_at(epsilon: float, n: int, a, c2, by_norm2, spans) -> tuple:
     """GCV value and skipped-summand count at one ridge value, for every
     predictor at once.  Null entries, and the zeros that fill a row out to
-    the widest basis (a = c2 = 0), add exactly 0 to every sum, so a
-    predictor's summand is bitwise the same in any list."""
+    the widest basis (a = c2 = 0), add exactly 0 to every sum."""
+    # Rows are summed in column order (a cumulative sum), where the zero
+    # fill changes no bit, so a summand does not depend on the list.
     shift = a + epsilon
-    den = 1.0 - _row_sums(a / shift) / n
+    den = 1.0 - np.cumsum(a / shift, axis=1)[:, -1] / n
     large = a > epsilon
     q = np.where(large, c2 / np.where(large, a, 1.0), 0.0)
     resid = epsilon / shift
     small = np.where(large, 0.0, (a + 2.0 * epsilon) / (shift * shift) * c2)
     # ||B_Y||^2 - sum of q_i over a_i > eps, which is exactly q_perp = 0 for
     # a basis that spans R^n with no a_i <= eps: set, not left as rounding.
-    rest = by_norm2 - _row_sums(q)
+    rest = by_norm2 - np.cumsum(q, axis=1)[:, -1]
     rest[spans & ~((a > 0.0) & ~large).any(axis=1)] = 0.0
-    num = rest + _row_sums(resid * resid * q) - _row_sums(small)
+    num = rest + np.cumsum(resid * resid * q - small, axis=1)[:, -1]
     kept = den > _DENOM_GUARD
     return float(np.sum(num[kept] / (den[kept] * den[kept]))), int(kept.size - kept.sum())
 
