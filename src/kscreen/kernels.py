@@ -32,8 +32,9 @@ RESIDUAL_TRACE_TOL = 1e-3 * DEFAULT_TOL_REL
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 # Features per gram_block call in screen.  A factor is bitwise the same in
-# any block, and so is each of its scores in any stack of its rank; a wider
-# build spreads a step's numpy calls over more features.
+# any block, and so is each of its scores and GCV terms in any stack of its
+# rank, which every consumer reads in place; a wider build spreads a step's
+# numpy calls over more features.
 _BUILD = 32
 
 
@@ -170,25 +171,25 @@ def _as_factor(factor) -> np.ndarray:
     return arr
 
 
-def _rank_stacks(factors, cap: int):
-    """Yield the n x r factors grouped by rank, with no padding, as
-    (positions, stack) pairs: positions is an ascending int array of at
-    most cap indices into factors, all of one rank r, and stack a
-    C-contiguous (len(positions), n, r) copy of them.  Ranks come in
-    ascending order.  Each member is copied once, so a factor given as a
-    transposed view costs no second copy.
-    """
-    ranks = np.array([lx.shape[1] for lx in factors])
-    # sorted(set()) rather than np.unique, whose first call in a process
-    # loads ~1.7 MB of code.
+def _rank_groups(ranks, cap: int):
+    """(positions, r) for each rank r, ascending, in groups of at most cap
+    (sorted(set()), as np.unique's first call loads ~1.7 MB of code)."""
+    ranks = np.asarray(ranks)
     for r in sorted(set(ranks.tolist())):
         same = np.flatnonzero(ranks == r)
         for start in range(0, len(same), cap):
-            pos = same[start:start + cap]
-            stack = np.empty((len(pos), factors[pos[0]].shape[0], r))
-            for i, m in enumerate(pos):
-                stack[i] = factors[m]
-            yield pos, stack
+            yield same[start:start + cap], r
+
+
+def _rank_stacks(factors, cap: int):
+    """The n x r factors as gram_block returns them, (positions, stack)
+    pairs from _rank_groups, each stack the (g, n, r) transposed view of a
+    C-contiguous (g, r, n) copy of the members' L^T."""
+    for pos, r in _rank_groups([lx.shape[1] for lx in factors], cap):
+        rows = np.empty((len(pos), r, factors[pos[0]].shape[0]))
+        for i, m in enumerate(pos):
+            rows[i] = factors[m].T
+        yield pos, np.swapaxes(rows, 1, 2)
 
 
 def _check_positive_epsilon(epsilon):
@@ -261,14 +262,14 @@ def _scalar_distance_sums(rows: np.ndarray) -> list:
     """sum_{i<j} |x_i - x_j| of each row of a (p, n) array of scalar
     samples, from one sort of all rows, by bandwidth's sorted form.
 
-    Each row is summed as a 1-D array, so its sum is bitwise the one of
-    that row alone.
+    The weighted gaps are laid out row by row (C order, whatever the
+    layout of rows), so one reduction along the rows sums each as a 1-D
+    array, and its sum is bitwise the one of that row alone.
     """
     n = rows.shape[1]
     k = np.arange(1, n)
-    weighted = np.diff(np.sort(rows, axis=1), axis=1)
-    weighted *= k * (n - k)
-    return [float(row.sum()) for row in weighted]
+    weighted = np.multiply(np.diff(np.sort(rows, axis=1), axis=1), k * (n - k), order="C")
+    return weighted.sum(axis=1).tolist()
 
 
 def _bandwidth_from_sum(total: float, n: int) -> Bandwidth:
@@ -314,9 +315,11 @@ def gram_block(samples, bws) -> list:
     rows, and ``bws`` holds one Bandwidth per variable.  The factors L_m,
     each n x r_m with 1 <= r_m <= n and K_m ~= L_m L_m^T, are returned
     grouped by rank, unpadded: a list of (positions, stack) pairs, one per
-    rank r in ascending order, where stack is a C-contiguous
-    (len(positions), n, r) array whose member i is the factor of variable
-    positions[i].  Every variable is in exactly one stack.
+    rank r in ascending order, where stack is a (len(positions), n, r)
+    array whose member i is the factor of variable positions[i].  It is
+    the transposed view of one C-contiguous gather, rows[positions, :r], of
+    the build's L^T rows, so no member is copied twice.  Every variable is
+    in exactly one stack.
 
     Each factor is a pivoted incomplete Cholesky (Fine & Scheinberg, JMLR
     2001; Bach & Jordan, JMLR 2002): a step evaluates the kernel column of
@@ -398,7 +401,9 @@ def gram_block(samples, bws) -> list:
             resid[members, j] = 0.0
             np.maximum(resid, 0.0, out=resid)
             r += 1
-    return list(_rank_stacks([rows[m, :k].T for m, k in enumerate(ranks)], b))
+    flat = rows.reshape(b, -1)  # gathers rows[pos, :r] several times faster
+    return [(pos, np.swapaxes(flat[pos, :r * n].reshape(len(pos), r, n), 1, 2))
+            for pos, r in _rank_groups(ranks, b)]
 
 
 def center(factor) -> np.ndarray:

@@ -13,10 +13,11 @@ variance and the n x n buffer every scalar predictor's score reuses.
 
 The screening pipeline scores KCCA and HSIC a stack of predictors at a
 time: kernels.gram_block hands back its factors as (b, n, r) stacks of one
-rank r each, the pipeline column-centers each in place, and _stack_kcca
-and _stack_hsic score every member of it, each returning an array.  A
-member's scores are bitwise the same in any stack of its rank, alone
-included; hsic_score is _stack_hsic on a stack of one.
+rank r each, the pipeline column-centers each in place, and _stack_hsic
+scores every member of it, as _kcca_terms and then _stack_kcca do once
+epsilon is known, each returning an array.  A member's scores are bitwise
+the same in any stack of its rank, alone included; hsic_score is
+_stack_hsic on a stack of one.
 
 The KCCA score of a predictor against the response is the largest singular
 value of the whitened cross-Gram coordinate matrix
@@ -62,39 +63,37 @@ def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> f
     _check_positive_epsilon(epsilon)
     if gx.rank == 0 or gy.rank == 0:
         return 0.0
-    wx = np.sqrt(gx.d / (gx.d + epsilon))
-    return float(_top_singular_values((_kcca_response(gy, epsilon) @ gx.u) * wx[None, :]))
+    m = (_shrink(gy.d, epsilon)[:, None] * gy.u.T) @ gx.u * _shrink(gx.d, epsilon)
+    return float(_top_singular_values(m))
 
 
-def _kcca_response(gy: CenteredGram, epsilon: float) -> np.ndarray:
-    """M's rows from the response, diag(w_Y) U_Y^T, which a screen forms
-    once for all its predictors."""
-    return np.sqrt(gy.d / (gy.d + epsilon))[:, None] * gy.u.T
+def _shrink(d: np.ndarray, epsilon: float) -> np.ndarray:
+    """The weights sqrt(d / (d + eps)) of retained eigenvalues d."""
+    return np.sqrt(d / (d + epsilon))
 
 
-def _stack_kcca(c: np.ndarray, uy: np.ndarray, epsilon: float) -> np.ndarray:
-    """KCCA scores of each centered factor of a (b, n, r) stack C, all of
-    rank r, against the rows uy = _kcca_response(gy, eps), in one pass.
-
-    With C^T C = W Lambda W^T from one batched eigh of the r x r Grams, the
-    retained eigenvectors of C C^T are U_X = C W Lambda^(-1/2), so
-
-        M = diag(w_Y) U_Y^T C W diag(keep / sqrt(lambda + eps))
-
-    is kcca_singular_value's whitened cross-Gram matrix.  Eigenvalues are
-    kept by center_and_decompose's rule, lambda >= DEFAULT_TOL_REL *
-    max(lambda_max, 1); no n x r eigenvector matrix is formed.  The scores
-    agree with kcca_singular_value(center_and_decompose(L), gy, eps) up to
-    rounding, and each is bitwise the same in any stack of its rank, alone
-    included.  A rank-0 stack or response scores 0; epsilon is not
-    checked.  Raises NumericError if LAPACK fails.
-    """
-    if uy.shape[0] == 0 or c.shape[2] == 0:
-        return np.zeros(c.shape[0])
+def _kcca_terms(c: np.ndarray, gy: CenteredGram) -> tuple:
+    """KCCA's epsilon-independent terms (U_Y^T C W, lambda, keep) of a
+    (b, n, r) stack C of centered factors, from one batched eigh C^T C =
+    W Lambda W^T, keeping lambda by center_and_decompose's rule."""
     lam, w = gram_eigh(c)
     keep = lam >= DEFAULT_TOL_REL * np.maximum(lam[:, -1:], 1.0)
+    return gy.u.T @ c @ w, lam, keep
+
+
+def _stack_kcca(terms: tuple, wy: np.ndarray, epsilon: float) -> np.ndarray:
+    """KCCA scores of a stack from its _kcca_terms and wy = _shrink(gy.d,
+    eps).  U_X = C W Lambda^(-1/2) holds the retained eigenvectors of
+    C C^T, so M = diag(w_Y) U_Y^T C W diag(keep / sqrt(lambda + eps)) is
+    kcca_singular_value's M, up to rounding, with no n x r eigenvector
+    matrix formed.  A score is bitwise the same in any stack of its rank,
+    and a rank-0 stack or response scores 0.  NumericError if LAPACK fails.
+    """
+    cross, lam, keep = terms
+    if cross.shape[1] == 0 or cross.shape[2] == 0:
+        return np.zeros(cross.shape[0])
     scale = keep / np.sqrt(np.where(keep, lam, 0.0) + epsilon)
-    return _top_singular_values(uy @ c @ (w * scale[:, None, :]))
+    return _top_singular_values(wy[:, None] * cross * scale[:, None, :])
 
 
 def _top_singular_values(m: np.ndarray) -> np.ndarray:
@@ -286,6 +285,8 @@ def pearson_score(x_samples, y_samples) -> float:
         raise ArgumentError(f"sample counts differ: {n} vs {y.shape[0]}")
     if n < 2:
         raise ArgumentError(f"pearson correlation needs n >= 2, got {n}")
+    if x.min() == x.max() or y.min() == y.max():  # exactly 0, though the mean rounds
+        return 0.0
     cx = x - x.mean()
     cy = y - y.mean()
     denom = np.sqrt(np.dot(cx, cx) * np.dot(cy, cy))

@@ -13,12 +13,14 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       predictors' by kernels.gram_block, kernels._BUILD features per call,
       which hands them back in unpadded stacks of one rank each;
   (c) ridge epsilon from the GCV grid search over a subsample of the
-      predictor factors (KCCA only, when auto);
-  (d) one dependence score per predictor, a stack at a time as (b) builds
-      it (the GCV subsample's once (c) has read them), each stack
-      column-centered in place: KCCA from its r x r Grams against the
-      response's retained eigenpairs (measures._stack_kcca), HSIC against
-      the response's centered factor (measures._stack_hsic);
+      predictors (KCCA only, when auto), whose stacks are built first and
+      read uncentered by tuning._gcv_terms, then by (d), so none is held;
+  (d) one dependence score per predictor, each stack column-centered in
+      place as (b) builds it and then dropped: HSIC against the response's
+      centered factor (measures._stack_hsic), KCCA from the stack's r x r
+      Grams against the response's retained eigenpairs, as
+      epsilon-independent terms (measures._kcca_terms) finished once
+      epsilon is known (measures._stack_kcca);
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -57,13 +59,13 @@ from .kernels import (
     _scalar_distance_sums, bandwidth, center, center_and_decompose, centered_distances, gram,
     gram_block,
 )
-# hsic_score and kcca_singular_value are not called here; they stay names of
-# this module because bench/tracing.py rebinds them.
+# hsic_score, kcca_singular_value and select_epsilon are not called here;
+# they stay names of this module because bench/tracing.py rebinds them.
 from .measures import (  # noqa: F401
-    Method, _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, dcor_score,
+    Method, _DistanceResponse, _kcca_terms, _shrink, _stack_hsic, _stack_kcca, dcor_score,
     hsic_score, kcca_singular_value, pearson_score,
 )
-from .tuning import select_epsilon
+from .tuning import GCV_GRID, _gcv_terms, _grid_search, select_epsilon  # noqa: F401
 
 # The GCV sum over all p predictors is O(p n r^2) for factors of rank r;
 # above this many predictors the tuning step uses a seeded uniform subsample
@@ -272,7 +274,7 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
 
     xv = x.values
     yv = y.values
-    eps = None
+    eps = fixed_eps  # chosen by the GCV below when None and kcca is asked for
     scores = {method: np.empty(p) for method in methods}
 
     if Method.SIS in scores:
@@ -304,48 +306,54 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
                for r, total in enumerate(_scalar_distance_sums(xv.T))]
 
         def built(idx):
-            # (features, stack) pairs for the features idx, _BUILD per
-            # gram_block call, each stack holding one rank.
+            # (positions in idx, stack) pairs for the features idx, _BUILD
+            # per gram_block call, each stack holding one rank.
             for start in range(0, len(idx), _BUILD):
                 block = idx[start:start + _BUILD]
                 for pos, stack in gram_block(xv[:, block].T, [bws[r] for r in block]):
-                    yield block[pos], stack
+                    yield start + pos, stack
 
         def score(features, stack):
             # Centered in place and scored by every kernel method; a score is
-            # bitwise the same in any stack of its rank.
+            # bitwise the same in any stack of its rank.  KCCA's
+            # epsilon-independent terms wait for a GCV-chosen epsilon.
             stack -= stack.mean(axis=1, keepdims=True)
-            if kcca:
-                scores[Method.KCCA][features] = _stack_kcca(stack, uy, eps)
             if hsic:
                 scores[Method.HSIC][features] = _stack_hsic(stack, ly_c)
+            if kcca:
+                held.append((features, _kcca_terms(stack, gy)))
+                if eps is not None:
+                    finish()
 
-        # Each feature's factor is built once: the GCV subsample's stacks
-        # are scored once the GCV has read them, then the rest as built.
-        rest = np.arange(p)
-        tuned = []
+        def finish():
+            while held:
+                features, terms = held.pop()
+                scores[Method.KCCA][features] = _stack_kcca(terms, wy, eps)
+
+        def tuned():
+            # Each stack is scored once the GCV has read it.
+            for pos, stack in built(tuning_idx):
+                yield pos, stack
+                score(tuning_idx[pos], stack)
+
+        # Each factor is built once, and each build's stacks are read in
+        # place, in order, and then dropped.
+        rest, held = np.arange(p), []
+        if kcca and eps is None:
+            k_budget = gcv_subsample if gcv_subsample is not None else min(p, GCV_SUBSAMPLE_DEFAULT)
+            if k_budget < p:
+                rng = np.random.default_rng(seed)
+                tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))
+            else:
+                tuning_idx = rest
+            comps = _gcv_terms(ly, tuned(), len(tuning_idx))
+            eps = _grid_search(comps, GCV_GRID).epsilon
+            rest = np.delete(rest, tuning_idx)
         if kcca:
-            eps = fixed_eps
-            if eps is None:
-                k_budget = gcv_subsample if gcv_subsample is not None else min(p, GCV_SUBSAMPLE_DEFAULT)
-                if k_budget < p:
-                    rng = np.random.default_rng(seed)
-                    tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))
-                else:
-                    tuning_idx = rest
-                tuned = list(built(tuning_idx))
-                # The GCV reads the uncentered factors, as views in feature order.
-                view = {r: lx for features, stack in tuned
-                        for r, lx in zip(features.tolist(), stack)}
-                eps = select_epsilon(ly, [view[r] for r in tuning_idx.tolist()]).epsilon
-                del view
-                rest = np.delete(rest, tuning_idx)
-            uy = _kcca_response(gy, eps)
-        for features, stack in tuned:
-            score(features, stack)
-        del tuned  # before the rest are built
-        for features, stack in built(rest):
-            score(features, stack)
+            wy = _shrink(gy.d, eps)
+            finish()
+        for pos, stack in built(rest):
+            score(rest[pos], stack)
 
     results = {}
     for method in methods:

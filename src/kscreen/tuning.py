@@ -22,17 +22,19 @@ with q_i = ||B_Y^T p_i||^2 = ||c_i||^2 / a_i for c_i = B_Y^T B_r w_i, and
 q_perp = ||B_Y||_F^2 - sum_i q_i: the null space of A_r adds q_perp to the
 numerator and nothing to the denominator.
 
-No n-sized decomposition is taken.  The factors are grouped by rank into
-unpadded (b, n, r) stacks of at most _BLOCK predictors, and each stack
-takes one batched QR of its factors and one batched eigh of its
-(r+1) x (r+1) basis Grams B^T B = [[(R R^T)^2, t], [t^T, n]], t = R L^T 1.
-An eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so
-a_i is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
-product B W, which keeps a small a_i accurate, and c_i = B_Y^T (B W)
-comes from the same product.  A direction is
-numerically null when its ||B w_i||^2 is under its rounding floor, or when
-n other directions, each clearly above the resolution of eigh, already
-span R^n.  It is held as a_i = c_i = 0 and adds exactly 0 to both sums.
+No n-sized decomposition is taken.  _gcv_terms reads the factors a
+(b, n, r) stack of one rank at a time: screen's as kernels.gram_block
+builds them, select_epsilon's and gcv_value's as kernels._rank_stacks of
+at most _BLOCK, in the same layout, so a predictor's terms are bitwise the
+same either way.  Each stack takes one batched QR of its factors and one
+batched eigh of its (r+1) x (r+1) basis Grams B^T B = [[(R R^T)^2, t],
+[t^T, n]], t = R L^T 1.  An eigenvalue of that squared Gram is accurate
+only to ~1e-16 a_max, so a_i is taken as the Rayleigh quotient ||B w_i||^2
+of one batched n-space product B W, which keeps a small a_i accurate, and
+c_i = B_Y^T (B W) comes from the same product.  A direction is numerically
+null when its ||B w_i||^2 is under its rounding floor, or when n other
+directions, each clearly above the resolution of eigh, already span R^n.
+It is held as a_i = c_i = 0 and adds exactly 0 to both sums.
 
 A direction with a_i > eps enters the numerator as (eps / (a_i + eps))^2
 q_i.  One with a_i <= eps, whose q_i would divide by a small a_i, enters as
@@ -45,7 +47,8 @@ it is set to 0 rather than left as the rounding of a difference.
 The a_i and ||c_i||^2 of all predictors are held as rows of two arrays,
 zero-padded to the widest basis, and one evaluator computes a grid point
 for every predictor at once, each row summed in column order.  gcv_value
-and select_epsilon both call it, so their values agree bitwise.
+and _grid_search, the search of select_epsilon and of screen, both call
+it, so their values agree bitwise.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class RidgeSelection:
 def _check_factor_args(epsilon, ly, lxs):
     """epsilon, the response factor and the predictor factors' shapes, as
     float arrays.  The predictor factors' entries are checked for finiteness
-    once, a stack at a time, where _gcv_components stacks them (DataError)."""
+    once, a stack at a time, where _gcv_terms reads them (DataError)."""
     _check_positive_epsilon(epsilon)
     ly = _as_factor(ly)
     n = ly.shape[0]
@@ -106,25 +109,27 @@ def _check_factor_args(epsilon, ly, lxs):
     return ly, factors
 
 
-def _gcv_components(ly: np.ndarray, lxs: list) -> tuple:
-    """(n, a, c2, by_norm2, spans) shared by every grid point: row m of a
-    and c2 holds predictor m's a_i and ||c_i||^2, zero-padded to the widest
-    basis, by_norm2 is ||B_Y||_F^2 and spans[m] says whether predictor m's
-    basis spans all n dimensions.  LAPACK failures map to NumericError."""
+def _gcv_terms(ly: np.ndarray, stacks, count: int) -> tuple:
+    """_gcv_at's arguments (n, a, c2, by_norm2, spans) for count predictors,
+    from (positions, stack) pairs of their uncentered factors, each read
+    once as it comes: row m of a and c2 holds predictor m's a_i and
+    ||c_i||^2, zero-padded to the widest basis, by_norm2 is ||B_Y||_F^2 and
+    spans[m] whether m's basis spans R^n.  LAPACK errors are NumericError."""
     n = ly.shape[0]
-    width = 1 + max(lx.shape[1] for lx in lxs)
-    a = np.zeros((len(lxs), width))
-    c2 = np.zeros((len(lxs), width))
-    spans = np.zeros(len(lxs), dtype=bool)
+    rows = []
     try:
         by = np.column_stack([ly @ np.linalg.qr(ly, mode="r").T, np.ones(n)])
-        for pos, stack in _rank_stacks(lxs, _BLOCK):
+        for pos, stack in stacks:
             if not np.all(np.isfinite(stack)):
                 raise DataError("kernel factor entries must be finite")
-            r1 = stack.shape[2] + 1
-            a[pos, :r1], c2[pos, :r1], spans[pos] = _block_spectrum(stack, by)
+            rows.append((pos, *_block_spectrum(stack, by)))
     except np.linalg.LinAlgError as e:
         raise NumericError(f"decomposition of a GCV basis failed: {e}") from None
+    a = np.zeros((count, max(ai.shape[1] for _, ai, _, _ in rows)))
+    c2 = np.zeros_like(a)
+    spans = np.zeros(count, dtype=bool)
+    for pos, ai, ci, si in rows:
+        a[pos, :ai.shape[1]], c2[pos, :ci.shape[1]], spans[pos] = ai, ci, si
     return n, a, c2, np.vdot(by, by), spans
 
 
@@ -198,7 +203,8 @@ def gcv_value(epsilon: float, ly, lxs) -> float:
     NumericGuardWarning; well-conditioned inputs skip nothing.
     """
     ly, factors = _check_factor_args(epsilon, ly, lxs)
-    value, skipped = _gcv_at(float(epsilon), *_gcv_components(ly, factors))
+    value, skipped = _gcv_at(float(epsilon), *_gcv_terms(ly, _rank_stacks(factors, _BLOCK),
+                                                         len(factors)))
     if skipped:
         warnings.warn(
             f"GCV at epsilon={epsilon:g}: skipped {skipped} of {len(factors)} "
@@ -222,9 +228,14 @@ def select_epsilon(ly, lxs, grid=GCV_GRID) -> RidgeSelection:
     if pts[0] <= 0.0 or not np.isfinite(pts[-1]):
         raise ArgumentError("epsilon grid entries must be positive and finite")
     ly, factors = _check_factor_args(pts[0], ly, lxs)
-    comps = _gcv_components(ly, factors)
+    return _grid_search(_gcv_terms(ly, _rank_stacks(factors, _BLOCK), len(factors)), pts)
+
+
+def _grid_search(comps: tuple, pts) -> RidgeSelection:
+    """select_epsilon's search over the ascending grid pts, from the
+    _gcv_terms of its predictors; screen calls it directly."""
     values, skips = zip(*(_gcv_at(eps, *comps) for eps in pts))
-    usable = [i for i in range(len(pts)) if skips[i] < len(factors)]
+    usable = [i for i in range(len(pts)) if skips[i] < len(comps[1])]
     if not usable:
         raise TuningError("every grid point lost all GCV summands to the denominator guard")
     best_value = min(values[i] for i in usable)

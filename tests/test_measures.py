@@ -11,7 +11,7 @@ import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from kscreen.kernels import _rank_stacks
 from kscreen.measures import (
-    _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, _top_singular_values,
+    _DistanceResponse, _kcca_terms, _shrink, _stack_hsic, _stack_kcca, _top_singular_values,
 )
 from tests.helpers import (
     center_dense,
@@ -151,8 +151,13 @@ def stack_scores(score, lxs, *args):
     return out
 
 
+def kcca_of_stack(c, gy, eps):
+    # screen's two KCCA steps on one centered stack.
+    return _stack_kcca(_kcca_terms(c, gy), _shrink(gy.d, eps), eps)
+
+
 def stack_kcca(lxs, gy, eps):
-    return stack_scores(_stack_kcca, lxs, _kcca_response(gy, eps), eps)
+    return stack_scores(kcca_of_stack, lxs, gy, eps)
 
 
 def stack_hsic(lxs, ly_c):
@@ -181,7 +186,7 @@ class TestKccaBlock:
 
         monkeypatch.setattr(np.linalg, routine, boom)
         with pytest.raises(NumericError):
-            _stack_kcca(c, _kcca_response(gy, 0.5), 0.5)
+            kcca_of_stack(c, gy, 0.5)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

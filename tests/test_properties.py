@@ -24,14 +24,22 @@ from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
 from kscreen import screening, tuning
-from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
-from kscreen.measures import _kcca_response, _stack_hsic, _stack_kcca
+from kscreen.kernels import (
+    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _rank_stacks, _scalar_distance_sums, gram_block,
+)
+from kscreen.measures import _kcca_terms, _shrink, _stack_hsic, _stack_kcca
 from tests.helpers import (
     center_dense, dcor_brute, decompose_dense, dense_gram, distance_moments_brute,
     gcv_dense_oracle, hsic_double_sum, kcca_dense_oracle,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def kcca_of_stack(c, gy, eps):
+    # screen's two KCCA steps on one centered stack.
+    return _stack_kcca(_kcca_terms(c, gy), _shrink(gy.d, eps), eps)
+
 
 # Absolute tolerances for scores that agree only up to rounding.  hsic, dc
 # and sis are reordered sums of at most n^2 = 196 terms of size O(1), so
@@ -137,9 +145,9 @@ def test_kcca_with_the_linear_kernel_is_the_shrunk_absolute_pearson_correlation(
     gx, gy = ks.center_and_decompose(col[:, None]), ks.center_and_decompose(y)
     pearson = ks.pearson_score(col, y[:, 0])
     if gx.rank == 0:
-        # A constant column.  Its mean rounds, so pearson_score may see a
-        # constant residual, whose correlation with y is ~1e-17, not 0.
-        assert pearson <= 1e-14 and ks.kcca_singular_value(gx, gy, epsilon) == 0.0
+        # A constant column.  Its mean may round, leaving a constant
+        # residual, but pearson_score tests for a constant side first.
+        assert pearson == 0.0 and ks.kcca_singular_value(gx, gy, epsilon) == 0.0
         return
     (dx,), (dy,) = gx.d, gy.d
     shrink = math.sqrt(dx / (dx + epsilon)) * math.sqrt(dy / (dy + epsilon))
@@ -197,15 +205,16 @@ def kernels(draw, min_n=2, max_n=30):
 
 def members(stacks, b):
     # gram_block's b factors in variable order, once its (positions, stack)
-    # pairs are checked: one C-contiguous stack per rank, ranks ascending,
-    # and every position in exactly one stack.
+    # pairs are checked: one stack per rank, the transposed view of a
+    # C-contiguous gather of L^T rows, ranks ascending, and every position
+    # in exactly one stack.
     ranks = [stack.shape[2] for _, stack in stacks]
     assert ranks == sorted(set(ranks))
     seen = np.concatenate([pos for pos, _ in stacks])
     assert np.array_equal(np.sort(seen), np.arange(b))
     out = [None] * b
     for pos, stack in stacks:
-        assert stack.flags.c_contiguous and stack.shape[0] == len(pos)
+        assert np.swapaxes(stack, 1, 2).flags.c_contiguous and stack.shape[0] == len(pos)
         for m, lx in zip(pos, stack):
             out[m] = lx
     return out
@@ -375,7 +384,7 @@ def test_block_kcca_matches_the_per_pair_score_and_the_dense_oracle(n, levels, d
     for pos, stack in stacks:
         c = stack - stack.mean(axis=1, keepdims=True)
         for eps in ks.GCV_GRID:
-            got = _stack_kcca(c, _kcca_response(gy, eps), eps)
+            got = kcca_of_stack(c, gy, eps)
             assert got.shape == (len(pos),)
             for i, m in enumerate(pos):
                 want = ks.kcca_singular_value(ks.center_and_decompose(stack[i]), gy, eps)
@@ -433,9 +442,9 @@ def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, l
     eps = draw.draw(st.sampled_from(ks.GCV_GRID))
 
     def scored(lxs):
-        comps = tuning._gcv_components(ly, list(lxs))
+        comps = tuning._gcv_terms(ly, _rank_stacks(list(lxs), tuning._BLOCK), len(lxs))
         c = lxs - lxs.mean(axis=1, keepdims=True)
-        return _stack_kcca(c, _kcca_response(gy, eps), eps), _stack_hsic(c, ly_c), comps
+        return kcca_of_stack(c, gy, eps), _stack_hsic(c, ly_c), comps
 
     kcca, hsic, (_, a, c2, by_norm2, spans) = scored(stack[picks])
     for i, m in enumerate(picks):
@@ -446,6 +455,127 @@ def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, l
         assert alone[2].tobytes() == c2[i:i + 1].tobytes()
         assert tuning._gcv_at(eps, *alone) == tuning._gcv_at(
             eps, n, a[i:i + 1], c2[i:i + 1], by_norm2, spans[i:i + 1])
+
+
+@SETTINGS
+@given(
+    n=st.integers(4, 40),
+    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=40),
+    draw=st.data(),
+)
+def test_a_built_stack_and_a_restacked_one_read_bitwise_the_same(n, levels, draw):
+    # screen reads gram_block's stacks in place, and select_epsilon and
+    # gcv_value restack their factor lists with _rank_stacks.  Both give
+    # the same layout, so a factor's GCV terms, KCCA score and HSIC score
+    # are bitwise the same whichever path stacked it.
+    _, _, stacks = block_factors(draw.draw, n, levels)
+    factors = [None] * len(levels)
+    for pos, stack in stacks:
+        for m, lx in zip(pos, stack):
+            factors[m] = lx
+    restacked = list(_rank_stacks(factors, len(levels)))
+    ypts, ybw = sample_kernel(draw.draw, n)
+    ly = ks.gram(ypts, ybw)
+    gy, ly_c = ks.center_and_decompose(ly), ks.center(ly)
+    eps = draw.draw(st.sampled_from(ks.GCV_GRID))
+    for (pos, stack), (pos2, stack2) in zip(stacks, restacked, strict=True):
+        assert pos.tobytes() == pos2.tobytes() and stack.strides == stack2.strides
+        assert stack.tobytes() == stack2.tobytes()
+    built = tuning._gcv_terms(ly, stacks, len(levels))
+    again = tuning._gcv_terms(ly, restacked, len(levels))
+    for got, want in zip(built, again, strict=True):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for (_, stack), (_, stack2) in zip(stacks, restacked):
+        for s in (stack, stack2):
+            s -= s.mean(axis=1, keepdims=True)
+        assert kcca_of_stack(stack, gy, eps).tobytes() == kcca_of_stack(stack2, gy, eps).tobytes()
+        assert _stack_hsic(stack, ly_c).tobytes() == _stack_hsic(stack2, ly_c).tobytes()
+
+
+@SETTINGS
+@given(
+    n=st.integers(6, 30),
+    p=st.integers(2, 45),
+    k=st.sampled_from([1, 20, None]),
+    seed=st.integers(0, 2**16),
+    draw=st.data(),
+)
+def test_the_gcv_of_a_screen_is_bitwise_select_epsilon_of_its_subsample(n, p, k, seed, draw):
+    # screen reads each subsample stack's GCV terms as it is built and
+    # drops it, then searches the grid once; select_epsilon restacks the
+    # same factors.  The chosen epsilon, every GCV value and every skip
+    # count agree bitwise.  Level 0 gives constant columns (gamma = 1
+    # fallback), level 3 low-rank ones; k = None is the full sum, p.
+    k = p if k is None else min(k, p)
+    levels = draw.draw(st.lists(st.sampled_from([0, 3, 1000]), min_size=p, max_size=p))
+    x = np.stack([draw.draw(hnp.arrays(np.int64, n, elements=st.integers(-m, m))) / 100.0
+                  for m in levels], axis=1)
+    rng = np.random.default_rng(seed)
+    y = np.sin(x[:, :1]) + rng.standard_normal((n, 1))
+    searched = []
+
+    def searching(comps, pts, search=screening._grid_search):
+        searched.append(search(comps, pts))
+        return searched[-1]
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", ks.DegenerateDataWarning)
+        mp.setattr(screening, "_grid_search", searching)
+        eps = ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method="kcca", seed=seed,
+                        gcv_subsample=k).epsilon
+    idx = (np.sort(np.random.default_rng(seed).choice(p, size=k, replace=False))
+           if k < p else range(p))
+    lxs = []
+    for r in idx:
+        try:
+            bw = ks.bandwidth(x[:, r])
+        except ks.DegenerateDataError:
+            bw = ks.Bandwidth(1.0)
+        lxs.append(ks.gram(x[:, r], bw))
+    want = ks.select_epsilon(ks.gram(y, ks.bandwidth(y)), lxs)
+    (got,) = searched
+    assert eps == got.epsilon == want.epsilon
+    assert np.array(got.gcv_values).tobytes() == np.array(want.gcv_values).tobytes()
+    assert got.skipped_counts == want.skipped_counts and got.grid == want.grid
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    value=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    n=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pearson_of_a_constant_side_is_exactly_zero(value, n, seed):
+    # The mean of n copies of a value may round (ten of 0.01 gave a
+    # correlation of 7.7e-17), so a constant side is tested for first.
+    y = np.random.default_rng(seed).standard_normal(n)
+    const = np.full(n, value)
+    assert ks.pearson_score(const, y) == 0.0
+    assert ks.pearson_score(y, const) == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(2, 300),
+    p=st.integers(1, 12),
+    levels=st.sampled_from([1, 3, 1000, 10**6]),
+    layout=st.sampled_from(["C", "F"]),
+    draw=st.data(),
+)
+def test_each_distance_sum_is_bitwise_its_row_summed_alone(n, p, levels, layout, draw):
+    # _scalar_distance_sums sums all rows in one reduction; each sum is
+    # bitwise the 1-D sum of that row's weighted gaps, so gamma is the one
+    # bandwidth gives the column alone.  screen passes the table's
+    # transpose, an F-ordered array.
+    grid = draw.draw(hnp.arrays(np.int64, (p, n), elements=st.integers(-levels, levels)))
+    rows = np.asarray(grid / 100.0, order=layout)
+    got = _scalar_distance_sums(rows)
+    k = np.arange(1, n)
+    for i, row in enumerate(rows):
+        alone = np.diff(np.sort(row)) * (k * (n - k))
+        assert got[i] == float(alone.sum()) == _scalar_distance_sums(rows[i:i + 1])[0]
+        if got[i] > 0.0:
+            assert ks.bandwidth(row) == _bandwidth_from_sum(got[i], n)
 
 
 @SETTINGS

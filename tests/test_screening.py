@@ -2,6 +2,7 @@
 scale invariance, determinism, threshold rules, and ranking."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,8 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
     # smaller Gram of its M; per GCV predictor one QR of its factor and one
     # (r+1) x (r+1) eigh of its basis Gram; for the response one SVD of its
     # centered factor and one QR of its factor for the GCV; nothing else.
+    # The GCV predictors are counted in the stacks screen hands to
+    # tuning._gcv_terms, which reads each once as it is built.
     n, p = 40, 60
     x, y = make_data(seed=3, n=n, p=p)
     ly = ks.gram(y.values, ks.bandwidth(y.values))
@@ -422,12 +425,15 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
         ranks.extend(stack.shape[2] for pos, stack in built for _ in pos)
         return built
 
-    def selecting(ly, lxs, select_epsilon=screening.select_epsilon):
-        tuned.extend(lx.shape[1] for lx in lxs)
-        return select_epsilon(ly, lxs)
+    def reading(ly, stacks, count, gcv_terms=screening._gcv_terms):
+        def counted():
+            for pos, stack in stacks:
+                tuned.extend([stack.shape[2]] * len(pos))
+                yield pos, stack
+        return gcv_terms(ly, counted(), count)
 
     monkeypatch.setattr(screening, "gram_block", building)
-    monkeypatch.setattr(screening, "select_epsilon", selecting)
+    monkeypatch.setattr(screening, "_gcv_terms", reading)
     ks.screen(x, y, method="kcca", gcv_subsample=20)
     assert len(ranks) == p and len(tuned) == 20 and min(ranks) > 0
     assert sorted(received["eigh"]) == sorted([(r, r) for r in ranks]
@@ -435,3 +441,25 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
     assert sorted(received["eigvalsh"]) == sorted([(min(r, ry),) * 2 for r in ranks])
     assert received["svd"] == [ly.shape]
     assert sorted(received["qr"]) == sorted([(n, r) for r in tuned] + [ly.shape])
+
+
+def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
+    # screen reads each subsample stack's GCV and KCCA terms as it is built
+    # and then drops it, so the memory it allocates stays below the bytes
+    # of the subsample's n x r factors, which an earlier design held until
+    # the epsilon search ended.  Calibrated on a 2-core host: a peak of
+    # 3.55 MB against 6.17 MB of factors (0.57 of the bound); holding the
+    # factors read 7.89 MB.
+    n, p, k = 200, 400, 200
+    x, y = make_data(seed=0, n=n, p=p)
+    idx = np.sort(np.random.default_rng(0).choice(p, size=k, replace=False))
+    factor_bytes = sum(8 * n * ks.gram(x.values[:, r], ks.bandwidth(x.values[:, r])).shape[1]
+                       for r in idx)
+    ks.screen(x, y, method="kcca", gcv_subsample=k)  # any first-call allocations
+    tracemalloc.start()
+    try:
+        ks.screen(x, y, method="kcca", gcv_subsample=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < factor_bytes

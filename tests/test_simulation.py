@@ -446,7 +446,7 @@ class TestReplicationWorker:
         monkeypatch.setattr(screening, "_scalar_distance_sums",
                             counting("bandwidth", screening._scalar_distance_sums, len))
         monkeypatch.setattr(screening, "gram_block", building)
-        monkeypatch.setattr(screening, "_stack_kcca", scoring("kcca", screening._stack_kcca))
+        monkeypatch.setattr(screening, "_kcca_terms", scoring("kcca", screening._kcca_terms))
         monkeypatch.setattr(screening, "_stack_hsic", scoring("hsic", screening._stack_hsic))
         p = 40
         spec = ks.SimulationSpec(suite="sim2", model_id=1, n=30, p=p, reps=1, seed=5)

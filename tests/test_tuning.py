@@ -14,6 +14,7 @@ from kscreen import tuning
 from kscreen.errors import (
     ArgumentError, DataError, NumericError, NumericGuardWarning, TuningError,
 )
+from kscreen.kernels import _rank_stacks
 from tests.helpers import dense_gram, gcv_dense_oracle
 
 
@@ -326,6 +327,11 @@ def level_factor(draw, n):
     return ks.gram(pts, bw)
 
 
+def gcv_components(ly, lxs):
+    # The GCV terms of a factor list, stacked as select_epsilon stacks it.
+    return tuning._gcv_terms(ly, _rank_stacks(lxs, tuning._BLOCK), len(lxs))
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(n=st.integers(6, 30), k=st.integers(0, 40), draw=st.data())
 def test_gcv_summand_does_not_depend_on_its_block(n, k, draw):
@@ -337,8 +343,8 @@ def test_gcv_summand_does_not_depend_on_its_block(n, k, draw):
     lx = level_factor(draw.draw, n)
     others = [level_factor(draw.draw, n) for _ in range(k)]
     m = draw.draw(st.integers(0, k))
-    alone = tuning._gcv_components(ly, [lx])
-    n_, a, c2, by_norm2, spans = tuning._gcv_components(ly, others[:m] + [lx] + others[m:])
+    alone = gcv_components(ly, [lx])
+    n_, a, c2, by_norm2, spans = gcv_components(ly, others[:m] + [lx] + others[m:])
     for eps in ks.GCV_GRID:
         want, _ = tuning._gcv_at(eps, *alone)
         got, _ = tuning._gcv_at(eps, n_, a[m:m + 1], c2[m:m + 1], by_norm2, spans[m:m + 1])
