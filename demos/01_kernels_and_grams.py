@@ -38,8 +38,13 @@ print("\nat n=8, factor shape:", lf.shape, " diagonal of L L^T:", np.round(np.di
 print("\n== The centered spectrum ==")
 lc = ks.center(lf)
 print("row sums of the centered Gram:", np.round((lc @ lc.T).sum(axis=1), 12))
+# The KCCA and HSIC scores read the centered factor itself, with its full
+# spectrum; center_and_decompose lists the eigenpairs above 1e-10 of the
+# largest eigenvalue.
+print("eigenvalues of the centered Gram:",
+      ", ".join(f"{v:.3g}" for v in np.linalg.svd(lc, compute_uv=False) ** 2))
 cg = ks.center_and_decompose(lf)
-print("retained eigenvalues (descending):", ", ".join(f"{v:.3g}" for v in cg.d))
+print("retained by center_and_decompose:", ", ".join(f"{v:.3g}" for v in cg.d))
 print("rank after truncation:", cg.rank, "of", cg.n)
 
 # The constant direction is annihilated: a constant sample's factor is a

@@ -17,17 +17,16 @@ cases = {
 }
 
 # Each Gram matrix is held as a low-rank factor L with K ~= L L^T.  kcca
-# reads the retained eigenpairs of each centered Gram, hsic the centered
-# factor itself, and dcor scores x's raw samples against the response's
-# double-centered distance matrix.
+# and hsic both read the column-centered factors, and dcor scores x's raw
+# samples against the response's double-centered distance matrix.
 lx = ks.gram(x, ks.bandwidth(x))
-gx = ks.center_and_decompose(lx)
+cx = ks.center(lx)
 
 print(f"{'relationship':38s} {'kcca':>8s} {'hsic':>8s} {'dcor':>8s} {'|pearson|':>10s}")
 for label, y in cases.items():
     ly = ks.gram(y, ks.bandwidth(y))
-    kcca = ks.kcca_singular_value(gx, ks.center_and_decompose(ly), epsilon=0.1)
-    hsic = ks.hsic_score(ks.center(lx), ks.center(ly))
+    kcca = ks.kcca_singular_value(cx, ks.center(ly), epsilon=0.1)
+    hsic = ks.hsic_score(cx, ks.center(ly))
     dcor = ks.dcor_score(x, dy=ks.centered_distances(y))
     pear = ks.pearson_score(x, y)
     print(f"{label:38s} {kcca:8.4f} {hsic:8.4f} {dcor:8.4f} {pear:10.4f}")
@@ -41,10 +40,13 @@ sample level at small ridges, and its ridge keeps it strictly below 1).
 
 print("== Ridge regularization in the kcca score ==")
 y = np.cos(2 * x) + 0.3 * rng.standard_normal(n)
-gy = ks.center_and_decompose(ks.gram(y, ks.bandwidth(y)))
+cy = ks.center(ks.gram(y, ks.bandwidth(y)))
 for eps in (1e-4, 1e-2, 1.0, 1e2):
-    print(f"  epsilon = {eps:7.0e} -> score {ks.kcca_singular_value(gx, gy, eps):.4f}")
-print("self-dependence has the closed form d0/(d0+eps):")
+    print(f"  epsilon = {eps:7.0e} -> score {ks.kcca_singular_value(cx, cy, eps):.4f}")
+# s0 is the top singular value of the centered factor, so s0^2 is the top
+# eigenvalue of the centered Gram.
+s0_sq = np.linalg.svd(cx, compute_uv=False)[0] ** 2
+print("self-dependence has the closed form s0^2/(s0^2+eps):")
 for eps in (1e-2, 1.0):
-    got = ks.kcca_singular_value(gx, gx, eps)
-    print(f"  eps={eps:5g}: score {got:.6f} vs closed form {gx.d[0]/(gx.d[0]+eps):.6f}")
+    got = ks.kcca_singular_value(cx, cx, eps)
+    print(f"  eps={eps:5g}: score {got:.6f} vs closed form {s0_sq/(s0_sq+eps):.6f}")

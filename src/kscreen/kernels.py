@@ -38,15 +38,6 @@ _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _BUILD = 32
 
 
-def gram_eigh(factor: np.ndarray) -> tuple:
-    """np.linalg.eigh of the r x r Gram L^T L of a factor, or of each factor
-    in a (b, n, r) stack, with LAPACK failures mapped to NumericError."""
-    try:
-        return np.linalg.eigh(np.swapaxes(factor, -1, -2) @ factor)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"eigendecomposition of a factor Gram failed: {e}") from None
-
-
 @dataclass(frozen=True)
 class Bandwidth:
     """Inverse squared length-scale of the Gaussian kernel.

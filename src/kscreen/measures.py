@@ -2,9 +2,9 @@
 distance correlation, and absolute Pearson correlation.
 
 Every measure scores a predictor side against a response side and returns
-a plain float: KCCA two ``CenteredGram``s, HSIC two column-centered kernel
-factors (kernels.center), distance correlation a predictor's raw samples
-against the response's double-centered distance matrix
+a plain float: KCCA and HSIC two column-centered kernel factors
+(kernels.center), distance correlation a predictor's raw samples against
+the response's double-centered distance matrix
 (kernels.centered_distances), and Pearson two scalar sample vectors.  A
 caller screening many predictors against one response prepares the
 response side once; for distance correlation that is a private
@@ -13,19 +13,18 @@ variance and the n x n buffer every scalar predictor's score reuses.
 
 The screening pipeline scores KCCA and HSIC a stack of predictors at a
 time: kernels.gram_block hands back its factors as (b, n, r) stacks of one
-rank r each, the pipeline column-centers each in place, and _stack_hsic
-scores every member of it, as _kcca_terms and then _stack_kcca do once
-epsilon is known, each returning an array.  A member's scores are bitwise
-the same in any stack of its rank, alone included; hsic_score is
-_stack_hsic on a stack of one.
+rank r each, the pipeline column-centers each in place and forms each
+member's cross product X = C^T L_Y with the response's centered factor
+once.  _stack_hsic scores the stack from X; _stack_kcca from X, the Grams
+G = C^T C and the response's whitening (_kcca_response), once epsilon is
+known.  A member's scores are bitwise the same in any stack of its rank,
+alone included; hsic_score and kcca_singular_value are the stack
+arithmetic on a stack of one.
 
-The KCCA score of a predictor against the response is the largest singular
-value of the whitened cross-Gram coordinate matrix
-
-    M = (D_Y + eps I)^{-1/2} D_Y^{1/2} U_Y^T U_X D_X^{1/2} (D_X + eps I)^{-1/2},
-
-where (U, D) are the retained eigenpairs of the double-centered Gram
-matrices, read from the top eigenvalue of M's smaller Gram.  For eps > 0
+The KCCA score is the largest canonical correlation of the regularized
+operators P = K (K + eps I)^{-1} of the centered Grams K = C C^T
+(Fukumizu, Bach & Gretton, JMLR 2007), sigma_max(R_X^{-T} X R_Y^{-1})
+with R^T R = G + eps I on each side (derived at _stack_kcca).  For eps > 0
 it lies in [0, 1) and is 0 iff the centered operators are orthogonal.
 """
 
@@ -37,10 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
-from .kernels import (
-    DEFAULT_TOL_REL, CenteredGram, _as_factor, _as_samples, _check_positive_epsilon,
-    _pairwise_sq_dists, gram_eigh,
-)
+from .kernels import _as_factor, _as_samples, _check_positive_epsilon, _pairwise_sq_dists
 
 
 class Method(str, Enum):
@@ -52,48 +48,57 @@ class Method(str, Enum):
     SIS = "sis"
 
 
-def kcca_singular_value(gx: CenteredGram, gy: CenteredGram, epsilon: float) -> float:
-    """Largest singular value of the whitened cross-Gram matrix M.
+def kcca_singular_value(lx, ly, epsilon: float) -> float:
+    """Regularized KCCA score of two column-centered kernel factors
+    (kernels.center).  _stack_kcca on a stack of one, so a screen's KCCA
+    score is bitwise kcca_singular_value(center(L), center(L_Y), eps).
 
-    M is built from the retained eigenpairs only (truncated ones would
-    contribute exactly-zero rows/columns); a rank-0 side yields 0.
+    Raises ArgumentError unless both are n x r factors over the same n >= 1
+    samples and eps is positive and finite; NumericError if LAPACK fails.
     """
-    if gx.n != gy.n:
-        raise ArgumentError(f"Gram matrices built from different sample counts: {gx.n} vs {gy.n}")
+    a, b = _as_factor(lx), _as_factor(ly)
+    if b.shape[0] != a.shape[0]:
+        raise ArgumentError(
+            f"kcca needs factors over the same samples, got {a.shape} and {b.shape}"
+        )
     _check_positive_epsilon(epsilon)
-    if gx.rank == 0 or gy.rank == 0:
-        return 0.0
-    m = (_shrink(gy.d, epsilon)[:, None] * gy.u.T) @ gx.u * _shrink(gx.d, epsilon)
-    return float(_top_singular_values(m))
+    ct = np.swapaxes(a[None], 1, 2)
+    return float(_stack_kcca(ct @ a[None], ct @ b, _kcca_response(b, epsilon), epsilon)[0])
 
 
-def _shrink(d: np.ndarray, epsilon: float) -> np.ndarray:
-    """The weights sqrt(d / (d + eps)) of retained eigenvalues d."""
-    return np.sqrt(d / (d + epsilon))
+def _kcca_response(ly: np.ndarray, epsilon: float) -> np.ndarray:
+    """The response's whitening R_Y^{-1} for _stack_kcca, from the Cholesky
+    factor R_Y^T R_Y = L_Y^T L_Y + eps I of its centered factor L_Y."""
+    gy = ly.T @ ly
+    try:
+        low = np.linalg.cholesky(gy + epsilon * np.eye(gy.shape[0]))
+        return np.linalg.inv(low).T
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"Cholesky factorization of the response Gram failed: {e}") from None
 
 
-def _kcca_terms(c: np.ndarray, gy: CenteredGram) -> tuple:
-    """KCCA's epsilon-independent terms (U_Y^T C W, lambda, keep) of a
-    (b, n, r) stack C of centered factors, from one batched eigh C^T C =
-    W Lambda W^T, keeping lambda by center_and_decompose's rule."""
-    lam, w = gram_eigh(c)
-    keep = lam >= DEFAULT_TOL_REL * np.maximum(lam[:, -1:], 1.0)
-    return gy.u.T @ c @ w, lam, keep
+def _stack_kcca(gram: np.ndarray, cross: np.ndarray, whiten: np.ndarray,
+                epsilon: float) -> np.ndarray:
+    """KCCA scores of a (b, n, r) stack of centered factors C from its
+    Grams G = C^T C, its cross products X = C^T L_Y (the ones _stack_hsic
+    reads) and the response's whitening R_Y^{-1} (_kcca_response).
 
-
-def _stack_kcca(terms: tuple, wy: np.ndarray, epsilon: float) -> np.ndarray:
-    """KCCA scores of a stack from its _kcca_terms and wy = _shrink(gy.d,
-    eps).  U_X = C W Lambda^(-1/2) holds the retained eigenvectors of
-    C C^T, so M = diag(w_Y) U_Y^T C W diag(keep / sqrt(lambda + eps)) is
-    kcca_singular_value's M, up to rounding, with no n x r eigenvector
-    matrix formed.  A score is bitwise the same in any stack of its rank,
-    and a rank-0 stack or response scores 0.  NumericError if LAPACK fails.
+    With R^T R = G + eps I, the push-through identity gives P_X = C (G +
+    eps I)^{-1} C^T = A A^T for A = C R^{-1}, and P_Y = B B^T for B = L_Y
+    R_Y^{-1}.  The nonzero eigenvalues of P_X P_Y are then those of N N^T
+    with N = A^T B = R^{-T} X R_Y^{-1}, so the score is sigma_max(N): one
+    Cholesky and one solve per member, and no eigenvalue is dropped.  A
+    score is bitwise the same in any stack of its rank; a rank-0 stack, or
+    a member with C = 0, scores 0.  NumericError if LAPACK fails.
     """
-    cross, lam, keep = terms
     if cross.shape[1] == 0 or cross.shape[2] == 0:
         return np.zeros(cross.shape[0])
-    scale = keep / np.sqrt(np.where(keep, lam, 0.0) + epsilon)
-    return _top_singular_values(wy[:, None] * cross * scale[:, None, :])
+    try:
+        low = np.linalg.cholesky(gram + epsilon * np.eye(gram.shape[-1]))
+        m = np.linalg.solve(low, cross @ whiten)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"Cholesky solve of a KCCA stack failed: {e}") from None
+    return _top_singular_values(m)
 
 
 def _top_singular_values(m: np.ndarray) -> np.ndarray:
@@ -123,21 +128,20 @@ def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
         raise ArgumentError(
             f"hsic needs factors over the same samples, got {a.shape} and {b.shape}"
         )
-    return float(_stack_hsic(a[None], b)[0])
+    return float(_stack_hsic(np.swapaxes(a[None], 1, 2) @ b, a.shape[0])[0])
 
 
-def _stack_hsic(c: np.ndarray, ly: np.ndarray) -> np.ndarray:
-    """HSIC, ||C_m^T L_Y||_F^2 / n^2, of each centered factor C_m of a
-    (b, n, r) stack against the response's centered factor L_Y.  The other
-    members do not change a bit of a member's score.
+def _stack_hsic(cross: np.ndarray, n: int) -> np.ndarray:
+    """HSIC, ||X_m||_F^2 / n^2, of each member of a stack of cross products
+    X_m = C_m^T L_Y of centered factors C_m over n samples with the
+    response's centered factor L_Y.  The other members do not change a bit
+    of a member's score.
 
     Each sum of squares is the smaller of its row-major and column-major
     sums.  Swapping the two factors transposes the cross product, which
     swaps the two sums, so the score is exactly symmetric in them.
     """
-    n = c.shape[1]
-    cross = np.swapaxes(c, 1, 2) @ ly
-    sums = np.empty(c.shape[0])
+    sums = np.empty(cross.shape[0])
     for m, x in enumerate(cross):
         sums[m] = min(np.vdot(x, x), np.vdot(x.T, x.T))
     return sums / (n * n)

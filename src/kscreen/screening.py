@@ -1,5 +1,5 @@
 """Full feature-screening pipeline: per-feature bandwidths, optional ridge
-tuning, shared response decomposition, per-predictor scores, and top-m
+tuning, a shared response factor, per-predictor scores, and top-m
 selection.
 
 Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
@@ -9,18 +9,20 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       overflow or underflow, falls back to gamma = 1 with a warning that
       says which);
   (b) one low-rank Gram factor per variable, each built once: the
-      response's by kernels.gram, shared across all predictors, and the
-      predictors' by kernels.gram_block, kernels._BUILD features per call,
-      which hands them back in unpadded stacks of one rank each;
+      response's by kernels.gram, column-centered once and shared across
+      all predictors, and the predictors' by kernels.gram_block,
+      kernels._BUILD features per call, which hands them back in unpadded
+      stacks of one rank each;
   (c) ridge epsilon from the GCV grid search over a subsample of the
       predictors (KCCA only, when auto), whose stacks are built first and
       read uncentered by tuning._gcv_terms, then by (d), so none is held;
   (d) one dependence score per predictor, each stack column-centered in
-      place as (b) builds it and then dropped: HSIC against the response's
-      centered factor (measures._stack_hsic), KCCA from the stack's r x r
-      Grams against the response's retained eigenpairs, as
-      epsilon-independent terms (measures._kcca_terms) finished once
-      epsilon is known (measures._stack_kcca);
+      place as (b) builds it, its cross products X = C^T L_Y with the
+      response's centered factor formed once, and then dropped: HSIC from
+      X (measures._stack_hsic), KCCA from X and the stack's r x r Grams
+      G = C^T C, held until epsilon is known and then finished by one
+      Cholesky solve per member against the response's whitening, itself
+      one Cholesky per screen (measures._stack_kcca, _kcca_response);
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -54,15 +56,16 @@ from .errors import (
     DegenerateDataWarning,
     UnsupportedMethodError,
 )
-from .kernels import (
+# center_and_decompose, hsic_score, kcca_singular_value and select_epsilon
+# are not called here; they stay names of this module because
+# bench/tracing.py rebinds them.
+from .kernels import (  # noqa: F401
     _BUILD, Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon,
     _scalar_distance_sums, bandwidth, center, center_and_decompose, centered_distances, gram,
     gram_block,
 )
-# hsic_score, kcca_singular_value and select_epsilon are not called here;
-# they stay names of this module because bench/tracing.py rebinds them.
 from .measures import (  # noqa: F401
-    Method, _DistanceResponse, _kcca_terms, _shrink, _stack_hsic, _stack_kcca, dcor_score,
+    Method, _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, dcor_score,
     hsic_score, kcca_singular_value, pearson_score,
 )
 from .tuning import GCV_GRID, _gcv_terms, _grid_search, select_epsilon  # noqa: F401
@@ -292,14 +295,10 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
 
     kcca, hsic = Method.KCCA in scores, Method.HSIC in scores
     if kcca or hsic:
-        # Non-constant response plus the scale-free bandwidth rule guarantees
-        # a nonzero centered Gram, so no rank guard is needed here.
-        bw_y = _column_bandwidth("response", bandwidth, yv)
-        ly = gram(yv, bw_y)
-        # KCCA reads the centered Gram's retained spectrum, HSIC the
-        # centered factor itself.
-        gy = center_and_decompose(ly) if kcca else None
-        ly_c = center(ly) if hsic else None
+        # The response's centered factor: HSIC reads it, and KCCA its
+        # whitening, once epsilon is known.  The GCV reads the raw factor.
+        ly = gram(yv, _column_bandwidth("response", bandwidth, yv))
+        ly_c = center(ly)
 
         # Every column's pairwise-distance sum from one sort of the table.
         bws = [_column_bandwidth(f"feature {r + 1}", _bandwidth_from_sum, total, n)
@@ -314,21 +313,24 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
                     yield start + pos, stack
 
         def score(features, stack):
-            # Centered in place and scored by every kernel method; a score is
-            # bitwise the same in any stack of its rank.  KCCA's
-            # epsilon-independent terms wait for a GCV-chosen epsilon.
+            # Centered in place; its cross product with the response is
+            # formed once for both kernel methods.  A score is bitwise the
+            # same in any stack of its rank.  KCCA's Grams and cross
+            # products wait for a GCV-chosen epsilon.
             stack -= stack.mean(axis=1, keepdims=True)
+            ct = np.swapaxes(stack, 1, 2)
+            cross = ct @ ly_c
             if hsic:
-                scores[Method.HSIC][features] = _stack_hsic(stack, ly_c)
+                scores[Method.HSIC][features] = _stack_hsic(cross, n)
             if kcca:
-                held.append((features, _kcca_terms(stack, gy)))
+                held.append((features, ct @ stack, cross))
                 if eps is not None:
                     finish()
 
         def finish():
             while held:
-                features, terms = held.pop()
-                scores[Method.KCCA][features] = _stack_kcca(terms, wy, eps)
+                features, g, cross = held.pop()
+                scores[Method.KCCA][features] = _stack_kcca(g, cross, whiten, eps)
 
         def tuned():
             # Each stack is scored once the GCV has read it.
@@ -350,7 +352,7 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
             eps = _grid_search(comps, GCV_GRID).epsilon
             rest = np.delete(rest, tuning_idx)
         if kcca:
-            wy = _shrink(gy.d, eps)
+            whiten = _kcca_response(ly_c, eps)
             finish()
         for pos, stack in built(rest):
             score(rest[pos], stack)

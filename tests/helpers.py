@@ -43,23 +43,40 @@ def random_factor(rng, n):
     return ks.gram(pts, ks.bandwidth(pts))
 
 
-def random_gram(rng, n):
-    """A centered-and-decomposed Gaussian Gram from random data."""
-    return ks.center_and_decompose(random_factor(rng, n))
-
-
 def random_centered(rng, n):
     """A column-centered Gaussian Gram factor from random data."""
     return ks.center(random_factor(rng, n))
 
 
 def kcca_dense_oracle(gx, gy, eps):
-    """sqrt of the top eigenvalue of the dense product S_X S_Y."""
+    """sqrt of the top eigenvalue of the dense product S_X S_Y of the
+    smoothers of two CenteredGrams: their retained spectra only."""
 
     def smoother(g):
         return g.u @ np.diag(g.d / (g.d + eps)) @ g.u.T
 
     prod = smoother(gx) @ smoother(gy)
+    lam = np.max(np.real(np.linalg.eigvals(prod)))
+    return float(np.sqrt(max(lam, 0.0)))
+
+
+def kcca_full_oracle(kx, ky, eps):
+    """sqrt of the top eigenvalue of the dense P_X P_Y, P = G (G + eps I)^{-1}
+    for the double-centered G of each n x n Gram (L L^T of a factor, or a
+    dense Gram), with no eigenvalue dropped.
+
+    G is centered by row, column and grand means, so the Gram of a
+    constant, all ones, centers to exactly 0: the score is the square root
+    of an eigenvalue, which would turn a rounding residue of 1e-16 / eps
+    into a score of ~1e-6.
+    """
+
+    def smoother(k):
+        k = np.asarray(k, dtype=float)
+        g = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
+        return np.linalg.solve(g + eps * np.eye(g.shape[0]), g)
+
+    prod = smoother(kx) @ smoother(ky)
     lam = np.max(np.real(np.linalg.eigvals(prod)))
     return float(np.sqrt(max(lam, 0.0)))
 

@@ -25,7 +25,7 @@ from tests.helpers import (
     dense_gram,
     gcv_dense_oracle,
     hsic_double_sum,
-    kcca_dense_oracle,
+    kcca_full_oracle,
 )
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -79,17 +79,16 @@ def test_c01_kcca_coordinate_form_matches_dense_oracle():
         d = int(rng.integers(1, 3))
         x = rng.standard_normal(n)
         y = np.tanh(x)[:, None] * rng.uniform(0.2, 1.0) + rng.standard_normal((n, d))
-        gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
-        gy = ks.center_and_decompose(ks.gram(y, ks.bandwidth(y)))
+        lx, ly = ks.gram(x, ks.bandwidth(x)), ks.gram(y, ks.bandwidth(y))
         eps = float(rng.choice(ks.GCV_GRID))
-        got = ks.kcca_singular_value(gx, gy, eps)
-        want = kcca_dense_oracle(gx, gy, eps)
+        got = ks.kcca_singular_value(ks.center(lx), ks.center(ly), eps)
+        want = kcca_full_oracle(lx @ lx.T, ly @ ly.T, eps)
         rel = abs(got - want) / max(abs(want), 1e-300)
         worst = max(worst, rel)
         assert rel <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    _pass(1, "kcca coordinate form vs dense S_X S_Y oracle",
+    _pass(1, "kcca Cholesky form vs untruncated dense P_X P_Y oracle",
           f"100 instances, worst rel {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -100,15 +99,16 @@ def test_c02_self_dependence_closed_form():
     for _ in range(50):
         n = int(rng.integers(8, 40))
         pts = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
-        g = ks.center_and_decompose(ks.gram(pts, ks.bandwidth(pts)))
+        c = ks.center(ks.gram(pts, ks.bandwidth(pts)))
+        s0 = np.linalg.svd(c, compute_uv=False)[0]
         eps = float(rng.choice(ks.GCV_GRID))
-        got = ks.kcca_singular_value(g, g, eps)
-        want = g.d[0] / (g.d[0] + eps)
+        got = ks.kcca_singular_value(c, c, eps)
+        want = s0 * s0 / (s0 * s0 + eps)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _pass(2, "self-dependence closed form d0/(d0+eps)",
+    _pass(2, "self-dependence closed form s0^2/(s0^2+eps)",
           f"50 grams, worst abs {worst:.2e}, {elapsed:.1f}s")
 
 

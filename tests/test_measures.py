@@ -11,28 +11,30 @@ import kscreen as ks
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from kscreen.kernels import _rank_stacks
 from kscreen.measures import (
-    _DistanceResponse, _kcca_terms, _shrink, _stack_hsic, _stack_kcca, _top_singular_values,
+    _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, _top_singular_values,
 )
 from tests.helpers import (
     center_dense,
     dcor_brute,
     dense_gram,
     hsic_double_sum,
-    kcca_dense_oracle,
+    kcca_full_oracle,
     random_centered,
     random_factor,
-    random_gram,
 )
 
 
 class TestKccaScore:
     def test_self_dependence_closed_form(self):
+        # P_X P_X has the top eigenvalue (s0^2 / (s0^2 + eps))^2 for the
+        # top singular value s0 of the centered factor.
         rng = np.random.default_rng(1)
         for _ in range(5):
-            g = random_gram(rng, 14)
+            c = random_centered(rng, 14)
+            s0 = np.linalg.svd(c, compute_uv=False)[0]
             eps = float(rng.uniform(0.05, 5.0))
-            got = ks.kcca_singular_value(g, g, eps)
-            assert got == pytest.approx(g.d[0] / (g.d[0] + eps), abs=1e-10)
+            got = ks.kcca_singular_value(c, c, eps)
+            assert got == pytest.approx(s0 * s0 / (s0 * s0 + eps), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_product_oracle(self, seed):
@@ -40,11 +42,10 @@ class TestKccaScore:
         n = int(rng.integers(8, 30))
         x = rng.standard_normal(n)
         y = 0.6 * x + 0.8 * rng.standard_normal(n)
-        gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
-        gy = ks.center_and_decompose(ks.gram(y, ks.bandwidth(y)))
+        lx, ly = ks.gram(x, ks.bandwidth(x)), ks.gram(y, ks.bandwidth(y))
         eps = float(rng.choice(ks.GCV_GRID))
-        got = ks.kcca_singular_value(gx, gy, eps)
-        want = kcca_dense_oracle(gx, gy, eps)
+        got = ks.kcca_singular_value(ks.center(lx), ks.center(ly), eps)
+        want = kcca_full_oracle(lx @ lx.T, ly @ ly.T, eps)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_permutation_null_not_elevated(self):
@@ -56,29 +57,28 @@ class TestKccaScore:
         for _ in range(trials):
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
-            gx = ks.center_and_decompose(ks.gram(x, ks.bandwidth(x)))
+            cx = ks.center(ks.gram(x, ks.bandwidth(x)))
             ly = ks.gram(y, ks.bandwidth(y))
-            base = ks.kcca_singular_value(gx, ks.center_and_decompose(ly), eps)
+            base = ks.kcca_singular_value(cx, ks.center(ly), eps)
             perm_scores = []
             for _ in range(n_perm):
                 pi = rng.permutation(n)
-                gyp = ks.center_and_decompose(ly[pi])
-                perm_scores.append(ks.kcca_singular_value(gx, gyp, eps))
+                perm_scores.append(ks.kcca_singular_value(cx, ks.center(ly[pi]), eps))
             hits += float(np.mean(perm_scores)) > base
         assert hits / trials <= 0.60
 
     def test_strictly_below_one(self):
         rng = np.random.default_rng(9)
         for _ in range(8):
-            gx = random_gram(rng, 12)
-            gy = random_gram(rng, 12)
+            cx = random_centered(rng, 12)
+            cy = random_centered(rng, 12)
             for eps in (1e-5, 1e-2, 1.0):
-                assert ks.kcca_singular_value(gx, gy, eps) < 1.0
+                assert ks.kcca_singular_value(cx, cy, eps) < 1.0
 
     def test_monotone_in_epsilon_for_self_dependence(self):
         rng = np.random.default_rng(4)
-        g = random_gram(rng, 16)
-        values = [ks.kcca_singular_value(g, g, eps) for eps in ks.GCV_GRID]
+        c = random_centered(rng, 16)
+        values = [ks.kcca_singular_value(c, c, eps) for eps in ks.GCV_GRID]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_relabeling_invariance(self):
@@ -88,16 +88,10 @@ class TestKccaScore:
         y = np.tanh(x) + 0.3 * rng.standard_normal(n)
         bx, by = ks.bandwidth(x), ks.bandwidth(y)
         base = ks.kcca_singular_value(
-            ks.center_and_decompose(ks.gram(x, bx)),
-            ks.center_and_decompose(ks.gram(y, by)),
-            0.1,
-        )
+            ks.center(ks.gram(x, bx)), ks.center(ks.gram(y, by)), 0.1)
         pi = rng.permutation(n)
         permuted = ks.kcca_singular_value(
-            ks.center_and_decompose(ks.gram(x[pi], bx)),
-            ks.center_and_decompose(ks.gram(y[pi], by)),
-            0.1,
-        )
+            ks.center(ks.gram(x[pi], bx)), ks.center(ks.gram(y[pi], by)), 0.1)
         assert permuted == pytest.approx(base, abs=1e-10)
 
     def test_scale_free_gram(self):
@@ -111,34 +105,49 @@ class TestKccaScore:
             assert np.max(np.abs(l1 @ l1.T - l0 @ l0.T)) <= 1e-10
 
     def test_constant_side_scores_zero(self):
+        # A constant side's Gram factor is a column of ones, which centers
+        # to exactly 0; an empty factor has rank 0.
         rng = np.random.default_rng(3)
-        gx = random_gram(rng, 10)
-        gzero = ks.center_and_decompose(np.ones((10, 1)))
-        assert ks.kcca_singular_value(gx, gzero, 0.5) == 0.0
-        assert ks.kcca_singular_value(gzero, gx, 0.5) == 0.0
+        cx = random_centered(rng, 10)
+        for zero in (ks.center(np.ones((10, 1))), np.zeros((10, 0))):
+            assert ks.kcca_singular_value(cx, zero, 0.5) == 0.0
+            assert ks.kcca_singular_value(zero, cx, 0.5) == 0.0
 
     def test_argument_errors(self):
         rng = np.random.default_rng(0)
-        gx = random_gram(rng, 8)
-        gy = random_gram(rng, 9)
+        cx = random_centered(rng, 8)
+        cy = random_centered(rng, 9)
         with pytest.raises(ArgumentError):
-            ks.kcca_singular_value(gx, gy, 0.1)
+            ks.kcca_singular_value(cx, cy, 0.1)
         with pytest.raises(ArgumentError):
-            ks.kcca_singular_value(gx, gx, 0.0)
+            ks.kcca_singular_value(cx, cx, 0.0)
         with pytest.raises(ArgumentError):
-            ks.kcca_singular_value(gx, gx, -1.0)
+            ks.kcca_singular_value(cx, cx, -1.0)
+        for bad in (np.ones((8, 9)), np.ones((8, 2, 1)), np.zeros((0, 0))):
+            with pytest.raises(ArgumentError):
+                ks.kcca_singular_value(cx, bad, 0.1)
+        nan = cx.copy()
+        nan[0, 0] = np.nan
+        with pytest.raises(DataError):
+            ks.kcca_singular_value(nan, cx, 0.1)
 
     def test_eigvalsh_failure_maps_to_numeric_error(self, monkeypatch):
-        # The top singular value of M comes from eigvalsh of its smaller Gram.
+        # The top singular value of N comes from eigvalsh of its smaller Gram.
+        self.test_lapack_failure_maps_to_numeric_error(monkeypatch, "eigvalsh")
+
+    @pytest.mark.parametrize("routine", ["cholesky", "inv", "solve"])
+    def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
+        # The response's Cholesky factor and its inverse, and the member's
+        # Cholesky solve.
         rng = np.random.default_rng(0)
-        gx = random_gram(rng, 8)
+        cx = random_centered(rng, 8)
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        monkeypatch.setattr(np.linalg, routine, boom)
         with pytest.raises(NumericError):
-            ks.kcca_singular_value(gx, gx, 0.5)
+            ks.kcca_singular_value(cx, cx, 0.5)
 
 
 def stack_scores(score, lxs, *args):
@@ -151,42 +160,49 @@ def stack_scores(score, lxs, *args):
     return out
 
 
-def kcca_of_stack(c, gy, eps):
-    # screen's two KCCA steps on one centered stack.
-    return _stack_kcca(_kcca_terms(c, gy), _shrink(gy.d, eps), eps)
+def kcca_of_stack(c, ly_c, eps):
+    # screen's KCCA arithmetic on one centered stack.
+    ct = np.swapaxes(c, 1, 2)
+    return _stack_kcca(ct @ c, ct @ ly_c, _kcca_response(ly_c, eps), eps)
 
 
-def stack_kcca(lxs, gy, eps):
-    return stack_scores(kcca_of_stack, lxs, gy, eps)
+def hsic_of_stack(c, ly_c):
+    return _stack_hsic(np.swapaxes(c, 1, 2) @ ly_c, c.shape[1])
+
+
+def stack_kcca(lxs, ly_c, eps):
+    return stack_scores(kcca_of_stack, lxs, ly_c, eps)
 
 
 def stack_hsic(lxs, ly_c):
-    return stack_scores(_stack_hsic, lxs, ly_c)
+    return stack_scores(hsic_of_stack, lxs, ly_c)
 
 
 class TestKccaBlock:
     def test_constant_members_and_a_rank_zero_response_score_exactly_zero(self):
         rng = np.random.default_rng(4)
         lxs = [random_factor(rng, 10), np.ones((10, 1)), random_factor(rng, 10)]
-        gy = random_gram(rng, 10)
-        got = stack_kcca(lxs, gy, 0.5)
+        ly_c = random_centered(rng, 10)
+        got = stack_kcca(lxs, ly_c, 0.5)
         assert got.shape == (3,) and got[1] == 0.0 and np.all(got[[0, 2]] > 0.0)
-        gzero = ks.center_and_decompose(np.ones((10, 1)))
-        assert stack_kcca(lxs, gzero, 0.5).tobytes() == np.zeros(3).tobytes()
-        assert stack_kcca([np.zeros((10, 0))], gy, 0.5).tobytes() == np.zeros(1).tobytes()
+        for zero in (ks.center(np.ones((10, 1))), np.zeros((10, 0))):
+            assert stack_kcca(lxs, zero, 0.5).tobytes() == np.zeros(3).tobytes()
+        assert stack_kcca([np.zeros((10, 0))], ly_c, 0.5).tobytes() == np.zeros(1).tobytes()
 
-    @pytest.mark.parametrize("routine", ["eigh", "eigvalsh"])
+    @pytest.mark.parametrize("routine", ["cholesky", "solve", "eigvalsh"])
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch, routine):
         rng = np.random.default_rng(0)
         c = ks.center(random_factor(rng, 8))[None]
-        gy = random_gram(rng, 8)
+        ly_c = random_centered(rng, 8)
+        whiten = _kcca_response(ly_c, 0.5)
+        ct = np.swapaxes(c, 1, 2)
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
         monkeypatch.setattr(np.linalg, routine, boom)
         with pytest.raises(NumericError):
-            kcca_of_stack(c, gy, 0.5)
+            _stack_kcca(ct @ c, ct @ ly_c, whiten, 0.5)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

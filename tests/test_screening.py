@@ -155,10 +155,9 @@ class TestScreen:
         for r in range(x.p):
             kx = ks.gram(x.values[:, r], ks.bandwidth(x.values[:, r]))
             ky = ks.gram(y.values, bw_y)
-            gy = ks.center_and_decompose(ky)
-            gx = ks.center_and_decompose(kx)
-            want = ks.kcca_singular_value(gx, gy, 0.2)
-            assert res.scores[r] == pytest.approx(want, abs=1e-12)
+            # The screen's stack arithmetic is kcca_singular_value's on a
+            # stack of one, so the scores are bitwise equal.
+            assert res.scores[r] == ks.kcca_singular_value(ks.center(kx), ks.center(ky), 0.2)
             assert hsic.scores[r] == ks.hsic_score(ks.center(kx), ks.center(ky))
         # dc shares the response's centered distances, for a univariate and
         # a bivariate response.
@@ -395,19 +394,21 @@ def test_every_name_the_benchmark_tracer_rebinds_exists():
 
 
 def test_lapack_budget_of_a_kcca_screen(monkeypatch):
-    # Every LAPACK decomposition of one auto-epsilon kcca screen, counted
-    # as the matrices each routine receives (a stack of b counts b): per
-    # predictor one r x r eigh of its centered Gram and one eigvalsh of the
-    # smaller Gram of its M; per GCV predictor one QR of its factor and one
-    # (r+1) x (r+1) eigh of its basis Gram; for the response one SVD of its
-    # centered factor and one QR of its factor for the GCV; nothing else.
+    # Every LAPACK call of one auto-epsilon kcca screen, counted as the
+    # matrices each routine receives (a stack of b counts b): per predictor
+    # one r x r Cholesky of G + eps I, one solve with it for the r x r_Y N
+    # and one eigvalsh of the smaller Gram of N; per GCV predictor one QR
+    # of its factor and one (r+1) x (r+1) eigh of its basis Gram; for the
+    # response one Cholesky and one triangular inverse, for its whitening,
+    # and one QR of its factor for the GCV; nothing else, no SVD at all.
     # The GCV predictors are counted in the stacks screen hands to
     # tuning._gcv_terms, which reads each once as it is built.
     n, p = 40, 60
     x, y = make_data(seed=3, n=n, p=p)
     ly = ks.gram(y.values, ks.bandwidth(y.values))
-    ry = ks.center_and_decompose(ly).rank
-    received = {name: [] for name in ("eigh", "eigvalsh", "svd", "qr")}
+    ry = ly.shape[1]
+    received = {name: [] for name in ("cholesky", "solve", "inv", "eigh", "eigvalsh", "eig",
+                                      "svd", "qr", "lstsq", "pinv", "det", "slogdet")}
 
     def counting(name, fn):
         def wrapped(a, *args, **kwargs):
@@ -436,11 +437,13 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
     monkeypatch.setattr(screening, "_gcv_terms", reading)
     ks.screen(x, y, method="kcca", gcv_subsample=20)
     assert len(ranks) == p and len(tuned) == 20 and min(ranks) > 0
-    assert sorted(received["eigh"]) == sorted([(r, r) for r in ranks]
-                                              + [(r + 1, r + 1) for r in tuned])
-    assert sorted(received["eigvalsh"]) == sorted([(min(r, ry),) * 2 for r in ranks])
-    assert received["svd"] == [ly.shape]
-    assert sorted(received["qr"]) == sorted([(n, r) for r in tuned] + [ly.shape])
+    assert sorted(received.pop("cholesky")) == sorted([(r, r) for r in ranks] + [(ry, ry)])
+    assert sorted(received.pop("solve")) == sorted([(r, r) for r in ranks])
+    assert received.pop("inv") == [(ry, ry)]
+    assert sorted(received.pop("eigvalsh")) == sorted([(min(r, ry),) * 2 for r in ranks])
+    assert sorted(received.pop("eigh")) == sorted([(r + 1, r + 1) for r in tuned])
+    assert sorted(received.pop("qr")) == sorted([(n, r) for r in tuned] + [ly.shape])
+    assert received == {name: [] for name in received}
 
 
 def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
@@ -448,8 +451,10 @@ def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
     # and then drops it, so the memory it allocates stays below the bytes
     # of the subsample's n x r factors, which an earlier design held until
     # the epsilon search ended.  Calibrated on a 2-core host: a peak of
-    # 3.55 MB against 6.17 MB of factors (0.57 of the bound); holding the
-    # factors read 7.89 MB.
+    # 3.95 MB against 6.17 MB of factors (0.64 of the bound); the KCCA
+    # terms held until epsilon is known, each member's r x r Gram and
+    # r x r_Y cross product, add about 0.4 MB to the 3.51 MB of the
+    # eigenvector terms they replaced.  Holding the factors read 7.89 MB.
     n, p, k = 200, 400, 200
     x, y = make_data(seed=0, n=n, p=p)
     idx = np.sort(np.random.default_rng(0).choice(p, size=k, replace=False))

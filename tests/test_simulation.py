@@ -410,14 +410,16 @@ class TestReplicationWorker:
         # kcca and hsic share every bandwidth, factor and centered stack:
         # p + 1 bandwidths (the response's by bandwidth, the p columns' from
         # one batched distance-sum pass), one factor per predictor, and each
-        # stack gram_block returns centered once and scored once by each
-        # kernel method, with the GCV subsample drawn (p > 20).
+        # stack gram_block returns centered once, its cross product with the
+        # response's centered factor formed once and read by both kernel
+        # methods, with the GCV subsample drawn (p > 20).
         from kscreen import screening
         from kscreen.measures import Method
         from kscreen.simulation import _replication_sizes
 
         calls = {"bandwidth": 0, "factors": 0}
-        stacks, scored = {}, {"kcca": [], "hsic": []}
+        expected, responses, kept = [], [], []
+        scored = {"kcca": [], "hsic": []}
 
         def counting(key, fn, size=lambda *a: 1):
             def wrapped(*args, **kwargs):
@@ -425,36 +427,48 @@ class TestReplicationWorker:
                 return fn(*args, **kwargs)
             return wrapped
 
+        def centering(factor, center=screening.center):
+            responses.append(center(factor))
+            return responses[-1]
+
         gram_block = screening.gram_block
 
         def building(samples, bws):
             built = gram_block(samples, bws)
             calls["factors"] += sum(len(pos) for pos, _ in built)
+            (ly_c,) = responses
             for _, stack in built:
-                # Kept alive, so that no other stack can take its id.
-                stacks[id(stack)] = (stack, stack - stack.mean(axis=1, keepdims=True))
+                ct = np.swapaxes(stack - stack.mean(axis=1, keepdims=True), 1, 2)
+                expected.append(((ct @ ct.swapaxes(1, 2)).tobytes(), (ct @ ly_c).tobytes()))
             return built
 
-        def scoring(key, fn):
-            def wrapped(c, *args):
-                _, centered = stacks[id(c)]
-                scored[key].append((id(c), c.tobytes() == centered.tobytes()))
-                return fn(c, *args)
-            return wrapped
+        def kcca_scoring(g, cross, *args, stack_kcca=screening._stack_kcca):
+            kept.append(cross)  # so that no other array can take its id
+            scored["kcca"].append((g.tobytes(), cross.tobytes(), id(cross)))
+            return stack_kcca(g, cross, *args)
+
+        def hsic_scoring(cross, n, stack_hsic=screening._stack_hsic):
+            kept.append(cross)
+            scored["hsic"].append((cross.tobytes(), id(cross)))
+            return stack_hsic(cross, n)
 
         monkeypatch.setattr(screening, "bandwidth", counting("bandwidth", screening.bandwidth))
         monkeypatch.setattr(screening, "_scalar_distance_sums",
                             counting("bandwidth", screening._scalar_distance_sums, len))
+        monkeypatch.setattr(screening, "center", centering)
         monkeypatch.setattr(screening, "gram_block", building)
-        monkeypatch.setattr(screening, "_kcca_terms", scoring("kcca", screening._kcca_terms))
-        monkeypatch.setattr(screening, "_stack_hsic", scoring("hsic", screening._stack_hsic))
+        monkeypatch.setattr(screening, "_stack_kcca", kcca_scoring)
+        monkeypatch.setattr(screening, "_stack_hsic", hsic_scoring)
         p = 40
         spec = ks.SimulationSpec(suite="sim2", model_id=1, n=30, p=p, reps=1, seed=5)
         out = _replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC), "auto", 20, 0)
         assert set(out) == {"kcca", "hsic", "dc"}
-        assert calls == {"bandwidth": p + 1, "factors": p}
-        every_stack_centered_once = sorted((key, True) for key in stacks)
-        assert sorted(scored["kcca"]) == sorted(scored["hsic"]) == every_stack_centered_once
+        assert calls == {"bandwidth": p + 1, "factors": p} and len(responses) == 1
+        # Each stack once, centered once, by each method, and one cross
+        # product object shared by both.
+        assert sorted(k[:2] for k in scored["kcca"]) == sorted(expected)
+        assert sorted(h[0] for h in scored["hsic"]) == sorted(x for _, x in expected)
+        assert sorted(k[2] for k in scored["kcca"]) == sorted(h[1] for h in scored["hsic"])
 
     def test_constant_column_warns_once_per_replication(self, monkeypatch):
         import warnings
