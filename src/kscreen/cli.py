@@ -116,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'auto' (GCV grid search) or a positive real")
     sc.add_argument("--top", type=_parse_top, default=None,
                     help="'auto' or a model size m (default: top 1%% of features)")
-    sc.add_argument("--gcv-subsample", type=_positive_int, default=None,
-                    help="predictors entering the GCV sum (default min(p, 200))")
 
     sm = sub.add_parser("simulate", parents=[common], help="run a benchmark suite")
     sm.add_argument("--suite", choices=("sim1", "sim2"), required=True)
@@ -131,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--d-values", type=_parse_d_values, default=None,
                     help="override d1,d2,d3 (default: suite-specific)")
     sm.add_argument("--epsilon", type=_parse_epsilon, default="auto")
-    sm.add_argument("--gcv-subsample", type=_positive_int, default=None)
     sm.add_argument("--threads", type=_threads, default=1,
                     help="worker processes, or 'auto' for the CPU count (default 1)")
     return parser
@@ -190,7 +187,6 @@ def _run_screen(args: argparse.Namespace):
         rule=args.top,
         epsilon=args.epsilon,
         seed=args.seed,
-        gcv_subsample=args.gcv_subsample,
     )
     doc = _screen_document(args, result, x, y)
     if args.format == "json":
@@ -250,7 +246,6 @@ def _run_simulate(args: argparse.Namespace):
         args.d_values,
         threads=args.threads,
         epsilon=args.epsilon,
-        gcv_subsample=args.gcv_subsample,
     )
     if args.format == "json":
         _write_output(args, json_dumps(_report_document(report)))

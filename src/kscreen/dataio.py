@@ -168,7 +168,10 @@ def load_csv(path, response_columns):
     (x, y) : pair of DataMatrix
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as written by spreadsheet
+        # "CSV UTF-8" exports, also when the row path reads from the start
+        # again; a file without one decodes as plain UTF-8.
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:

@@ -13,8 +13,9 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       all predictors, and the predictors' by kernels.gram_block,
       kernels._BUILD features per call, which hands them back in unpadded
       stacks of one rank each;
-  (c) ridge epsilon from the GCV grid search over a subsample of the
-      predictors (KCCA only, when auto), whose stacks are built first and
+  (c) ridge epsilon from the GCV grid search over GCV_GRID, summed over a
+      seeded subsample of GCV_SUBSAMPLE predictors, or all of them when p
+      is no larger (KCCA only, when auto), whose stacks are built first and
       read uncentered by tuning._gcv_terms, then by (d), so none is held;
   (d) one dependence score per predictor, each stack column-centered in
       place as (b) builds it, its cross products X = C^T L_Y with the
@@ -68,12 +69,12 @@ from .measures import (  # noqa: F401
     Method, _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, dcor_score,
     hsic_score, kcca_singular_value, pearson_score,
 )
-from .tuning import GCV_GRID, _gcv_terms, _grid_search, select_epsilon  # noqa: F401
+from .tuning import _gcv_terms, _grid_search, select_epsilon  # noqa: F401
 
 # The GCV sum over all p predictors is O(p n r^2) for factors of rank r;
 # above this many predictors the tuning step uses a seeded uniform subsample
-# unless told otherwise.
-GCV_SUBSAMPLE_DEFAULT = 200
+# of this size.  Read at call time.
+GCV_SUBSAMPLE = 200
 
 
 def _check_int(name: str, value, minimum: int):
@@ -156,8 +157,12 @@ def auto_threshold(epsilon: float, n: int, p: int) -> int:
     _check_positive_epsilon(epsilon)
     _check_int("n", n, 1)
     _check_int("p", p, 1)
-    m = math.ceil(1.5 * epsilon ** -1.5 * n ** 0.25)
-    return min(p, max(1, m))
+    try:
+        power = epsilon ** -1.5
+    except OverflowError:  # past the float range for epsilon below ~2.8e-206
+        power = math.inf
+    # Clamped before ceil, which has no integer for an infinite m.
+    return max(1, math.ceil(min(1.5 * power * n ** 0.25, p)))
 
 
 def rank_by_score(scores) -> np.ndarray:
@@ -215,8 +220,6 @@ def screen(
     rule: ThresholdRule | None = None,
     epsilon="auto",
     seed: int = 0,
-    *,
-    gcv_subsample: int | None = None,
 ) -> ScreeningResult:
     """Rank all features of x by marginal dependence with y and select the top m.
 
@@ -234,23 +237,20 @@ def screen(
         methods ignore it, but every method rejects a value that is neither
         "auto" nor a positive finite real before any work.
     seed : int
-        Non-negative; seeds the GCV predictor subsample draw (used when p
-        exceeds the subsample size) and has no other effect.
-    gcv_subsample : int, optional
-        Number of predictors entering the GCV sum, at least 1; defaults to
-        min(p, 200).  Pass p to force the full sum.  A seed or subsample
-        size that is not an integer in range raises ArgumentError before
-        any work.
+        Non-negative; seeds the draw of the GCV_SUBSAMPLE = 200 predictors
+        that enter the GCV sum when p exceeds that size, and has no other
+        effect.  A seed that is not a non-negative integer raises
+        ArgumentError before any work.
 
     Unlike run_suite, screen does not pin the BLAS thread count, and kcca
     and hsic scores can differ in the last bits across BLAS thread counts;
     the README's BLAS paragraph has the measured differences.
     """
     method = Method(method)
-    return _screen_methods(x, y, (method,), rule, epsilon, seed, gcv_subsample)[method]
+    return _screen_methods(x, y, (method,), rule, epsilon, seed)[method]
 
 
-def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
+def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
     """screen for several methods over one (x, y), as {Method: ScreeningResult}.
 
     Bandwidths and Gram factor stacks are built and centered once and
@@ -258,8 +258,6 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
     returns for its method alone.
     """
     _check_int("seed", seed, 0)
-    if gcv_subsample is not None:
-        _check_int("gcv_subsample", gcv_subsample, 1)
     fixed_eps = _check_epsilon(epsilon)
     if x.n != y.n:
         raise ArgumentError(f"x and y sample counts differ: {x.n} vs {y.n}")
@@ -342,14 +340,13 @@ def _screen_methods(x, y, methods, rule, epsilon, seed, gcv_subsample) -> dict:
         # place, in order, and then dropped.
         rest, held = np.arange(p), []
         if kcca and eps is None:
-            k_budget = gcv_subsample if gcv_subsample is not None else min(p, GCV_SUBSAMPLE_DEFAULT)
-            if k_budget < p:
+            if p > GCV_SUBSAMPLE:
                 rng = np.random.default_rng(seed)
-                tuning_idx = np.sort(rng.choice(p, size=k_budget, replace=False))
+                tuning_idx = np.sort(rng.choice(p, size=GCV_SUBSAMPLE, replace=False))
             else:
                 tuning_idx = rest
             comps = _gcv_terms(ly, tuned(), len(tuning_idx))
-            eps = _grid_search(comps, GCV_GRID).epsilon
+            eps = _grid_search(comps).epsilon
             rest = np.delete(rest, tuning_idx)
         if kcca:
             whiten = _kcca_response(ly_c, eps)

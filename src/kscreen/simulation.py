@@ -150,19 +150,18 @@ def _draw_betas(beta_rng: np.random.Generator, count: int, n: int) -> np.ndarray
     return np.where(u, -1.0, 1.0) * (a + np.abs(z))
 
 
-def gen_sim1(x: DataMatrix, model_id: int, seed, *, beta_seed=None, noise_seed=None) -> ModelInstance:
+def gen_sim1(x: DataMatrix, model_id: int, seed) -> ModelInstance:
     """Univariate response from one of the four sim1 models.
 
-    The coefficient and noise streams derive from ``seed`` but can be
-    overridden independently; model 4 has no coefficients, so its response
-    depends only on x and the noise stream.
+    The coefficient and noise streams are independent streams derived from
+    ``seed``; model 4 has no coefficients, so its response depends only on
+    x and the noise stream.
     """
     if model_id not in (1, 2, 3, 4):
         raise ArgumentError(f"sim1 has models 1..4, got {model_id}")
     if x.p < 22:
         raise ArgumentError(f"sim1 models use features 1, 2, 12, 22; need p >= 22, got {x.p}")
-    beta_rng = np.random.default_rng(beta_seed) if beta_seed is not None else _rng(seed, 1)
-    noise_rng = np.random.default_rng(noise_seed) if noise_seed is not None else _rng(seed, 2)
+    beta_rng, noise_rng = _rng(seed, 1), _rng(seed, 2)
 
     c1, c2, c3, c4 = SIM1_CONSTANTS
     v = x.values
@@ -191,7 +190,7 @@ def gen_sim1(x: DataMatrix, model_id: int, seed, *, beta_seed=None, noise_seed=N
     )
 
 
-def gen_sim2(x: DataMatrix, model_id: int, seed, *, beta_seed=None, noise_seed=None) -> ModelInstance:
+def gen_sim2(x: DataMatrix, model_id: int, seed) -> ModelInstance:
     """Bivariate response with cross-correlation sigma(X) per sample.
 
     Model 1: sigma = sin(b^T X) with b = (0.8, 0.6, 0, ...); model 2:
@@ -203,8 +202,7 @@ def gen_sim2(x: DataMatrix, model_id: int, seed, *, beta_seed=None, noise_seed=N
         raise ArgumentError(f"sim2 has models 1..2, got {model_id}")
     if x.p < 4:
         raise ArgumentError(f"sim2 models use the first 4 features; need p >= 4, got {x.p}")
-    beta_rng = np.random.default_rng(beta_seed) if beta_seed is not None else _rng(seed, 1)
-    noise_rng = np.random.default_rng(noise_seed) if noise_seed is not None else _rng(seed, 2)
+    beta_rng, noise_rng = _rng(seed, 1), _rng(seed, 2)
 
     beta = np.zeros(x.p)
     if model_id == 1:
@@ -259,12 +257,12 @@ def _generate_instance(spec: SimulationSpec, rep_seed: int) -> ModelInstance:
     return gen_sim2(x, spec.model_id, seed=rep_seed)
 
 
-def _replication_sizes(spec, methods, epsilon, gcv_subsample, rep: int) -> dict:
+def _replication_sizes(spec, methods, epsilon, rep: int) -> dict:
     rep_seed = spec.seed + rep
     try:
         inst = _generate_instance(spec, rep_seed)
         results = _screen_methods(inst.x, inst.y, methods, ThresholdRule.fixed(spec.p),
-                                  epsilon, rep_seed, gcv_subsample)
+                                  epsilon, rep_seed)
         return {method.value: min_model_size(results[method], inst.active) for method in methods}
     except KScreenError as e:
         raise type(e)(f"replication {rep}: {e}") from None
@@ -280,7 +278,6 @@ def run_suite(
     *,
     threads: int = 1,
     epsilon="auto",
-    gcv_subsample: int | None = None,
 ) -> MetricsReport:
     """Run every replication of a study and aggregate the S and P metrics.
 
@@ -297,8 +294,6 @@ def run_suite(
     if spec.suite == "sim2" and Method.SIS in methods:
         raise UnsupportedMethodError("sis cannot be applied to the bivariate sim2 response")
     _check_int("threads", threads, 1)
-    if gcv_subsample is not None:
-        _check_int("gcv_subsample", gcv_subsample, 1)
     _check_epsilon(epsilon)
     d_values = tuple(d_values if d_values is not None else default_d_values(spec))
     if len(d_values) != 3:
@@ -309,7 +304,7 @@ def run_suite(
         raise ArgumentError(f"d values must be nondecreasing, got {d_values}")
     d_values = tuple(int(d) for d in d_values)
 
-    worker = partial(_replication_sizes, spec, methods, epsilon, gcv_subsample)
+    worker = partial(_replication_sizes, spec, methods, epsilon)
 
     # Replications always run in spawned workers with single-threaded BLAS,
     # so output bytes cannot depend on the worker count.

@@ -61,7 +61,7 @@ import numpy as np
 from .errors import ArgumentError, DataError, NumericError, NumericGuardWarning, TuningError
 from .kernels import _as_factor, _check_positive_epsilon, _rank_stacks
 
-# The prescribed 9-point search grid 1e-5 ... 1e3.
+# The prescribed 9-point search grid 1e-5 ... 1e3, ascending.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
 
 _DENOM_GUARD = 1e-12
@@ -91,11 +91,11 @@ class RidgeSelection:
             raise ArgumentError("selected epsilon must be a member of the grid")
 
 
-def _check_factor_args(epsilon, ly, lxs):
-    """epsilon, the response factor and the predictor factors' shapes, as
-    float arrays.  The predictor factors' entries are checked for finiteness
-    once, a stack at a time, where _gcv_terms reads them (DataError)."""
-    _check_positive_epsilon(epsilon)
+def _factor_terms(ly, lxs) -> tuple:
+    """_gcv_terms of the response factor ly and the list of predictor
+    factors lxs, restacked by rank, once their shapes are checked.  The
+    predictor factors' entries are checked for finiteness once, a stack at
+    a time, where _gcv_terms reads them (DataError)."""
     ly = _as_factor(ly)
     n = ly.shape[0]
     factors = [np.asarray(lx, dtype=float) for lx in lxs]
@@ -106,7 +106,7 @@ def _check_factor_args(epsilon, ly, lxs):
             )
     if not factors:
         raise ArgumentError("at least one predictor kernel factor is required")
-    return ly, factors
+    return _gcv_terms(ly, _rank_stacks(factors, _BLOCK), len(factors))
 
 
 def _gcv_terms(ly: np.ndarray, stacks, count: int) -> tuple:
@@ -202,40 +202,35 @@ def gcv_value(epsilon: float, ly, lxs) -> float:
     Summands whose denominator falls at or below 1e-12 are skipped with a
     NumericGuardWarning; well-conditioned inputs skip nothing.
     """
-    ly, factors = _check_factor_args(epsilon, ly, lxs)
-    value, skipped = _gcv_at(float(epsilon), *_gcv_terms(ly, _rank_stacks(factors, _BLOCK),
-                                                         len(factors)))
+    _check_positive_epsilon(epsilon)
+    comps = _factor_terms(ly, lxs)
+    value, skipped = _gcv_at(float(epsilon), *comps)
     if skipped:
         warnings.warn(
-            f"GCV at epsilon={epsilon:g}: skipped {skipped} of {len(factors)} "
+            f"GCV at epsilon={epsilon:g}: skipped {skipped} of {len(comps[1])} "
             "summands with near-zero denominator",
             NumericGuardWarning,
         )
     return value
 
 
-def select_epsilon(ly, lxs, grid=GCV_GRID) -> RidgeSelection:
-    """Grid-search the ridge parameter minimizing the GCV criterion, from the
-    kernel factors of the response (ly) and of each predictor (lxs).
+def select_epsilon(ly, lxs) -> RidgeSelection:
+    """Grid-search GCV_GRID for the ridge parameter minimizing the GCV
+    criterion, from the kernel factors of the response (ly) and of each
+    predictor (lxs).
 
-    The grid is sorted ascending internally; ties break toward the larger
-    epsilon.  Grid points where every summand was skipped are unusable; if
-    all grid points are unusable a TuningError is raised.
+    Ties break toward the larger epsilon.  Grid points where every summand
+    was skipped are unusable; if all grid points are unusable a TuningError
+    is raised.
     """
-    pts = sorted(float(e) for e in grid)
-    if not pts:
-        raise ArgumentError("epsilon grid must be nonempty")
-    if pts[0] <= 0.0 or not np.isfinite(pts[-1]):
-        raise ArgumentError("epsilon grid entries must be positive and finite")
-    ly, factors = _check_factor_args(pts[0], ly, lxs)
-    return _grid_search(_gcv_terms(ly, _rank_stacks(factors, _BLOCK), len(factors)), pts)
+    return _grid_search(_factor_terms(ly, lxs))
 
 
-def _grid_search(comps: tuple, pts) -> RidgeSelection:
-    """select_epsilon's search over the ascending grid pts, from the
-    _gcv_terms of its predictors; screen calls it directly."""
-    values, skips = zip(*(_gcv_at(eps, *comps) for eps in pts))
-    usable = [i for i in range(len(pts)) if skips[i] < len(comps[1])]
+def _grid_search(comps: tuple) -> RidgeSelection:
+    """select_epsilon's search over GCV_GRID, from the _gcv_terms of its
+    predictors; screen calls it directly."""
+    values, skips = zip(*(_gcv_at(eps, *comps) for eps in GCV_GRID))
+    usable = [i for i in range(len(GCV_GRID)) if skips[i] < len(comps[1])]
     if not usable:
         raise TuningError("every grid point lost all GCV summands to the denominator guard")
     best_value = min(values[i] for i in usable)
@@ -247,8 +242,8 @@ def _grid_search(comps: tuple, pts) -> RidgeSelection:
             NumericGuardWarning,
         )
     return RidgeSelection(
-        epsilon=pts[best],
-        grid=tuple(pts),
+        epsilon=GCV_GRID[best],
+        grid=GCV_GRID,
         gcv_values=values,
         skipped_counts=skips,
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import kscreen as ks
+import kscreen.cli
 from kscreen.cli import build_parser, main, run_command
 
 SCREEN_KEYS = [
@@ -74,10 +75,9 @@ class TestParsing:
             ["simulate", "--suite", "sim1", "--model", "1", "--d-values", "1,2"],
             ["unknowncmd"],
             ["screen", "--input", "x.csv", "--response", "y", "--threads", "2"],
-            ["screen", "--input", "x.csv", "--response", "y", "--seed", "-1",
-             "--gcv-subsample", "5"],
             ["screen", "--input", "x.csv", "--response", "y", "--seed", "1.5"],
-            ["screen", "--input", "x.csv", "--response", "y", "--gcv-subsample", "10.0"],
+            ["screen", "--input", "x.csv", "--response", "y", "--gcv-subsample", "5"],
+            ["simulate", "--suite", "sim1", "--model", "1", "--gcv-subsample", "5"],
             ["simulate", "--suite", "sim1", "--model", "1", "--seed", "-1"],
         ],
     )
@@ -199,15 +199,8 @@ class TestErrorMapping:
         assert code == 2
         assert "error[argument]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--seed", "-1", "--gcv-subsample", "5"],
-            ["--seed", "-1"],
-        ],
-    )
-    def test_negative_seed_is_a_usage_error(self, csv_file, capsys, argv):
-        code = run_main(["screen", "--input", csv_file, "--response", "y", *argv])
+    def test_negative_seed_is_a_usage_error(self, csv_file, capsys):
+        code = run_main(["screen", "--input", csv_file, "--response", "y", "--seed", "-1"])
         assert code == 2
         err = capsys.readouterr().err
         assert "non-negative integer" in err and "internal" not in err
@@ -255,6 +248,23 @@ class TestErrorMapping:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = run_main(["screen", "--input", str(path), "--response", "y"])
         assert code == 3
+
+    def test_numeric_error_exit_4(self, csv_file, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ks.NumericError("factorization failed")
+
+        monkeypatch.setattr(kscreen.cli, "screen", failing)
+        assert run_main(["screen", "--input", csv_file, "--response", "y"]) == 4
+        assert capsys.readouterr().err.startswith("error[numeric]: factorization failed")
+
+    def test_tuning_error_exit_5(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ks.TuningError("every grid point lost all GCV summands")
+
+        monkeypatch.setattr(kscreen.cli, "run_suite", failing)
+        assert run_main(["simulate", "--suite", "sim2", "--model", "1", "--n", "10",
+                         "--p", "10", "--reps", "1"]) == 5
+        assert capsys.readouterr().err.startswith("error[tuning]: every grid point")
 
     def test_run_command_reports_unknown_command(self):
         assert run_command(argparse.Namespace(command="bogus")) == 2

@@ -204,6 +204,28 @@ def test_clean_body_skips_the_row_path(tmp_path, monkeypatch):
     np.testing.assert_array_equal(y.values[:, 0], [1.0, -300.0])
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path, monkeypatch, quoted):
+    # A spreadsheet's "CSV UTF-8" export starts with a BOM.  A quoted cell
+    # sends the body through the row path, which reads from the start again.
+    calls, parse_rows = [], dataio._parse_rows
+
+    def counted(*args):
+        calls.append(args)
+        return parse_rows(*args)
+
+    monkeypatch.setattr(dataio, "_parse_rows", counted)
+    path = tmp_path / "bom.csv"
+    path.write_text('y,a\n1,"2"\n3,4\n' if quoted else "y,a\n1,2\n3,4\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfy,a")
+    for response in ("y", "1"):
+        x, y = ks.load_csv(str(path), [response])
+        assert y.columns == ("y",) and x.columns == ("a",)
+        np.testing.assert_array_equal(y.values[:, 0], [1.0, 3.0])
+        np.testing.assert_array_equal(x.values[:, 0], [2.0, 4.0])
+    assert len(calls) == (2 if quoted else 0)
+
+
 @pytest.mark.parametrize("body, row", [("1,2\n\n3,4\n", 2), ("1,2\n3,4\n\n", 3),
                                        ("1,2\r\n\r\n", 2)])
 def test_blank_line_is_still_rejected(tmp_path, body, row):

@@ -634,15 +634,15 @@ def test_the_gcv_of_a_screen_is_bitwise_select_epsilon_of_its_subsample(n, p, k,
     y = np.sin(x[:, :1]) + rng.standard_normal((n, 1))
     searched = []
 
-    def searching(comps, pts, search=screening._grid_search):
-        searched.append(search(comps, pts))
+    def searching(comps, search=screening._grid_search):
+        searched.append(search(comps))
         return searched[-1]
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", ks.DegenerateDataWarning)
         mp.setattr(screening, "_grid_search", searching)
-        eps = ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method="kcca", seed=seed,
-                        gcv_subsample=k).epsilon
+        mp.setattr(screening, "GCV_SUBSAMPLE", k)
+        eps = ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method="kcca", seed=seed).epsilon
     idx = (np.sort(np.random.default_rng(seed).choice(p, size=k, replace=False))
            if k < p else range(p))
     lxs = []
@@ -797,12 +797,12 @@ def test_methods_screened_together_are_bitwise_the_separate_screens(table, draw)
     gcv_subsample = draw.draw(st.integers(1, p - 1))
     rule = ks.ThresholdRule.fixed(draw.draw(st.integers(1, p)))
     xm, ym = ks.DataMatrix(x), ks.DataMatrix(y)
-    with warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", ks.DegenerateDataWarning)
-        together = screening._screen_methods(xm, ym, methods, rule, epsilon, seed, gcv_subsample)
+        mp.setattr(screening, "GCV_SUBSAMPLE", gcv_subsample)
+        together = screening._screen_methods(xm, ym, methods, rule, epsilon, seed)
         for method in methods:
-            alone = ks.screen(xm, ym, method=method, rule=rule, epsilon=epsilon, seed=seed,
-                              gcv_subsample=gcv_subsample)
+            alone = ks.screen(xm, ym, method=method, rule=rule, epsilon=epsilon, seed=seed)
             got = together[method]
             assert got.method is method
             assert got.scores.tobytes() == alone.scores.tobytes(), method

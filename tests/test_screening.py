@@ -36,6 +36,11 @@ class TestAutoThreshold:
     def test_large_epsilon_floor_guard(self):
         assert ks.auto_threshold(1e3, 200, 2000) == 1
 
+    @pytest.mark.parametrize("epsilon, n", [(1e-250, 200), (5e-324, 200), (1e-205, 10**4)])
+    def test_epsilon_past_the_float_range_of_m_clamps_to_p(self, epsilon, n):
+        # epsilon^(-3/2) overflows in the first two, the product in the third.
+        assert ks.auto_threshold(epsilon, n, 500) == 500
+
     def test_bad_arguments(self):
         with pytest.raises(ArgumentError):
             ks.auto_threshold(0.0, 16, 100)
@@ -258,8 +263,7 @@ class TestScreen:
             ks.screen(x, y, method="hsic", rule=auto)
         # Several methods share the rule, so one that is not kcca rejects it.
         with pytest.raises(ArgumentError, match="auto threshold rule requires a KCCA epsilon"):
-            screening._screen_methods(x, y, (ks.Method.KCCA, ks.Method.HSIC), auto, "auto", 0,
-                                      None)
+            screening._screen_methods(x, y, (ks.Method.KCCA, ks.Method.HSIC), auto, "auto", 0)
         assert calls == []
         assert ks.screen(x, y, method="kcca", rule=auto).m == ks.auto_threshold(
             ks.screen(x, y, method="kcca").epsilon, 30, 40)
@@ -283,21 +287,26 @@ class TestScreen:
 
     def test_gcv_subsample_deterministic_per_seed(self):
         x, y = make_data(seed=19, n=25, p=12)
-        a = ks.screen(x, y, method="kcca", epsilon="auto", seed=5, gcv_subsample=4)
-        b = ks.screen(x, y, method="kcca", epsilon="auto", seed=5, gcv_subsample=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(screening, "GCV_SUBSAMPLE", 4)
+            a = ks.screen(x, y, method="kcca", epsilon="auto", seed=5)
+            b = ks.screen(x, y, method="kcca", epsilon="auto", seed=5)
         assert a.epsilon == b.epsilon
 
     def test_seed_and_gcv_subsample_leave_scores_at_an_epsilon_bitwise_unchanged(self):
-        # seed and gcv_subsample pick the GCV subsample, whose factors are
-        # built first in blocks of their own, so they decide which features
-        # share a block.  At a given epsilon the scores must not notice.
+        # seed and the subsample size pick the GCV subsample, whose factors
+        # are built first in blocks of their own, so they decide which
+        # features share a block.  At a given epsilon the scores must not
+        # notice.
         x, y = make_data(seed=20, n=24, p=40)
         base = {m: ks.screen(x, y, method=m, epsilon=0.1).scores.tobytes() for m in ("kcca", "hsic")}
         for seed, k in ((0, 7), (1, 16), (2, 23), (3, 40)):
-            for method, want in base.items():
-                got = ks.screen(x, y, method=method, epsilon=0.1, seed=seed, gcv_subsample=k)
-                assert got.scores.tobytes() == want, (method, seed, k)
-            tuned = ks.screen(x, y, method="kcca", seed=seed, gcv_subsample=k)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(screening, "GCV_SUBSAMPLE", k)
+                for method, want in base.items():
+                    got = ks.screen(x, y, method=method, epsilon=0.1, seed=seed)
+                    assert got.scores.tobytes() == want, (method, seed, k)
+                tuned = ks.screen(x, y, method="kcca", seed=seed)
             fixed = ks.screen(x, y, method="kcca", epsilon=tuned.epsilon)
             assert tuned.scores.tobytes() == fixed.scores.tobytes(), (seed, k)
 
@@ -315,21 +324,14 @@ class TestScreen:
         with pytest.raises(ArgumentError):
             ks.screen(x, y, method="kcca", epsilon=-0.5)
 
-    def test_bad_gcv_subsample_rejected(self):
-        x, y = make_data(seed=1)
-        with pytest.raises(ArgumentError):
-            ks.screen(x, y, method="kcca", epsilon="auto", gcv_subsample=0)
-
     @pytest.mark.parametrize("method", ["kcca", "hsic", "dc", "sis"])
     @pytest.mark.parametrize(
         "kwargs",
         [{"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
-         {"gcv_subsample": 10.0}, {"gcv_subsample": True}, {"gcv_subsample": -2},
-         {"seed": -1, "gcv_subsample": 5},
          {"epsilon": "bogus"}, {"epsilon": -3.0}, {"epsilon": 0.0}, {"epsilon": float("nan")},
          {"epsilon": float("inf")}, {"epsilon": None}, {"epsilon": True}],
     )
-    def test_bad_seed_or_gcv_subsample_rejected_before_any_work(self, monkeypatch, method, kwargs):
+    def test_bad_seed_or_epsilon_rejected_before_any_work(self, monkeypatch, method, kwargs):
         x, y = make_data(seed=1)
 
         def boom(*args, **kw):
@@ -340,11 +342,18 @@ class TestScreen:
         with pytest.raises(ArgumentError):
             ks.screen(x, y, method=method, **kwargs)
 
-    def test_numpy_integer_seed_and_gcv_subsample_accepted(self):
+    def test_numpy_integer_seed_accepted(self):
         x, y = make_data(seed=19, n=25, p=12)
-        a = ks.screen(x, y, method="kcca", seed=np.int64(5), gcv_subsample=np.int32(4))
-        b = ks.screen(x, y, method="kcca", seed=5, gcv_subsample=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(screening, "GCV_SUBSAMPLE", 4)
+            a = ks.screen(x, y, method="kcca", seed=np.int64(5))
+            b = ks.screen(x, y, method="kcca", seed=5)
         assert a.scores.tobytes() == b.scores.tobytes() and a.epsilon == b.epsilon
+
+    def test_gcv_subsample_is_not_a_keyword(self):
+        x, y = make_data(seed=1)
+        with pytest.raises(TypeError):
+            ks.screen(x, y, method="kcca", gcv_subsample=4)
 
     def test_m_bounds_validated(self):
         with pytest.raises(ArgumentError):
@@ -401,9 +410,10 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
     # of its factor and one (r+1) x (r+1) eigh of its basis Gram; for the
     # response one Cholesky and one triangular inverse, for its whitening,
     # and one QR of its factor for the GCV; nothing else, no SVD at all.
-    # The GCV predictors are counted in the stacks screen hands to
-    # tuning._gcv_terms, which reads each once as it is built.
-    n, p = 40, 60
+    # The GCV predictors, GCV_SUBSAMPLE of the p, are counted in the
+    # stacks screen hands to tuning._gcv_terms, which reads each once as
+    # it is built.
+    n, p = 40, 220
     x, y = make_data(seed=3, n=n, p=p)
     ly = ks.gram(y.values, ks.bandwidth(y.values))
     ry = ly.shape[1]
@@ -435,8 +445,8 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
 
     monkeypatch.setattr(screening, "gram_block", building)
     monkeypatch.setattr(screening, "_gcv_terms", reading)
-    ks.screen(x, y, method="kcca", gcv_subsample=20)
-    assert len(ranks) == p and len(tuned) == 20 and min(ranks) > 0
+    ks.screen(x, y, method="kcca")
+    assert len(ranks) == p and len(tuned) == screening.GCV_SUBSAMPLE == 200 and min(ranks) > 0
     assert sorted(received.pop("cholesky")) == sorted([(r, r) for r in ranks] + [(ry, ry)])
     assert sorted(received.pop("solve")) == sorted([(r, r) for r in ranks])
     assert received.pop("inv") == [(ry, ry)]
@@ -455,15 +465,15 @@ def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
     # terms held until epsilon is known, each member's r x r Gram and
     # r x r_Y cross product, add about 0.4 MB to the 3.51 MB of the
     # eigenvector terms they replaced.  Holding the factors read 7.89 MB.
-    n, p, k = 200, 400, 200
+    n, p, k = 200, 400, screening.GCV_SUBSAMPLE
     x, y = make_data(seed=0, n=n, p=p)
     idx = np.sort(np.random.default_rng(0).choice(p, size=k, replace=False))
     factor_bytes = sum(8 * n * ks.gram(x.values[:, r], ks.bandwidth(x.values[:, r])).shape[1]
                        for r in idx)
-    ks.screen(x, y, method="kcca", gcv_subsample=k)  # any first-call allocations
+    ks.screen(x, y, method="kcca")  # any first-call allocations
     tracemalloc.start()
     try:
-        ks.screen(x, y, method="kcca", gcv_subsample=k)
+        ks.screen(x, y, method="kcca")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

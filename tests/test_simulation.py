@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kscreen as ks
+from kscreen import simulation
 from kscreen.errors import ArgumentError, UnsupportedMethodError
 from tests.helpers import min_size_prefix_scan
 
@@ -66,17 +67,33 @@ class TestGenSim1:
         assert inst.y.n == 40 and inst.y.p == 1
         assert inst.active == (1, 2, 12, 22)
 
-    def test_model4_ignores_beta_stream(self):
-        x = ks.ar_gaussian(30, 22, 0.8, seed=7)
-        a = ks.gen_sim1(x, 4, seed=0, beta_seed=111, noise_seed=55)
-        b = ks.gen_sim1(x, 4, seed=0, beta_seed=222, noise_seed=55)
-        np.testing.assert_array_equal(a.y.values, b.y.values)
+    def test_model4_ignores_beta_stream(self, monkeypatch):
+        def no_betas(*args):
+            raise AssertionError("model 4 drew coefficients")
 
-    def test_models_1_to_3_use_beta_stream(self):
         x = ks.ar_gaussian(30, 22, 0.8, seed=7)
-        a = ks.gen_sim1(x, 1, seed=0, beta_seed=111, noise_seed=55)
-        b = ks.gen_sim1(x, 1, seed=0, beta_seed=222, noise_seed=55)
+        want = ks.gen_sim1(x, 4, seed=0).y.values
+        monkeypatch.setattr(simulation, "_draw_betas", no_betas)
+        np.testing.assert_array_equal(ks.gen_sim1(x, 4, seed=0).y.values, want)
+
+    @pytest.mark.parametrize("model_id", [1, 2, 3])
+    def test_models_1_to_3_use_beta_stream(self, monkeypatch, model_id):
+        # Other coefficients with the same noise stream change the response.
+        x = ks.ar_gaussian(30, 22, 0.8, seed=7)
+        a = ks.gen_sim1(x, model_id, seed=0)
+        draw_betas = simulation._draw_betas
+        monkeypatch.setattr(simulation, "_draw_betas",
+                            lambda rng, count, n: -draw_betas(rng, count, n))
+        b = ks.gen_sim1(x, model_id, seed=0)
+        assert b.coeffs["betas"] == tuple(-v for v in a.coeffs["betas"])
         assert not np.array_equal(a.y.values, b.y.values)
+
+    @pytest.mark.parametrize("gen", ["gen_sim1", "gen_sim2"])
+    @pytest.mark.parametrize("kwargs", [{"beta_seed": 1}, {"noise_seed": 1}])
+    def test_stream_seeds_are_not_keywords(self, gen, kwargs):
+        x = ks.ar_gaussian(30, 22, 0.8, seed=7)
+        with pytest.raises(TypeError):
+            getattr(ks, gen)(x, 1, seed=0, **kwargs)
 
     def test_beta_magnitude_floor(self):
         # |beta| = a + |Z| >= a
@@ -218,11 +235,10 @@ class TestSpecAndDefaults:
         with pytest.raises(ArgumentError):
             ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=10, reps=1, seed=seed)
 
-    @pytest.mark.parametrize("gcv_subsample", [10.0, True, 0])
-    def test_bad_gcv_subsample_rejected_before_any_replication(self, gcv_subsample):
+    def test_gcv_subsample_is_not_a_keyword(self):
         spec = ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=10, reps=1, seed=0)
-        with pytest.raises(ArgumentError, match="gcv_subsample"):
-            ks.run_suite(spec, ("kcca",), gcv_subsample=gcv_subsample)
+        with pytest.raises(TypeError):
+            ks.run_suite(spec, ("kcca",), gcv_subsample=4)
 
     @pytest.mark.parametrize("methods", [("kcca",), ("dc",)])
     @pytest.mark.parametrize("epsilon", ["bogus", -1.0, 0.0, float("nan"), None])
@@ -387,7 +403,7 @@ class TestReplicationWorker:
         from kscreen.simulation import _replication_sizes
 
         spec, rep = small_report
-        direct = _replication_sizes(spec, (Method.DC,), "auto", None, 2)
+        direct = _replication_sizes(spec, (Method.DC,), "auto", 2)
         assert direct["dc"] == rep.s_values["dc"][2]
 
     def test_kcca_path_in_process(self):
@@ -395,7 +411,7 @@ class TestReplicationWorker:
         from kscreen.simulation import _replication_sizes
 
         spec = ks.SimulationSpec(suite="sim2", model_id=2, n=24, p=8, reps=1, seed=77)
-        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC), "auto", None, 0)
+        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC), "auto", 0)
         assert 4 <= out["kcca"] <= 8 and 4 <= out["hsic"] <= 8
 
     def test_failure_names_replication_index(self):
@@ -404,7 +420,7 @@ class TestReplicationWorker:
 
         spec = ks.SimulationSpec(suite="sim1", model_id=1, n=20, p=25, reps=5, seed=0)
         with pytest.raises(ArgumentError, match="replication 3"):
-            _replication_sizes(spec, (Method.KCCA,), -1.0, None, 3)
+            _replication_sizes(spec, (Method.KCCA,), -1.0, 3)
 
     def test_one_kernel_preparation_per_replication(self, monkeypatch):
         # kcca and hsic share every bandwidth, factor and centered stack:
@@ -459,9 +475,10 @@ class TestReplicationWorker:
         monkeypatch.setattr(screening, "gram_block", building)
         monkeypatch.setattr(screening, "_stack_kcca", kcca_scoring)
         monkeypatch.setattr(screening, "_stack_hsic", hsic_scoring)
+        monkeypatch.setattr(screening, "GCV_SUBSAMPLE", 20)
         p = 40
         spec = ks.SimulationSpec(suite="sim2", model_id=1, n=30, p=p, reps=1, seed=5)
-        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC), "auto", 20, 0)
+        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC), "auto", 0)
         assert set(out) == {"kcca", "hsic", "dc"}
         assert calls == {"bandwidth": p + 1, "factors": p} and len(responses) == 1
         # Each stack once, centered once, by each method, and one cross
@@ -489,6 +506,6 @@ class TestReplicationWorker:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             simulation._replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC, Method.SIS),
-                                          "auto", None, 0)
+                                          "auto", 0)
         degenerate = [w for w in caught if issubclass(w.category, ks.DegenerateDataWarning)]
         assert len(degenerate) == 1 and "feature 6" in str(degenerate[0].message)
