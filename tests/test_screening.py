@@ -327,7 +327,9 @@ class TestScreen:
     @pytest.mark.parametrize("method", ["kcca", "hsic", "dc", "sis"])
     @pytest.mark.parametrize(
         "kwargs",
-        [{"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
+        [{"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"seed": np.int64(-1)},
+         # the seed is checked even where a fixed epsilon leaves it unused
+         {"seed": -1, "epsilon": 0.1},
          {"epsilon": "bogus"}, {"epsilon": -3.0}, {"epsilon": 0.0}, {"epsilon": float("nan")},
          {"epsilon": float("inf")}, {"epsilon": None}, {"epsilon": True}],
     )
@@ -350,10 +352,11 @@ class TestScreen:
             b = ks.screen(x, y, method="kcca", seed=5)
         assert a.scores.tobytes() == b.scores.tobytes() and a.epsilon == b.epsilon
 
-    def test_gcv_subsample_is_not_a_keyword(self):
+    @pytest.mark.parametrize("method", ["kcca", "hsic", "dc", "sis"])
+    def test_gcv_subsample_is_not_a_keyword(self, method):
         x, y = make_data(seed=1)
         with pytest.raises(TypeError):
-            ks.screen(x, y, method="kcca", gcv_subsample=4)
+            ks.screen(x, y, method=method, gcv_subsample=4)
 
     def test_m_bounds_validated(self):
         with pytest.raises(ArgumentError):
