@@ -44,8 +44,16 @@ def _nonnegative_int(text: str) -> int:
 
 def _threads(text: str) -> int:
     if text == "auto":
-        return os.cpu_count() or 1
+        return _usable_cpus()
     return _positive_int(text)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_epsilon(text: str):
@@ -130,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override d1,d2,d3 (default: suite-specific)")
     sm.add_argument("--epsilon", type=_parse_epsilon, default="auto")
     sm.add_argument("--threads", type=_threads, default=1,
-                    help="worker processes, or 'auto' for the CPU count (default 1)")
+                    help="worker processes, or 'auto' for one per CPU this process "
+                         "may run on (default 1)")
     return parser
 
 

@@ -15,6 +15,7 @@ whitespace fixed, making equal documents byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 
@@ -193,6 +194,11 @@ def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# A result document repeats a few keys in every row, so each key's JSON
+# text is formed once; the cache is bounded for documents with many keys.
+_key_text = functools.lru_cache(maxsize=1024)(json.dumps)
+
+
 def _emit(value, indent: int, out: list):
     pad = "  " * indent
     if isinstance(value, dict):
@@ -202,7 +208,7 @@ def _emit(value, indent: int, out: list):
         out.append("{\n")
         items = list(value.items())
         for k, (key, v) in enumerate(items):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
+            out.append(f"{pad}  {_key_text(str(key))}: ")
             _emit(v, indent + 1, out)
             out.append(",\n" if k + 1 < len(items) else "\n")
         out.append(pad + "}")

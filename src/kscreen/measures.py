@@ -9,7 +9,9 @@ the response's double-centered distance matrix
 caller screening many predictors against one response prepares the
 response side once; for distance correlation that is a private
 _DistanceResponse, which also holds the response's row sums, its distance
-variance and the n x n buffer every scalar predictor's score reuses.
+variance, and the upper triangle of its distance matrix in row blocks of
+at most _ROW_BLOCK rows with one block-sized scratch buffer, which every
+scalar predictor's score reuses.
 
 The screening pipeline scores KCCA and HSIC a stack of predictors at a
 time: kernels.gram_block hands back its factors as (b, n, r) stacks of one
@@ -37,6 +39,10 @@ import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
 from .kernels import _as_factor, _as_samples, _check_positive_epsilon, _pairwise_sq_dists
+
+# Rows per block of the response's distance matrix in the scalar dc path;
+# a block and its scratch, 64 rows of at most n doubles each, stay in cache.
+_ROW_BLOCK = 64
 
 
 class Method(str, Enum):
@@ -150,13 +156,22 @@ def _stack_hsic(cross: np.ndarray, n: int) -> np.ndarray:
 class _DistanceResponse:
     """The response side of dcor_score, prepared once: the double-centered
     distance matrix dy, scaled by the power of two that brings its largest
-    |entry| into [1/2, 1), its row sums dy 1 and <dy, dy> / n^2, and one
-    n x n buffer that the scalar path overwrites for each feature.  screen
-    builds one per screen and passes it as dy, so that p features reuse it;
-    a plain matrix dy is prepared anew on every call.
+    |entry| into [1/2, 1), its row sums dy 1, <dy, dy> / n^2, and the upper
+    triangle of dy in row blocks for the scalar path.
+
+    The rows are cut evenly into ceil(n / _ROW_BLOCK) blocks [a, b).  Block
+    [a, b) holds a contiguous copy of dy[a:b, a:] with its columns from b
+    on doubled, so that for any symmetric M, <M, dy> is the sum over the
+    blocks of <M[a:b, a:], block>: each pair i < j in different blocks is
+    counted once, at twice its entry.  When n <= _ROW_BLOCK the one block
+    is dy itself.  One flat buffer, the size of the largest block, is the
+    scratch that _scalar_dcov overwrites for each block of each feature;
+    each block is held with a view of it in the block's shape.
+    screen builds one per screen and passes it as dy, so that p features
+    reuse it; a plain matrix dy is prepared anew on every call.
     """
 
-    __slots__ = ("dy", "rows", "dvar", "buf", "weights")
+    __slots__ = ("dy", "rows", "dvar", "blocks", "buf", "weights")
 
     def __init__(self, dy: np.ndarray):
         n = dy.shape[0]
@@ -164,9 +179,24 @@ class _DistanceResponse:
         self.dy = dy
         self.rows = dy.sum(axis=1)
         self.dvar = float(np.vdot(dy, dy)) / float(n * n)
-        self.buf = np.empty((n, n))
+        k = -(-n // _ROW_BLOCK)
+        cuts = [i * n // k for i in range(k + 1)]
+        blocks = [(0, n, dy)] if k == 1 else [
+            (a, b, _upper_block(dy, a, b)) for a, b in zip(cuts, cuts[1:])]
+        self.buf = np.empty(max(block.size for _, _, block in blocks))
+        # Each block with its view of the shared scratch, of the block's shape.
+        self.blocks = tuple((a, b, block, self.buf[:block.size].reshape(block.shape))
+                            for a, b, block in blocks)
         # 2k - n + 2 for the 0-based sorted position k (see _scalar_dcov).
         self.weights = 2.0 * np.arange(n) - (n - 2)
+
+
+def _upper_block(dy: np.ndarray, a: int, b: int) -> np.ndarray:
+    """A contiguous copy of dy[a:b, a:] with its columns from b on doubled
+    (exactly: dy is scaled so that no entry overflows)."""
+    block = dy[a:b, a:].copy()
+    block[:, b - a:] *= 2.0
+    return block
 
 
 def dcor_score(x_samples, *, dy) -> float:
@@ -190,10 +220,15 @@ def dcor_score(x_samples, *, dy) -> float:
     from one sort and one cumulative sum, and |c_i - c_j| = 2 max(c_i, c_j)
     - c_i - c_j turns the cross term into
 
-        <D, dy> = 2 <max(c_i, c_j), dy> - 2 c^T (dy 1),
+        <D, dy> = 2 <max(c_i, c_j), dy> - 2 c^T (dy 1).
 
-    one n x n max pass into a reused buffer and one inner product.  Vector
-    samples form their n x n distance matrix.
+    Both max(c_i, c_j) and dy are symmetric, so the first inner product
+    reads only the upper triangle, in the row blocks of the prepared
+    response (_DistanceResponse): per block one max pass into a reused
+    block-sized buffer and one inner product, about n^2 / 2 + 32 n entries
+    in all, and each block stays in cache.  When n <= _ROW_BLOCK the one
+    block is dy, a single n x n pass.  Vector samples form their n x n
+    distance matrix and read dy whole.
 
     Returns 0 when either side has zero distance variance (a constant
     variable).  Raises ArgumentError unless x has n >= 1 samples and dy is
@@ -226,7 +261,7 @@ def _scalar_dcov(x: np.ndarray, side: _DistanceResponse) -> tuple:
     """(dCov^2, dVar^2) of scalar samples x, centered and scaled by a power
     of two, against side.  dVar^2 is 0 for a constant x."""
     n = x.shape[0]
-    c = x - x.mean()
+    c = x - np.add.reduce(x) / n
     s = np.sort(c)
     if s[0] == s[-1]:
         return 0.0, 0.0
@@ -239,9 +274,13 @@ def _scalar_dcov(x: np.ndarray, side: _DistanceResponse) -> tuple:
     rows += cum[-1]
     cum *= 2.0
     rows -= cum
-    np.maximum(c[:, None], c, out=side.buf)
+    # <max(c_i, c_j), dy> over the upper-triangle row blocks of side.
+    cross = 0.0
+    for a, b, block, top in side.blocks:
+        np.maximum(c[a:b, None], c[a:], out=top)
+        cross += float(np.vdot(top, block))
     n2 = float(n * n)
-    dcov2 = (2.0 * float(np.vdot(side.buf, side.dy)) - 2.0 * float(np.dot(c, side.rows))) / n2
+    dcov2 = (2.0 * cross - 2.0 * float(np.dot(c, side.rows))) / n2
     return dcov2, _distance_variance(c, rows, n)
 
 
@@ -265,7 +304,7 @@ def _distance_variance(centered: np.ndarray, rows: np.ndarray, n: int) -> float:
     return (
         2.0 * n * float(np.vdot(centered, centered)) / n2
         - 2.0 * float(np.dot(rows, rows)) / (n2 * n)
-        + float(rows.sum()) ** 2 / (n2 * n2)
+        + float(np.add.reduce(rows)) ** 2 / (n2 * n2)
     )
 
 

@@ -32,9 +32,11 @@ replication does) shares one kernel preparation: (a) and (b) run once, and
 each stack is centered once and scored by both methods.
 
 Distance correlation skips (a) and (c): (b) builds only the response's
-double-centered distance matrix, prepared once with its row sums and one
-n x n buffer, and (d) scores each raw column against it by
-measures.dcor_score, from one sort and one n x n max pass per column.
+double-centered distance matrix, prepared once with its row sums and its
+upper triangle cut into row blocks of at most 64 rows, and (d) scores
+each raw column against it by measures.dcor_score, one call per column:
+one sort, then one max pass and one inner product per block, about n^2 / 2
+entries in all.
 SIS scores the raw columns.
 
 Feature indices in results are 1-based, matching how selected sets are
@@ -283,13 +285,13 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
             scores[Method.SIS][r] = pearson_score(xv[:, r], yv[:, 0])
 
     if Method.DC in scores:
-        # The response side and its n x n scratch buffer, prepared once.
-        # Each column still goes through dcor_score, the layer that
-        # bench/tracing.py counts and times.
+        # The response side, its upper-triangle row blocks and their
+        # scratch, prepared once.  Each column still goes through
+        # dcor_score, the layer that bench/tracing.py counts and times.
         dy = _DistanceResponse(centered_distances(yv))
         for r in range(p):
             scores[Method.DC][r] = dcor_score(xv[:, r], dy=dy)
-        del dy  # two n x n arrays, not needed by the kernel methods
+        del dy  # about 1.5 n^2 doubles, not needed by the kernel methods
 
     kcca, hsic = Method.KCCA in scores, Method.HSIC in scores
     if kcca or hsic:

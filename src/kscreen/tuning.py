@@ -58,7 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, NumericError, NumericGuardWarning, TuningError
+from .errors import (
+    ArgumentError, DataError, DegenerateDataError, NumericError, NumericGuardWarning, TuningError,
+)
 from .kernels import _as_factor, _check_positive_epsilon, _rank_stacks
 
 # The prescribed 9-point search grid 1e-5 ... 1e3, ascending.
@@ -95,9 +97,17 @@ def _factor_terms(ly, lxs) -> tuple:
     """_gcv_terms of the response factor ly and the list of predictor
     factors lxs, restacked by rank, once their shapes are checked.  The
     predictor factors' entries are checked for finiteness once, a stack at
-    a time, where _gcv_terms reads them (DataError)."""
+    a time, where _gcv_terms reads them (DataError).
+
+    A response factor whose every column is constant has a constant Gram,
+    which centers to 0: its GCV value is then a small difference of
+    ||B_Y||_F^2 and its projections with no relative accuracy, and it is
+    rejected with DegenerateDataError, as screen rejects a constant
+    response."""
     ly = _as_factor(ly)
     n = ly.shape[0]
+    if np.all(ly == ly[:1]):
+        raise DegenerateDataError("response kernel factor is constant; its GCV is meaningless")
     factors = [np.asarray(lx, dtype=float) for lx in lxs]
     for i, lx in enumerate(factors):
         if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
@@ -200,7 +210,8 @@ def gcv_value(epsilon: float, ly, lxs) -> float:
     of the response (ly) and of each predictor (lxs).
 
     Summands whose denominator falls at or below 1e-12 are skipped with a
-    NumericGuardWarning; well-conditioned inputs skip nothing.
+    NumericGuardWarning; well-conditioned inputs skip nothing.  A response
+    factor whose every column is constant raises DegenerateDataError.
     """
     _check_positive_epsilon(epsilon)
     comps = _factor_terms(ly, lxs)
@@ -221,7 +232,8 @@ def select_epsilon(ly, lxs) -> RidgeSelection:
 
     Ties break toward the larger epsilon.  Grid points where every summand
     was skipped are unusable; if all grid points are unusable a TuningError
-    is raised.
+    is raised.  A response factor whose every column is constant raises
+    DegenerateDataError.
     """
     return _grid_search(_factor_terms(ly, lxs))
 

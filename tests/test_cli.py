@@ -59,7 +59,19 @@ class TestParsing:
         )
         assert args.suite == "sim1" and args.model == 2
         assert args.methods == (ks.Method.DC, ks.Method.SIS)
-        assert args.threads == (os.cpu_count() or 1)
+        assert args.threads == (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                                else os.cpu_count() or 1)
+
+    def test_threads_auto_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        argv = ["simulate", "--suite", "sim1", "--model", "1", "--threads", "auto"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert build_parser().parse_args(argv).threads == 3
+        # Without an affinity call the host's count is all there is.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert build_parser().parse_args(argv).threads == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build_parser().parse_args(argv).threads == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,16 +2,20 @@
 the explicit double sum, distance correlation against a loop-based
 implementation, and the Pearson baseline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kscreen as ks
+from kscreen import measures
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from kscreen.kernels import _rank_stacks
 from kscreen.measures import (
-    _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, _top_singular_values,
+    _DistanceResponse, _kcca_response, _scalar_dcov, _stack_hsic, _stack_kcca,
+    _top_singular_values,
 )
 from tests.helpers import (
     center_dense,
@@ -395,6 +399,54 @@ class TestDcorScore:
             assert ks.dcor_score(x, dy=side) == ks.dcor_score(x, dy=dy)
         with pytest.raises(ArgumentError):
             ks.dcor_score(np.ones(11), dy=side)
+
+    @staticmethod
+    def dense_max_pass(x, side):
+        # _scalar_dcov's dCov^2 with the cross term as one max pass over
+        # the whole n x n dy, the form the row blocks replace.
+        n = x.shape[0]
+        c = x - x.mean()
+        s = np.sort(c)
+        c = np.ldexp(c, -math.frexp(max(-s[0], s[-1]))[1])
+        cross = float(np.vdot(np.maximum(c[:, None], c), side.dy))
+        return (2.0 * cross - 2.0 * float(np.dot(c, side.rows))) / float(n * n)
+
+    @pytest.mark.parametrize("n", [4, 40, 64])
+    def test_one_row_block_is_bitwise_the_dense_max_pass(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 2))
+        side = _DistanceResponse(ks.centered_distances(y))
+        assert len(side.blocks) == 1 and side.blocks[0][2] is side.dy
+        for x in (rng.standard_normal(n), np.round(rng.standard_normal(n)), y[:, 0] ** 2):
+            assert _scalar_dcov(x, side)[0] == self.dense_max_pass(x, side)
+
+    @pytest.mark.parametrize("n", [65, 130, 200])
+    def test_row_blocks_cover_the_upper_triangle_and_match_the_dense_max_pass(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 1))
+        side = _DistanceResponse(ks.centered_distances(y))
+        k = math.ceil(n / measures._ROW_BLOCK)
+        assert [(a, b) for a, b, _, _ in side.blocks] == [
+            (i * n // k, (i + 1) * n // k) for i in range(k)]
+        for a, b, block, _ in side.blocks:
+            assert block.flags.c_contiguous and b - a <= measures._ROW_BLOCK
+            assert block[:, :b - a].tobytes() == side.dy[a:b, a:b].tobytes()
+            assert block[:, b - a:].tobytes() == (2.0 * side.dy[a:b, b:]).tobytes()
+        for x in (rng.standard_normal(n), np.round(rng.standard_normal(n)), y[:, 0] ** 2):
+            got, want = _scalar_dcov(x, side)[0], self.dense_max_pass(x, side)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_prepared_response_holds_no_n_by_n_scratch(self):
+        # Only dy itself is n x n: the upper-triangle blocks hold about
+        # n^2 / 2 + 32 n entries and the scratch buffer one block.
+        n = 300
+        side = _DistanceResponse(ks.centered_distances(np.arange(float(n))))
+        assert side.buf.size == max(block.size for _, _, block, _ in side.blocks)
+        assert side.buf.size <= measures._ROW_BLOCK * n
+        assert sum(block.size for _, _, block, _ in side.blocks) <= n * n // 2 + 32 * n
+        for _, _, block, top in side.blocks:
+            assert top.shape == block.shape and np.shares_memory(top, side.buf)
+            assert not np.shares_memory(block, side.dy)
 
     def test_response_side_is_keyword_only(self):
         # An n x n first argument would read as n vector samples, so a

@@ -13,6 +13,7 @@ nonlinear function of the first feature plus noise from a drawn seed, so
 it is never an exact affine image of a feature.
 """
 
+import contextlib
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kscreen as ks
-from kscreen import screening, tuning
+from kscreen import measures, screening, tuning
 from kscreen.kernels import (
     RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _rank_stacks, _scalar_distance_sums, gram_block,
 )
@@ -711,27 +712,42 @@ def test_hsic_of_factors_matches_the_dense_double_centered_grams(kx, draw):
     assert got == pytest.approx(want, abs=TOL["hsic"])
 
 
+@contextlib.contextmanager
+def row_blocks(n, blocks):
+    # The scalar dc path cuts the response's n rows into ceil(n / rows)
+    # blocks of at most rows = ceil(n / blocks): `blocks` of them, or fewer
+    # when n is small (4 rows in 2 blocks of 2 when blocks is 3).
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_ROW_BLOCK", -(-n // blocks))
+        yield
+
+
 @SETTINGS
 @given(
     n=st.integers(4, 40),
     dims=st.tuples(st.integers(1, 2), st.integers(1, 2)),
     levels=st.sampled_from([1, 3, 1000]),
     shift=st.floats(-1e3, 1e3),
+    blocks=st.integers(1, 4),
     draw=st.data(),
 )
-def test_dcor_of_raw_samples_matches_the_dense_double_centered_form(n, dims, levels, shift, draw):
+def test_dcor_of_raw_samples_matches_the_dense_double_centered_form(
+        n, dims, levels, shift, blocks, draw):
     # Few levels give ties and constant columns; the shift, up to 1e3 times
     # the spread, is cancelled by the distances only up to rounding.  The
     # response carries noise from a drawn seed, so its distance covariance
     # with x is never an exact 0 whose square root would magnify rounding.
-    # Observed: 2.4e-15 over 3000 draws.
+    # The scalar path reads the response's upper triangle in one to four
+    # row blocks.  Observed: 2.4e-15 over 3000 draws with one block, and
+    # 2.1e-15 over 3000 with one to four.
     x_dim, y_dim = dims
     grid = draw.draw(hnp.arrays(np.int64, (n, x_dim), elements=st.integers(-levels, levels)))
     spread = max(float(np.ptp(grid)), 1.0)
     x = grid / 100.0 + shift * spread / 100.0
     rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
     y = np.sin(grid[:, :1] / 100.0) + rng.standard_normal((n, y_dim))
-    got = ks.dcor_score(x[:, 0] if x_dim == 1 else x, dy=ks.centered_distances(y))
+    with row_blocks(n, blocks):
+        got = ks.dcor_score(x[:, 0] if x_dim == 1 else x, dy=ks.centered_distances(y))
     if np.ptp(grid) == 0:
         assert got == 0.0
     else:
@@ -741,17 +757,22 @@ def test_dcor_of_raw_samples_matches_the_dense_double_centered_form(n, dims, lev
 @SETTINGS
 @given(ky=kernels(), draw=st.data(), eps=st.sampled_from(ks.GCV_GRID))
 def test_gcv_of_factors_matches_the_explicit_inverse_assembly(ky, draw, eps):
-    # Over the whole kernels() domain, constant responses included.
-    # Against 50-digit arithmetic on the factors' Grams, over 5000 random
-    # draws of it with a non-constant response, the factor form was within
-    # 7.9e-11 relative (worst: n = 29, eps = 1e-5, full-rank factors),
-    # below a tenth of the rel 1e-8 gate; the eigendecomposition form it
-    # replaced was within 1.9e-10.  For a constant response the value is a
-    # small difference of ||B_Y||^2 and its projections, and on 243 such
-    # draws it was off by up to 1.1e-2 relative (2.6e-3 before).
+    # Over the whole kernels() domain.  Against 50-digit arithmetic on the
+    # factors' Grams, over 5000 random draws of it with a non-constant
+    # response, the factor form was within 7.9e-11 relative (worst: n = 29,
+    # eps = 1e-5, full-rank factors), below a tenth of the rel 1e-8 gate;
+    # the eigendecomposition form it replaced was within 1.9e-10.  For a
+    # constant response the value would be a small difference of ||B_Y||^2
+    # and its projections, off by up to 1.1e-2 relative on 243 such draws,
+    # so it is rejected as degenerate, as screen rejects it.
     ypts, ybw = ky
     xs = [sample_kernel(draw.draw, ypts.shape[0]) for _ in range(draw.draw(st.integers(1, 3)))]
-    got = ks.gcv_value(eps, ks.gram(ypts, ybw), [ks.gram(p, b) for p, b in xs])
+    lxs = [ks.gram(p, b) for p, b in xs]
+    if np.ptp(ypts) == 0:
+        with pytest.raises(ks.DegenerateDataError):
+            ks.gcv_value(eps, ks.gram(ypts, ybw), lxs)
+        return
+    got = ks.gcv_value(eps, ks.gram(ypts, ybw), lxs)
     want = gcv_dense_oracle(eps, dense_gram(ypts, ybw), [dense_gram(p, b) for p, b in xs])
     assert got == pytest.approx(want, rel=1e-8)
 
@@ -817,24 +838,27 @@ def test_methods_screened_together_are_bitwise_the_separate_screens(table, draw)
     p=st.integers(1, 4),
     y_dim=st.integers(1, 2),
     levels=st.sampled_from([0, 1, 3, 1000]),
+    blocks=st.integers(1, 4),
     draw=st.data(),
 )
 def test_scalar_dcor_matches_the_brute_form_and_ignores_the_other_columns(
-        n, p, y_dim, levels, draw):
+        n, p, y_dim, levels, blocks, draw):
     # Few levels give ties, and 0 levels a constant column.  Each column is
     # scored by dcor_score alone and by a dc screen of the whole table, whose
-    # scalar path shares one prepared response and one n x n buffer.
+    # scalar path shares one prepared response, its one to four row blocks
+    # and their scratch buffer.
     grid = draw.draw(hnp.arrays(np.int64, (n, p), elements=st.integers(-levels, levels)))
     x = grid / 100.0
     rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
     y = np.sin(x[:, :1]) + rng.standard_normal((n, y_dim))
     dy = ks.centered_distances(y)
-    alone = np.array([ks.dcor_score(x[:, r], dy=dy) for r in range(p)])
+    with row_blocks(n, blocks):
+        alone = np.array([ks.dcor_score(x[:, r], dy=dy) for r in range(p)])
+        if n >= 4:
+            together = ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method="dc").scores
+            assert together.tobytes() == alone.tobytes()
     for r in range(p):
         if np.ptp(grid[:, r]) == 0:
             assert alone[r] == 0.0
         else:
             assert alone[r] == pytest.approx(dcor_brute(x[:, r], y), abs=TOL["dc"])
-    if n >= 4:
-        together = ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method="dc").scores
-        assert together.tobytes() == alone.tobytes()

@@ -173,6 +173,24 @@ class TestScreen:
             for r in range(x.p):
                 assert dc.scores[r] == ks.dcor_score(x.values[:, r], dy=dy)
 
+    def test_dc_screen_scores_each_column_by_one_dcor_score_call(self, monkeypatch):
+        # The benchmark's tracer counts and times dc at dcor_score, so a dc
+        # screen makes exactly one call per column, all with one prepared
+        # response.
+        x, y = make_data(seed=4, n=70, p=9)
+        calls = []
+
+        def counted(samples, *, dy):
+            calls.append(dy)
+            return ks.dcor_score(samples, dy=dy)
+
+        monkeypatch.setattr(screening, "dcor_score", counted)
+        res = ks.screen(x, y, method="dc")
+        assert len(calls) == x.p
+        assert all(dy is calls[0] for dy in calls)
+        dy = ks.centered_distances(y.values)
+        assert res.scores.tolist() == [ks.dcor_score(x.values[:, r], dy=dy) for r in range(x.p)]
+
     def test_sis_needs_univariate_response(self):
         rng = np.random.default_rng(2)
         x = ks.DataMatrix(rng.standard_normal((20, 4)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import kscreen as ks
 from kscreen import tuning
 from kscreen.errors import (
-    ArgumentError, DataError, NumericError, NumericGuardWarning, TuningError,
+    ArgumentError, DataError, DegenerateDataError, NumericError, NumericGuardWarning, TuningError,
 )
 from kscreen.kernels import _rank_stacks
 from tests.helpers import dense_gram, gcv_dense_oracle
@@ -286,6 +286,17 @@ class TestSelectEpsilon:
         # a response factor with more columns than rows
         with pytest.raises(ArgumentError):
             ks.gcv_value(0.1, np.ones((2, 3)), [np.ones((2, 2))])
+
+    def test_constant_response_factor_is_degenerate(self):
+        # A constant response's Gram centers to 0, so its GCV has no
+        # relative accuracy; a factor whose every column is constant is
+        # rejected by both entry points, whatever the predictors.
+        _, lxs = toy_kernels(seed=6, n=10, p=3)
+        for ly in (ks.gram(np.full(10, 0.7), ks.Bandwidth(1.0)), np.full((10, 2), 0.5)):
+            with pytest.raises(DegenerateDataError, match="constant"):
+                ks.gcv_value(0.1, ly, lxs)
+            with pytest.raises(DegenerateDataError, match="constant"):
+                ks.select_epsilon(ly, lxs)
 
     def test_predictor_list_must_be_nonempty(self):
         with pytest.raises(ArgumentError):
