@@ -14,6 +14,7 @@ immutable, so instances can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -37,6 +38,16 @@ _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 # rank, which every consumer reads in place; a wider build spreads a step's
 # numpy calls over more features.
 _BUILD = 32
+
+# Rows per block of the pairwise differences _pairwise_sq_dists forms, so
+# that no n x n x d tensor is held (1.6 GB at n = 10000, d = 2).
+_DIST_ROWS = 64
+
+# n x n doubles a dc screen holds at once: centered_distances' matrix, then
+# measures._DistanceResponse's scaled copy of it and its upper-triangle row
+# blocks, about 1.5 n^2 more.  centered_distances roots and double-centers
+# its squared distances in place, with no n x n temporaries.
+_DC_SQUARES = 2.5
 
 
 @dataclass(frozen=True)
@@ -192,14 +203,34 @@ def _check_positive_epsilon(epsilon):
 
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
     # Direct differences: exact symmetry and exact zero diagonal, no
-    # ||a||^2 + ||b||^2 - 2ab cancellation.
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # ||a||^2 + ||b||^2 - 2ab cancellation.  _DIST_ROWS rows at a time;
+    # each row's sums are bitwise those of the whole tensor's einsum.
+    n = pts.shape[0]
+    out = np.empty((n, n))
+    for a in range(0, n, _DIST_ROWS):
+        diff = pts[a:a + _DIST_ROWS, None, :] - pts[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[a:a + _DIST_ROWS])
+    return out
 
 
 def _double_center(a: np.ndarray) -> np.ndarray:
-    """Q a Q with Q = I - (1/n) 1 1^T, via row, column and grand means."""
-    return a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
+    """Q a Q with Q = I - (1/n) 1 1^T, in place, via the row, column and
+    grand means of a, each element as (a - row) - column + grand."""
+    rows, cols, grand = a.mean(axis=1, keepdims=True), a.mean(axis=0), a.mean()
+    a -= rows
+    a -= cols
+    a += grand
+    return a
+
+
+def _physical_memory() -> int | None:
+    """The host's physical memory in bytes, or None where the platform
+    does not report it."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
 
 
 def gaussian_kernel(x, y, bw: Bandwidth) -> float:
@@ -425,12 +456,24 @@ def centered_distances(samples) -> np.ndarray:
     brings their largest |value| into [1/2, 1), and scaled back.  Scaling
     by a power of two is exact, so no normal-range entry changes by a bit,
     and no squared distance overflows or goes subnormal.
+
+    Raises ArgumentError, before any n x n allocation, when the _DC_SQUARES
+    n x n doubles a dc screen holds would not fit in the host's physical
+    memory (not checked where the platform does not report it).
     """
     pts = _as_samples(samples)
-    if pts.shape[0] < 2:
-        raise ArgumentError(f"distance matrices need n >= 2, got {pts.shape[0]}")
+    n = pts.shape[0]
+    if n < 2:
+        raise ArgumentError(f"distance matrices need n >= 2, got {n}")
+    needed, total = int(_DC_SQUARES * 8 * n * n), _physical_memory()
+    if total is not None and needed > total:
+        raise ArgumentError(
+            f"distance matrices for n = {n} samples need about {needed} bytes, "
+            f"more than the {total} bytes of physical memory"
+        )
     e = math.frexp(float(np.max(np.abs(pts))))[1]
-    dist = _double_center(np.sqrt(_pairwise_sq_dists(np.ldexp(pts, -e))))
+    dist = _pairwise_sq_dists(np.ldexp(pts, -e))
+    dist = _double_center(np.sqrt(dist, out=dist))
     return np.ldexp(dist, e, out=dist)
 
 

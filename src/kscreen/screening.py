@@ -21,9 +21,14 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       place as (b) builds it, its cross products X = C^T L_Y with the
       response's centered factor formed once, and then dropped: HSIC from
       X (measures._stack_hsic), KCCA from X and the stack's r x r Grams
-      G = C^T C, held until epsilon is known and then finished by one
+      G = C^T C, held in one pile per rank r.  A pile is finished by one
+      measures._stack_kcca call on its members' concatenated terms (one
       Cholesky solve per member against the response's whitening, itself
-      one Cholesky per screen (measures._stack_kcca, _kcca_response);
+      one Cholesky per screen, _kcca_response), one pile at a time, once
+      epsilon is known: every pile after the GCV, then a pile once it
+      holds _BUILD members, every pile before a build would take the
+      members held past GCV_SUBSAMPLE, and the leftover piles after the
+      last build;
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -306,31 +311,48 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
 
         def built(idx):
             # (positions in idx, stack) pairs for the features idx, _BUILD
-            # per gram_block call, each stack holding one rank.
+            # per gram_block call, each stack holding one rank.  Once
+            # epsilon is known, the KCCA piles are finished before a build
+            # would take them past GCV_SUBSAMPLE members, as many as the
+            # GCV phase holds, and while no build buffer is alive.
             for start in range(0, len(idx), _BUILD):
                 block = idx[start:start + _BUILD]
+                held = sum(map(members, piles.values()))
+                if eps is not None and held + len(block) > GCV_SUBSAMPLE:
+                    finish()
                 for pos, stack in gram_block(xv[:, block].T, [bws[r] for r in block]):
                     yield start + pos, stack
 
         def score(features, stack):
             # Centered in place; its cross product with the response is
-            # formed once for both kernel methods.  A score is bitwise the
-            # same in any stack of its rank.  KCCA's Grams and cross
-            # products wait for a GCV-chosen epsilon.
+            # formed once for both kernel methods.  KCCA's Grams and cross
+            # products join the pile of their rank, which is finished once
+            # epsilon is known and it holds _BUILD members.
             stack -= stack.mean(axis=1, keepdims=True)
             ct = np.swapaxes(stack, 1, 2)
             cross = ct @ ly_c
             if hsic:
                 scores[Method.HSIC][features] = _stack_hsic(cross, n)
             if kcca:
-                held.append((features, ct @ stack, cross))
-                if eps is not None:
-                    finish()
+                rank = stack.shape[2]
+                piles.setdefault(rank, []).append((features, ct @ stack, cross))
+                if eps is not None and members(piles[rank]) >= _BUILD:
+                    finish_pile(piles.pop(rank))
+
+        def members(pile):
+            return sum(len(features) for features, _, _ in pile)
 
         def finish():
-            while held:
-                features, g, cross = held.pop()
-                scores[Method.KCCA][features] = _stack_kcca(g, cross, whiten, eps)
+            # One pile at a time, so that only one is ever held twice.
+            for rank in list(piles):
+                finish_pile(piles.pop(rank))
+
+        def finish_pile(pile):
+            # One _stack_kcca call on the pile's members, concatenated: a
+            # score is bitwise the same in any stack of its rank.
+            features, g, cross = pile[0] if len(pile) == 1 else map(np.concatenate, zip(*pile))
+            del pile
+            scores[Method.KCCA][features] = _stack_kcca(g, cross, whiten, eps)
 
         def tuned():
             # Each stack is scored once the GCV has read it.
@@ -339,8 +361,9 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
                 score(tuning_idx[pos], stack)
 
         # Each factor is built once, and each build's stacks are read in
-        # place, in order, and then dropped.
-        rest, held = np.arange(p), []
+        # place, in order, and then dropped; piles[r] holds the KCCA terms
+        # of rank r not yet finished.
+        rest, piles = np.arange(p), {}
         if kcca and eps is None:
             if p > GCV_SUBSAMPLE:
                 rng = np.random.default_rng(seed)
@@ -355,6 +378,7 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
             finish()
         for pos, stack in built(rest):
             score(rest[pos], stack)
+        finish()
 
     results = {}
     for method in methods:

@@ -3,11 +3,13 @@ centering, and the truncated spectral decomposition, checked against the
 dense n x n oracles."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kscreen as ks
+from kscreen import kernels
 from kscreen.errors import ArgumentError, DataError, DegenerateDataError, NumericError
 from kscreen.kernels import RESIDUAL_TRACE_TOL, gram_block
 from tests.helpers import center_dense, dense_gram
@@ -267,6 +269,53 @@ class TestCenteredDistances:
         for k in (530, -531):
             got = ks.centered_distances(np.ldexp(pts, k))
             assert got.tobytes() == np.ldexp(base, k).tobytes()
+
+    def test_holds_no_n_by_n_by_d_difference_tensor(self):
+        # The differences are formed a block of rows at a time and the
+        # matrix is rooted and centered in place: 1.40 n^2 doubles at
+        # n = 1000, d = 3 on a 2-core host, against 4.00 n^2 when the
+        # whole (n, n, d) tensor was formed.
+        n = 1000
+        pts = np.random.default_rng(0).standard_normal((n, 3))
+        ks.centered_distances(pts[:10])  # any first-call allocations
+        tracemalloc.start()
+        try:
+            ks.centered_distances(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n
+
+    def test_rejects_n_beyond_physical_memory_before_allocating(self, monkeypatch):
+        # 2.5 n^2 doubles: 3.2e6 bytes at n = 400, 8.0e5 at n = 200.
+        monkeypatch.setattr(kernels, "_physical_memory", lambda: 10**6)
+        assert ks.centered_distances(np.arange(200.0)).shape == (200, 200)
+
+        def no_distances(pts):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr(kernels, "_pairwise_sq_dists", no_distances)
+        with pytest.raises(ArgumentError, match=r"n = 400 samples need about 3200000 bytes"):
+            ks.centered_distances(np.arange(400.0))
+        x = ks.DataMatrix(np.random.default_rng(1).standard_normal((400, 2)))
+        with pytest.raises(ArgumentError, match="n = 400"):
+            ks.screen(x, ks.DataMatrix(np.arange(400.0)[:, None]), method="dc")
+
+    @pytest.mark.parametrize("sysconf", [-1, ValueError, OSError])
+    def test_unreported_physical_memory_skips_the_check(self, monkeypatch, sysconf):
+        def unreported(name):
+            if isinstance(sysconf, int):
+                return sysconf
+            raise sysconf(name)
+
+        monkeypatch.setattr(kernels.os, "sysconf", unreported)
+        assert kernels._physical_memory() is None
+        assert ks.centered_distances(np.arange(5.0)).shape == (5, 5)
+
+    def test_physical_memory_is_the_page_count_times_the_page_size(self, monkeypatch):
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(kernels.os, "sysconf", sizes.__getitem__)
+        assert kernels._physical_memory() == 4096000
 
 
 class TestValidationEdges:

@@ -27,7 +27,8 @@ from hypothesis.extra import numpy as hnp
 import kscreen as ks
 from kscreen import measures, screening, tuning
 from kscreen.kernels import (
-    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _rank_stacks, _scalar_distance_sums, gram_block,
+    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _pairwise_sq_dists, _rank_stacks,
+    _scalar_distance_sums, gram_block,
 )
 from kscreen.measures import _kcca_response, _stack_hsic, _stack_kcca
 from tests.helpers import (
@@ -575,6 +576,56 @@ def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, l
         assert alone[2].tobytes() == c2[i:i + 1].tobytes()
         assert tuning._gcv_at(eps, *alone) == tuning._gcv_at(
             eps, n, a[i:i + 1], c2[i:i + 1], by_norm2, spans[i:i + 1])
+
+
+@SETTINGS
+@given(
+    n=st.integers(4, 40),
+    levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=17),
+    draw=st.data(),
+)
+def test_kcca_of_concatenated_stacks_is_bitwise_each_stacks_own(n, levels, draw):
+    # screen holds each stack's KCCA terms, G = C^T C and X = C^T L_Y, in
+    # a pile per rank and finishes the pile's concatenation in one call.
+    # Stacks of one rank, of any sizes and order, members repeated, give
+    # each member its per-stack scores bitwise, at every grid point.
+    _, _, stacks = block_factors(draw.draw, n, levels)
+    _, stack = stacks[draw.draw(st.integers(0, len(stacks) - 1))]
+    ly_c = ks.center(ks.gram(*sample_kernel(draw.draw, n)))
+    sizes = draw.draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    terms = []
+    for size in sizes:
+        picks = draw.draw(st.lists(st.integers(0, len(stack) - 1), min_size=size, max_size=size))
+        c = stack[picks] - stack[picks].mean(axis=1, keepdims=True)
+        ct = np.swapaxes(c, 1, 2)
+        terms.append((ct @ c, ct @ ly_c))
+    g, cross = map(np.concatenate, zip(*terms))
+    for eps in ks.GCV_GRID:
+        whiten = _kcca_response(ly_c, eps)
+        each = np.concatenate([_stack_kcca(*t, whiten, eps) for t in terms])
+        assert _stack_kcca(g, cross, whiten, eps).tobytes() == each.tobytes(), eps
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 300),
+    d=st.integers(1, 4),
+    rows=st.integers(1, 69),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_blocked_pairwise_distances_are_bitwise_the_whole_tensor_einsum(
+        n, d, rows, scale, seed):
+    # _pairwise_sq_dists forms the differences a block of rows at a time,
+    # so that no n x n x d tensor is held; each row's einsum is the one of
+    # the whole tensor, bit for bit, whatever the block size.
+    pts = np.random.default_rng(seed).standard_normal((n, d)) * scale
+    diff = pts[:, None, :] - pts[None, :, :]
+    want = np.einsum("ijk,ijk->ij", diff, diff)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("kscreen.kernels._DIST_ROWS", rows)
+        got = _pairwise_sq_dists(pts)
+    assert got.tobytes() == want.tobytes()
 
 
 @SETTINGS

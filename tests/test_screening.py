@@ -499,3 +499,60 @@ def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
     finally:
         tracemalloc.stop()
     assert peak < factor_bytes
+
+
+@pytest.mark.parametrize("epsilon, cap", [("auto", 25), ("auto", 5), (0.1, 5)])
+def test_kcca_piles_finish_each_rank_once_per_flush(monkeypatch, epsilon, cap):
+    # With 4-wide builds, the GCV subsample (of cap features) and the rest
+    # take several builds each.  The KCCA terms wait in one pile per rank,
+    # and a flush finishes each pile it takes by one _stack_kcca call:
+    # every pile after the GCV, a pile once it holds _BUILD members, every
+    # pile before a build would take the members held past GCV_SUBSAMPLE,
+    # and the leftover piles after the last build.  Every score is still
+    # bitwise kcca_singular_value's on the predictor alone.
+    n, p = 40, 60
+    x, y = make_data(seed=6, n=n, p=p)
+    monkeypatch.setattr(screening, "_BUILD", 4)
+    monkeypatch.setattr(screening, "GCV_SUBSAMPLE", cap)
+    builds, calls = [], []  # (rank, members) of each stack, and of each call
+
+    def building(samples, bws, gram_block=screening.gram_block):
+        built = gram_block(samples, bws)
+        builds.append([(stack.shape[2], len(pos)) for pos, stack in built])
+        return built
+
+    def scoring(g, cross, whiten, eps, stack_kcca=screening._stack_kcca):
+        calls.append((cross.shape[1], len(g)))
+        return stack_kcca(g, cross, whiten, eps)
+
+    monkeypatch.setattr(screening, "gram_block", building)
+    monkeypatch.setattr(screening, "_stack_kcca", scoring)
+    res = ks.screen(x, y, method="kcca", epsilon=epsilon)
+    monkeypatch.undo()
+    tuned = -(-cap // 4) if epsilon == "auto" else 0  # the GCV's builds
+    assert len(builds) == tuned + -(-(p - (cap if tuned else 0)) // 4)
+    flushes, piles = [], {}
+    for b, stacks in enumerate(builds):
+        if b >= tuned and sum(piles.values()) + sum(m for _, m in stacks) > cap:
+            flushes.append(piles)
+            piles = {}
+        for rank, members in stacks:
+            piles[rank] = piles.get(rank, 0) + members
+            if b >= tuned and piles[rank] >= 4:
+                flushes.append({rank: piles.pop(rank)})
+        if b == tuned - 1:
+            flushes.append(piles)
+            piles = {}
+    flushes.append(piles)
+    got = iter(calls)
+    for piles in flushes:
+        assert sorted(next(got) for _ in piles) == sorted(piles.items()), (builds, calls)
+    assert next(got, None) is None
+    # With room for several builds, piles held stacks of several builds
+    # after the GCV, too; a cap of 5 finishes them before every build.
+    rest = sum(len(stacks) for stacks in builds[tuned:])
+    assert (len(calls) - (len(flushes[0]) if tuned else 0) < rest) == (cap == 25)
+    ly_c = ks.center(ks.gram(y.values, ks.bandwidth(y.values)))
+    for r in range(p):
+        lx = ks.gram(x.values[:, r], ks.bandwidth(x.values[:, r]))
+        assert res.scores[r] == ks.kcca_singular_value(ks.center(lx), ly_c, res.epsilon)

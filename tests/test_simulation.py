@@ -487,6 +487,77 @@ class TestReplicationWorker:
         assert sorted(h[0] for h in scored["hsic"]) == sorted(x for _, x in expected)
         assert sorted(k[2] for k in scored["kcca"]) == sorted(h[1] for h in scored["hsic"])
 
+    def test_one_kernel_preparation_per_replication_across_merged_piles(self, monkeypatch):
+        # As above, at a p where KCCA finishes the stacks of several builds
+        # in one _stack_kcca call.  Each stack's cross product with the
+        # response's centered factor is formed once: the factor counts the
+        # matmuls that take it with a stack of factors.  Member by member,
+        # KCCA reads the Grams and cross products of the stacks as built and
+        # centered once, and the cross products HSIC read.
+        from kscreen import screening
+        from kscreen.measures import Method
+        from kscreen.simulation import _replication_sizes
+
+        calls = {"bandwidth": 0, "factors": 0, "cross": 0}
+        responses, stacks = [], []
+        members = {"built": [], "kcca": [], "hsic": []}  # each member's bytes
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and inputs[-1] is self and np.ndim(inputs[0]) == 3:
+                    calls["cross"] += 1
+                inputs = [np.asarray(a) if isinstance(a, Counted) else a for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def counting(key, fn, size=lambda *a: 1):
+            def wrapped(*args, **kwargs):
+                calls[key] += size(*args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def centering(factor, center=screening.center):
+            responses.append(center(factor).view(Counted))
+            return responses[-1]
+
+        gram_block = screening.gram_block
+
+        def building(samples, bws):
+            built = gram_block(samples, bws)
+            calls["factors"] += sum(len(pos) for pos, _ in built)
+            ly_c = np.asarray(responses[0])
+            for _, stack in built:
+                ct = np.swapaxes(stack - stack.mean(axis=1, keepdims=True), 1, 2)
+                members["built"].extend(
+                    (g.tobytes(), x.tobytes()) for g, x in zip(ct @ ct.swapaxes(1, 2), ct @ ly_c))
+            return built
+
+        def kcca_scoring(g, cross, *args, stack_kcca=screening._stack_kcca):
+            stacks.append("kcca")
+            members["kcca"].extend((gm.tobytes(), xm.tobytes()) for gm, xm in zip(g, cross))
+            return stack_kcca(g, cross, *args)
+
+        def hsic_scoring(cross, n, stack_hsic=screening._stack_hsic):
+            stacks.append("hsic")
+            members["hsic"].extend(xm.tobytes() for xm in cross)
+            return stack_hsic(cross, n)
+
+        monkeypatch.setattr(screening, "bandwidth", counting("bandwidth", screening.bandwidth))
+        monkeypatch.setattr(screening, "_scalar_distance_sums",
+                            counting("bandwidth", screening._scalar_distance_sums, len))
+        monkeypatch.setattr(screening, "center", centering)
+        monkeypatch.setattr(screening, "gram_block", building)
+        monkeypatch.setattr(screening, "_stack_kcca", kcca_scoring)
+        monkeypatch.setattr(screening, "_stack_hsic", hsic_scoring)
+        p = 300  # GCV_SUBSAMPLE = 200 of them drawn, then three builds more
+        spec = ks.SimulationSpec(suite="sim2", model_id=1, n=30, p=p, reps=1, seed=5)
+        out = _replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC), "auto", 0)
+        assert set(out) == {"kcca", "hsic", "dc"} and len(responses) == 1
+        built = stacks.count("hsic")
+        assert calls == {"bandwidth": p + 1, "factors": p, "cross": built}
+        assert stacks.count("kcca") < built  # some piles held several stacks
+        assert sorted(members["kcca"]) == sorted(members["built"])
+        assert sorted(members["hsic"]) == sorted(x for _, x in members["built"])
+
     def test_constant_column_warns_once_per_replication(self, monkeypatch):
         import warnings
 
