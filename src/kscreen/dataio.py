@@ -184,8 +184,12 @@ def load_csv(path, response_columns):
             _read_header(reader, path)
             values = _parse_rows(reader, header, path, response_columns)
     y_pos, x_pos = _column_positions(header, response_columns)
-    x = DataMatrix(values=values[:, x_pos], columns=[header[j] for j in x_pos])
     y = DataMatrix(values=values[:, y_pos], columns=[header[j] for j in y_pos])
+    # The parsed table is dropped before DataMatrix copies the predictor
+    # block, so the table is held at most twice.
+    block = values[:, x_pos]
+    del values
+    x = DataMatrix(values=block, columns=[header[j] for j in x_pos])
     return x, y
 
 

@@ -33,11 +33,17 @@ RESIDUAL_TRACE_TOL = 1e-3 * DEFAULT_TOL_REL
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
-# Features per gram_block call in screen.  A factor is bitwise the same in
-# any block, and so is each of its scores and GCV terms in any stack of its
-# rank, which every consumer reads in place; a wider build spreads a step's
-# numpy calls over more features.
-_BUILD = 32
+# Columns of L (rows of L^T) gram_block first allocates per variable; the
+# buffer doubles when a rank outgrows it.
+_FIRST_RANKS = 32
+
+# Bytes of the L^T buffer a gram_block call in screen starts with, (width,
+# min(n, _FIRST_RANKS), n) doubles, which sets its width (_build_width).  A
+# factor is bitwise the same in any block, and so is each of its scores and
+# GCV terms in any stack of its rank, which every consumer reads in place; a
+# wider build spreads a step's numpy calls over more features, and at large
+# n a narrow one is as fast and holds far less.
+_BUILD_BYTES = 2 << 20
 
 # Rows per block of the pairwise differences _pairwise_sq_dists forms, so
 # that no n x n x d tensor is held (1.6 GB at n = 10000, d = 2).
@@ -195,6 +201,13 @@ def _rank_stacks(factors, cap: int):
         yield pos, np.swapaxes(rows, 1, 2)
 
 
+def _build_width(n: int) -> int:
+    """Features per gram_block call in screen for n samples: as many as
+    fit their initial L^T buffer in _BUILD_BYTES (40 at n = 200, 16 at
+    n = 500, 8 at n = 1000, 4 at n = 2000), and at least 1."""
+    return max(1, _BUILD_BYTES // (8 * min(n, _FIRST_RANKS) * n))
+
+
 def _check_positive_epsilon(epsilon):
     """Raise ArgumentError unless the ridge epsilon is positive and finite."""
     if not np.isfinite(epsilon) or epsilon <= 0.0:
@@ -208,9 +221,15 @@ def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     out = np.empty((n, n))
     for a in range(0, n, _DIST_ROWS):
-        diff = pts[a:a + _DIST_ROWS, None, :] - pts[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[a:a + _DIST_ROWS])
+        _sq_dist_rows(pts, a, out[a:a + _DIST_ROWS])
     return out
+
+
+def _sq_dist_rows(pts: np.ndarray, a: int, out: np.ndarray) -> np.ndarray:
+    """Rows a, a + 1, ... of the squared distance matrix, into out, as many
+    as it has (at most _DIST_ROWS)."""
+    diff = pts[a:a + out.shape[0], None, :] - pts[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff, out=out)
 
 
 def _double_center(a: np.ndarray) -> np.ndarray:
@@ -231,6 +250,18 @@ def _physical_memory() -> int | None:
     except (AttributeError, ValueError, OSError):
         return None
     return page * pages if page > 0 and pages > 0 else None
+
+
+def _check_memory(what: str, n: int, needed: int):
+    """Raise ArgumentError, naming n and the bytes, when needed bytes for
+    n samples would exceed the host's physical memory (not checked where
+    the platform does not report it)."""
+    total = _physical_memory()
+    if total is not None and needed > total:
+        raise ArgumentError(
+            f"{what} for n = {n} samples need about {needed} bytes, "
+            f"more than the {total} bytes of physical memory"
+        )
 
 
 def gaussian_kernel(x, y, bw: Bandwidth) -> float:
@@ -259,7 +290,10 @@ def bandwidth(samples) -> Bandwidth:
     For scalar samples the sum is taken in sorted form, in O(n log n):
     sum_k (2k - n + 1) x_(k) over the 0-based order statistics, summed by
     parts as sum_k k (n - k) (x_(k) - x_(k-1)) so that no term is negative.
-    Vector rows sum the n (n - 1) / 2 pairwise distances directly.
+    Vector rows sum the n (n - 1) / 2 pairwise distances directly, from
+    one flat buffer of them filled _DIST_ROWS rows at a time, and raise
+    ArgumentError, before allocating it, when it would not fit in the
+    host's physical memory.
 
     Raises
     ------
@@ -275,10 +309,30 @@ def bandwidth(samples) -> Bandwidth:
     if pts.shape[1] == 1:
         (total,) = _scalar_distance_sums(pts.T)
     else:
-        d2 = _pairwise_sq_dists(pts)
-        iu = np.triu_indices(n, k=1)
-        total = float(np.sum(np.sqrt(d2[iu])))
+        total = _vector_distance_sum(pts)
     return _bandwidth_from_sum(total, n)
+
+
+def _vector_distance_sum(pts: np.ndarray) -> float:
+    """sum_{i<j} ||x_i - x_j|| of the (n, d) rows, in about n^2 / 2 doubles.
+
+    The upper triangle's distances are laid out row by row in one flat
+    buffer, as the squared distance matrix's upper triangle would gather,
+    and one np.sum of it is bitwise the sum of that gather's roots.
+    """
+    n = pts.shape[0]
+    size = n * (n - 1) // 2
+    _check_memory("pairwise distances", n, 8 * size)
+    flat = np.empty(size)
+    block = np.empty((min(n, _DIST_ROWS), n))
+    cols = np.arange(n)
+    start = 0
+    for a in range(0, n, _DIST_ROWS):
+        rows = _sq_dist_rows(pts, a, block[:n - a])
+        upper = rows[cols > np.arange(a, a + rows.shape[0])[:, None]]
+        np.sqrt(upper, out=flat[start:start + upper.size])
+        start += upper.size
+    return float(np.sum(flat))
 
 
 def _scalar_distance_sums(rows: np.ndarray) -> list:
@@ -388,7 +442,7 @@ def gram_block(samples, bws) -> list:
     diff = np.empty_like(pts)
     members = np.arange(b)
     resid = np.ones((b, n))  # diagonals of K - L L^T; K has a unit diagonal
-    rows = np.empty((b, min(n, 32), n))  # L^T per variable, doubled when full
+    rows = np.empty((b, min(n, _FIRST_RANKS), n))  # L^T per variable, doubled when full
     live = np.ones(b, dtype=bool)
     all_live = True
     ranks = np.zeros(b, dtype=int)
@@ -465,12 +519,7 @@ def centered_distances(samples) -> np.ndarray:
     n = pts.shape[0]
     if n < 2:
         raise ArgumentError(f"distance matrices need n >= 2, got {n}")
-    needed, total = int(_DC_SQUARES * 8 * n * n), _physical_memory()
-    if total is not None and needed > total:
-        raise ArgumentError(
-            f"distance matrices for n = {n} samples need about {needed} bytes, "
-            f"more than the {total} bytes of physical memory"
-        )
+    _check_memory("distance matrices", n, int(_DC_SQUARES * 8 * n * n))
     e = math.frexp(float(np.max(np.abs(pts))))[1]
     dist = _pairwise_sq_dists(np.ldexp(pts, -e))
     dist = _double_center(np.sqrt(dist, out=dist))

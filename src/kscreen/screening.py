@@ -10,9 +10,11 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       says which);
   (b) one low-rank Gram factor per variable, each built once: the
       response's by kernels.gram, column-centered once and shared across
-      all predictors, and the predictors' by kernels.gram_block,
-      kernels._BUILD features per call, which hands them back in unpadded
-      stacks of one rank each;
+      all predictors, and the predictors' by kernels.gram_block, as many
+      features per call as kernels._build_width(n) fits in the
+      kernels._BUILD_BYTES = 2 MiB its initial L^T buffer may take (40 at
+      n = 200, 4 at n = 2000), which hands them back in unpadded stacks of
+      one rank each, none of them referenced once the next call starts;
   (c) ridge epsilon from the GCV grid search over GCV_GRID, summed over a
       seeded subsample of GCV_SUBSAMPLE predictors, or all of them when p
       is no larger (KCCA only, when auto), whose stacks are built first and
@@ -26,9 +28,9 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       Cholesky solve per member against the response's whitening, itself
       one Cholesky per screen, _kcca_response), one pile at a time, once
       epsilon is known: every pile after the GCV, then a pile once it
-      holds _BUILD members, every pile before a build would take the
-      members held past GCV_SUBSAMPLE, and the leftover piles after the
-      last build;
+      holds one build's width of members (so kernels._BUILD_BYTES sets
+      both), every pile before a build would take the members held past
+      GCV_SUBSAMPLE, and the leftover piles after the last build;
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -68,7 +70,7 @@ from .errors import (
 # are not called here; they stay names of this module because
 # bench/tracing.py rebinds them.
 from .kernels import (  # noqa: F401
-    _BUILD, Bandwidth, DataMatrix, _bandwidth_from_sum, _check_positive_epsilon,
+    Bandwidth, DataMatrix, _bandwidth_from_sum, _build_width, _check_positive_epsilon,
     _scalar_distance_sums, bandwidth, center, center_and_decompose, centered_distances, gram,
     gram_block,
 )
@@ -310,24 +312,26 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
                for r, total in enumerate(_scalar_distance_sums(xv.T))]
 
         def built(idx):
-            # (positions in idx, stack) pairs for the features idx, _BUILD
+            # (positions in idx, stack) pairs for the features idx, width
             # per gram_block call, each stack holding one rank.  Once
             # epsilon is known, the KCCA piles are finished before a build
             # would take them past GCV_SUBSAMPLE members, as many as the
-            # GCV phase holds, and while no build buffer is alive.
-            for start in range(0, len(idx), _BUILD):
-                block = idx[start:start + _BUILD]
+            # GCV phase holds, and while no build buffer is alive.  No
+            # stack of a build is referenced once the next one starts.
+            for start in range(0, len(idx), width):
+                block = idx[start:start + width]
                 held = sum(map(members, piles.values()))
                 if eps is not None and held + len(block) > GCV_SUBSAMPLE:
                     finish()
                 for pos, stack in gram_block(xv[:, block].T, [bws[r] for r in block]):
                     yield start + pos, stack
+                del stack
 
         def score(features, stack):
             # Centered in place; its cross product with the response is
             # formed once for both kernel methods.  KCCA's Grams and cross
             # products join the pile of their rank, which is finished once
-            # epsilon is known and it holds _BUILD members.
+            # epsilon is known and it holds a build's width of members.
             stack -= stack.mean(axis=1, keepdims=True)
             ct = np.swapaxes(stack, 1, 2)
             cross = ct @ ly_c
@@ -336,7 +340,7 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
             if kcca:
                 rank = stack.shape[2]
                 piles.setdefault(rank, []).append((features, ct @ stack, cross))
-                if eps is not None and members(piles[rank]) >= _BUILD:
+                if eps is not None and members(piles[rank]) >= width:
                     finish_pile(piles.pop(rank))
 
         def members(pile):
@@ -359,11 +363,12 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
             for pos, stack in built(tuning_idx):
                 yield pos, stack
                 score(tuning_idx[pos], stack)
+                del stack
 
         # Each factor is built once, and each build's stacks are read in
         # place, in order, and then dropped; piles[r] holds the KCCA terms
         # of rank r not yet finished.
-        rest, piles = np.arange(p), {}
+        rest, piles, width = np.arange(p), {}, _build_width(n)
         if kcca and eps is None:
             if p > GCV_SUBSAMPLE:
                 rng = np.random.default_rng(seed)
@@ -378,6 +383,7 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
             finish()
         for pos, stack in built(rest):
             score(rest[pos], stack)
+            del stack
         finish()
 
     results = {}

@@ -133,6 +133,7 @@ def _gcv_terms(ly: np.ndarray, stacks, count: int) -> tuple:
             if not np.all(np.isfinite(stack)):
                 raise DataError("kernel factor entries must be finite")
             rows.append((pos, *_block_spectrum(stack, by)))
+            del stack  # before the next stack is built
     except np.linalg.LinAlgError as e:
         raise NumericError(f"decomposition of a GCV basis failed: {e}") from None
     a = np.zeros((count, max(ai.shape[1] for _, ai, _, _ in rows)))

@@ -97,6 +97,70 @@ class TestBandwidth:
             pairwise = ks.bandwidth(np.column_stack([x, np.zeros_like(x)])).gamma
             assert ks.bandwidth(x).gamma == pytest.approx(pairwise, rel=1e-14)
 
+    def test_vector_rows_hold_about_half_an_n_by_n_matrix(self):
+        # The upper triangle's distances go into one flat buffer of
+        # n (n - 1) / 2 doubles, 64 rows at a time: 0.77 n^2 doubles at
+        # n = 1000, d = 2 on a 2-core host, against 3.0 n^2 when the
+        # squared distance matrix and its triu_indices gather were held.
+        n = 1000
+        pts = np.random.default_rng(0).standard_normal((n, 2))
+        ks.bandwidth(pts[:10])  # any first-call allocations
+        tracemalloc.start()
+        try:
+            ks.bandwidth(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
+    def test_vector_rows_beyond_physical_memory_are_rejected_before_allocating(
+            self, monkeypatch):
+        # n (n - 1) / 2 doubles: 638400 bytes at n = 400, 159200 at n = 200.
+        monkeypatch.setattr(kernels, "_physical_memory", lambda: 300000)
+        pts = np.random.default_rng(2).standard_normal((400, 2))
+        assert ks.bandwidth(pts[:200]).gamma > 0.0
+
+        def no_distances(pts, a, out):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr(kernels, "_sq_dist_rows", no_distances)
+        with pytest.raises(ArgumentError, match=r"n = 400 samples need about 638400 bytes"):
+            ks.bandwidth(pts)
+        x = ks.DataMatrix(np.random.default_rng(1).standard_normal((400, 3)))
+        with pytest.raises(ArgumentError, match="n = 400"):
+            ks.screen(x, ks.DataMatrix(pts), method="hsic")
+
+
+class TestBuildWidth:
+    @pytest.mark.parametrize("n, width", [(200, 40), (500, 16), (1000, 8), (2000, 4)])
+    def test_width_at_the_default_budget(self, n, width):
+        assert kernels._build_width(n) == width
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 200, 1000, 2000, 8191, 8192, 10**5])
+    def test_initial_buffer_is_the_widest_within_the_budget(self, n):
+        # gram_block starts from a (width, min(n, 32), n) L^T buffer; a
+        # single feature is built whatever its buffer takes.
+        width, one = kernels._build_width(n), 8 * min(n, 32) * n
+        assert width >= 1 and (width == 1 or width * one <= kernels._BUILD_BYTES)
+        assert (width + 1) * one > kernels._BUILD_BYTES
+
+    def test_initial_buffer_is_the_one_gram_block_allocates(self):
+        # Rank below 32: the buffer is never doubled, so the build's peak
+        # is that buffer, its gathers and (b, n) arrays.
+        n = 200
+        width = kernels._build_width(n)
+        pts = np.random.default_rng(3).standard_normal((width, n))
+        bws = [ks.bandwidth(row) for row in pts]
+        gram_block(pts, bws)  # any first-call allocations
+        tracemalloc.start()
+        try:
+            stacks = gram_block(pts, bws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(stack.shape[2] for _, stack in stacks) < 32
+        assert width * 8 * 32 * n < peak < 2 * kernels._BUILD_BYTES
+
 
 class TestGram:
     def test_single_sample(self):

@@ -630,6 +630,34 @@ def test_row_blocked_pairwise_distances_are_bitwise_the_whole_tensor_einsum(
 
 @SETTINGS
 @given(
+    n=st.integers(2, 150),
+    d=st.integers(2, 4),
+    distinct=st.integers(1, 150),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vector_bandwidth_is_bitwise_the_gathered_upper_triangle_sum(
+        n, d, distinct, scale, seed):
+    # bandwidth of vector rows fills one flat buffer with the upper
+    # triangle's distances, row by row, and sums it once: bitwise the sum of
+    # the roots of the squared distance matrix's triu_indices gather.  Rows
+    # are drawn from a few distinct ones, so repeats and constants occur.
+    rng = np.random.default_rng(seed)
+    k = min(distinct, n)
+    pts = (rng.standard_normal((k, d)) * scale)[rng.integers(0, k, n)]
+    d2 = _pairwise_sq_dists(pts)
+    total = float(np.sum(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    try:
+        want = _bandwidth_from_sum(total, n).gamma
+    except ks.DegenerateDataError:
+        with pytest.raises(ks.DegenerateDataError):
+            ks.bandwidth(pts)
+    else:
+        assert ks.bandwidth(pts).gamma.hex() == want.hex()
+
+
+@SETTINGS
+@given(
     n=st.integers(4, 40),
     levels=st.lists(st.sampled_from([0, 3, 1000]), min_size=1, max_size=40),
     draw=st.data(),

@@ -3,6 +3,7 @@ scale invariance, determinism, threshold rules, and ranking."""
 
 import importlib.util
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -482,10 +483,12 @@ def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
     # and then drops it, so the memory it allocates stays below the bytes
     # of the subsample's n x r factors, which an earlier design held until
     # the epsilon search ended.  Calibrated on a 2-core host: a peak of
-    # 3.95 MB against 6.17 MB of factors (0.64 of the bound); the KCCA
-    # terms held until epsilon is known, each member's r x r Gram and
-    # r x r_Y cross product, add about 0.4 MB to the 3.51 MB of the
-    # eigenvector terms they replaced.  Holding the factors read 7.89 MB.
+    # 4.63 MB against 6.17 MB of factors (0.75 of the bound), with 40-wide
+    # builds (the 2 MiB build budget at n = 200; 3.95 MB 32 wide, 4.95 MB
+    # 40 wide while a build's last stack outlived it); the KCCA terms held
+    # until epsilon is known, each member's r x r Gram and r x r_Y cross
+    # product, add about 0.4 MB to the eigenvector terms they replaced.
+    # Holding the factors read 7.89 MB.
     n, p, k = 200, 400, screening.GCV_SUBSAMPLE
     x, y = make_data(seed=0, n=n, p=p)
     idx = np.sort(np.random.default_rng(0).choice(p, size=k, replace=False))
@@ -506,13 +509,14 @@ def test_kcca_piles_finish_each_rank_once_per_flush(monkeypatch, epsilon, cap):
     # With 4-wide builds, the GCV subsample (of cap features) and the rest
     # take several builds each.  The KCCA terms wait in one pile per rank,
     # and a flush finishes each pile it takes by one _stack_kcca call:
-    # every pile after the GCV, a pile once it holds _BUILD members, every
+    # every pile after the GCV, a pile once it holds a build's width of
+    # members (4, from the byte budget of a 4-wide build at n = 40), every
     # pile before a build would take the members held past GCV_SUBSAMPLE,
     # and the leftover piles after the last build.  Every score is still
     # bitwise kcca_singular_value's on the predictor alone.
     n, p = 40, 60
     x, y = make_data(seed=6, n=n, p=p)
-    monkeypatch.setattr(screening, "_BUILD", 4)
+    monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", 4 * 8 * 32 * n)
     monkeypatch.setattr(screening, "GCV_SUBSAMPLE", cap)
     builds, calls = [], []  # (rank, members) of each stack, and of each call
 
@@ -556,3 +560,79 @@ def test_kcca_piles_finish_each_rank_once_per_flush(monkeypatch, epsilon, cap):
     for r in range(p):
         lx = ks.gram(x.values[:, r], ks.bandwidth(x.values[:, r]))
         assert res.scores[r] == ks.kcca_singular_value(ks.center(lx), ly_c, res.epsilon)
+
+
+@pytest.mark.parametrize("epsilon", ["auto", 0.1])
+def test_no_stack_of_an_earlier_build_is_alive_when_the_next_build_starts(
+        monkeypatch, epsilon):
+    # Each build's stacks are read in place and dropped, also by the loop
+    # variables that handed them on, so that a build never runs beside the
+    # last one's stacks (a 32-member stack of rank 28 is 14 MB at n = 2000).
+    n, p = 40, 60
+    x, y = make_data(seed=6, n=n, p=p)
+    monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", 4 * 8 * 32 * n)
+    monkeypatch.setattr(screening, "GCV_SUBSAMPLE", 25)
+    refs, alive = [], []
+
+    def building(samples, bws, gram_block=screening.gram_block):
+        alive.append(sum(ref() is not None for ref in refs))
+        built = gram_block(samples, bws)
+        refs.extend(weakref.ref(a) for _, stack in built for a in (stack, stack.base))
+        return built
+
+    monkeypatch.setattr(screening, "gram_block", building)
+    screening._screen_methods(x, y, (ks.Method.KCCA, ks.Method.HSIC), None, epsilon, 0)
+    assert len(alive) == (-(-25 // 4) + -(-35 // 4) if epsilon == "auto" else 15)
+    assert alive == [0] * len(alive)
+    assert all(ref() is None for ref in refs)
+
+
+def budget_data(kind):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((60, 150))
+    x[:, 7] = 2.0  # a constant column, at gamma = 1
+    y = np.sin(1.5 * x[:, 1]) + 0.2 * rng.standard_normal(60)
+    if kind == "bivariate":
+        y = np.column_stack([y, x[:, 3] ** 2 + 0.2 * rng.standard_normal(60)])
+    return ks.DataMatrix(x), ks.DataMatrix(y.reshape(60, -1))
+
+
+@pytest.mark.filterwarnings("ignore::kscreen.errors.DegenerateDataWarning")
+@pytest.mark.parametrize("kind", ["scalar", "bivariate"])
+def test_scores_are_bitwise_the_same_under_any_build_budget(monkeypatch, kind):
+    # A factor is bitwise the same in any build, and a score in any stack
+    # or pile of its rank, so the byte budget, which sets both the build
+    # width and the pile cap, moves no bit of a score or of epsilon.
+    x, y = budget_data(kind)
+    # p > 50: the GCV reads a drawn subsample, and the rest is built after.
+    monkeypatch.setattr(screening, "GCV_SUBSAMPLE", 50)
+    runs = [((ks.Method.KCCA,), "auto"), ((ks.Method.KCCA,), 0.01), ((ks.Method.HSIC,), "auto"),
+            ((ks.Method.KCCA, ks.Method.HSIC), "auto")]
+    results = []
+    for width in (1, 7, 136):  # 136 wide is the default budget's at n = 60
+        monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", width * 8 * 32 * 60)
+        assert screening._build_width(60) == width
+        got = [r for methods, eps in runs
+               for r in screening._screen_methods(x, y, methods, None, eps, 3).values()]
+        results.append([(r.scores.tobytes(), r.epsilon) for r in got])
+    assert results[0] == results[1] == results[2]
+    assert results[0][0] == results[0][3] and results[0][2] == results[0][4]
+
+
+def test_a_kcca_screen_at_n_1000_holds_about_one_build_budget():
+    # A build's initial L^T buffer is bounded by kernels._BUILD_BYTES (8
+    # features at n = 1000) rather than by 32 features (8 MB at n = 1000,
+    # with its gathers beside it).  Calibrated on a 2-core host: a peak of
+    # 4.5 MB, against 15.6 MB with 32-wide builds.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((1000, 40))
+    y = np.sin(1.5 * x[:, 1]) + 0.2 * rng.standard_normal(1000)
+    x, y = ks.DataMatrix(x), ks.DataMatrix(y[:, None])
+    ks.screen(x, y, method="kcca")  # any first-call allocations
+    tracemalloc.start()
+    try:
+        ks.screen(x, y, method="kcca")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6

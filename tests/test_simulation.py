@@ -548,7 +548,10 @@ class TestReplicationWorker:
         monkeypatch.setattr(screening, "gram_block", building)
         monkeypatch.setattr(screening, "_stack_kcca", kcca_scoring)
         monkeypatch.setattr(screening, "_stack_hsic", hsic_scoring)
-        p = 300  # GCV_SUBSAMPLE = 200 of them drawn, then three builds more
+        # 32-wide builds, so that the rest's piles span several builds; the
+        # default budget builds all 100 at n = 30 at once.
+        monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", 32 * 8 * 30 * 30)
+        p = 300  # GCV_SUBSAMPLE = 200 of them drawn, then four builds more
         spec = ks.SimulationSpec(suite="sim2", model_id=1, n=30, p=p, reps=1, seed=5)
         out = _replication_sizes(spec, (Method.KCCA, Method.HSIC, Method.DC), "auto", 0)
         assert set(out) == {"kcca", "hsic", "dc"} and len(responses) == 1
