@@ -42,7 +42,9 @@ def _resolve_response_columns(header, response_columns):
         try:
             idx = int(item)
         except (TypeError, ValueError):
-            raise ArgumentError(f"response column {item!r} not found in header {header}")
+            raise ArgumentError(
+                f"response column {item!r} not found among the header's {len(header)} names"
+            ) from None
         if not 1 <= idx <= len(header):
             raise ArgumentError(
                 f"response column position {idx} outside 1..{len(header)}"
@@ -120,7 +122,7 @@ def _parse_body(lines, width: int):
     return values
 
 
-def _parse_rows(reader, header, path, response_columns) -> np.ndarray:
+def _parse_rows(reader, header, path) -> np.ndarray:
     """The data rows below the header as an (n, p) array, row by row: the
     first missing, unparsable or miscounted cell is reported before any
     NaN/Inf cell, which is reported at its first occurrence in row-major
@@ -128,8 +130,6 @@ def _parse_rows(reader, header, path, response_columns) -> np.ndarray:
     first = next(reader, None)
     if first is None:
         raise DataError(f"{path}: no data rows below the header")
-    # The response columns are checked before any row is parsed.
-    _column_positions(header, response_columns)
     rows = []
     non_finite = None
     for i, row in enumerate(itertools.chain([first], reader), start=1):
@@ -177,13 +177,14 @@ def load_csv(path, response_columns):
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
         header = _read_header(csv.reader(fh), path)
+        # The response columns are checked before any row is parsed.
+        y_pos, x_pos = _column_positions(header, response_columns)
         values = _parse_body(fh, len(header))
         if values is None:
             fh.seek(0)
             reader = csv.reader(fh)
             _read_header(reader, path)
-            values = _parse_rows(reader, header, path, response_columns)
-    y_pos, x_pos = _column_positions(header, response_columns)
+            values = _parse_rows(reader, header, path)
     y = DataMatrix(values=values[:, y_pos], columns=[header[j] for j in y_pos])
     # The parsed table is dropped before DataMatrix copies the predictor
     # block, so the table is held at most twice.

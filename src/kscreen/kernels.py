@@ -14,6 +14,7 @@ immutable, so instances can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -208,10 +209,18 @@ def _build_width(n: int) -> int:
     return max(1, _BUILD_BYTES // (8 * min(n, _FIRST_RANKS) * n))
 
 
-def _check_positive_epsilon(epsilon):
-    """Raise ArgumentError unless the ridge epsilon is positive and finite."""
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ArgumentError(f"epsilon must be positive and finite, got {epsilon!r}")
+def _is_real(value) -> bool:
+    """Whether value is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_positive_epsilon(epsilon) -> float:
+    """The ridge epsilon as a float; ArgumentError unless it is a real (not
+    a bool) that is positive and finite as a float."""
+    finite = _is_real(epsilon) and abs(epsilon) <= sys.float_info.max
+    if not (finite and float(epsilon) > 0.0):
+        raise ArgumentError(f"epsilon must be a positive finite real, got {epsilon!r}")
+    return float(epsilon)
 
 
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:

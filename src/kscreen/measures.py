@@ -38,7 +38,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
-from .kernels import _as_factor, _as_samples, _check_positive_epsilon, _pairwise_sq_dists
+from .kernels import (
+    _as_factor, _as_samples, _check_memory, _check_positive_epsilon, _pairwise_sq_dists,
+)
 
 # Rows per block of the response's distance matrix in the scalar dc path;
 # a block and its scratch, 64 rows of at most n doubles each, stay in cache.
@@ -67,7 +69,7 @@ def kcca_singular_value(lx, ly, epsilon: float) -> float:
         raise ArgumentError(
             f"kcca needs factors over the same samples, got {a.shape} and {b.shape}"
         )
-    _check_positive_epsilon(epsilon)
+    epsilon = _check_positive_epsilon(epsilon)
     ct = np.swapaxes(a[None], 1, 2)
     return float(_stack_kcca(ct @ a[None], ct @ b, _kcca_response(b, epsilon), epsilon)[0])
 
@@ -293,7 +295,9 @@ def _vector_dcov(pts: np.ndarray, dy: np.ndarray) -> tuple:
     if top == 0.0:
         return 0.0, 0.0
     centered = np.ldexp(centered, -math.frexp(top)[1])
-    dist = np.sqrt(_pairwise_sq_dists(centered))
+    _check_memory("a distance matrix", n, 8 * n * n)
+    dist = _pairwise_sq_dists(centered)
+    np.sqrt(dist, out=dist)  # one n x n array, not two
     return float(np.vdot(dist, dy)) / float(n * n), _distance_variance(
         centered, dist.sum(axis=1), n)
 

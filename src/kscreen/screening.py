@@ -18,7 +18,8 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
   (c) ridge epsilon from the GCV grid search over GCV_GRID, summed over a
       seeded subsample of GCV_SUBSAMPLE predictors, or all of them when p
       is no larger (KCCA only, when auto), whose stacks are built first and
-      read uncentered by tuning._gcv_terms, then by (d), so none is held;
+      handed uncentered to tuning._gcv_terms by the one generator that
+      builds every stack and then scores it by (d), so none is held;
   (d) one dependence score per predictor, each stack column-centered in
       place as (b) builds it, its cross products X = C^T L_Y with the
       response's centered factor formed once, and then dropped: HSIC from
@@ -27,10 +28,11 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       measures._stack_kcca call on its members' concatenated terms (one
       Cholesky solve per member against the response's whitening, itself
       one Cholesky per screen, _kcca_response), one pile at a time, once
-      epsilon is known: every pile after the GCV, then a pile once it
-      holds one build's width of members (so kernels._BUILD_BYTES sets
-      both), every pile before a build would take the members held past
-      GCV_SUBSAMPLE, and the leftover piles after the last build;
+      epsilon is known, at three points: a pile once it holds one build's
+      width of members (so kernels._BUILD_BYTES sets both), every pile
+      before a build would take the members held past GCV_SUBSAMPLE (the
+      GCV's piles, which hold min(p, GCV_SUBSAMPLE) members, are finished
+      there or at the end), and every pile left after the last build;
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -163,7 +165,7 @@ class ScreeningResult:
 
 def auto_threshold(epsilon: float, n: int, p: int) -> int:
     """Recommended model size m = ceil(1.5 * eps^(-3/2) * n^(1/4)), in [1, p]."""
-    _check_positive_epsilon(epsilon)
+    epsilon = _check_positive_epsilon(epsilon)
     _check_int("n", n, 1)
     _check_int("p", p, 1)
     try:
@@ -192,13 +194,11 @@ def rank_by_score(scores) -> np.ndarray:
 def _check_epsilon(epsilon) -> float | None:
     """None for "auto", else epsilon as a positive finite float; anything
     else raises ArgumentError."""
-    if isinstance(epsilon, str):
-        if epsilon == "auto":
-            return None
-    elif (isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
-          and np.isfinite(epsilon) and epsilon > 0.0):
-        return float(epsilon)
-    raise ArgumentError(f"epsilon must be 'auto' or a positive finite real, got {epsilon!r}")
+    if not isinstance(epsilon, str):
+        return _check_positive_epsilon(epsilon)
+    if epsilon != "auto":
+        raise ArgumentError(f"epsilon must be 'auto' or a positive finite real, got {epsilon!r}")
+    return None
 
 
 def _column_bandwidth(label: str, make, *args) -> Bandwidth:
@@ -311,80 +311,57 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
         bws = [_column_bandwidth(f"feature {r + 1}", _bandwidth_from_sum, total, n)
                for r, total in enumerate(_scalar_distance_sums(xv.T))]
 
-        def built(idx):
-            # (positions in idx, stack) pairs for the features idx, width
-            # per gram_block call, each stack holding one rank.  Once
-            # epsilon is known, the KCCA piles are finished before a build
-            # would take them past GCV_SUBSAMPLE members, as many as the
-            # GCV phase holds, and while no build buffer is alive.  No
-            # stack of a build is referenced once the next one starts.
+        def scored(idx):
+            # Builds idx, width features per gram_block call, and hands each
+            # stack (of one rank) and its positions in idx to the caller,
+            # then centers it in place and scores it, with one cross product
+            # for both methods; KCCA's terms join the pile of their rank.
+            # Once epsilon is known, a pile is finished at width members,
+            # and every pile before a build would pass GCV_SUBSAMPLE held.
             for start in range(0, len(idx), width):
                 block = idx[start:start + width]
-                held = sum(map(members, piles.values()))
+                held = sum(len(f) for pile in piles.values() for f, _, _ in pile)
                 if eps is not None and held + len(block) > GCV_SUBSAMPLE:
-                    finish()
+                    finish(*piles)
                 for pos, stack in gram_block(xv[:, block].T, [bws[r] for r in block]):
                     yield start + pos, stack
-                del stack
+                    stack -= stack.mean(axis=1, keepdims=True)
+                    ct = np.swapaxes(stack, 1, 2)
+                    cross = ct @ ly_c
+                    if hsic:
+                        scores[Method.HSIC][block[pos]] = _stack_hsic(cross, n)
+                    if kcca:
+                        rank = stack.shape[2]
+                        piles.setdefault(rank, []).append((block[pos], ct @ stack, cross))
+                        if eps is not None and sum(len(f) for f, _, _ in piles[rank]) >= width:
+                            finish(rank)
+                    del stack, ct, cross  # none may outlive its build
 
-        def score(features, stack):
-            # Centered in place; its cross product with the response is
-            # formed once for both kernel methods.  KCCA's Grams and cross
-            # products join the pile of their rank, which is finished once
-            # epsilon is known and it holds a build's width of members.
-            stack -= stack.mean(axis=1, keepdims=True)
-            ct = np.swapaxes(stack, 1, 2)
-            cross = ct @ ly_c
-            if hsic:
-                scores[Method.HSIC][features] = _stack_hsic(cross, n)
-            if kcca:
-                rank = stack.shape[2]
-                piles.setdefault(rank, []).append((features, ct @ stack, cross))
-                if eps is not None and members(piles[rank]) >= width:
-                    finish_pile(piles.pop(rank))
-
-        def members(pile):
-            return sum(len(features) for features, _, _ in pile)
-
-        def finish():
-            # One pile at a time, so that only one is ever held twice.
-            for rank in list(piles):
-                finish_pile(piles.pop(rank))
-
-        def finish_pile(pile):
-            # One _stack_kcca call on the pile's members, concatenated: a
+        def finish(*ranks):
+            # One pile at a time, so that only one is ever held twice, each
+            # by one _stack_kcca call on its members' concatenated terms: a
             # score is bitwise the same in any stack of its rank.
-            features, g, cross = pile[0] if len(pile) == 1 else map(np.concatenate, zip(*pile))
-            del pile
-            scores[Method.KCCA][features] = _stack_kcca(g, cross, whiten, eps)
+            for rank in ranks:
+                pile = piles.pop(rank)
+                features, g, cross = pile[0] if len(pile) == 1 else map(np.concatenate, zip(*pile))
+                del pile
+                scores[Method.KCCA][features] = _stack_kcca(g, cross, whiten, eps)
+                del g, cross  # before the next pile is concatenated
 
-        def tuned():
-            # Each stack is scored once the GCV has read it.
-            for pos, stack in built(tuning_idx):
-                yield pos, stack
-                score(tuning_idx[pos], stack)
-                del stack
-
-        # Each factor is built once, and each build's stacks are read in
-        # place, in order, and then dropped; piles[r] holds the KCCA terms
-        # of rank r not yet finished.
+        # piles[r] holds the KCCA terms of rank r not yet finished.  The
+        # GCV holds min(p, GCV_SUBSAMPLE) members, so its piles are finished
+        # by the cap before the next build, or at the end.
         rest, piles, width = np.arange(p), {}, _build_width(n)
         if kcca and eps is None:
-            if p > GCV_SUBSAMPLE:
-                rng = np.random.default_rng(seed)
-                tuning_idx = np.sort(rng.choice(p, size=GCV_SUBSAMPLE, replace=False))
-            else:
-                tuning_idx = rest
-            comps = _gcv_terms(ly, tuned(), len(tuning_idx))
-            eps = _grid_search(comps).epsilon
+            tuning_idx = rest if p <= GCV_SUBSAMPLE else np.sort(
+                np.random.default_rng(seed).choice(p, size=GCV_SUBSAMPLE, replace=False))
+            eps = _grid_search(_gcv_terms(ly, scored(tuning_idx), len(tuning_idx))).epsilon
             rest = np.delete(rest, tuning_idx)
         if kcca:
             whiten = _kcca_response(ly_c, eps)
-            finish()
-        for pos, stack in built(rest):
-            score(rest[pos], stack)
-            del stack
-        finish()
+        for _, stack in scored(rest):
+            del stack  # nothing reads it, and no build may run beside it
+        finish(*piles)
 
     results = {}
     for method in methods:

@@ -32,7 +32,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import ArgumentError, KScreenError, UnsupportedMethodError
-from .kernels import DataMatrix
+from .kernels import DataMatrix, _is_real
 from .measures import Method
 from .screening import (
     ScreeningResult, ThresholdRule, _check_epsilon, _check_int, _screen_methods,
@@ -65,8 +65,8 @@ class SimulationSpec:
         _check_int("n", self.n, 4)
         _check_int("reps", self.reps, 1)
         _check_int("seed", self.seed, 0)
-        if not -1.0 < self.ar_rho < 1.0:
-            raise ArgumentError(f"ar_rho must lie in (-1, 1), got {self.ar_rho}")
+        if not _is_real(self.ar_rho) or not -1.0 < self.ar_rho < 1.0:
+            raise ArgumentError(f"ar_rho must be a real in (-1, 1), got {self.ar_rho!r}")
         _check_int("p", self.p, 22 if self.suite == "sim1" else 4)
 
 
@@ -127,8 +127,8 @@ def ar_gaussian(n: int, p: int, rho: float, seed) -> DataMatrix:
     X_j = rho X_{j-1} + sqrt(1 - rho^2) Z_j, so no p x p factorization is
     ever formed.  Deterministic per seed.
     """
-    if not -1.0 < rho < 1.0:
-        raise ArgumentError(f"rho must lie in (-1, 1), got {rho}")
+    if not _is_real(rho) or not -1.0 < rho < 1.0:
+        raise ArgumentError(f"rho must be a real in (-1, 1), got {rho!r}")
     _check_int("n", n, 1)
     _check_int("p", p, 1)
     rng = np.random.default_rng(seed)

@@ -214,9 +214,9 @@ def gcv_value(epsilon: float, ly, lxs) -> float:
     NumericGuardWarning; well-conditioned inputs skip nothing.  A response
     factor whose every column is constant raises DegenerateDataError.
     """
-    _check_positive_epsilon(epsilon)
+    epsilon = _check_positive_epsilon(epsilon)
     comps = _factor_terms(ly, lxs)
-    value, skipped = _gcv_at(float(epsilon), *comps)
+    value, skipped = _gcv_at(epsilon, *comps)
     if skipped:
         warnings.warn(
             f"GCV at epsilon={epsilon:g}: skipped {skipped} of {len(comps[1])} "

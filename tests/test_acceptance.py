@@ -206,13 +206,15 @@ def test_c09_invariant_suites_pass_with_line_coverage(tmp_path):
     # collector while re-running the invariant suites (branch coverage is
     # not measurable here; see the repository notes).
     runner = os.path.join(os.path.dirname(__file__), "_coverage_runner.py")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = tmp_path / "coverage.json"
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, runner, str(out)],
         capture_output=True,
         text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
     )
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -285,11 +285,13 @@ class TestErrorMapping:
 class TestModuleEntryPoint:
     def test_python_dash_m_round_trip(self, csv_file, tmp_path):
         out = tmp_path / "res.json"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run(
             [sys.executable, "-m", "kscreen", "screen", "--input", csv_file,
              "--response", "y", "--method", "dc", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(out.read_text())

@@ -205,6 +205,26 @@ def test_clean_body_skips_the_row_path(tmp_path, monkeypatch):
     np.testing.assert_array_equal(y.values[:, 0], [1.0, -300.0])
 
 
+@pytest.mark.parametrize("response, message", [
+    (["nope"], "column 'nope' not found among the header's 2001 names"),
+    (["2002"], "position 2002 outside 1..2001"),
+    (["y", "1"], "duplicate response columns"),
+])
+def test_response_columns_are_resolved_before_the_body_is_read(
+        tmp_path, monkeypatch, response, message):
+    # A wide table's message names the column and the header's width, not
+    # each of its 2001 names, and no row of the body is parsed first.
+    def no_body(lines, width):
+        raise AssertionError("the body was read before the response columns were resolved")
+
+    monkeypatch.setattr(dataio, "_parse_body", no_body)
+    header = ",".join(["y"] + [f"x{j}" for j in range(1, 2001)])
+    path = write_csv(tmp_path, header + "\n" + ",".join(["1"] * 2001) + "\n")
+    with pytest.raises(ArgumentError, match=message) as caught:
+        ks.load_csv(path, response)
+    assert len(str(caught.value)) < 100
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path, monkeypatch, quoted):
     # A spreadsheet's "CSV UTF-8" export starts with a BOM.  A quoted cell

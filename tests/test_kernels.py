@@ -440,6 +440,24 @@ class TestValidationEdges:
         with pytest.raises(NumericError):
             ks.center_and_decompose(np.eye(3))
 
+    @pytest.mark.parametrize("call", [
+        lambda v: ks.kcca_singular_value(np.eye(6, 2), np.eye(6, 3), v),
+        lambda v: ks.gcv_value(v, np.eye(6, 3), [np.eye(6, 2)]),
+        lambda v: ks.auto_threshold(v, 100, 50),
+        lambda v: ks.screen(ks.DataMatrix(np.eye(6)), ks.DataMatrix(np.arange(6.0)[:, None]),
+                            epsilon=v),
+        lambda v: ks.SimulationSpec(suite="sim2", model_id=1, n=10, p=5, reps=1, seed=0,
+                                    ar_rho=v),
+        lambda v: ks.simulation.ar_gaussian(10, 5, v, 0),
+    ], ids=["kcca", "gcv", "auto_threshold", "screen", "spec_rho", "ar_gaussian_rho"])
+    def test_a_non_real_epsilon_or_rho_is_an_argument_error(self, call):
+        # A bool is not a real, nor is an array of one, and an integer past
+        # the float range is no epsilon.
+        call(np.float64(0.5))  # numpy reals stay accepted
+        for bad in (None, "0.5", True, False, np.bool_(True), 1j, np.array([0.5]), 10 ** 400):
+            with pytest.raises(ArgumentError):
+                call(bad)
+
 
 class TestDataMatrix:
     def test_shape_properties(self):

@@ -3,6 +3,7 @@ the explicit double sum, distance correlation against a loop-based
 implementation, and the Pearson baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kscreen as ks
-from kscreen import measures
+from kscreen import kernels, measures
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from kscreen.kernels import _rank_stacks
 from kscreen.measures import (
@@ -454,6 +455,38 @@ class TestDcorScore:
         a = ks.centered_distances(np.arange(5.0))
         with pytest.raises(TypeError):
             ks.dcor_score(a, a)
+
+    def test_vector_samples_hold_one_distance_matrix(self):
+        # The distances are square-rooted in place: about n^2 doubles at
+        # n = 1000, d = 2, against 2 n^2 while the roots were a second array.
+        n = 1000
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((n, 2))
+        side = _DistanceResponse(ks.centered_distances(rng.standard_normal(n)))
+        ks.dcor_score(pts, dy=side)  # any first-call allocations
+        tracemalloc.start()
+        try:
+            ks.dcor_score(pts, dy=side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
+    def test_vector_samples_beyond_physical_memory_are_rejected_before_allocating(
+            self, monkeypatch):
+        # One n x n distance matrix: 1280000 bytes at n = 400, 320000 at 200.
+        rng = np.random.default_rng(5)
+        sides = {n: _DistanceResponse(ks.centered_distances(rng.standard_normal(n)))
+                 for n in (200, 400)}
+        monkeypatch.setattr(kernels, "_physical_memory", lambda: 10**6)
+        assert 0.0 <= ks.dcor_score(rng.standard_normal((200, 2)), dy=sides[200]) <= 1.0
+
+        def no_distances(pts):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr(measures, "_pairwise_sq_dists", no_distances)
+        with pytest.raises(ArgumentError, match=r"n = 400 samples need about 1280000 bytes"):
+            ks.dcor_score(rng.standard_normal((400, 2)), dy=sides[400])
 
 
 class TestPearsonScore:
