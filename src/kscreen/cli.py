@@ -1,6 +1,11 @@
 """Command-line surface: `kscreen screen` ranks the features of a CSV file,
 `kscreen simulate` runs a benchmark suite and reports the S/P metrics.
 
+The argparse types only turn text into values; every value check is the
+library's, run before `screen` opens its input and before `simulate`
+starts a replication, and reported as `error[argument]: ...` (exit 2, as
+for argparse's usage errors).
+
 Exit codes map error families: 2 argument, 3 data, 4 numeric, 5 tuning.
 Outputs are deterministic for a fixed seed, and `simulate --threads` does
 not change them.  `simulate` pins BLAS to one thread per worker, so its
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 
@@ -22,30 +26,10 @@ from . import __version__
 from .dataio import json_dumps, load_csv, write_csv_rows
 from .errors import ArgumentError, KScreenError
 from .measures import Method
-from .screening import ThresholdRule, screen
+from .screening import ThresholdRule, _check_screen_args, screen
 from .simulation import MetricsReport, SimulationSpec, run_suite
 
 _ERROR_FAMILIES = {2: "argument", 3: "data", 4: "numeric", 5: "tuning"}
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
-
-
-def _threads(text: str) -> int:
-    if text == "auto":
-        return _usable_cpus()
-    return _positive_int(text)
 
 
 def _usable_cpus() -> int:
@@ -56,49 +40,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parse_epsilon(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--epsilon takes 'auto' or a positive real, got {text!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"--epsilon must be positive, got {text}")
-    return value
+def _auto_or(convert, auto=lambda: "auto"):
+    """An argparse type: 'auto' to auto(), any other text through convert."""
+    def parse(text: str):
+        return auto() if text == "auto" else convert(text)
+
+    parse.__name__ = f"'auto' or {convert.__name__}"  # argparse's name for it
+    return parse
 
 
-def _parse_top(text: str):
-    if text == "auto":
-        return ThresholdRule.auto()
-    try:
-        m = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--top takes 'auto' or a positive integer, got {text!r}")
-    if m < 1:
-        raise argparse.ArgumentTypeError(f"--top must be >= 1, got {text}")
-    return ThresholdRule.fixed(m)
+def _names(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _parse_methods(text: str) -> tuple:
-    names = [s.strip() for s in text.split(",") if s.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("--methods needs a comma-separated list")
-    try:
-        return tuple(Method(name) for name in names)
-    except ValueError:
-        valid = ", ".join(m.value for m in Method)
-        raise argparse.ArgumentTypeError(f"unknown method in {text!r}; valid: {valid}")
-
-
-def _parse_d_values(text: str) -> tuple:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("--d-values takes three comma-separated integers")
-    try:
-        return tuple(int(s) for s in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--d-values must be integers, got {text!r}")
+def _ints(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=_nonnegative_int, default=0,
+    common.add_argument("--seed", type=int, default=0,
                         help="non-negative RNG seed (default 0)")
 
     sc = sub.add_parser("screen", parents=[common], help="rank CSV features against a response")
@@ -120,24 +76,24 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--response", required=True, nargs="+",
                     help="response column names or 1-based positions")
     sc.add_argument("--method", choices=tuple(m.value for m in Method), default="kcca")
-    sc.add_argument("--epsilon", type=_parse_epsilon, default="auto",
+    sc.add_argument("--epsilon", type=_auto_or(float), default="auto",
                     help="'auto' (GCV grid search) or a positive real")
-    sc.add_argument("--top", type=_parse_top, default=None,
+    sc.add_argument("--top", type=_auto_or(int), default=None,
                     help="'auto' or a model size m (default: top 1%% of features)")
 
     sm = sub.add_parser("simulate", parents=[common], help="run a benchmark suite")
     sm.add_argument("--suite", choices=("sim1", "sim2"), required=True)
-    sm.add_argument("--model", type=_positive_int, required=True)
-    sm.add_argument("--n", type=_positive_int, default=200)
-    sm.add_argument("--p", type=_positive_int, default=2000)
-    sm.add_argument("--reps", type=_positive_int, default=500)
-    sm.add_argument("--methods", type=_parse_methods, default=(Method.KCCA,),
+    sm.add_argument("--model", type=int, required=True)
+    sm.add_argument("--n", type=int, default=200)
+    sm.add_argument("--p", type=int, default=2000)
+    sm.add_argument("--reps", type=int, default=500)
+    sm.add_argument("--methods", type=_names, default=("kcca",),
                     help="comma-separated subset of kcca,hsic,dc,sis")
     sm.add_argument("--ar-rho", type=float, default=0.8)
-    sm.add_argument("--d-values", type=_parse_d_values, default=None,
+    sm.add_argument("--d-values", type=_ints, default=None,
                     help="override d1,d2,d3 (default: suite-specific)")
-    sm.add_argument("--epsilon", type=_parse_epsilon, default="auto")
-    sm.add_argument("--threads", type=_threads, default=1,
+    sm.add_argument("--epsilon", type=_auto_or(float), default="auto")
+    sm.add_argument("--threads", type=_auto_or(int, _usable_cpus), default=1,
                     help="worker processes, or 'auto' for one per CPU this process "
                          "may run on (default 1)")
     return parser
@@ -188,15 +144,14 @@ def _screen_document(args, result, x, y) -> dict:
 
 
 def _run_screen(args: argparse.Namespace):
+    if args.top is None:
+        rule = None
+    else:
+        rule = ThresholdRule.auto() if args.top == "auto" else ThresholdRule.fixed(args.top)
+    # screen's own checks, run before the input file is opened.
+    _check_screen_args((args.method,), rule, args.epsilon, args.seed)
     x, y = load_csv(args.input, args.response)
-    result = screen(
-        x,
-        y,
-        method=args.method,
-        rule=args.top,
-        epsilon=args.epsilon,
-        seed=args.seed,
-    )
+    result = screen(x, y, method=args.method, rule=rule, epsilon=args.epsilon, seed=args.seed)
     doc = _screen_document(args, result, x, y)
     if args.format == "json":
         _write_output(args, json_dumps(doc))

@@ -18,6 +18,8 @@ import csv
 import functools
 import itertools
 import json
+import numbers
+import os
 
 import numpy as np
 
@@ -39,9 +41,11 @@ def _resolve_response_columns(header, response_columns):
                 )
             positions.append(header.index(item))
             continue
+        if isinstance(item, bool) or not isinstance(item, (str, numbers.Integral)):
+            raise ArgumentError(f"response column {item!r} is neither a name nor an integer")
         try:
             idx = int(item)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ArgumentError(
                 f"response column {item!r} not found among the header's {len(header)} names"
             ) from None
@@ -168,12 +172,15 @@ def load_csv(path, response_columns):
     -------
     (x, y) : pair of DataMatrix
     """
+    # open() would take an integer as a file descriptor.
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ArgumentError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
     try:
         # utf-8-sig drops a leading byte-order mark, as written by spreadsheet
         # "CSV UTF-8" exports, also when the row path reads from the start
         # again; a file without one decodes as plain UTF-8.
         fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
         header = _read_header(csv.reader(fh), path)

@@ -17,7 +17,7 @@ class ArgumentError(KScreenError):
 
 
 class UnsupportedMethodError(ArgumentError):
-    """The requested method cannot be applied to data of this shape."""
+    """The requested method is unknown or cannot be applied to data of this shape."""
 
 
 class DataError(KScreenError):

@@ -68,9 +68,7 @@ class Bandwidth:
     gamma: float
 
     def __post_init__(self):
-        g = self.gamma
-        if not np.isfinite(g) or g <= 0.0:
-            raise ArgumentError(f"bandwidth gamma must be positive and finite, got {g!r}")
+        _check_positive_epsilon(self.gamma, "bandwidth gamma")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,13 +212,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_positive_epsilon(epsilon) -> float:
-    """The ridge epsilon as a float; ArgumentError unless it is a real (not
-    a bool) that is positive and finite as a float."""
+def _check_positive_epsilon(epsilon, name: str = "epsilon") -> float:
+    """epsilon (the ridge, or the value called name) as a float; ArgumentError
+    unless it is a real (not a bool) that is positive and finite as a float."""
     finite = _is_real(epsilon) and abs(epsilon) <= sys.float_info.max
     if not (finite and float(epsilon) > 0.0):
-        raise ArgumentError(f"epsilon must be a positive finite real, got {epsilon!r}")
+        raise ArgumentError(f"{name} must be a positive finite real, got {epsilon!r}")
     return float(epsilon)
+
+
+def _check_type(name: str, value, cls):
+    """Raise ArgumentError, naming the argument and cls, unless value is a cls."""
+    if not isinstance(value, cls):
+        raise ArgumentError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
@@ -279,6 +283,7 @@ def gaussian_kernel(x, y, bw: Bandwidth) -> float:
     Returns a value in (0, 1]; equals 1 exactly iff x == y.  Scalars and
     same-length vectors are accepted.
     """
+    _check_type("bw", bw, Bandwidth)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     if xv.shape != yv.shape:
@@ -390,6 +395,7 @@ def gram(samples, bw: Bandwidth) -> np.ndarray:
     the stopping rule.  Returns an n x r array with 1 <= r <= n; K itself
     is never formed.
     """
+    _check_type("bw", bw, Bandwidth)
     ((_, stack),) = gram_block(_as_samples(samples)[None], [bw])
     return stack[0]
 

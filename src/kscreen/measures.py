@@ -48,12 +48,17 @@ _ROW_BLOCK = 64
 
 
 class Method(str, Enum):
-    """Screening method tags."""
+    """Screening method tags; Method(name) of any other name raises UnsupportedMethodError."""
 
     KCCA = "kcca"
     HSIC = "hsic"
     DC = "dc"
     SIS = "sis"
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(m.value for m in cls)
+        raise UnsupportedMethodError(f"unknown method {value!r}; valid: {valid}")
 
 
 def kcca_singular_value(lx, ly, epsilon: float) -> float:

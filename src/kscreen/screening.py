@@ -73,8 +73,8 @@ from .errors import (
 # bench/tracing.py rebinds them.
 from .kernels import (  # noqa: F401
     Bandwidth, DataMatrix, _bandwidth_from_sum, _build_width, _check_positive_epsilon,
-    _scalar_distance_sums, bandwidth, center, center_and_decompose, centered_distances, gram,
-    gram_block,
+    _check_type, _scalar_distance_sums, bandwidth, center, center_and_decompose,
+    centered_distances, gram, gram_block,
 )
 from .measures import (  # noqa: F401
     Method, _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, dcor_score,
@@ -91,7 +91,8 @@ GCV_SUBSAMPLE = 200
 def _check_int(name: str, value, minimum: int):
     """Raise ArgumentError unless value is an integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        expected = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ArgumentError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,23 @@ def rank_by_score(scores) -> np.ndarray:
     return order.astype(int) + 1
 
 
-def _check_epsilon(epsilon) -> float | None:
-    """None for "auto", else epsilon as a positive finite float; anything
-    else raises ArgumentError."""
-    if not isinstance(epsilon, str):
-        return _check_positive_epsilon(epsilon)
-    if epsilon != "auto":
-        raise ArgumentError(f"epsilon must be 'auto' or a positive finite real, got {epsilon!r}")
-    return None
+def _check_screen_args(methods, rule, epsilon, seed) -> tuple:
+    """screen's checks of the arguments that are not data: (methods as
+    Method members, None for an "auto" epsilon or else epsilon as a float).
+    UnsupportedMethodError for an unknown method, else ArgumentError."""
+    _check_int("seed", seed, 0)
+    auto = isinstance(epsilon, str) and epsilon == "auto"
+    fixed_eps = None if auto else _check_positive_epsilon(epsilon, "epsilon, if not 'auto',")
+    methods = tuple(Method(m) for m in methods)
+    if not methods:
+        raise ArgumentError("at least one method is required")
+    if len(set(methods)) != len(methods):
+        raise ArgumentError("duplicate methods in list")
+    if rule is not None:
+        _check_type("rule", rule, ThresholdRule)
+        if rule.kind == "auto" and any(m is not Method.KCCA for m in methods):
+            raise ArgumentError("auto threshold rule requires a KCCA epsilon")
+    return methods, fixed_eps
 
 
 def _column_bandwidth(label: str, make, *args) -> Bandwidth:
@@ -237,7 +247,8 @@ def screen(
     x, y : DataMatrix
         Predictors (n x p) and response (n x d) over the same n samples.
     method : Method or str
-        "kcca", "hsic", "dc", or "sis" (sis requires a univariate response).
+        "kcca", "hsic", "dc", or "sis" (sis requires a univariate response);
+        any other name raises UnsupportedMethodError.
     rule : ThresholdRule, optional
         Selection size; defaults to the top 1 percent of features.  The
         auto rule is valid for kcca only (its formula needs epsilon).
@@ -251,12 +262,15 @@ def screen(
         effect.  A seed that is not a non-negative integer raises
         ArgumentError before any work.
 
+    Every argument is checked before any work; an x, y or rule of the
+    wrong type raises ArgumentError naming it.
+
     Unlike run_suite, screen does not pin the BLAS thread count, and kcca
     and hsic scores can differ in the last bits across BLAS thread counts;
     the README's BLAS paragraph has the measured differences.
     """
-    method = Method(method)
-    return _screen_methods(x, y, (method,), rule, epsilon, seed)[method]
+    (result,) = _screen_methods(x, y, (method,), rule, epsilon, seed).values()
+    return result
 
 
 def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
@@ -266,8 +280,9 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
     shared by the kernel methods; each result is bitwise the one screen
     returns for its method alone.
     """
-    _check_int("seed", seed, 0)
-    fixed_eps = _check_epsilon(epsilon)
+    methods, fixed_eps = _check_screen_args(methods, rule, epsilon, seed)
+    _check_type("x", x, DataMatrix)
+    _check_type("y", y, DataMatrix)
     if x.n != y.n:
         raise ArgumentError(f"x and y sample counts differ: {x.n} vs {y.n}")
     n, p = x.n, x.p
@@ -279,8 +294,6 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
         raise DegenerateDataError("response is constant; screening is meaningless")
     if Method.SIS in methods and y.p != 1:
         raise UnsupportedMethodError("sis requires a univariate response")
-    if rule is not None and rule.kind == "auto" and any(m is not Method.KCCA for m in methods):
-        raise ArgumentError("auto threshold rule requires a KCCA epsilon")
 
     xv = x.values
     yv = y.values

@@ -32,16 +32,22 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import ArgumentError, KScreenError, UnsupportedMethodError
-from .kernels import DataMatrix, _is_real
+from .kernels import DataMatrix, _check_type, _is_real
 from .measures import Method
 from .screening import (
-    ScreeningResult, ThresholdRule, _check_epsilon, _check_int, _screen_methods,
+    ScreeningResult, ThresholdRule, _check_int, _check_screen_args, _screen_methods,
 )
 
 SIM1_CONSTANTS = (2.0, 0.5, 3.0, 2.0)
 SIM1_ACTIVE = (1, 2, 12, 22)
 
 _SUITE_MODELS = {"sim1": (1, 2, 3, 4), "sim2": (1, 2)}
+
+
+def _check_model(suite: str, model_id):
+    _check_int("model_id", model_id, 1)
+    if model_id not in _SUITE_MODELS[suite]:
+        raise ArgumentError(f"suite {suite} has no model {model_id}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +65,7 @@ class SimulationSpec:
     def __post_init__(self):
         if self.suite not in _SUITE_MODELS:
             raise ArgumentError(f"unknown suite {self.suite!r}")
-        _check_int("model_id", self.model_id, 1)
-        if self.model_id not in _SUITE_MODELS[self.suite]:
-            raise ArgumentError(f"suite {self.suite} has no model {self.model_id}")
+        _check_model(self.suite, self.model_id)
         _check_int("n", self.n, 4)
         _check_int("reps", self.reps, 1)
         _check_int("seed", self.seed, 0)
@@ -131,6 +135,7 @@ def ar_gaussian(n: int, p: int, rho: float, seed) -> DataMatrix:
         raise ArgumentError(f"rho must be a real in (-1, 1), got {rho!r}")
     _check_int("n", n, 1)
     _check_int("p", p, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, p))
     out = np.empty((n, p))
@@ -157,8 +162,9 @@ def gen_sim1(x: DataMatrix, model_id: int, seed) -> ModelInstance:
     ``seed``; model 4 has no coefficients, so its response depends only on
     x and the noise stream.
     """
-    if model_id not in (1, 2, 3, 4):
-        raise ArgumentError(f"sim1 has models 1..4, got {model_id}")
+    _check_type("x", x, DataMatrix)
+    _check_model("sim1", model_id)
+    _check_int("seed", seed, 0)
     if x.p < 22:
         raise ArgumentError(f"sim1 models use features 1, 2, 12, 22; need p >= 22, got {x.p}")
     beta_rng, noise_rng = _rng(seed, 1), _rng(seed, 2)
@@ -198,8 +204,9 @@ def gen_sim2(x: DataMatrix, model_id: int, seed) -> ModelInstance:
     b = (2-U1, ..., 2-U4, 0, ...), U_k i.i.d. Uniform[0,1].  Both maps
     stay inside [-1, 1]; an exact endpoint is nudged by 1e-12 toward 0.
     """
-    if model_id not in (1, 2):
-        raise ArgumentError(f"sim2 has models 1..2, got {model_id}")
+    _check_type("x", x, DataMatrix)
+    _check_model("sim2", model_id)
+    _check_int("seed", seed, 0)
     if x.p < 4:
         raise ArgumentError(f"sim2 models use the first 4 features; need p >= 4, got {x.p}")
     beta_rng, noise_rng = _rng(seed, 1), _rng(seed, 2)
@@ -230,12 +237,16 @@ def gen_sim2(x: DataMatrix, model_id: int, seed) -> ModelInstance:
 
 
 def min_model_size(result: ScreeningResult, active) -> int:
-    """Smallest ranking prefix covering all active features (metric S)."""
-    active = tuple(int(r) for r in active)
+    """Smallest ranking prefix covering all active features (metric S),
+    given as 1-based integer indices."""
+    _check_type("result", result, ScreeningResult)
+    active = tuple(active)
     p = result.ranking.shape[0]
     if not active:
         raise ArgumentError("active set must be nonempty")
-    if any(r < 1 or r > p for r in active):
+    for r in active:
+        _check_int("active index", r, 1)
+    if any(r > p for r in active):
         raise ArgumentError(f"active set {active} not within 1..{p}")
     positions = result.rank_positions()
     return int(max(positions[r - 1] for r in active))
@@ -243,6 +254,7 @@ def min_model_size(result: ScreeningResult, active) -> int:
 
 def default_d_values(spec: SimulationSpec) -> tuple:
     """(d1, 2*d1, 3*d1) with suite-specific d1."""
+    _check_type("spec", spec, SimulationSpec)
     if spec.suite == "sim1":
         d1 = math.floor(spec.n / math.log(spec.n))
     else:
@@ -285,16 +297,16 @@ def run_suite(
     every method on that identical data, and records its minimum model
     size.  Quantiles use linear interpolation between order statistics;
     P at d is exactly the count of replications with S <= d over reps.
+
+    Every argument is checked before the pool starts: an unknown method
+    name, or sis on sim2, raises UnsupportedMethodError, and any other bad
+    argument ArgumentError, as a spec that is not a SimulationSpec does.
     """
-    methods = tuple(Method(m) for m in methods)
-    if not methods:
-        raise ArgumentError("at least one method is required")
-    if len(set(methods)) != len(methods):
-        raise ArgumentError("duplicate methods in list")
+    _check_type("spec", spec, SimulationSpec)
+    methods, _ = _check_screen_args(methods, None, epsilon, spec.seed)
     if spec.suite == "sim2" and Method.SIS in methods:
         raise UnsupportedMethodError("sis cannot be applied to the bivariate sim2 response")
     _check_int("threads", threads, 1)
-    _check_epsilon(epsilon)
     d_values = tuple(d_values if d_values is not None else default_d_values(spec))
     if len(d_values) != 3:
         raise ArgumentError(f"expected three d values, got {d_values}")

@@ -49,7 +49,7 @@ class TestParsing:
         )
         assert args.command == "screen"
         assert args.response == ["y"]
-        assert args.top == ks.ThresholdRule.fixed(2)
+        assert args.top == 2
         assert args.seed == 4
 
     def test_simulate_config(self):
@@ -91,6 +91,7 @@ class TestParsing:
             ["screen", "--input", "x.csv", "--response", "y", "--gcv-subsample", "5"],
             ["simulate", "--suite", "sim1", "--model", "1", "--gcv-subsample", "5"],
             ["simulate", "--suite", "sim1", "--model", "1", "--seed", "-1"],
+            ["screen", "--input", "x.csv", "--response", "y", "--seed", "-1"],
         ],
     )
     def test_malformed_flags_are_usage_errors(self, argv):

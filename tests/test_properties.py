@@ -1,9 +1,9 @@
 """Property-based checks of the README's promises: scale-freeness, sample
-relabeling invariance, feature-permutation equivariance, and the [0, 1)
-score range; and of the per-feature representation behind them, the
-low-rank Gram factor, checked against the dense n x n oracles: the
-retained spectrum of its centered Gram, and the KCCA, HSIC and GCV values
-it feeds.
+relabeling invariance, feature-permutation equivariance, the [0, 1) score
+range, and a typed error for every malformed scalar argument; and of the
+per-feature representation behind them, the low-rank Gram factor, checked
+against the dense n x n oracles: the retained spectrum of its centered
+Gram, and the KCCA, HSIC and GCV values it feeds.
 
 Data come from hypothesis as integer arrays divided by 100, so every entry
 sits on a 0.01 grid in [-10, 10].  Distinct values are therefore at least
@@ -15,6 +15,7 @@ it is never an exact affine image of a feature.
 
 import contextlib
 import math
+import types
 import warnings
 
 import mpmath
@@ -941,3 +942,125 @@ def test_scalar_dcor_matches_the_brute_form_and_ignores_the_other_columns(
             assert alone[r] == 0.0
         else:
             assert alone[r] == pytest.approx(dcor_brute(x[:, r], y), abs=TOL["dc"])
+
+
+def _texts(*accepted):
+    return lambda v: isinstance(v, str) and v in accepted
+
+
+def _position_text(v):
+    # A response column text load_csv would take: a header name or an integer.
+    if not isinstance(v, str):
+        return False
+    try:
+        int(v)
+    except ValueError:
+        return v in ("a", "b", "y")
+    return True
+
+
+_NO_TEXT = _texts()
+_METHODS = _texts("kcca", "hsic", "dc", "sis")
+_AUTO = _texts("auto")
+
+
+def _spec_with(field):
+    valid = dict(suite="sim2", model_id=1, n=10, p=10, reps=1, seed=0)
+    return lambda a, v: ks.SimulationSpec(**{**valid, field: v})
+
+
+# Each scalar argument of a public entry point: (kind, accepted, call), where
+# call(valid, v) passes v in that argument's place and valid values elsewhere.
+# kind says which further numbers are malformed there: for "int" every
+# float, for "object" (a library type, a name or a path) every number;
+# negatives, NaN, infinities, bools, None and text are malformed everywhere
+# unless accepted(v).
+SCALAR_ARGUMENTS = {
+    "Bandwidth.gamma": ("real", _NO_TEXT, lambda a, v: ks.Bandwidth(v)),
+    "gaussian_kernel.bw": ("object", _NO_TEXT, lambda a, v: ks.gaussian_kernel(0.0, 1.0, v)),
+    "gram.bw": ("object", _NO_TEXT, lambda a, v: ks.gram(a.samples, v)),
+    "kcca_singular_value.epsilon": (
+        "real", _NO_TEXT, lambda a, v: ks.kcca_singular_value(a.factor, a.factor, v)),
+    "gcv_value.epsilon": ("real", _NO_TEXT, lambda a, v: ks.gcv_value(a.factor, [a.factor], v)),
+    "ThresholdRule.kind": ("object", _AUTO, lambda a, v: ks.ThresholdRule(v)),
+    "ThresholdRule.fixed.m": ("int", _NO_TEXT, lambda a, v: ks.ThresholdRule.fixed(v)),
+    "auto_threshold.epsilon": ("real", _NO_TEXT, lambda a, v: ks.auto_threshold(v, 10, 5)),
+    "auto_threshold.n": ("int", _NO_TEXT, lambda a, v: ks.auto_threshold(0.5, v, 5)),
+    "auto_threshold.p": ("int", _NO_TEXT, lambda a, v: ks.auto_threshold(0.5, 10, v)),
+    "screen.x": ("object", _NO_TEXT, lambda a, v: ks.screen(v, a.y)),
+    "screen.y": ("object", _NO_TEXT, lambda a, v: ks.screen(a.x, v)),
+    "screen.method": ("object", _METHODS, lambda a, v: ks.screen(a.x, a.y, method=v)),
+    "screen.rule": ("object", lambda v: v is None, lambda a, v: ks.screen(a.x, a.y, rule=v)),
+    "screen.epsilon": ("real", _AUTO, lambda a, v: ks.screen(a.x, a.y, epsilon=v)),
+    "screen.seed": ("int", _NO_TEXT, lambda a, v: ks.screen(a.x, a.y, seed=v)),
+    "SimulationSpec.suite": ("object", _texts("sim1", "sim2"), _spec_with("suite")),
+    **{f"SimulationSpec.{field}": ("int", _NO_TEXT, _spec_with(field))
+       for field in ("model_id", "n", "p", "reps", "seed")},
+    "SimulationSpec.ar_rho": ("real", _NO_TEXT, _spec_with("ar_rho")),
+    "ar_gaussian.n": ("int", _NO_TEXT, lambda a, v: ks.ar_gaussian(v, 5, 0.5, 0)),
+    "ar_gaussian.p": ("int", _NO_TEXT, lambda a, v: ks.ar_gaussian(10, v, 0.5, 0)),
+    "ar_gaussian.rho": ("real", _NO_TEXT, lambda a, v: ks.ar_gaussian(10, 5, v, 0)),
+    "ar_gaussian.seed": ("int", _NO_TEXT, lambda a, v: ks.ar_gaussian(10, 5, 0.5, v)),
+    "gen_sim1.x": ("object", _NO_TEXT, lambda a, v: ks.gen_sim1(v, 1, 0)),
+    "gen_sim1.model_id": ("int", _NO_TEXT, lambda a, v: ks.gen_sim1(a.x22, v, 0)),
+    "gen_sim1.seed": ("int", _NO_TEXT, lambda a, v: ks.gen_sim1(a.x22, 1, v)),
+    "gen_sim2.x": ("object", _NO_TEXT, lambda a, v: ks.gen_sim2(v, 1, 0)),
+    "gen_sim2.model_id": ("int", _NO_TEXT, lambda a, v: ks.gen_sim2(a.x22, v, 0)),
+    "gen_sim2.seed": ("int", _NO_TEXT, lambda a, v: ks.gen_sim2(a.x22, 1, v)),
+    "min_model_size.result": ("object", _NO_TEXT, lambda a, v: ks.min_model_size(v, [1])),
+    "min_model_size.active": ("int", _NO_TEXT, lambda a, v: ks.min_model_size(a.result, [v])),
+    "default_d_values.spec": ("object", _NO_TEXT, lambda a, v: ks.default_d_values(v)),
+    "run_suite.spec": ("object", _NO_TEXT, lambda a, v: ks.run_suite(v, ["dc"])),
+    "run_suite.methods": ("object", _METHODS, lambda a, v: ks.run_suite(a.spec, [v])),
+    "run_suite.d_values": ("int", _NO_TEXT, lambda a, v: ks.run_suite(a.spec, ["dc"], (v, 4, 6))),
+    "run_suite.threads": ("int", _NO_TEXT, lambda a, v: ks.run_suite(a.spec, ["dc"], threads=v)),
+    "run_suite.epsilon": ("real", _AUTO, lambda a, v: ks.run_suite(a.spec, ["dc"], epsilon=v)),
+    "load_csv.path": ("object", _NO_TEXT, lambda a, v: ks.load_csv(v, ["y"])),
+    "load_csv.response_columns": (
+        "int", _position_text, lambda a, v: ks.load_csv(a.csv_path, [v])),
+}
+
+
+def _malformed(kind, accepted):
+    values = [st.booleans(), st.sampled_from([np.True_, np.False_]), st.none(),
+              st.sampled_from([math.nan, math.inf, -math.inf]),
+              st.integers(max_value=-1), st.floats(max_value=-1.0), st.text()]
+    if kind == "int":
+        values.append(st.floats())  # a float, even 3.0, where an int is due
+    elif kind == "object":
+        values += [st.integers(), st.floats()]
+    return st.one_of(values).filter(lambda v: not accepted(v))
+
+
+@pytest.fixture(scope="module")
+def valid_arguments(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    x, y = ks.DataMatrix(rng.standard_normal((10, 5))), ks.DataMatrix(rng.standard_normal((10, 1)))
+    csv_path = tmp_path_factory.mktemp("csv") / "table.csv"
+    csv_path.write_text("a,b,y\n" + "".join(f"{i},{i * i % 7},{i % 3}\n" for i in range(8)))
+    return types.SimpleNamespace(
+        x=x, y=y, x22=ks.ar_gaussian(10, 22, 0.5, 0), samples=np.arange(5.0),
+        factor=ks.gram(rng.standard_normal(10), ks.Bandwidth(1.0)),
+        result=ks.screen(x, y, method="sis"), csv_path=csv_path,
+        spec=ks.SimulationSpec("sim2", 1, 10, 10, 1, 0),
+    )
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before every argument was checked")
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(name=st.sampled_from(sorted(SCALAR_ARGUMENTS)), draw=st.data())
+def test_a_malformed_scalar_argument_is_a_kscreen_error_before_any_work(
+        valid_arguments, name, draw):
+    # Never a bare ValueError, TypeError or AttributeError, and screen and
+    # run_suite raise before their first step.
+    kind, accepted, call = SCALAR_ARGUMENTS[name]
+    value = draw.draw(_malformed(kind, accepted), label="value")
+    with pytest.MonkeyPatch.context() as mp:
+        for target in ("gram", "centered_distances", "pearson_score", "_scalar_distance_sums"):
+            mp.setattr(screening, target, _no_work)
+        mp.setattr(ks.simulation, "ProcessPoolExecutor", _no_work)
+        with pytest.raises(ks.KScreenError):
+            call(valid_arguments, value)
