@@ -18,6 +18,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import numbers
 import os
 
@@ -242,6 +243,8 @@ def _emit(value, indent: int, out: list):
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ArgumentError(f"cannot serialize {value!r} to JSON: not a finite number")
         out.append(format_float(value))
     elif isinstance(value, str):
         out.append(json.dumps(value))
@@ -250,7 +253,8 @@ def _emit(value, indent: int, out: list):
 
 
 def json_dumps(doc) -> str:
-    """Deterministic JSON text: fixed key order, fixed whitespace, 17-digit floats."""
+    """Deterministic JSON text: fixed key order, fixed whitespace, 17-digit
+    floats.  A NaN or infinite float, which JSON cannot hold, is an ArgumentError."""
     out: list = []
     _emit(doc, 0, out)
     out.append("\n")

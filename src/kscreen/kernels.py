@@ -87,11 +87,9 @@ class DataMatrix:
     columns: tuple | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _as_array(self.values, "DataMatrix values")
         if arr.ndim != 2:
             raise ArgumentError(f"DataMatrix expects a 2-D array, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("DataMatrix entries must all be finite (no NaN/Inf/missing)")
         if self.columns is not None and len(self.columns) != arr.shape[1]:
             raise ArgumentError(
                 f"{len(self.columns)} column names for {arr.shape[1]} columns"
@@ -150,32 +148,46 @@ class CenteredGram:
         return self.d.shape[0]
 
 
-def _as_samples(samples) -> np.ndarray:
-    """Coerce a list of scalars or fixed-length vectors to an (n, d) array."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ArgumentError(f"samples must be scalars or same-length vectors, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise DataError("samples must be finite")
+def _as_array(value, name: str, finite: bool = True) -> np.ndarray:
+    """The array argument called name as a float array: ArgumentError,
+    naming it, for text, complex numbers, objects float() rejects and ragged
+    lists, then, if finite, DataError for a NaN or infinite entry."""
+    try:
+        arr = np.asarray(value)
+        arr = arr.astype(float, copy=False) if arr.dtype.kind in "biufO" else None
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None:
+        raise ArgumentError(f"{name} must be an array of real numbers, got {type(value).__name__}")
+    if finite and not np.isfinite(arr).all():
+        raise DataError(f"{name} must be finite, with no NaN or infinite entry")
     return arr
 
 
-def _as_factor(factor) -> np.ndarray:
+def _as_samples(samples, name: str = "samples") -> np.ndarray:
+    """Coerce a list of scalars or fixed-length vectors to an (n, d) array."""
+    arr = _as_array(samples, name)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ArgumentError(f"{name} must be scalars or same-length vectors, got ndim={arr.ndim}")
+    return arr
+
+
+def _as_factor(factor, name: str = "factor", n: int | None = None) -> np.ndarray:
     """Check an n x r kernel factor as gram returns it: a finite float array
-    with n >= 1 and r <= n.
+    with n >= 1 rows (n rows, if n is given) and r <= n.
 
     A factor with more columns than rows is rejected; it is most often a
     transposed one.
     """
-    arr = np.asarray(factor, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] > arr.shape[0]:
+    arr = _as_array(factor, name)
+    bad = arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] > arr.shape[0]
+    if bad or (n is not None and arr.shape[0] != n):
+        rows = "n >= 1" if n is None else f"n = {n}"
         raise ArgumentError(
-            f"a kernel factor must be n x r with n >= 1 and r <= n, got shape {arr.shape}"
+            f"{name} must be an n x r kernel factor with {rows} and r <= n, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise DataError("kernel factor entries must be finite")
     return arr
 
 
@@ -284,12 +296,10 @@ def gaussian_kernel(x, y, bw: Bandwidth) -> float:
     same-length vectors are accepted.
     """
     _check_type("bw", bw, Bandwidth)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    xv = np.atleast_1d(_as_array(x, "x"))
+    yv = np.atleast_1d(_as_array(y, "y"))
     if xv.shape != yv.shape:
         raise ArgumentError(f"kernel arguments differ in shape: {xv.shape} vs {yv.shape}")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
-        raise DataError("kernel arguments must be finite")
     diff = xv - yv
     return float(np.exp(-bw.gamma * np.dot(diff, diff)))
 
@@ -351,16 +361,21 @@ def _vector_distance_sum(pts: np.ndarray) -> float:
 
 def _scalar_distance_sums(rows: np.ndarray) -> list:
     """sum_{i<j} |x_i - x_j| of each row of a (p, n) array of scalar
-    samples, from one sort of all rows, by bandwidth's sorted form.
+    samples, by bandwidth's sorted form, sorting a block of rows at a time:
+    as many as fit n doubles each in _BUILD_BYTES (1310 at n = 200).
 
     The weighted gaps are laid out row by row (C order, whatever the
-    layout of rows), so one reduction along the rows sums each as a 1-D
-    array, and its sum is bitwise the one of that row alone.
+    layout of rows), so one reduction along a block's rows sums each as a
+    1-D array, and its sum is bitwise the one of that row alone.
     """
     n = rows.shape[1]
     k = np.arange(1, n)
-    weighted = np.multiply(np.diff(np.sort(rows, axis=1), axis=1), k * (n - k), order="C")
-    return weighted.sum(axis=1).tolist()
+    step = max(1, _BUILD_BYTES // (8 * n))
+    sums = []
+    for a in range(0, rows.shape[0], step):
+        gaps = np.diff(np.sort(rows[a:a + step], axis=1), axis=1)
+        sums += np.multiply(gaps, k * (n - k), order="C").sum(axis=1).tolist()
+    return sums
 
 
 def _bandwidth_from_sum(total: float, n: int) -> Bandwidth:
@@ -433,7 +448,7 @@ def gram_block(samples, bws) -> list:
     column at the gamma = 1 fallback, say), e is the largest that keeps it
     finite, and a product that then overflows has kernel value 0.
     """
-    pts = np.asarray(samples, dtype=float)
+    pts = _as_array(samples, "samples")
     if pts.ndim == 2:
         pts = pts[:, :, None]
     if pts.ndim != 3 or pts.shape[0] != len(bws):
@@ -441,8 +456,6 @@ def gram_block(samples, bws) -> list:
             f"gram_block needs (b, n) or (b, n, d) samples and b bandwidths, "
             f"got shape {pts.shape} and {len(bws)} bandwidths"
         )
-    if not np.all(np.isfinite(pts)):
-        raise DataError("samples must be finite")
     b, n, d = pts.shape
     if n < 1:
         raise ArgumentError("gram needs at least 1 sample")
@@ -548,14 +561,7 @@ def center_and_decompose(factor) -> CenteredGram:
     centered Gram Q L L^T Q has the eigenpairs (S^2, U).  Eigenvalues at or
     above DEFAULT_TOL_REL * max(lambda_max, 1) are kept, in descending
     order, with their eigenvectors; the rest span the numerical null space
-    and are dropped.  Costs O(n r^2).
-
-    Raises
-    ------
-    ArgumentError
-        If the factor is not n x r with n >= 1 and r <= n.
-    DataError
-        If it has a non-finite entry.
+    and are dropped.  Costs O(n r^2).  Raises as center does.
     """
     try:
         u, s, _ = np.linalg.svd(center(factor), full_matrices=False)

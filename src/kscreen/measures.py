@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
 from .kernels import (
-    _as_factor, _as_samples, _check_memory, _check_positive_epsilon, _pairwise_sq_dists,
+    _as_array, _as_factor, _as_samples, _check_memory, _check_positive_epsilon, _pairwise_sq_dists,
 )
 
 # Rows per block of the response's distance matrix in the scalar dc path;
@@ -69,11 +69,8 @@ def kcca_singular_value(lx, ly, epsilon: float) -> float:
     Raises ArgumentError unless both are n x r factors over the same n >= 1
     samples and eps is positive and finite; NumericError if LAPACK fails.
     """
-    a, b = _as_factor(lx), _as_factor(ly)
-    if b.shape[0] != a.shape[0]:
-        raise ArgumentError(
-            f"kcca needs factors over the same samples, got {a.shape} and {b.shape}"
-        )
+    a = _as_factor(lx, "lx")
+    b = _as_factor(ly, "ly", a.shape[0])
     epsilon = _check_positive_epsilon(epsilon)
     ct = np.swapaxes(a[None], 1, 2)
     return float(_stack_kcca(ct @ a[None], ct @ b, _kcca_response(b, epsilon), epsilon)[0])
@@ -136,11 +133,8 @@ def hsic_score(lx: np.ndarray, ly: np.ndarray) -> float:
     Raises ArgumentError unless both are n x r factors over the same n >= 1
     samples.
     """
-    a, b = _as_factor(lx), _as_factor(ly)
-    if b.shape[0] != a.shape[0]:
-        raise ArgumentError(
-            f"hsic needs factors over the same samples, got {a.shape} and {b.shape}"
-        )
+    a = _as_factor(lx, "lx")
+    b = _as_factor(ly, "ly", a.shape[0])
     return float(_stack_hsic(np.swapaxes(a[None], 1, 2) @ b, a.shape[0])[0])
 
 
@@ -239,19 +233,18 @@ def dcor_score(x_samples, *, dy) -> float:
 
     Returns 0 when either side has zero distance variance (a constant
     variable).  Raises ArgumentError unless x has n >= 1 samples and dy is
-    n x n.
+    n x n, and DataError if either holds a NaN or infinite entry.
     """
-    pts = _as_samples(x_samples)
+    pts = _as_samples(x_samples, "x_samples")
     n = pts.shape[0]
-    side = dy if isinstance(dy, _DistanceResponse) else None
-    shape = side.dy.shape if side is not None else np.shape(dy)
-    if n < 1 or shape != (n, n):
+    prepared = isinstance(dy, _DistanceResponse)
+    matrix = dy.dy if prepared else _as_array(dy, "dy")
+    if n < 1 or matrix.shape != (n, n):
         raise ArgumentError(
             "dcor needs n >= 1 samples and an n x n centered distance matrix, "
-            f"got {n} samples and shape {shape}"
+            f"got {n} samples and shape {matrix.shape}"
         )
-    if side is None:
-        side = _DistanceResponse(np.asarray(dy, dtype=float))
+    side = dy if prepared else _DistanceResponse(matrix)
     if side.dvar <= 0.0:
         return 0.0
     if pts.shape[1] == 1:
@@ -324,8 +317,8 @@ def pearson_score(x_samples, y_samples) -> float:
     rejected: Pearson ranking has no single-number extension to vector
     responses.
     """
-    xs = _as_samples(x_samples)
-    ys = _as_samples(y_samples)
+    xs = _as_samples(x_samples, "x_samples")
+    ys = _as_samples(y_samples, "y_samples")
     if xs.shape[1] != 1 or ys.shape[1] != 1:
         raise UnsupportedMethodError(
             "pearson correlation requires univariate samples on both sides"

@@ -72,7 +72,7 @@ from .errors import (
 # are not called here; they stay names of this module because
 # bench/tracing.py rebinds them.
 from .kernels import (  # noqa: F401
-    Bandwidth, DataMatrix, _bandwidth_from_sum, _build_width, _check_positive_epsilon,
+    Bandwidth, DataMatrix, _as_array, _bandwidth_from_sum, _build_width, _check_positive_epsilon,
     _check_type, _scalar_distance_sums, bandwidth, center, center_and_decompose,
     centered_distances, gram, gram_block,
 )
@@ -183,7 +183,7 @@ def rank_by_score(scores) -> np.ndarray:
     Ties are broken by ascending feature index.  NaN scores are a data
     error.
     """
-    s = np.asarray(scores, dtype=float)
+    s = _as_array(scores, "scores", finite=False)
     if s.ndim != 1 or s.size == 0:
         raise ArgumentError("scores must be a nonempty 1-D sequence")
     if np.isnan(s).any():

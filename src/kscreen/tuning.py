@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ArgumentError, DataError, DegenerateDataError, NumericError, NumericGuardWarning, TuningError,
+    ArgumentError, DegenerateDataError, NumericError, NumericGuardWarning, TuningError,
 )
 from .kernels import _as_factor, _check_positive_epsilon, _rank_stacks
 
@@ -95,25 +95,22 @@ class RidgeSelection:
 
 def _factor_terms(ly, lxs) -> tuple:
     """_gcv_terms of the response factor ly and the list of predictor
-    factors lxs, restacked by rank, once their shapes are checked.  The
-    predictor factors' entries are checked for finiteness once, a stack at
-    a time, where _gcv_terms reads them (DataError).
+    factors lxs, restacked by rank, once each is checked by
+    kernels._as_factor (ArgumentError, or DataError for a non-finite entry).
 
     A response factor whose every column is constant has a constant Gram,
     which centers to 0: its GCV value is then a small difference of
     ||B_Y||_F^2 and its projections with no relative accuracy, and it is
     rejected with DegenerateDataError, as screen rejects a constant
     response."""
-    ly = _as_factor(ly)
-    n = ly.shape[0]
+    ly = _as_factor(ly, "ly")
     if np.all(ly == ly[:1]):
         raise DegenerateDataError("response kernel factor is constant; its GCV is meaningless")
-    factors = [np.asarray(lx, dtype=float) for lx in lxs]
-    for i, lx in enumerate(factors):
-        if lx.ndim != 2 or lx.shape[0] != n or lx.shape[1] > n:
-            raise ArgumentError(
-                f"kernel factor {i} must be {n} x r with r <= {n}, got shape {lx.shape}"
-            )
+    try:
+        lxs = list(lxs)
+    except TypeError:
+        raise ArgumentError(f"lxs must be a list of factors, got {type(lxs).__name__}") from None
+    factors = [_as_factor(lx, f"kernel factor {i}", ly.shape[0]) for i, lx in enumerate(lxs)]
     if not factors:
         raise ArgumentError("at least one predictor kernel factor is required")
     return _gcv_terms(ly, _rank_stacks(factors, _BLOCK), len(factors))
@@ -124,14 +121,13 @@ def _gcv_terms(ly: np.ndarray, stacks, count: int) -> tuple:
     from (positions, stack) pairs of their uncentered factors, each read
     once as it comes: row m of a and c2 holds predictor m's a_i and
     ||c_i||^2, zero-padded to the widest basis, by_norm2 is ||B_Y||_F^2 and
-    spans[m] whether m's basis spans R^n.  LAPACK errors are NumericError."""
+    spans[m] whether m's basis spans R^n.  LAPACK errors are NumericError.
+    The stacks are not checked: their samples or factors already were."""
     n = ly.shape[0]
     rows = []
     try:
         by = np.column_stack([ly @ np.linalg.qr(ly, mode="r").T, np.ones(n)])
         for pos, stack in stacks:
-            if not np.all(np.isfinite(stack)):
-                raise DataError("kernel factor entries must be finite")
             rows.append((pos, *_block_spectrum(stack, by)))
             del stack  # before the next stack is built
     except np.linalg.LinAlgError as e:

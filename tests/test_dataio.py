@@ -282,6 +282,15 @@ class TestSerialization:
         with pytest.raises(ArgumentError, match="cannot serialize set"):
             json_dumps({"a": {1, 2}})
 
+    @pytest.mark.parametrize("doc", [
+        float("nan"), {"a": float("inf")}, {"a": [1.0, {"b": -float("inf")}]},
+        [np.float64("nan")], (2.5, np.float32("inf")),
+    ])
+    def test_json_rejects_nan_and_infinities(self, doc):
+        # JSON has no number for them; json.loads rejects bare nan and inf.
+        with pytest.raises(ArgumentError, match="not a finite number"):
+            json_dumps(doc)
+
     def test_csv_rows_use_same_float_format(self, tmp_path):
         import io
 

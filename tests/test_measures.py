@@ -364,6 +364,15 @@ class TestDcorScore:
         with pytest.raises(ArgumentError):
             ks.dcor_score(np.zeros(0), dy=np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_plain_response_is_a_data_error(self, bad):
+        # A plain dy is prepared on every call; a NaN in it gave a NaN score.
+        x = np.arange(5.0)
+        dy = ks.centered_distances(x ** 2)
+        dy[1, 3] = dy[3, 1] = bad
+        with pytest.raises(DataError, match="^dy must be finite"):
+            ks.dcor_score(x, dy=dy)
+
     @pytest.mark.parametrize("bivariate", [False, True])
     def test_power_of_two_scaling_is_bitwise_invisible(self, bivariate):
         # 2^-531 ~ 1.4e-160 and 2^498 ~ 8.2e149: the squares of such

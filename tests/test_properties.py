@@ -764,9 +764,9 @@ def test_pearson_of_a_constant_side_is_exactly_zero(value, n, seed):
     draw=st.data(),
 )
 def test_each_distance_sum_is_bitwise_its_row_summed_alone(n, p, levels, layout, draw):
-    # _scalar_distance_sums sums all rows in one reduction; each sum is
-    # bitwise the 1-D sum of that row's weighted gaps, so gamma is the one
-    # bandwidth gives the column alone.  screen passes the table's
+    # _scalar_distance_sums sums each block of rows in one reduction; each
+    # sum is bitwise the 1-D sum of that row's weighted gaps, so gamma is
+    # the one bandwidth gives the column alone.  screen passes the table's
     # transpose, an F-ordered array.
     grid = draw.draw(hnp.arrays(np.int64, (p, n), elements=st.integers(-levels, levels)))
     rows = np.asarray(grid / 100.0, order=layout)
@@ -777,6 +777,27 @@ def test_each_distance_sum_is_bitwise_its_row_summed_alone(n, p, levels, layout,
         assert got[i] == float(alone.sum()) == _scalar_distance_sums(rows[i:i + 1])[0]
         if got[i] > 0.0:
             assert ks.bandwidth(row) == _bandwidth_from_sum(got[i], n)
+
+
+@SETTINGS
+@given(table=tables(min_p=2), budget=st.integers(1, 8 * 14 * 5))
+def test_screen_scores_are_bitwise_the_same_at_any_block_width(table, budget):
+    # kernels._BUILD_BYTES sets the rows the bandwidth pass sorts at a time,
+    # max(1, budget // 8n), 1 to all p here, and the features per factor
+    # build; neither moves a bit of a score or of epsilon.
+    x, y = table
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ks.DegenerateDataWarning)
+            results = screening._screen_methods(
+                ks.DataMatrix(x), ks.DataMatrix(y), ("kcca", "hsic"), None, "auto", 0)
+        return [(r.scores.tobytes(), r.epsilon) for r in results.values()]
+
+    want = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("kscreen.kernels._BUILD_BYTES", budget)
+        assert run() == want
 
 
 @SETTINGS
@@ -1064,3 +1085,80 @@ def test_a_malformed_scalar_argument_is_a_kscreen_error_before_any_work(
         mp.setattr(ks.simulation, "ProcessPoolExecutor", _no_work)
         with pytest.raises(ks.KScreenError):
             call(valid_arguments, value)
+
+
+# Each array argument of a public entry point, by the call that passes v in
+# its place and valid values elsewhere.  lxs is the predictor factor list
+# of the GCV functions, and lxs[0] a factor in it.
+ARRAY_ARGUMENTS = {
+    "DataMatrix.values": lambda a, v: ks.DataMatrix(v),
+    "bandwidth.samples": lambda a, v: ks.bandwidth(v),
+    "gram.samples": lambda a, v: ks.gram(v, ks.Bandwidth(1.0)),
+    "center.factor": lambda a, v: ks.center(v),
+    "centered_distances.samples": lambda a, v: ks.centered_distances(v),
+    "center_and_decompose.factor": lambda a, v: ks.center_and_decompose(v),
+    "gaussian_kernel.x": lambda a, v: ks.gaussian_kernel(v, 0.0, ks.Bandwidth(1.0)),
+    "gaussian_kernel.y": lambda a, v: ks.gaussian_kernel(0.0, v, ks.Bandwidth(1.0)),
+    "kcca_singular_value.lx": lambda a, v: ks.kcca_singular_value(v, a.factor, 0.1),
+    "kcca_singular_value.ly": lambda a, v: ks.kcca_singular_value(a.factor, v, 0.1),
+    "hsic_score.lx": lambda a, v: ks.hsic_score(v, a.factor),
+    "hsic_score.ly": lambda a, v: ks.hsic_score(a.factor, v),
+    "dcor_score.x_samples": lambda a, v: ks.dcor_score(v, dy=a.dy),
+    "dcor_score.dy": lambda a, v: ks.dcor_score(a.samples, dy=v),
+    "pearson_score.x_samples": lambda a, v: ks.pearson_score(v, a.samples),
+    "pearson_score.y_samples": lambda a, v: ks.pearson_score(a.samples, v),
+    "gcv_value.ly": lambda a, v: ks.gcv_value(0.1, v, [a.factor]),
+    "gcv_value.lxs": lambda a, v: ks.gcv_value(0.1, a.factor, v),
+    "gcv_value.lxs[0]": lambda a, v: ks.gcv_value(0.1, a.factor, [v]),
+    "select_epsilon.ly": lambda a, v: ks.select_epsilon(v, [a.factor]),
+    "select_epsilon.lxs": lambda a, v: ks.select_epsilon(a.factor, v),
+    "select_epsilon.lxs[0]": lambda a, v: ks.select_epsilon(a.factor, [v]),
+    "rank_by_score.scores": lambda a, v: ks.rank_by_score(v),
+}
+
+_REALS = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _non_finite_arrays(draw, bad):
+    # An array, or its nested lists, of 1 or 2 dimensions with one bad entry.
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
+    arr = draw(hnp.arrays(np.float64, shape, elements=_REALS))
+    arr.flat[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from(bad))
+    return arr.tolist() if draw(st.booleans()) else arr
+
+
+def _malformed_arrays(bad):
+    return st.one_of(
+        st.text(),
+        st.lists(st.one_of(_REALS, st.text()), min_size=1, max_size=5).filter(
+            lambda v: any(isinstance(e, str) for e in v)),
+        st.lists(st.lists(_REALS, min_size=1, max_size=3), min_size=2, max_size=4).filter(
+            lambda rows: len({len(row) for row in rows}) > 1),
+        st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False).filter(
+            lambda z: z.imag != 0.0), min_size=1, max_size=4),
+        st.sampled_from([object(), None, {}, {1.0: 2.0}, {1.0, 2.0}, slice(1)]),
+        _non_finite_arrays(bad),
+    )
+
+
+@pytest.fixture(scope="module")
+def valid_arrays():
+    rng = np.random.default_rng(0)
+    samples = rng.standard_normal(5)
+    return types.SimpleNamespace(
+        samples=samples, dy=ks.centered_distances(samples ** 2),
+        factor=ks.gram(rng.standard_normal(10), ks.Bandwidth(1.0)),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(name=st.sampled_from(sorted(ARRAY_ARGUMENTS)), draw=st.data())
+def test_a_malformed_array_argument_is_an_argument_or_data_error(valid_arrays, name, draw):
+    # Text, objects, ragged lists, complex numbers and NaN or infinite
+    # entries: never numpy's bare ValueError or TypeError, and never a
+    # score.  An infinite score ranks, so only NaN is malformed there.
+    bad = [math.nan] if name == "rank_by_score.scores" else [math.nan, math.inf, -math.inf]
+    value = draw.draw(_malformed_arrays(bad), label="value")
+    with pytest.raises((ks.ArgumentError, ks.DataError)):
+        ARRAY_ARGUMENTS[name](valid_arrays, value)

@@ -77,6 +77,12 @@ class TestRankByScore:
         with pytest.raises(ArgumentError):
             ks.rank_by_score([])
 
+    def test_text_is_an_argument_error_and_infinities_rank(self):
+        # Only NaN is a data error; an infinite score ranks at an end.
+        with pytest.raises(ArgumentError, match="^scores must be an array of real numbers"):
+            ks.rank_by_score(["x"])
+        np.testing.assert_array_equal(ks.rank_by_score([0.5, np.inf, -np.inf]), [2, 1, 3])
+
 
 class TestThresholdRule:
     def test_fixed_requires_positive_m(self):

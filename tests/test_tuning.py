@@ -302,11 +302,19 @@ class TestSelectEpsilon:
         with pytest.raises(ArgumentError):
             ks.gcv_value(0.1, np.eye(3), [])
 
+    @pytest.mark.parametrize("lxs", [None, 3.0, object()])
+    def test_predictor_factors_must_be_iterable(self, lxs):
+        ky, _ = toy_kernels(seed=3, n=8, p=2)
+        with pytest.raises(ArgumentError, match="^lxs must be a list of factors"):
+            ks.gcv_value(0.1, ky, lxs)
+        with pytest.raises(ArgumentError, match="^lxs must be a list of factors"):
+            ks.select_epsilon(ky, lxs)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("member", [0, 17])
     def test_non_finite_predictor_factor_is_a_data_error(self, bad, member):
-        # Predictor factors are checked for finiteness only where they are
-        # stacked, 16 at a time; member 17 sits in the second stack.
+        # Each predictor factor is checked with its shape, before any is
+        # stacked; member 17 would sit in the second stack of 16.
         ky, kxs = toy_kernels(seed=3, n=8, p=20)
         kxs = [kx.copy() for kx in kxs]
         kxs[member][2, 0] = bad
