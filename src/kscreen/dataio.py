@@ -25,7 +25,7 @@ import os
 import numpy as np
 
 from .errors import ArgumentError, DataError
-from .kernels import DataMatrix
+from .kernels import DataMatrix, _as_sequence
 
 
 def _resolve_response_columns(header, response_columns):
@@ -176,6 +176,7 @@ def load_csv(path, response_columns):
     # open() would take an integer as a file descriptor.
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise ArgumentError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
+    response_columns = _as_sequence(response_columns, "response_columns", "names or positions")
     try:
         # utf-8-sig drops a leading byte-order mark, as written by spreadsheet
         # "CSV UTF-8" exports, also when the row path reads from the start

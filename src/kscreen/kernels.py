@@ -90,15 +90,14 @@ class DataMatrix:
         arr = _as_array(self.values, "DataMatrix values")
         if arr.ndim != 2:
             raise ArgumentError(f"DataMatrix expects a 2-D array, got ndim={arr.ndim}")
-        if self.columns is not None and len(self.columns) != arr.shape[1]:
-            raise ArgumentError(
-                f"{len(self.columns)} column names for {arr.shape[1]} columns"
-            )
+        if self.columns is not None:
+            columns = _as_sequence(self.columns, "columns", "names")
+            if len(columns) != arr.shape[1]:
+                raise ArgumentError(f"{len(columns)} column names for {arr.shape[1]} columns")
+            object.__setattr__(self, "columns", tuple(str(c) for c in columns))
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.columns is not None:
-            object.__setattr__(self, "columns", tuple(str(c) for c in self.columns))
 
     @property
     def n(self) -> int:
@@ -150,10 +149,14 @@ class CenteredGram:
 
 def _as_array(value, name: str, finite: bool = True) -> np.ndarray:
     """The array argument called name as a float array: ArgumentError,
-    naming it, for text, complex numbers, objects float() rejects and ragged
-    lists, then, if finite, DataError for a NaN or infinite entry."""
+    naming it, for None or a None entry (which numpy would read as NaN),
+    text, complex numbers, objects float() rejects and ragged lists, then,
+    if finite, DataError for a NaN or infinite entry."""
     try:
         arr = np.asarray(value)
+        if arr.dtype.kind == "O" and any(v is None for v in arr.flat):
+            missing = "is None" if value is None else "has a None entry"
+            raise ArgumentError(f"{name} {missing}; an array of real numbers is due")
         arr = arr.astype(float, copy=False) if arr.dtype.kind in "biufO" else None
     except (TypeError, ValueError, OverflowError):
         arr = None
@@ -162,6 +165,18 @@ def _as_array(value, name: str, finite: bool = True) -> np.ndarray:
     if finite and not np.isfinite(arr).all():
         raise DataError(f"{name} must be finite, with no NaN or infinite entry")
     return arr
+
+
+def _as_sequence(value, name: str, items: str) -> tuple:
+    """The sequence argument called name as a tuple: ArgumentError, naming
+    it and what its items are, for text (which would split into its
+    characters) or a value that is not iterable."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{name} must be a list of {items}, got {type(value).__name__}")
 
 
 def _as_samples(samples, name: str = "samples") -> np.ndarray:
@@ -213,9 +228,9 @@ def _rank_stacks(factors, cap: int):
 
 
 def _build_width(n: int) -> int:
-    """Features per gram_block call in screen for n samples: as many as
-    fit their initial L^T buffer in _BUILD_BYTES (40 at n = 200, 16 at
-    n = 500, 8 at n = 1000, 4 at n = 2000), and at least 1."""
+    """Features per gram_block call in screen and per GCV stack of a
+    factor list, for n samples: as many as fit their initial L^T buffer in
+    _BUILD_BYTES (40 at n = 200, 4 at n = 2000), and at least 1."""
     return max(1, _BUILD_BYTES // (8 * min(n, _FIRST_RANKS) * n))
 
 

@@ -28,11 +28,9 @@ Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
       measures._stack_kcca call on its members' concatenated terms (one
       Cholesky solve per member against the response's whitening, itself
       one Cholesky per screen, _kcca_response), one pile at a time, once
-      epsilon is known, at three points: a pile once it holds one build's
-      width of members (so kernels._BUILD_BYTES sets both), every pile
-      before a build would take the members held past GCV_SUBSAMPLE (the
-      GCV's piles, which hold min(p, GCV_SUBSAMPLE) members, are finished
-      there or at the end), and every pile left after the last build;
+      epsilon is known, at two points: before a build would take the
+      members held past GCV_SUBSAMPLE (so the GCV's min(p, GCV_SUBSAMPLE)
+      go before the first build after it), and after the last build;
   (e) descending rank with ties broken by ascending feature index, and
       selection of the top m features.
 
@@ -72,9 +70,9 @@ from .errors import (
 # are not called here; they stay names of this module because
 # bench/tracing.py rebinds them.
 from .kernels import (  # noqa: F401
-    Bandwidth, DataMatrix, _as_array, _bandwidth_from_sum, _build_width, _check_positive_epsilon,
-    _check_type, _scalar_distance_sums, bandwidth, center, center_and_decompose,
-    centered_distances, gram, gram_block,
+    Bandwidth, DataMatrix, _as_array, _as_sequence, _bandwidth_from_sum, _build_width,
+    _check_positive_epsilon, _check_type, _scalar_distance_sums, bandwidth, center,
+    center_and_decompose, centered_distances, gram, gram_block,
 )
 from .measures import (  # noqa: F401
     Method, _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, dcor_score,
@@ -199,7 +197,7 @@ def _check_screen_args(methods, rule, epsilon, seed) -> tuple:
     _check_int("seed", seed, 0)
     auto = isinstance(epsilon, str) and epsilon == "auto"
     fixed_eps = None if auto else _check_positive_epsilon(epsilon, "epsilon, if not 'auto',")
-    methods = tuple(Method(m) for m in methods)
+    methods = tuple(Method(m) for m in _as_sequence(methods, "methods", "method names"))
     if not methods:
         raise ArgumentError("at least one method is required")
     if len(set(methods)) != len(methods):
@@ -329,13 +327,13 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
             # stack (of one rank) and its positions in idx to the caller,
             # then centers it in place and scores it, with one cross product
             # for both methods; KCCA's terms join the pile of their rank.
-            # Once epsilon is known, a pile is finished at width members,
-            # and every pile before a build would pass GCV_SUBSAMPLE held.
+            # Once epsilon is known, every pile is finished before a build
+            # would take the members held past GCV_SUBSAMPLE.
             for start in range(0, len(idx), width):
                 block = idx[start:start + width]
                 held = sum(len(f) for pile in piles.values() for f, _, _ in pile)
                 if eps is not None and held + len(block) > GCV_SUBSAMPLE:
-                    finish(*piles)
+                    finish()
                 for pos, stack in gram_block(xv[:, block].T, [bws[r] for r in block]):
                     yield start + pos, stack
                     stack -= stack.mean(axis=1, keepdims=True)
@@ -344,26 +342,23 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
                     if hsic:
                         scores[Method.HSIC][block[pos]] = _stack_hsic(cross, n)
                     if kcca:
-                        rank = stack.shape[2]
-                        piles.setdefault(rank, []).append((block[pos], ct @ stack, cross))
-                        if eps is not None and sum(len(f) for f, _, _ in piles[rank]) >= width:
-                            finish(rank)
+                        piles.setdefault(stack.shape[2], []).append((block[pos], ct @ stack, cross))
                     del stack, ct, cross  # none may outlive its build
 
-        def finish(*ranks):
-            # One pile at a time, so that only one is ever held twice, each
-            # by one _stack_kcca call on its members' concatenated terms: a
-            # score is bitwise the same in any stack of its rank.
-            for rank in ranks:
-                pile = piles.pop(rank)
+        def finish():
+            # Every pile, one at a time, so that only one is ever held twice,
+            # each by one _stack_kcca call on its members' concatenated
+            # terms: a score is bitwise the same in any stack of its rank.
+            while piles:
+                _, pile = piles.popitem()
                 features, g, cross = pile[0] if len(pile) == 1 else map(np.concatenate, zip(*pile))
                 del pile
                 scores[Method.KCCA][features] = _stack_kcca(g, cross, whiten, eps)
                 del g, cross  # before the next pile is concatenated
 
-        # piles[r] holds the KCCA terms of rank r not yet finished.  The
-        # GCV holds min(p, GCV_SUBSAMPLE) members, so its piles are finished
-        # by the cap before the next build, or at the end.
+        # piles[r] holds the KCCA terms of rank r not yet finished: at most
+        # GCV_SUBSAMPLE members in all (or one build's, if wider) once
+        # epsilon is known, and as many as the GCV holds before that.
         rest, piles, width = np.arange(p), {}, _build_width(n)
         if kcca and eps is None:
             tuning_idx = rest if p <= GCV_SUBSAMPLE else np.sort(
@@ -374,7 +369,7 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
             whiten = _kcca_response(ly_c, eps)
         for _, stack in scored(rest):
             del stack  # nothing reads it, and no build may run beside it
-        finish(*piles)
+        finish()
 
     results = {}
     for method in methods:

@@ -32,7 +32,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import ArgumentError, KScreenError, UnsupportedMethodError
-from .kernels import DataMatrix, _check_type, _is_real
+from .kernels import DataMatrix, _as_sequence, _check_type, _is_real
 from .measures import Method
 from .screening import (
     ScreeningResult, ThresholdRule, _check_int, _check_screen_args, _screen_methods,
@@ -240,7 +240,7 @@ def min_model_size(result: ScreeningResult, active) -> int:
     """Smallest ranking prefix covering all active features (metric S),
     given as 1-based integer indices."""
     _check_type("result", result, ScreeningResult)
-    active = tuple(active)
+    active = _as_sequence(active, "active", "feature indices")
     p = result.ranking.shape[0]
     if not active:
         raise ArgumentError("active set must be nonempty")
@@ -307,7 +307,8 @@ def run_suite(
     if spec.suite == "sim2" and Method.SIS in methods:
         raise UnsupportedMethodError("sis cannot be applied to the bivariate sim2 response")
     _check_int("threads", threads, 1)
-    d_values = tuple(d_values if d_values is not None else default_d_values(spec))
+    d_values = default_d_values(spec) if d_values is None else _as_sequence(
+        d_values, "d_values", "integers")
     if len(d_values) != 3:
         raise ArgumentError(f"expected three d values, got {d_values}")
     for d in d_values:

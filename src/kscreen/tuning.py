@@ -25,12 +25,13 @@ numerator and nothing to the denominator.
 No n-sized decomposition is taken.  _gcv_terms reads the factors a
 (b, n, r) stack of one rank at a time: screen's as kernels.gram_block
 builds them, select_epsilon's and gcv_value's as kernels._rank_stacks of
-at most _BLOCK, in the same layout, so a predictor's terms are bitwise the
-same either way.  Each stack takes one batched QR of its factors and one
-batched eigh of its (r+1) x (r+1) basis Grams B^T B = [[(R R^T)^2, t],
-[t^T, n]], t = R L^T 1.  An eigenvalue of that squared Gram is accurate
-only to ~1e-16 a_max, so a_i is taken as the Rayleigh quotient ||B w_i||^2
-of one batched n-space product B W, which keeps a small a_i accurate, and
+at most kernels._build_width(n), the width screen builds, in the same
+layout, so a predictor's terms are bitwise the same either way.  Each
+stack takes one batched QR of its factors and one batched eigh of its
+(r+1) x (r+1) basis Grams B^T B = [[(R R^T)^2, t], [t^T, n]], t = R L^T 1.
+An eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so
+a_i is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
+product B W over the whole stack, which keeps a small a_i accurate, and
 c_i = B_Y^T (B W) comes from the same product.  A direction is numerically
 null when its ||B w_i||^2 is under its rounding floor, or when n other
 directions, each clearly above the resolution of eigh, already span R^n.
@@ -61,16 +62,12 @@ import numpy as np
 from .errors import (
     ArgumentError, DegenerateDataError, NumericError, NumericGuardWarning, TuningError,
 )
-from .kernels import _as_factor, _check_positive_epsilon, _rank_stacks
+from .kernels import _as_factor, _as_sequence, _build_width, _check_positive_epsilon, _rank_stacks
 
 # The prescribed 9-point search grid 1e-5 ... 1e3, ascending.
 GCV_GRID = tuple(10.0 ** k for k in range(-5, 4))
 
 _DENOM_GUARD = 1e-12
-
-# Predictors per stack of one rank.  A predictor's a_i and ||c_i||^2 are
-# bitwise the same in any stack of its rank, so this bounds memory only.
-_BLOCK = 16
 
 _ROUNDOFF = np.finfo(float).eps
 
@@ -94,8 +91,8 @@ class RidgeSelection:
 
 
 def _factor_terms(ly, lxs) -> tuple:
-    """_gcv_terms of the response factor ly and the list of predictor
-    factors lxs, restacked by rank, once each is checked by
+    """_gcv_terms of the response factor ly and the factor list lxs,
+    restacked by rank as wide as screen builds, once each is checked by
     kernels._as_factor (ArgumentError, or DataError for a non-finite entry).
 
     A response factor whose every column is constant has a constant Gram,
@@ -106,14 +103,11 @@ def _factor_terms(ly, lxs) -> tuple:
     ly = _as_factor(ly, "ly")
     if np.all(ly == ly[:1]):
         raise DegenerateDataError("response kernel factor is constant; its GCV is meaningless")
-    try:
-        lxs = list(lxs)
-    except TypeError:
-        raise ArgumentError(f"lxs must be a list of factors, got {type(lxs).__name__}") from None
-    factors = [_as_factor(lx, f"kernel factor {i}", ly.shape[0]) for i, lx in enumerate(lxs)]
+    factors = [_as_factor(lx, f"kernel factor {i}", ly.shape[0])
+               for i, lx in enumerate(_as_sequence(lxs, "lxs", "factors"))]
     if not factors:
         raise ArgumentError("at least one predictor kernel factor is required")
-    return _gcv_terms(ly, _rank_stacks(factors, _BLOCK), len(factors))
+    return _gcv_terms(ly, _rank_stacks(factors, _build_width(ly.shape[0])), len(factors))
 
 
 def _gcv_terms(ly: np.ndarray, stacks, count: int) -> tuple:
@@ -143,8 +137,7 @@ def _gcv_terms(ly: np.ndarray, stacks, count: int) -> tuple:
 def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     """a_i and ||c_i||^2 of each factor of a (b, n, r) stack, as (b, r + 1)
     arrays, and whether each one's basis spans R^n."""
-    n = by.shape[0]
-    b, _, r = stack.shape
+    b, n, r = stack.shape
     # R^T R = L^T L for the R of a QR of L, so B = [L R^T, 1] and B^T B =
     # [[(R R^T)^2, t], [t^T, n]] with t = R L^T 1.  The ones column goes
     # last: R, from a QR of the pivoted factor, is graded from its first
@@ -156,20 +149,14 @@ def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     btb[:, r, :r] = btb[:, :r, r] = (stack.sum(axis=1)[:, None, :] @ root)[:, 0]
     btb[:, r, r] = n
     _, w = np.linalg.eigh(btb)
-    # B W = [L R^T, 1] W, whose squared column norms are the a_i, is formed
-    # _BLOCK // 2 members at a time, so that it adds at most half a full
-    # stack's size to the memory the stack holds.
-    proj = root @ w[:, :r]
-    a = np.empty((b, r + 1))
-    c2 = np.empty((b, r + 1))
-    for h in range(0, b, _BLOCK // 2):
-        half = slice(h, h + _BLOCK // 2)
-        bw = stack[half] @ proj[half]
-        bw += w[half, None, r]
-        a[half] = np.einsum("bij,bij->bj", bw, bw)
-        c = by.T @ bw
-        c2[half] = np.einsum("bij,bij->bj", c, c)
-        del bw, c  # before the next half's are allocated
+    # B W = [L R^T, 1] W, whose squared column norms are the a_i, for the
+    # whole stack in one product: its (b, n, r + 1) doubles are about the
+    # stack's own size, which the build width bounds.
+    bw = stack @ (root @ w[:, :r])
+    bw += w[:, None, r]
+    a = np.einsum("bij,bij->bj", bw, bw)
+    c = by.T @ bw
+    c2 = np.einsum("bij,bij->bj", c, c)
     a_max = a.max(axis=1, keepdims=True)
     # A direction above ~1e-16 (r + 1) a_max, where eigh separates it from
     # the null space, is not null.  When n of them span R^n, every other

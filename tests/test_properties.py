@@ -28,7 +28,7 @@ from hypothesis.extra import numpy as hnp
 import kscreen as ks
 from kscreen import measures, screening, tuning
 from kscreen.kernels import (
-    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _pairwise_sq_dists, _rank_stacks,
+    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _build_width, _pairwise_sq_dists, _rank_stacks,
     _scalar_distance_sums, gram_block,
 )
 from kscreen.measures import _kcca_response, _stack_hsic, _stack_kcca
@@ -553,7 +553,8 @@ def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, l
     # bitwise the same in a stack of one and in a stack of any size and
     # order of factors of its rank, repeats included.  Members may be
     # constant (level 0) or low-rank (level 3), and the response scalar or
-    # bivariate.  The GCV splits a stack of more than 16.
+    # bivariate.  The GCV restacks the factors _build_width(n) at a time,
+    # as select_epsilon does.
     _, _, stacks = block_factors(draw.draw, n, levels)
     _, stack = stacks[draw.draw(st.integers(0, len(stacks) - 1))]
     picks = draw.draw(st.lists(st.integers(0, len(stack) - 1), min_size=1, max_size=40))
@@ -563,7 +564,7 @@ def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, l
     eps = draw.draw(st.sampled_from(ks.GCV_GRID))
 
     def scored(lxs):
-        comps = tuning._gcv_terms(ly, _rank_stacks(list(lxs), tuning._BLOCK), len(lxs))
+        comps = tuning._gcv_terms(ly, _rank_stacks(list(lxs), _build_width(n)), len(lxs))
         c = lxs - lxs.mean(axis=1, keepdims=True)
         kcca = np.stack([kcca_of_stack(c, ly_c, e) for e in ks.GCV_GRID], axis=1)
         return kcca, hsic_of_stack(c, ly_c), comps
@@ -1162,3 +1163,38 @@ def test_a_malformed_array_argument_is_an_argument_or_data_error(valid_arrays, n
     value = draw.draw(_malformed_arrays(bad), label="value")
     with pytest.raises((ks.ArgumentError, ks.DataError)):
         ARRAY_ARGUMENTS[name](valid_arrays, value)
+
+
+@pytest.mark.parametrize("value", [None, [[0.5, None], [0.25, 1.0]]], ids=["None", "entry"])
+@pytest.mark.parametrize("name", sorted(ARRAY_ARGUMENTS))
+def test_a_missing_array_or_array_entry_is_an_argument_error(valid_arrays, name, value):
+    # numpy reads None as NaN, which would be a DataError ("must be
+    # finite"); a missing argument is the caller's, not the data's.
+    with pytest.raises(ks.ArgumentError, match="None"):
+        ARRAY_ARGUMENTS[name](valid_arrays, value)
+
+
+# Each sequence argument of a public entry point, by the call that passes v
+# in its place and valid values elsewhere.
+SEQUENCE_ARGUMENTS = {
+    "response_columns": lambda a, v: ks.load_csv(a.csv_path, v),
+    "columns": lambda a, v: ks.DataMatrix(a.x.values[:, :2], columns=v),
+    "active": lambda a, v: ks.min_model_size(a.result, v),
+    "methods": lambda a, v: ks.run_suite(a.spec, v),
+    "d_values": lambda a, v: ks.run_suite(a.spec, ["dc"], v),
+    "lxs": lambda a, v: ks.select_epsilon(a.factor, v),
+}
+
+
+@pytest.mark.parametrize("value", ["ab", "yy", "kcca", b"ab", 5, object()],
+                         ids=["ab", "yy", "kcca", "bytes", "int", "object"])
+@pytest.mark.parametrize("name", sorted(SEQUENCE_ARGUMENTS))
+def test_text_or_a_non_iterable_sequence_argument_is_an_argument_error_naming_it(
+        valid_arguments, name, value):
+    # Text would be split into its characters: load_csv(path, "ab") would
+    # take columns a and b as the response, and run_suite(spec, "kcca")
+    # would report an unknown method 'k'.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks.simulation, "ProcessPoolExecutor", _no_work)
+        with pytest.raises(ks.ArgumentError, match=f"^{name} must be a list of "):
+            SEQUENCE_ARGUMENTS[name](valid_arguments, value)

@@ -489,9 +489,11 @@ def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
     # and then drops it, so the memory it allocates stays below the bytes
     # of the subsample's n x r factors, which an earlier design held until
     # the epsilon search ended.  Calibrated on a 2-core host: a peak of
-    # 4.63 MB against 6.17 MB of factors (0.75 of the bound), with 40-wide
+    # 4.62 MB against 6.17 MB of factors (0.75 of the bound), with 40-wide
     # builds (the 2 MiB build budget at n = 200; 3.95 MB 32 wide, 4.95 MB
-    # 40 wide while a build's last stack outlived it); the KCCA terms held
+    # 40 wide while a build's last stack outlived it), each stack's GCV
+    # product B W formed whole and KCCA's piles finished only before a
+    # build would take them past GCV_SUBSAMPLE members; the KCCA terms held
     # until epsilon is known, each member's r x r Gram and r x r_Y cross
     # product, add about 0.4 MB to the eigenvector terms they replaced.
     # Holding the factors read 7.89 MB.
@@ -510,16 +512,16 @@ def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
     assert peak < factor_bytes
 
 
-@pytest.mark.parametrize("epsilon, cap", [("auto", 25), ("auto", 5), (0.1, 5)])
+@pytest.mark.parametrize("epsilon, cap", [("auto", 25), ("auto", 5), (0.1, 5), (0.1, 25)])
 def test_kcca_piles_finish_each_rank_once_per_flush(monkeypatch, epsilon, cap):
-    # With 4-wide builds, the GCV subsample (of cap features) and the rest
-    # take several builds each.  The KCCA terms wait in one pile per rank,
-    # and a flush finishes each pile it takes by one _stack_kcca call:
-    # every pile after the GCV, a pile once it holds a build's width of
-    # members (4, from the byte budget of a 4-wide build at n = 40), every
-    # pile before a build would take the members held past GCV_SUBSAMPLE,
-    # and the leftover piles after the last build.  Every score is still
-    # bitwise kcca_singular_value's on the predictor alone.
+    # With 4-wide builds (the byte budget of a 4-wide build at n = 40),
+    # the GCV subsample (of cap features) and the rest take several builds
+    # each.  The KCCA terms wait in one pile per rank, and once epsilon is
+    # known a flush finishes every pile, each by one _stack_kcca call, at
+    # two points: before a build would take the members held past
+    # GCV_SUBSAMPLE (so the GCV's piles go before the first build after
+    # it), and after the last build.  Every score is still bitwise
+    # kcca_singular_value's on the predictor alone.
     n, p = 40, 60
     x, y = make_data(seed=6, n=n, p=p)
     monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", 4 * 8 * 32 * n)
@@ -548,11 +550,6 @@ def test_kcca_piles_finish_each_rank_once_per_flush(monkeypatch, epsilon, cap):
             piles = {}
         for rank, members in stacks:
             piles[rank] = piles.get(rank, 0) + members
-            if b >= tuned and piles[rank] >= 4:
-                flushes.append({rank: piles.pop(rank)})
-        if b == tuned - 1:
-            flushes.append(piles)
-            piles = {}
     flushes.append(piles)
     got = iter(calls)
     for piles in flushes:

@@ -14,7 +14,7 @@ from kscreen import tuning
 from kscreen.errors import (
     ArgumentError, DataError, DegenerateDataError, NumericError, NumericGuardWarning, TuningError,
 )
-from kscreen.kernels import _rank_stacks
+from kscreen.kernels import _build_width, _rank_stacks
 from tests.helpers import dense_gram, gcv_dense_oracle
 
 
@@ -337,7 +337,7 @@ def level_factor(draw, n):
 
 def gcv_components(ly, lxs):
     # The GCV terms of a factor list, stacked as select_epsilon stacks it.
-    return tuning._gcv_terms(ly, _rank_stacks(lxs, tuning._BLOCK), len(lxs))
+    return tuning._gcv_terms(ly, _rank_stacks(lxs, _build_width(ly.shape[0])), len(lxs))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
