@@ -39,11 +39,11 @@ _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _FIRST_RANKS = 32
 
 # Bytes of the L^T buffer a gram_block call in screen starts with, (width,
-# min(n, _FIRST_RANKS), n) doubles, which sets its width (_build_width).  A
-# factor is bitwise the same in any block, and so is each of its scores and
-# GCV terms in any stack of its rank, which every consumer reads in place; a
-# wider build spreads a step's numpy calls over more features, and at large
-# n a narrow one is as fast and holds far less.
+# min(n, _FIRST_RANKS), n) doubles, and of a GCV stack of a caller's
+# factors: they set both widths (_build_width).  A factor, its scores and
+# its GCV terms are bitwise the same in any stack of its rank; a wider
+# build spreads a step's numpy calls over more features, and at large n a
+# narrow one is as fast and holds far less.
 _BUILD_BYTES = 2 << 20
 
 # Rows per block of the pairwise differences _pairwise_sq_dists forms, so
@@ -227,11 +227,11 @@ def _rank_stacks(factors, cap: int):
         yield pos, np.swapaxes(rows, 1, 2)
 
 
-def _build_width(n: int) -> int:
-    """Features per gram_block call in screen and per GCV stack of a
-    factor list, for n samples: as many as fit their initial L^T buffer in
-    _BUILD_BYTES (40 at n = 200, 4 at n = 2000), and at least 1."""
-    return max(1, _BUILD_BYTES // (8 * min(n, _FIRST_RANKS) * n))
+def _build_width(n: int, rank: int = _FIRST_RANKS) -> int:
+    """Features per build in screen, or per GCV stack of a factor list whose
+    widest factor has this rank: as many as fit min(n, rank) rows of n
+    doubles each in _BUILD_BYTES (40 at n = 200, 4 at n = 2000), at least 1."""
+    return max(1, _BUILD_BYTES // (8 * min(n, rank) * n))
 
 
 def _is_real(value) -> bool:

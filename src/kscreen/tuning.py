@@ -24,13 +24,13 @@ numerator and nothing to the denominator.
 
 No n-sized decomposition is taken.  _gcv_terms reads the factors a
 (b, n, r) stack of one rank at a time: screen's as kernels.gram_block
-builds them, select_epsilon's and gcv_value's as kernels._rank_stacks of
-at most kernels._build_width(n), the width screen builds, in the same
-layout, so a predictor's terms are bitwise the same either way.  Each
-stack takes one batched QR of its factors and one batched eigh of its
-(r+1) x (r+1) basis Grams B^T B = [[(R R^T)^2, t], [t^T, n]], t = R L^T 1.
-An eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so
-a_i is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
+builds them, select_epsilon's and gcv_value's as kernels._rank_stacks
+within screen's build budget (kernels._build_width), in the same layout,
+so a predictor's terms are bitwise the same either way.  Each stack takes
+one batched QR of its factors and one batched eigh of its (r+1) x (r+1)
+basis Grams B^T B = [[(R R^T)^2, t], [t^T, n]], t = R L^T 1.  An
+eigenvalue of that squared Gram is accurate only to ~1e-16 a_max, so a_i
+is taken as the Rayleigh quotient ||B w_i||^2 of one batched n-space
 product B W over the whole stack, which keeps a small a_i accurate, and
 c_i = B_Y^T (B W) comes from the same product.  A direction is numerically
 null when its ||B w_i||^2 is under its rounding floor, or when n other
@@ -91,9 +91,8 @@ class RidgeSelection:
 
 
 def _factor_terms(ly, lxs) -> tuple:
-    """_gcv_terms of the response factor ly and the factor list lxs,
-    restacked by rank as wide as screen builds, once each is checked by
-    kernels._as_factor (ArgumentError, or DataError for a non-finite entry).
+    """_gcv_terms of the response factor ly and the factor list lxs, each
+    checked by kernels._as_factor, restacked by rank within the build budget.
 
     A response factor whose every column is constant has a constant Gram,
     which centers to 0: its GCV value is then a small difference of
@@ -107,7 +106,8 @@ def _factor_terms(ly, lxs) -> tuple:
                for i, lx in enumerate(_as_sequence(lxs, "lxs", "factors"))]
     if not factors:
         raise ArgumentError("at least one predictor kernel factor is required")
-    return _gcv_terms(ly, _rank_stacks(factors, _build_width(ly.shape[0])), len(factors))
+    width = _build_width(ly.shape[0], max(lx.shape[1] for lx in factors))
+    return _gcv_terms(ly, _rank_stacks(factors, width), len(factors))
 
 
 def _gcv_terms(ly: np.ndarray, stacks, count: int) -> tuple:
@@ -149,9 +149,9 @@ def _block_spectrum(stack: np.ndarray, by: np.ndarray) -> tuple:
     btb[:, r, :r] = btb[:, :r, r] = (stack.sum(axis=1)[:, None, :] @ root)[:, 0]
     btb[:, r, r] = n
     _, w = np.linalg.eigh(btb)
+    del rrt, btb
     # B W = [L R^T, 1] W, whose squared column norms are the a_i, for the
-    # whole stack in one product: its (b, n, r + 1) doubles are about the
-    # stack's own size, which the build width bounds.
+    # whole stack in one product about the stack's size.
     bw = stack @ (root @ w[:, :r])
     bw += w[:, None, r]
     a = np.einsum("bij,bij->bj", bw, bw)

@@ -28,7 +28,7 @@ from hypothesis.extra import numpy as hnp
 import kscreen as ks
 from kscreen import measures, screening, tuning
 from kscreen.kernels import (
-    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _build_width, _pairwise_sq_dists, _rank_stacks,
+    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _pairwise_sq_dists, _rank_stacks,
     _scalar_distance_sums, gram_block,
 )
 from kscreen.measures import _kcca_response, _stack_hsic, _stack_kcca
@@ -553,18 +553,19 @@ def test_a_factor_scores_bitwise_the_same_alone_or_in_any_stack_of_its_rank(n, l
     # bitwise the same in a stack of one and in a stack of any size and
     # order of factors of its rank, repeats included.  Members may be
     # constant (level 0) or low-rank (level 3), and the response scalar or
-    # bivariate.  The GCV restacks the factors _build_width(n) at a time,
-    # as select_epsilon does.
+    # bivariate.  The GCV restacks the factors cap at a time, as
+    # select_epsilon does, so a list may split into several stacks.
     _, _, stacks = block_factors(draw.draw, n, levels)
     _, stack = stacks[draw.draw(st.integers(0, len(stacks) - 1))]
     picks = draw.draw(st.lists(st.integers(0, len(stack) - 1), min_size=1, max_size=40))
+    cap = draw.draw(st.integers(1, len(picks)))
     ypts, ybw = sample_kernel(draw.draw, n)
     ly = ks.gram(ypts, ybw)
     ly_c = ks.center(ly)
     eps = draw.draw(st.sampled_from(ks.GCV_GRID))
 
     def scored(lxs):
-        comps = tuning._gcv_terms(ly, _rank_stacks(list(lxs), _build_width(n)), len(lxs))
+        comps = tuning._gcv_terms(ly, _rank_stacks(list(lxs), cap), len(lxs))
         c = lxs - lxs.mean(axis=1, keepdims=True)
         kcca = np.stack([kcca_of_stack(c, ly_c, e) for e in ks.GCV_GRID], axis=1)
         return kcca, hsic_of_stack(c, ly_c), comps

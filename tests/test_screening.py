@@ -487,16 +487,12 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
 def test_a_kcca_screen_never_holds_its_gcv_subsample_factors():
     # screen reads each subsample stack's GCV and KCCA terms as it is built
     # and then drops it, so the memory it allocates stays below the bytes
-    # of the subsample's n x r factors, which an earlier design held until
-    # the epsilon search ended.  Calibrated on a 2-core host: a peak of
-    # 4.62 MB against 6.17 MB of factors (0.75 of the bound), with 40-wide
-    # builds (the 2 MiB build budget at n = 200; 3.95 MB 32 wide, 4.95 MB
-    # 40 wide while a build's last stack outlived it), each stack's GCV
-    # product B W formed whole and KCCA's piles finished only before a
-    # build would take them past GCV_SUBSAMPLE members; the KCCA terms held
-    # until epsilon is known, each member's r x r Gram and r x r_Y cross
-    # product, add about 0.4 MB to the eigenvector terms they replaced.
-    # Holding the factors read 7.89 MB.
+    # of the subsample's n x r factors.  Calibrated on a 2-core host: a
+    # peak of 4.62 MB against 6.17 MB of factors (0.75 of the bound), with
+    # 40-wide builds (the 2 MiB build budget at n = 200); the KCCA terms
+    # held until epsilon is known, each member's r x r Gram and r x r_Y
+    # cross product, take about 0.4 MB of it.  Holding the factors until
+    # the search ends reads 7.89 MB.
     n, p, k = 200, 400, screening.GCV_SUBSAMPLE
     x, y = make_data(seed=0, n=n, p=p)
     idx = np.sort(np.random.default_rng(0).choice(p, size=k, replace=False))

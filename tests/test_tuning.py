@@ -2,6 +2,7 @@
 from-scratch dense assembly with explicit matrix inverses."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kscreen as ks
-from kscreen import tuning
+from kscreen import kernels, tuning
 from kscreen.errors import (
     ArgumentError, DataError, DegenerateDataError, NumericError, NumericGuardWarning, TuningError,
 )
-from kscreen.kernels import _build_width, _rank_stacks
+from kscreen.kernels import _rank_stacks
 from tests.helpers import dense_gram, gcv_dense_oracle
 
 
@@ -239,6 +240,33 @@ class TestSelectEpsilon:
             assert sum(counts) == skipped
         assert sel.skipped_counts[0] == huge
 
+    @pytest.mark.parametrize("budget", [1, 3 * 8 * 20 * 20])
+    def test_bitwise_the_same_when_the_list_splits_into_stacks(self, monkeypatch, budget):
+        # A budget of one member per stack, or of three 20 x 20 factors
+        # (four of the widest here), splits a rank's members over several
+        # stacks.
+        ky, kxs = toy_kernels(seed=5, n=20, p=30)
+        want = ks.select_epsilon(ky, kxs), ks.gcv_value(0.1, ky, kxs)
+        monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", budget)
+        assert (ks.select_epsilon(ky, kxs), ks.gcv_value(0.1, ky, kxs)) == want
+
+    def test_stacks_of_full_rank_factors_stay_within_the_build_budget(self):
+        # Each stack holds at most _BUILD_BYTES of factors however wide
+        # they are, so the search's allocations stay a few budgets (4.7
+        # here, calibrated on a 2-core host), not a share of the list's.
+        n = 200
+        rng = np.random.default_rng(0)
+        lxs = [rng.standard_normal((n, n)) for _ in range(40)]
+        ly = ks.gram(rng.standard_normal(n), ks.Bandwidth(1.0))
+        ks.select_epsilon(ly, lxs)  # any first-call allocations
+        tracemalloc.start()
+        try:
+            ks.select_epsilon(ly, lxs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * kernels._BUILD_BYTES
+
     def test_skipped_counts_zero_on_fixtures(self):
         ky, kxs = toy_kernels(seed=2, n=10, p=3)
         sel = ks.select_epsilon(ky, kxs)
@@ -312,9 +340,11 @@ class TestSelectEpsilon:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("member", [0, 17])
-    def test_non_finite_predictor_factor_is_a_data_error(self, bad, member):
+    def test_non_finite_predictor_factor_is_a_data_error(self, monkeypatch, bad, member):
         # Each predictor factor is checked with its shape, before any is
-        # stacked; member 17 would sit in the second stack of 16.
+        # stacked; with a budget of one member per stack, member 17 would
+        # sit in a later stack than member 0.
+        monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", 1)
         ky, kxs = toy_kernels(seed=3, n=8, p=20)
         kxs = [kx.copy() for kx in kxs]
         kxs[member][2, 0] = bad
@@ -335,24 +365,27 @@ def level_factor(draw, n):
     return ks.gram(pts, bw)
 
 
-def gcv_components(ly, lxs):
-    # The GCV terms of a factor list, stacked as select_epsilon stacks it.
-    return tuning._gcv_terms(ly, _rank_stacks(lxs, _build_width(ly.shape[0])), len(lxs))
+def gcv_components(ly, lxs, cap):
+    # The GCV terms of a factor list, restacked by rank cap at a time, as
+    # select_epsilon restacks it.
+    return tuning._gcv_terms(ly, _rank_stacks(lxs, cap), len(lxs))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(n=st.integers(6, 30), k=st.integers(0, 40), draw=st.data())
 def test_gcv_summand_does_not_depend_on_its_block(n, k, draw):
     # A predictor's a_i and ||c_i||^2 are bitwise its own in any list (each
-    # is computed in a stack of its rank), and its row, zero-filled to the
-    # list's widest basis, is summed in column order, where the fill adds
-    # exactly 0, so its summand is bitwise its own too.
+    # is computed in a stack of its rank, whatever the stack's size), and
+    # its row, zero-filled to the list's widest basis, is summed in column
+    # order, where the fill adds exactly 0, so its summand is bitwise its
+    # own too.
     ly = level_factor(draw.draw, n)
     lx = level_factor(draw.draw, n)
     others = [level_factor(draw.draw, n) for _ in range(k)]
     m = draw.draw(st.integers(0, k))
-    alone = gcv_components(ly, [lx])
-    n_, a, c2, by_norm2, spans = gcv_components(ly, others[:m] + [lx] + others[m:])
+    cap = draw.draw(st.integers(1, k + 1))
+    alone = gcv_components(ly, [lx], 1)
+    n_, a, c2, by_norm2, spans = gcv_components(ly, others[:m] + [lx] + others[m:], cap)
     for eps in ks.GCV_GRID:
         want, _ = tuning._gcv_at(eps, *alone)
         got, _ = tuning._gcv_at(eps, n_, a[m:m + 1], c2[m:m + 1], by_norm2, spans[m:m + 1])
