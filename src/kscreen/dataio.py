@@ -239,7 +239,7 @@ def _emit(value, indent: int, out: list):
         out.append(pad + "]")
     elif value is None:
         out.append("null")
-    elif isinstance(value, bool):
+    elif isinstance(value, (bool, np.bool_)):
         out.append("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))

@@ -46,8 +46,9 @@ _FIRST_RANKS = 32
 # narrow one is as fast and holds far less.
 _BUILD_BYTES = 2 << 20
 
-# Rows per block of the pairwise differences _pairwise_sq_dists forms, so
-# that no n x n x d tensor is held (1.6 GB at n = 10000, d = 2).
+# Rows per block of n-wide distance work: the pairwise differences
+# _pairwise_sq_dists forms (no n x n x d tensor: 1.6 GB at n = 10000, d = 2),
+# and the scalar dc path's cache-sized response blocks (measures._DistanceResponse).
 _DIST_ROWS = 64
 
 # n x n doubles a dc screen holds at once: centered_distances' matrix, then
@@ -377,7 +378,8 @@ def _vector_distance_sum(pts: np.ndarray) -> float:
 def _scalar_distance_sums(rows: np.ndarray) -> list:
     """sum_{i<j} |x_i - x_j| of each row of a (p, n) array of scalar
     samples, by bandwidth's sorted form, sorting a block of rows at a time:
-    as many as fit n doubles each in _BUILD_BYTES (1310 at n = 200).
+    _build_width(n, 1), as many as fit n doubles each in _BUILD_BYTES (1310
+    at n = 200).
 
     The weighted gaps are laid out row by row (C order, whatever the
     layout of rows), so one reduction along a block's rows sums each as a
@@ -385,7 +387,7 @@ def _scalar_distance_sums(rows: np.ndarray) -> list:
     """
     n = rows.shape[1]
     k = np.arange(1, n)
-    step = max(1, _BUILD_BYTES // (8 * n))
+    step = _build_width(n, 1)
     sums = []
     for a in range(0, rows.shape[0], step):
         gaps = np.diff(np.sort(rows[a:a + step], axis=1), axis=1)

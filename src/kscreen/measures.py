@@ -10,8 +10,8 @@ caller screening many predictors against one response prepares the
 response side once; for distance correlation that is a private
 _DistanceResponse, which also holds the response's row sums, its distance
 variance, and the upper triangle of its distance matrix in row blocks of
-at most _ROW_BLOCK rows with one block-sized scratch buffer, which every
-scalar predictor's score reuses.
+at most kernels._DIST_ROWS rows with one block-sized scratch buffer, which
+every scalar predictor's score reuses.
 
 The screening pipeline scores KCCA and HSIC a stack of predictors at a
 time: kernels.gram_block hands back its factors as (b, n, r) stacks of one
@@ -39,12 +39,9 @@ import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
 from .kernels import (
-    _as_array, _as_factor, _as_samples, _check_memory, _check_positive_epsilon, _pairwise_sq_dists,
+    _DIST_ROWS, _as_array, _as_factor, _as_samples, _check_memory, _check_positive_epsilon,
+    _pairwise_sq_dists,
 )
-
-# Rows per block of the response's distance matrix in the scalar dc path;
-# a block and its scratch, 64 rows of at most n doubles each, stay in cache.
-_ROW_BLOCK = 64
 
 
 class Method(str, Enum):
@@ -160,12 +157,12 @@ class _DistanceResponse:
     |entry| into [1/2, 1), its row sums dy 1, <dy, dy> / n^2, and the upper
     triangle of dy in row blocks for the scalar path.
 
-    The rows are cut evenly into ceil(n / _ROW_BLOCK) blocks [a, b).  Block
-    [a, b) holds a contiguous copy of dy[a:b, a:] with its columns from b
-    on doubled, so that for any symmetric M, <M, dy> is the sum over the
-    blocks of <M[a:b, a:], block>: each pair i < j in different blocks is
-    counted once, at twice its entry.  When n <= _ROW_BLOCK the one block
-    is dy itself.  One flat buffer, the size of the largest block, is the
+    The rows are cut evenly into ceil(n / _DIST_ROWS) blocks [a, b), one
+    when n <= _DIST_ROWS.  Block [a, b) holds a contiguous copy of
+    dy[a:b, a:] with its columns from b on doubled, so that for any
+    symmetric M, <M, dy> is the sum over the blocks of <M[a:b, a:], block>:
+    each pair i < j in different blocks is counted once, at twice its
+    entry.  One flat buffer, the size of the largest block, is the
     scratch that _scalar_dcov overwrites for each block of each feature;
     each block is held with a view of it in the block's shape.
     screen builds one per screen and passes it as dy, so that p features
@@ -180,10 +177,9 @@ class _DistanceResponse:
         self.dy = dy
         self.rows = dy.sum(axis=1)
         self.dvar = float(np.vdot(dy, dy)) / float(n * n)
-        k = -(-n // _ROW_BLOCK)
+        k = -(-n // _DIST_ROWS)
         cuts = [i * n // k for i in range(k + 1)]
-        blocks = [(0, n, dy)] if k == 1 else [
-            (a, b, _upper_block(dy, a, b)) for a, b in zip(cuts, cuts[1:])]
+        blocks = [(a, b, _upper_block(dy, a, b)) for a, b in zip(cuts, cuts[1:])]
         self.buf = np.empty(max(block.size for _, _, block in blocks))
         # Each block with its view of the shared scratch, of the block's shape.
         self.blocks = tuple((a, b, block, self.buf[:block.size].reshape(block.shape))
@@ -227,9 +223,9 @@ def dcor_score(x_samples, *, dy) -> float:
     reads only the upper triangle, in the row blocks of the prepared
     response (_DistanceResponse): per block one max pass into a reused
     block-sized buffer and one inner product, about n^2 / 2 + 32 n entries
-    in all, and each block stays in cache.  When n <= _ROW_BLOCK the one
-    block is dy, a single n x n pass.  Vector samples form their n x n
-    distance matrix and read dy whole.
+    in all, and each block stays in cache.  When n <= _DIST_ROWS the one
+    block is a copy of dy, a single n x n pass.  Vector samples form
+    their n x n distance matrix and read dy whole.
 
     Returns 0 when either side has zero distance variance (a constant
     variable).  Raises ArgumentError unless x has n >= 1 samples and dy is
@@ -313,6 +309,9 @@ def _distance_variance(centered: np.ndarray, rows: np.ndarray, n: int) -> float:
 def pearson_score(x_samples, y_samples) -> float:
     """Absolute sample Pearson correlation between two scalar variables.
 
+    Each side is centered and scaled by the power of two that brings its
+    largest |value| into [1/2, 1), as in dcor_score, so a score is bitwise
+    the same at any scale that keeps the centered samples normal floats.
     Returns 0 when either variable is constant.  A multivariate response is
     rejected: Pearson ranking has no single-number extension to vector
     responses.
@@ -334,8 +333,7 @@ def pearson_score(x_samples, y_samples) -> float:
         return 0.0
     cx = x - x.mean()
     cy = y - y.mean()
-    denom = np.sqrt(np.dot(cx, cx) * np.dot(cy, cy))
-    if denom == 0.0:
-        return 0.0
-    value = abs(float(np.dot(cx, cy) / denom))
+    for c in (cx, cy):  # exact, and puts each sum of squares below in [1/4, n]
+        np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1], out=c)
+    value = abs(float(np.dot(cx, cy) / np.sqrt(np.dot(cx, cx) * np.dot(cy, cy))))
     return min(value, 1.0)

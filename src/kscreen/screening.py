@@ -361,8 +361,8 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
         # epsilon is known, and as many as the GCV holds before that.
         rest, piles, width = np.arange(p), {}, _build_width(n)
         if kcca and eps is None:
-            tuning_idx = rest if p <= GCV_SUBSAMPLE else np.sort(
-                np.random.default_rng(seed).choice(p, size=GCV_SUBSAMPLE, replace=False))
+            tuning_idx = np.sort(np.random.default_rng(seed).choice(
+                p, size=min(p, GCV_SUBSAMPLE), replace=False))
             eps = _grid_search(_gcv_terms(ly, scored(tuning_idx), len(tuning_idx))).epsilon
             rest = np.delete(rest, tuning_idx)
         if kcca:

@@ -275,6 +275,10 @@ class TestSerialization:
         assert parsed["values"] == [1.5, 2, None]
         assert parsed["flag"] is True
 
+    def test_json_writes_numpy_scalars_as_python_ones(self):
+        doc = {"t": np.bool_(True), "f": np.bool_(False), "i": np.int64(3), "x": np.float32(0.5)}
+        assert json_dumps(doc) == json_dumps({"t": True, "f": False, "i": 3, "x": 0.5})
+
     def test_json_empty_containers(self):
         assert json_dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
 

@@ -426,7 +426,7 @@ class TestDcorScore:
         rng = np.random.default_rng(n)
         y = rng.standard_normal((n, 2))
         side = _DistanceResponse(ks.centered_distances(y))
-        assert len(side.blocks) == 1 and side.blocks[0][2] is side.dy
+        assert len(side.blocks) == 1 and side.blocks[0][2].tobytes() == side.dy.tobytes()
         for x in (rng.standard_normal(n), np.round(rng.standard_normal(n)), y[:, 0] ** 2):
             assert _scalar_dcov(x, side)[0] == self.dense_max_pass(x, side)
 
@@ -435,11 +435,11 @@ class TestDcorScore:
         rng = np.random.default_rng(n)
         y = rng.standard_normal((n, 1))
         side = _DistanceResponse(ks.centered_distances(y))
-        k = math.ceil(n / measures._ROW_BLOCK)
+        k = math.ceil(n / kernels._DIST_ROWS)
         assert [(a, b) for a, b, _, _ in side.blocks] == [
             (i * n // k, (i + 1) * n // k) for i in range(k)]
         for a, b, block, _ in side.blocks:
-            assert block.flags.c_contiguous and b - a <= measures._ROW_BLOCK
+            assert block.flags.c_contiguous and b - a <= kernels._DIST_ROWS
             assert block[:, :b - a].tobytes() == side.dy[a:b, a:b].tobytes()
             assert block[:, b - a:].tobytes() == (2.0 * side.dy[a:b, b:]).tobytes()
         for x in (rng.standard_normal(n), np.round(rng.standard_normal(n)), y[:, 0] ** 2):
@@ -452,7 +452,7 @@ class TestDcorScore:
         n = 300
         side = _DistanceResponse(ks.centered_distances(np.arange(float(n))))
         assert side.buf.size == max(block.size for _, _, block, _ in side.blocks)
-        assert side.buf.size <= measures._ROW_BLOCK * n
+        assert side.buf.size <= kernels._DIST_ROWS * n
         assert sum(block.size for _, _, block, _ in side.blocks) <= n * n // 2 + 32 * n
         for _, _, block, top in side.blocks:
             assert top.shape == block.shape and np.shares_memory(top, side.buf)

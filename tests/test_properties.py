@@ -757,6 +757,39 @@ def test_pearson_of_a_constant_side_is_exactly_zero(value, n, seed):
     assert ks.pearson_score(y, const) == 0.0
 
 
+def normal_exponent_range(v):
+    # The k for which v 2^k, its mean and its centered samples are normal
+    # floats: the smallest nonzero |v| or |v - mean| stays 2^60 above the
+    # smallest normal (a nonzero partial sum is at least 2^-53 of the
+    # smallest |v|, and the mean that over n <= 40), and n max |v| below
+    # the largest float, so the centering scales exactly.
+    c = v - v.mean()
+    tiny = np.min(np.abs(np.concatenate([v[v != 0], c[c != 0]])))
+    return -1022 + 60 - math.frexp(tiny)[1], 1023 - math.frexp(v.shape[0] * np.max(np.abs(v)))[1]
+
+
+@SETTINGS
+@given(
+    grids=st.integers(2, 40).flatmap(lambda n: st.tuples(
+        *[hnp.arrays(np.int64, n, elements=st.integers(-1000, 1000))] * 2)),
+    k=st.integers(-1100, 1100),
+    j=st.integers(-1100, 1100),
+)
+@example(grids=(np.arange(5), np.array([1, 0, 3, 2, 5])), k=505, j=0)  # 0.0 at the parent
+def test_pearson_scales_exactly_with_powers_of_two(grids, k, j):
+    # x 2^k against y 2^j scores bitwise as x against y, for every k and j
+    # (clamped to that range) that keep each side's centered samples normal:
+    # each centered side is brought to [1/2, 1) by a power of two.
+    x, y = (g / 100.0 for g in grids)
+    want = ks.pearson_score(x, y)
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        assert want == 0.0
+        return
+    (klo, khi), (jlo, jhi) = normal_exponent_range(x), normal_exponent_range(y)
+    k, j = min(max(k, klo), khi), min(max(j, jlo), jhi)
+    assert ks.pearson_score(np.ldexp(x, k), np.ldexp(y, j)) == want, (k, j)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     n=st.integers(2, 300),
@@ -819,9 +852,10 @@ def test_hsic_of_factors_matches_the_dense_double_centered_grams(kx, draw):
 def row_blocks(n, blocks):
     # The scalar dc path cuts the response's n rows into ceil(n / rows)
     # blocks of at most rows = ceil(n / blocks): `blocks` of them, or fewer
-    # when n is small (4 rows in 2 blocks of 2 when blocks is 3).
+    # when n is small (4 rows in 2 blocks of 2 when blocks is 3).  measures
+    # reads kernels._DIST_ROWS under its own name, which alone is patched.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_ROW_BLOCK", -(-n // blocks))
+        mp.setattr(measures, "_DIST_ROWS", -(-n // blocks))
         yield
 
 
