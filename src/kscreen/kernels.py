@@ -7,8 +7,9 @@ built by pivoted incomplete Cholesky (``gram_block`` for a block of
 variables at once, ``gram`` for one); no n x n kernel matrix is formed.
 KCCA, HSIC and the GCV tuning all read this one representation.
 Every dependence measure in this package is built on top of the objects
-defined here.  All functions are pure and all returned containers are
-immutable, so instances can be shared freely across concurrent workers.
+defined here.  Every function is pure.  Bandwidth, DataMatrix and
+CenteredGram are frozen and their arrays read-only, but gram, gram_block,
+center and centered_distances return new, writable arrays.
 """
 
 from __future__ import annotations
@@ -346,77 +347,75 @@ def bandwidth(samples) -> Bandwidth:
     n = pts.shape[0]
     if n < 2:
         raise ArgumentError(f"bandwidth needs at least 2 samples, got {n}")
-    if pts.shape[1] == 1:
-        (total,) = _scalar_distance_sums(pts.T)
-    else:
-        total = _vector_distance_sum(pts)
-    return _bandwidth_from_sum(total, n)
+    (gamma,), unusable = _gammas_from_sums(np.array([_distance_sum(pts)]), n)
+    if unusable:
+        raise DegenerateDataError(unusable[0][1])
+    return Bandwidth(gamma=float(gamma))
 
 
-def _vector_distance_sum(pts: np.ndarray) -> float:
-    """sum_{i<j} ||x_i - x_j|| of the (n, d) rows, in about n^2 / 2 doubles.
-
-    The upper triangle's distances are laid out row by row in one flat
-    buffer, as the squared distance matrix's upper triangle would gather,
-    and one np.sum of it is bitwise the sum of that gather's roots.
-    """
+def _distance_sum(pts: np.ndarray) -> float:
+    """sum_{i<j} ||x_i - x_j|| of the (n, d) rows, inf if it overflows: by
+    _scalar_distance_sums for scalars, else in about n^2 / 2 doubles, one
+    flat buffer of the upper triangle's distances row by row, as the squared
+    distance matrix's upper triangle would gather; one np.sum of it is
+    bitwise the sum of that gather's roots."""
     n = pts.shape[0]
+    if pts.shape[1] == 1:
+        return float(_scalar_distance_sums(pts.T)[0])
     size = n * (n - 1) // 2
     _check_memory("pairwise distances", n, 8 * size)
     flat = np.empty(size)
     block = np.empty((min(n, _DIST_ROWS), n))
     cols = np.arange(n)
     start = 0
-    for a in range(0, n, _DIST_ROWS):
-        rows = _sq_dist_rows(pts, a, block[:n - a])
-        upper = rows[cols > np.arange(a, a + rows.shape[0])[:, None]]
-        np.sqrt(upper, out=flat[start:start + upper.size])
-        start += upper.size
-    return float(np.sum(flat))
+    with np.errstate(over="ignore"):
+        for a in range(0, n, _DIST_ROWS):
+            rows = _sq_dist_rows(pts, a, block[:n - a])
+            upper = rows[cols > np.arange(a, a + rows.shape[0])[:, None]]
+            np.sqrt(upper, out=flat[start:start + upper.size])
+            start += upper.size
+        return float(np.sum(flat))
 
 
-def _scalar_distance_sums(rows: np.ndarray) -> list:
+def _scalar_distance_sums(rows: np.ndarray) -> np.ndarray:
     """sum_{i<j} |x_i - x_j| of each row of a (p, n) array of scalar
     samples, by bandwidth's sorted form, sorting a block of rows at a time:
     _build_width(n, 1), as many as fit n doubles each in _BUILD_BYTES (1310
-    at n = 200).
+    at n = 200).  A sum that overflows is inf, with no RuntimeWarning.
 
     The weighted gaps are laid out row by row (C order, whatever the
     layout of rows), so one reduction along a block's rows sums each as a
     1-D array, and its sum is bitwise the one of that row alone.
     """
-    n = rows.shape[1]
+    p, n = rows.shape
     k = np.arange(1, n)
     step = _build_width(n, 1)
-    sums = []
-    for a in range(0, rows.shape[0], step):
-        gaps = np.diff(np.sort(rows[a:a + step], axis=1), axis=1)
-        sums += np.multiply(gaps, k * (n - k), order="C").sum(axis=1).tolist()
+    sums = np.empty(p)
+    with np.errstate(over="ignore"):
+        for a in range(0, p, step):
+            gaps = np.diff(np.sort(rows[a:a + step], axis=1), axis=1)
+            np.multiply(gaps, k * (n - k), order="C").sum(axis=1, out=sums[a:a + step])
     return sums
 
 
-def _bandwidth_from_sum(total: float, n: int) -> Bandwidth:
-    """bandwidth's gamma from the sum of the n (n - 1) / 2 pairwise
-    distances; raises DegenerateDataError as bandwidth does.
-
-    The arithmetic is on Python floats, whose operations round as numpy's
-    scalar ones do.  Every step is a correctly rounded product or quotient,
-    so samples times 2^k give gamma times 2^-2k exactly while no step
-    leaves the normal range; a power would round differently.
-    """
-    if total == 0.0:
-        raise DegenerateDataError("all samples identical: mean pairwise distance is 0")
-    inv_sqrt_gamma = _TWO_SQRT2 * total / (n * (n - 1))
-    try:
+def _gammas_from_sums(sums: np.ndarray, n: int) -> tuple:
+    """bandwidth's gamma for each sum of n (n - 1) / 2 pairwise distances,
+    and the unusable ones as (index, reason) pairs in ascending order: a
+    zero sum (all samples identical), or a gamma that is infinite or below
+    the smallest normal float.  Every step is a correctly rounded
+    elementwise product or quotient, so samples times 2^k give gamma times
+    2^-2k exactly while no step leaves the normal range; a power would
+    round differently."""
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_sqrt_gamma = _TWO_SQRT2 * sums / (n * (n - 1))
         # Dividing twice, not by the square, so that a gamma that is
         # subnormal is reported as such rather than as 0.
         gamma = 1.0 / inv_sqrt_gamma / inv_sqrt_gamma
-    except ZeroDivisionError:  # inv_sqrt_gamma underflowed to 0
-        gamma = math.inf
     # A subnormal gamma has lost bits; its squared distances are near overflow.
-    if not sys.float_info.min <= gamma < math.inf:
-        raise DegenerateDataError(f"pairwise distances produce unusable gamma {gamma!r}")
-    return Bandwidth(gamma=gamma)
+    bad = np.flatnonzero((gamma < sys.float_info.min) | (gamma == math.inf))
+    return gamma, [(i, "all samples identical: mean pairwise distance is 0" if sums[i] == 0.0
+                    else f"pairwise distances produce unusable gamma {float(gamma[i])!r}")
+                   for i in bad.tolist()]
 
 
 def gram(samples, bw: Bandwidth) -> np.ndarray:
@@ -428,17 +427,18 @@ def gram(samples, bw: Bandwidth) -> np.ndarray:
     is never formed.
     """
     _check_type("bw", bw, Bandwidth)
-    ((_, stack),) = gram_block(_as_samples(samples)[None], [bw])
+    ((_, stack),) = gram_block(_as_samples(samples)[None], [bw.gamma])
     return stack[0]
 
 
-def gram_block(samples, bws) -> list:
+def gram_block(samples, gammas) -> list:
     """Gram factors of b variables over the same n samples, built together.
 
     ``samples`` is (b, n) for scalar variables or (b, n, d) for d-vector
-    rows, and ``bws`` holds one Bandwidth per variable.  The factors L_m,
-    each n x r_m with 1 <= r_m <= n and K_m ~= L_m L_m^T, are returned
-    grouped by rank, unpadded: a list of (positions, stack) pairs, one per
+    rows, and ``gammas`` one positive finite gamma per variable (an array,
+    not Bandwidth objects).  The factors L_m, each n x r_m with 1 <= r_m <=
+    n and K_m ~= L_m L_m^T, are returned grouped by rank, unpadded: a list
+    of (positions, stack) pairs, one per
     rank r in ascending order, where stack is a (len(positions), n, r)
     array whose member i is the factor of variable positions[i].  It is
     the transposed view of one C-contiguous gather, rows[positions, :r], of
@@ -466,17 +466,17 @@ def gram_block(samples, bws) -> list:
     finite, and a product that then overflows has kernel value 0.
     """
     pts = _as_array(samples, "samples")
+    gamma = np.asarray(gammas, dtype=float)
     if pts.ndim == 2:
         pts = pts[:, :, None]
-    if pts.ndim != 3 or pts.shape[0] != len(bws):
+    if pts.ndim != 3 or gamma.shape != pts.shape[:1]:
         raise ArgumentError(
-            f"gram_block needs (b, n) or (b, n, d) samples and b bandwidths, "
-            f"got shape {pts.shape} and {len(bws)} bandwidths"
+            f"gram_block needs (b, n) or (b, n, d) samples and b gammas, "
+            f"got shape {pts.shape} and {gamma.size} gammas"
         )
     b, n, d = pts.shape
     if n < 1:
         raise ArgumentError("gram needs at least 1 sample")
-    gamma = np.array([bw.gamma for bw in bws])
     # gamma 2^2e is finite for e <= (1024 - exponent of gamma) / 2.
     e = np.minimum(np.frexp(np.max(np.abs(pts), axis=(1, 2), initial=0.0))[1],
                    (1024 - np.frexp(gamma)[1]) // 2)

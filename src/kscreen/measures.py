@@ -309,9 +309,10 @@ def _distance_variance(centered: np.ndarray, rows: np.ndarray, n: int) -> float:
 def pearson_score(x_samples, y_samples) -> float:
     """Absolute sample Pearson correlation between two scalar variables.
 
-    Each side is centered and scaled by the power of two that brings its
-    largest |value| into [1/2, 1), as in dcor_score, so a score is bitwise
-    the same at any scale that keeps the centered samples normal floats.
+    Each side is scaled by the power of two that brings its largest |value|
+    into [1/2, 1), centered, and scaled so again, as in dcor_score, so a
+    score is bitwise the same at any scale that keeps the centered samples
+    normal floats, up to the largest float.
     Returns 0 when either variable is constant.  A multivariate response is
     rejected: Pearson ranking has no single-number extension to vector
     responses.
@@ -329,11 +330,14 @@ def pearson_score(x_samples, y_samples) -> float:
         raise ArgumentError(f"sample counts differ: {n} vs {y.shape[0]}")
     if n < 2:
         raise ArgumentError(f"pearson correlation needs n >= 2, got {n}")
-    if x.min() == x.max() or y.min() == y.max():  # exactly 0, though the mean rounds
+    limits = [(float(v.min()), float(v.max())) for v in (x, y)]
+    if any(lo == hi for lo, hi in limits):  # exactly 0, though the mean rounds
         return 0.0
-    cx = x - x.mean()
-    cy = y - y.mean()
-    for c in (cx, cy):  # exact, and puts each sum of squares below in [1/4, n]
+    # Scaled before the mean, whose sum then cannot overflow, and again once
+    # centered: both exact, the second puts each sum of squares in [1/4, n].
+    cx, cy = (np.ldexp(v, -math.frexp(max(-lo, hi))[1]) for v, (lo, hi) in zip((x, y), limits))
+    for c in (cx, cy):
+        c -= c.mean()
         np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1], out=c)
     value = abs(float(np.dot(cx, cy) / np.sqrt(np.dot(cx, cx) * np.dot(cy, cy))))
     return min(value, 1.0)

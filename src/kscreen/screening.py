@@ -4,10 +4,10 @@ selection.
 
 Pipeline for the kernel methods, given data X (n x p) and response Y (n x d):
 
-  (a) bandwidths gamma_1..gamma_p and gamma_Y from the mean pairwise
-      distance rule (a constant feature, or one whose spread makes gamma
-      overflow or underflow, falls back to gamma = 1 with a warning that
-      says which);
+  (a) one array of bandwidths gamma_Y, gamma_1..gamma_p by the mean
+      pairwise distance rule (kernels._gammas_from_sums); an unusable one
+      (a constant variable, or one whose spread makes gamma overflow or
+      underflow) is 1, with a warning that names the variable and why;
   (b) one low-rank Gram factor per variable, each built once: the
       response's by kernels.gram, column-centered once and shared across
       all predictors, and the predictors' by kernels.gram_block, as many
@@ -66,12 +66,12 @@ from .errors import (
     DegenerateDataWarning,
     UnsupportedMethodError,
 )
-# center_and_decompose, hsic_score, kcca_singular_value and select_epsilon
-# are not called here; they stay names of this module because
-# bench/tracing.py rebinds them.
+# bandwidth, center_and_decompose, hsic_score, kcca_singular_value and
+# select_epsilon are not called here; they stay names of this module
+# because bench/tracing.py rebinds them.
 from .kernels import (  # noqa: F401
-    Bandwidth, DataMatrix, _as_array, _as_sequence, _bandwidth_from_sum, _build_width,
-    _check_positive_epsilon, _check_type, _scalar_distance_sums, bandwidth, center,
+    Bandwidth, DataMatrix, _as_array, _as_sequence, _build_width, _check_positive_epsilon,
+    _check_type, _distance_sum, _gammas_from_sums, _scalar_distance_sums, bandwidth, center,
     center_and_decompose, centered_distances, gram, gram_block,
 )
 from .measures import (  # noqa: F401
@@ -209,17 +209,6 @@ def _check_screen_args(methods, rule, epsilon, seed) -> tuple:
     return methods, fixed_eps
 
 
-def _column_bandwidth(label: str, make, *args) -> Bandwidth:
-    """make(*args), or gamma = 1 with a warning naming label and giving the
-    reason, if the samples are constant or their spread makes gamma
-    overflow or underflow."""
-    try:
-        return make(*args)
-    except DegenerateDataError as e:
-        warnings.warn(f"{label}: {e}; substituting gamma = 1", DegenerateDataWarning)
-        return Bandwidth(gamma=1.0)
-
-
 def _resolve_m(rule, epsilon, n: int, p: int) -> int:
     if rule is None:
         # Default selection size: the top 1 percent of features.
@@ -313,14 +302,19 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
 
     kcca, hsic = Method.KCCA in scores, Method.HSIC in scores
     if kcca or hsic:
+        # Every gamma, the response's first, by one rule; an unusable one
+        # is 1, with a warning that names its variable and the reason.
+        gammas, unusable = _gammas_from_sums(
+            np.concatenate([[_distance_sum(yv)], _scalar_distance_sums(xv.T)]), n)
+        for i, reason in unusable:
+            label = f"feature {i}" if i else "response"
+            warnings.warn(f"{label}: {reason}; substituting gamma = 1", DegenerateDataWarning)
+            gammas[i] = 1.0
+
         # The response's centered factor: HSIC reads it, and KCCA its
         # whitening, once epsilon is known.  The GCV reads the raw factor.
-        ly = gram(yv, _column_bandwidth("response", bandwidth, yv))
+        ly = gram(yv, Bandwidth(gamma=float(gammas[0])))
         ly_c = center(ly)
-
-        # Every column's pairwise-distance sum from one sort of the table.
-        bws = [_column_bandwidth(f"feature {r + 1}", _bandwidth_from_sum, total, n)
-               for r, total in enumerate(_scalar_distance_sums(xv.T))]
 
         def scored(idx):
             # Builds idx, width features per gram_block call, and hands each
@@ -334,7 +328,7 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
                 held = sum(len(f) for pile in piles.values() for f, _, _ in pile)
                 if eps is not None and held + len(block) > GCV_SUBSAMPLE:
                     finish()
-                for pos, stack in gram_block(xv[:, block].T, [bws[r] for r in block]):
+                for pos, stack in gram_block(xv[:, block].T, gammas[1 + block]):
                     yield start + pos, stack
                     stack -= stack.mean(axis=1, keepdims=True)
                     ct = np.swapaxes(stack, 1, 2)

@@ -167,11 +167,11 @@ class TestBuildWidth:
         n = 200
         width = kernels._build_width(n)
         pts = np.random.default_rng(3).standard_normal((width, n))
-        bws = [ks.bandwidth(row) for row in pts]
-        gram_block(pts, bws)  # any first-call allocations
+        gammas = [ks.bandwidth(row).gamma for row in pts]
+        gram_block(pts, gammas)  # any first-call allocations
         tracemalloc.start()
         try:
-            stacks = gram_block(pts, bws)
+            stacks = gram_block(pts, gammas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -418,7 +418,7 @@ class TestValidationEdges:
         ("DataMatrix values", ks.DataMatrix),
         ("samples", ks.bandwidth),
         ("factor", ks.center),
-        ("samples", lambda v: gram_block(v, [ks.Bandwidth(1.0)])),
+        ("samples", lambda v: gram_block(v, [1.0])),
         ("y", lambda v: ks.gaussian_kernel(0.0, v, ks.Bandwidth(1.0))),
     ])
     def test_an_array_that_is_not_real_numbers_is_an_argument_error_naming_it(
@@ -456,15 +456,14 @@ class TestValidationEdges:
             ks.gram([], ks.Bandwidth(1.0))
 
     def test_gram_block_checks_its_arguments(self):
-        bw = ks.Bandwidth(1.0)
         with pytest.raises(ArgumentError):
-            gram_block(np.zeros((2, 5)), [bw])  # one bandwidth for two variables
+            gram_block(np.zeros((2, 5)), [1.0])  # one gamma for two variables
         with pytest.raises(ArgumentError):
-            gram_block(np.zeros((2, 5, 1, 1)), [bw, bw])
+            gram_block(np.zeros((2, 5, 1, 1)), [1.0, 1.0])
         with pytest.raises(ArgumentError):
-            gram_block(np.zeros((1, 0)), [bw])
+            gram_block(np.zeros((1, 0)), [1.0])
         with pytest.raises(DataError):
-            gram_block(np.array([[0.0, np.nan]]), [bw])
+            gram_block(np.array([[0.0, np.nan]]), [1.0])
 
     def test_lapack_failure_maps_to_numeric_error(self, monkeypatch):
         def boom(*args, **kwargs):

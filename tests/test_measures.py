@@ -537,3 +537,15 @@ class TestPearsonScore:
         with pytest.raises(ArgumentError):
             ks.pearson_score([1.0], [2.0])
 
+    def test_a_side_whose_sum_passes_the_largest_float_scores_as_at_a_small_scale(self):
+        # Each side is scaled by its power of two before its mean, so 200
+        # samples near 2^1019 score bitwise as they do near 2^419 (NaN, with
+        # an overflow in the mean, when the mean was taken first).
+        rng = np.random.default_rng(8)
+        x = 1.0 + rng.random(200)
+        y = x + rng.standard_normal(200)
+        want = ks.pearson_score(np.ldexp(x, 418), y)
+        assert not math.isnan(want)
+        assert ks.pearson_score(np.ldexp(x, 1018), y) == want
+        assert ks.pearson_score(y, np.ldexp(x, 1018)) == ks.pearson_score(y, np.ldexp(x, 418))
+

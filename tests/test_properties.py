@@ -28,7 +28,7 @@ from hypothesis.extra import numpy as hnp
 import kscreen as ks
 from kscreen import measures, screening, tuning
 from kscreen.kernels import (
-    RESIDUAL_TRACE_TOL, _bandwidth_from_sum, _pairwise_sq_dists, _rank_stacks,
+    RESIDUAL_TRACE_TOL, _gammas_from_sums, _pairwise_sq_dists, _rank_stacks,
     _scalar_distance_sums, gram_block,
 )
 from kscreen.measures import _kcca_response, _stack_hsic, _stack_kcca
@@ -259,7 +259,7 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
             fallback.append(True)
     alone = [ks.gram(member, bw) for member, bw in zip(pts, bws)]
     order = np.array(draw.draw(st.permutations(range(len(levels)))))
-    block = members(gram_block(pts[order], [bws[m] for m in order]), len(levels))
+    block = members(gram_block(pts[order], [bws[m].gamma for m in order]), len(levels))
     # The samples times 2^k with their own bandwidths, for k in the range
     # where every such gamma is a normal float.  bandwidth gives gamma
     # times 2^-2k exactly there, and a fallback gamma stays 1.  Both
@@ -269,7 +269,7 @@ def test_block_factors_are_bitwise_the_factors_built_alone(n, d, levels, draw):
     k = draw.draw(st.integers(max([-((1024 - g) // 2) for g in exps], default=-500),
                               min([(g + 1021) // 2 for g in exps], default=500)))
     scaled_bws = [bws[m] if fallback[m] else ks.bandwidth(np.ldexp(pts[m], k)) for m in order]
-    scaled = members(gram_block(np.ldexp(pts[order], k), scaled_bws), len(levels))
+    scaled = members(gram_block(np.ldexp(pts[order], k), [bw.gamma for bw in scaled_bws]), len(levels))
     # The stopping test reads the running residual diagonal; each of the n
     # diagonal entries of the dense K - L L^T rounds by about an ulp of 1
     # (observed excess over the tolerance: 1.1e-15 at n = 40 over 100000
@@ -442,7 +442,7 @@ def block_factors(draw, n, levels):
             bws.append(ks.bandwidth(member))
         except ks.DegenerateDataError:
             bws.append(ks.Bandwidth(1.0))
-    return pts, bws, gram_block(pts, bws)
+    return pts, bws, gram_block(pts, [bw.gamma for bw in bws])
 
 
 @SETTINGS
@@ -650,13 +650,12 @@ def test_vector_bandwidth_is_bitwise_the_gathered_upper_triangle_sum(
     pts = (rng.standard_normal((k, d)) * scale)[rng.integers(0, k, n)]
     d2 = _pairwise_sq_dists(pts)
     total = float(np.sum(np.sqrt(d2[np.triu_indices(n, k=1)])))
-    try:
-        want = _bandwidth_from_sum(total, n).gamma
-    except ks.DegenerateDataError:
+    (want,), unusable = _gammas_from_sums(np.array([total]), n)
+    if unusable:
         with pytest.raises(ks.DegenerateDataError):
             ks.bandwidth(pts)
     else:
-        assert ks.bandwidth(pts).gamma.hex() == want.hex()
+        assert ks.bandwidth(pts).gamma.hex() == float(want).hex()
 
 
 @SETTINGS
@@ -761,11 +760,12 @@ def normal_exponent_range(v):
     # The k for which v 2^k, its mean and its centered samples are normal
     # floats: the smallest nonzero |v| or |v - mean| stays 2^60 above the
     # smallest normal (a nonzero partial sum is at least 2^-53 of the
-    # smallest |v|, and the mean that over n <= 40), and n max |v| below
-    # the largest float, so the centering scales exactly.
+    # smallest |v|, and the mean that over n <= 40), and max |v| 2^k is
+    # finite; the mean is taken after scaling, so n max |v| may pass the
+    # largest float.
     c = v - v.mean()
     tiny = np.min(np.abs(np.concatenate([v[v != 0], c[c != 0]])))
-    return -1022 + 60 - math.frexp(tiny)[1], 1023 - math.frexp(v.shape[0] * np.max(np.abs(v)))[1]
+    return -1022 + 60 - math.frexp(tiny)[1], 1024 - math.frexp(np.max(np.abs(v)))[1]
 
 
 @SETTINGS
@@ -790,6 +790,60 @@ def test_pearson_scales_exactly_with_powers_of_two(grids, k, j):
     assert ks.pearson_score(np.ldexp(x, k), np.ldexp(y, j)) == want, (k, j)
 
 
+# Column scales the bandwidth rule meets: 0 (a constant column), ones at
+# which gamma overflows (1e-160), goes subnormal (1e160) or underflows
+# (1e200), one at which a column's distance sum overflows (2^1014), and
+# normal ones on both sides of 1.
+SCALES = [0.0, 2.0**-1000, 1e-160, 1e-3, 1.0, 1e3, 1e160, 1e200, 2.0**1014]
+
+
+@st.composite
+def mixed_tables(draw):
+    n = draw(st.integers(4, 40))
+    p = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 2))
+    grid = draw(hnp.arrays(np.int64, (n, p + d), elements=st.integers(-1000, 1000)))
+    scales = draw(st.lists(st.sampled_from(SCALES), min_size=p, max_size=p))
+    y_scale = draw(st.sampled_from(SCALES[1:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = (grid[:, p:] / 100.0 + rng.standard_normal((n, d))) * y_scale
+    return grid[:, :p] / 100.0 * np.array(scales), y
+
+
+@SETTINGS
+@given(table=mixed_tables())
+def test_screen_gammas_are_bitwise_bandwidths_and_warn_as_they_raise(table):
+    # screen's one gamma array holds bandwidth's gamma for the response and
+    # each column, or 1 where bandwidth raises, and warns for those with
+    # bandwidth's reason, in its order: the response, then the features in
+    # ascending order.  No other warning escapes (an overflowing sum, say).
+    x, y = table
+    want, expected = [], []
+    variables = [("response", y)] + [(f"feature {r + 1}", x[:, r]) for r in range(x.shape[1])]
+    for label, samples in variables:
+        try:
+            want.append(ks.bandwidth(samples).gamma)
+        except ks.DegenerateDataError as e:
+            want.append(1.0)
+            expected.append(f"{label}: {e}; substituting gamma = 1")
+    got = []
+
+    def building(samples, gammas, gram_block=screening.gram_block):
+        got.extend(gammas)
+        return gram_block(samples, gammas)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screening, "gram", lambda v, bw, gram=screening.gram: (
+            got.append(bw.gamma), gram(v, bw))[1])
+        mp.setattr(screening, "gram_block", building)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method="hsic")
+    assert [float(g).hex() for g in got] == [g.hex() for g in want]
+    assert [(w.category, str(w.message)) for w in record] == [
+        (ks.DegenerateDataWarning, m) for m in expected]
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     n=st.integers(2, 300),
@@ -806,12 +860,14 @@ def test_each_distance_sum_is_bitwise_its_row_summed_alone(n, p, levels, layout,
     grid = draw.draw(hnp.arrays(np.int64, (p, n), elements=st.integers(-levels, levels)))
     rows = np.asarray(grid / 100.0, order=layout)
     got = _scalar_distance_sums(rows)
+    gammas, unusable = _gammas_from_sums(got, n)
     k = np.arange(1, n)
     for i, row in enumerate(rows):
         alone = np.diff(np.sort(row)) * (k * (n - k))
         assert got[i] == float(alone.sum()) == _scalar_distance_sums(rows[i:i + 1])[0]
         if got[i] > 0.0:
-            assert ks.bandwidth(row) == _bandwidth_from_sum(got[i], n)
+            assert ks.bandwidth(row) == ks.Bandwidth(float(gammas[i]))
+    assert [i for i, _ in unusable] == np.flatnonzero(got == 0.0).tolist()
 
 
 @SETTINGS

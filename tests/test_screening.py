@@ -262,6 +262,28 @@ class TestScreen:
             if data is constant or data is tiny:
                 assert res.scores[2] == 0.0
 
+    @pytest.mark.parametrize("method", ["kcca", "hsic"])
+    def test_a_column_whose_distance_sum_overflows_warns_only_where_it_is(self, method):
+        # The column's pairwise-distance sum passes the largest float, so
+        # its gamma is 0.0: the one warning names it, and numpy's overflow
+        # RuntimeWarning does not escape.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((60, 3))
+        x[:, 1] = np.ldexp(x[:, 1], 1014)
+        y = ks.DataMatrix((x[:, 0] + 0.1 * rng.standard_normal(60))[:, None])
+        with pytest.warns(DegenerateDataWarning) as record:
+            ks.screen(ks.DataMatrix(x), y, method=method, epsilon=0.5)
+        assert [str(w.message) for w in record] == [
+            "feature 2: pairwise distances produce unusable gamma 0.0; substituting gamma = 1"]
+
+    def test_sis_screens_a_column_whose_sum_passes_the_largest_float(self):
+        rng = np.random.default_rng(9)
+        x = 1.0 + rng.random((200, 3))
+        y = ks.DataMatrix((x[:, 1] + rng.standard_normal(200))[:, None])
+        scaled = [np.column_stack([x[:, 0], np.ldexp(x[:, 1], k), x[:, 2]]) for k in (418, 1018)]
+        low, high = (ks.screen(ks.DataMatrix(v), y, method="sis").scores for v in scaled)
+        assert high.tobytes() == low.tobytes()
+
     def test_auto_rule_uses_threshold_formula(self):
         x, y = make_data(seed=15, n=30, p=10)
         res = ks.screen(x, y, method="kcca", rule=ks.ThresholdRule.auto(), epsilon=1.0)
@@ -277,9 +299,9 @@ class TestScreen:
         calls = []
         gram_block = screening.gram_block
 
-        def counting(samples, bws):
-            calls.append(len(bws))
-            return gram_block(samples, bws)
+        def counting(samples, gammas):
+            calls.append(len(gammas))
+            return gram_block(samples, gammas)
 
         monkeypatch.setattr(screening, "gram_block", counting)
         x, y = make_data(seed=15, n=30, p=40)
@@ -364,7 +386,7 @@ class TestScreen:
         def boom(*args, **kw):
             raise AssertionError("screen did work before checking its arguments")
 
-        for name in ("_column_bandwidth", "centered_distances", "pearson_score"):
+        for name in ("_distance_sum", "centered_distances", "pearson_score"):
             monkeypatch.setattr(screening, name, boom)
         with pytest.raises(ArgumentError):
             ks.screen(x, y, method=method, **kwargs)
@@ -430,6 +452,22 @@ def test_every_name_the_benchmark_tracer_rebinds_exists():
         assert callable(getattr(module, attr, None)), (module_name, attr)
 
 
+def test_a_screen_builds_no_bandwidth_object_per_feature(monkeypatch):
+    # The bandwidth pass hands gram_block slices of one gamma array; only
+    # the response's factor is built from a Bandwidth.
+    made = []
+    post_init = ks.Bandwidth.__post_init__
+
+    def counting(self):
+        made.append(self.gamma)
+        post_init(self)
+
+    monkeypatch.setattr(ks.Bandwidth, "__post_init__", counting)
+    x, y = make_data(seed=4, n=30, p=300)
+    screening._screen_methods(x, y, (ks.Method.KCCA, ks.Method.HSIC), None, "auto", 0)
+    assert len(made) <= 1
+
+
 def test_lapack_budget_of_a_kcca_screen(monkeypatch):
     # Every LAPACK call of one auto-epsilon kcca screen, counted as the
     # matrices each routine receives (a stack of b counts b): per predictor
@@ -459,8 +497,8 @@ def test_lapack_budget_of_a_kcca_screen(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     ranks, tuned = [], []
 
-    def building(samples, bws, gram_block=screening.gram_block):
-        built = gram_block(samples, bws)
+    def building(samples, gammas, gram_block=screening.gram_block):
+        built = gram_block(samples, gammas)
         ranks.extend(stack.shape[2] for pos, stack in built for _ in pos)
         return built
 
@@ -524,8 +562,8 @@ def test_kcca_piles_finish_each_rank_once_per_flush(monkeypatch, epsilon, cap):
     monkeypatch.setattr(screening, "GCV_SUBSAMPLE", cap)
     builds, calls = [], []  # (rank, members) of each stack, and of each call
 
-    def building(samples, bws, gram_block=screening.gram_block):
-        built = gram_block(samples, bws)
+    def building(samples, gammas, gram_block=screening.gram_block):
+        built = gram_block(samples, gammas)
         builds.append([(stack.shape[2], len(pos)) for pos, stack in built])
         return built
 
@@ -573,9 +611,9 @@ def test_no_stack_of_an_earlier_build_is_alive_when_the_next_build_starts(
     monkeypatch.setattr(screening, "GCV_SUBSAMPLE", 25)
     refs, alive = [], []
 
-    def building(samples, bws, gram_block=screening.gram_block):
+    def building(samples, gammas, gram_block=screening.gram_block):
         alive.append(sum(ref() is not None for ref in refs))
-        built = gram_block(samples, bws)
+        built = gram_block(samples, gammas)
         refs.extend(weakref.ref(a) for _, stack in built for a in (stack, stack.base))
         return built
 

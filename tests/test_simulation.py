@@ -424,8 +424,8 @@ class TestReplicationWorker:
 
     def test_one_kernel_preparation_per_replication(self, monkeypatch):
         # kcca and hsic share every bandwidth, factor and centered stack:
-        # p + 1 bandwidths (the response's by bandwidth, the p columns' from
-        # one batched distance-sum pass), one factor per predictor, and each
+        # p + 1 distance sums (the response's by _distance_sum, the p
+        # columns' from one batched pass), one factor per predictor, and each
         # stack gram_block returns centered once, its cross product with the
         # response's centered factor formed once and read by both kernel
         # methods, with the GCV subsample drawn (p > 20).
@@ -449,8 +449,8 @@ class TestReplicationWorker:
 
         gram_block = screening.gram_block
 
-        def building(samples, bws):
-            built = gram_block(samples, bws)
+        def building(samples, gammas):
+            built = gram_block(samples, gammas)
             calls["factors"] += sum(len(pos) for pos, _ in built)
             (ly_c,) = responses
             for _, stack in built:
@@ -468,7 +468,8 @@ class TestReplicationWorker:
             scored["hsic"].append((cross.tobytes(), id(cross)))
             return stack_hsic(cross, n)
 
-        monkeypatch.setattr(screening, "bandwidth", counting("bandwidth", screening.bandwidth))
+        monkeypatch.setattr(screening, "_distance_sum",
+                            counting("bandwidth", screening._distance_sum))
         monkeypatch.setattr(screening, "_scalar_distance_sums",
                             counting("bandwidth", screening._scalar_distance_sums, len))
         monkeypatch.setattr(screening, "center", centering)
@@ -521,8 +522,8 @@ class TestReplicationWorker:
 
         gram_block = screening.gram_block
 
-        def building(samples, bws):
-            built = gram_block(samples, bws)
+        def building(samples, gammas):
+            built = gram_block(samples, gammas)
             calls["factors"] += sum(len(pos) for pos, _ in built)
             ly_c = np.asarray(responses[0])
             for _, stack in built:
@@ -541,7 +542,8 @@ class TestReplicationWorker:
             members["hsic"].extend(xm.tobytes() for xm in cross)
             return stack_hsic(cross, n)
 
-        monkeypatch.setattr(screening, "bandwidth", counting("bandwidth", screening.bandwidth))
+        monkeypatch.setattr(screening, "_distance_sum",
+                            counting("bandwidth", screening._distance_sum))
         monkeypatch.setattr(screening, "_scalar_distance_sums",
                             counting("bandwidth", screening._scalar_distance_sums, len))
         monkeypatch.setattr(screening, "center", centering)
