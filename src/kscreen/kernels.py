@@ -44,7 +44,8 @@ _FIRST_RANKS = 32
 # factors: they set both widths (_build_width).  A factor, its scores and
 # its GCV terms are bitwise the same in any stack of its rank; a wider
 # build spreads a step's numpy calls over more features, and at large n a
-# narrow one is as fast and holds far less.
+# narrow one is as fast and holds far less.  It also sets the columns per
+# call of a dc or sis screen (measures._DistanceResponse, screening).
 _BUILD_BYTES = 2 << 20
 
 # Rows per block of n-wide distance work: the pairwise differences

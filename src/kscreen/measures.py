@@ -9,9 +9,16 @@ the response's double-centered distance matrix
 caller screening many predictors against one response prepares the
 response side once; for distance correlation that is a private
 _DistanceResponse, which also holds the response's row sums, its distance
-variance, and the upper triangle of its distance matrix in row blocks of
-at most kernels._DIST_ROWS rows with one block-sized scratch buffer, which
-every scalar predictor's score reuses.
+variance, the upper triangle of its distance matrix in row blocks of at
+most kernels._DIST_ROWS rows, and the scratch buffer of their max pass.
+
+The screening pipeline scores distance correlation and Pearson a block of
+raw scalar columns at a time: _stack_dcor against a _DistanceResponse,
+_stack_pearson against the response's raw samples.  Each does the
+per-column arithmetic row-wise in the same order, with every inner product
+of a row a BLAS dot of that row alone (_row_dots), so a column's score is
+bitwise the same in any block; dcor_score's scalar path and pearson_score
+are the block of one.
 
 The screening pipeline scores KCCA and HSIC a stack of predictors at a
 time: kernels.gram_block hands back its factors as (b, n, r) stacks of one
@@ -39,8 +46,8 @@ import numpy as np
 
 from .errors import ArgumentError, NumericError, UnsupportedMethodError
 from .kernels import (
-    _DIST_ROWS, _as_array, _as_factor, _as_samples, _check_memory, _check_positive_epsilon,
-    _pairwise_sq_dists,
+    _DIST_ROWS, _as_array, _as_factor, _as_samples, _build_width, _check_memory,
+    _check_positive_epsilon, _pairwise_sq_dists,
 )
 
 
@@ -162,14 +169,17 @@ class _DistanceResponse:
     dy[a:b, a:] with its columns from b on doubled, so that for any
     symmetric M, <M, dy> is the sum over the blocks of <M[a:b, a:], block>:
     each pair i < j in different blocks is counted once, at twice its
-    entry.  One flat buffer, the size of the largest block, is the
-    scratch that _scalar_dcov overwrites for each block of each feature;
-    each block is held with a view of it in the block's shape.
-    screen builds one per screen and passes it as dy, so that p features
-    reuse it; a plain matrix dy is prepared anew on every call.
+    entry.  _stack_dcor scores at most width scalar predictors per call,
+    and one flat buffer of width times the largest block is the scratch its
+    max pass overwrites for each block of each call.  width is as many as
+    fit, beside the largest block, in kernels._BUILD_BYTES (19 at n = 200,
+    1 from n = 1366), so that the scratch and the block it is read against
+    stay in cache together.  screen builds one per screen and passes it to
+    every call; a plain matrix dy is prepared anew on every dcor_score
+    call.
     """
 
-    __slots__ = ("dy", "rows", "dvar", "blocks", "buf", "weights")
+    __slots__ = ("dy", "rows", "dvar", "blocks", "width", "buf", "weights")
 
     def __init__(self, dy: np.ndarray):
         n = dy.shape[0]
@@ -179,12 +189,11 @@ class _DistanceResponse:
         self.dvar = float(np.vdot(dy, dy)) / float(n * n)
         k = -(-n // _DIST_ROWS)
         cuts = [i * n // k for i in range(k + 1)]
-        blocks = [(a, b, _upper_block(dy, a, b)) for a, b in zip(cuts, cuts[1:])]
-        self.buf = np.empty(max(block.size for _, _, block in blocks))
-        # Each block with its view of the shared scratch, of the block's shape.
-        self.blocks = tuple((a, b, block, self.buf[:block.size].reshape(block.shape))
-                            for a, b, block in blocks)
-        # 2k - n + 2 for the 0-based sorted position k (see _scalar_dcov).
+        self.blocks = tuple((a, b, _upper_block(dy, a, b)) for a, b in zip(cuts, cuts[1:]))
+        # (width + 1) * min(n, _DIST_ROWS) * n doubles fit in the budget.
+        self.width = max(1, _build_width(n, _DIST_ROWS) - 1)
+        self.buf = np.empty(self.width * max(block.size for _, _, block in self.blocks))
+        # 2k - n + 2 for the 0-based sorted position k (see _stack_dcor).
         self.weights = 2.0 * np.arange(n) - (n - 2)
 
 
@@ -208,10 +217,11 @@ def dcor_score(x_samples, *, dy) -> float:
         dVar^2(x) = sum D^2 / n^2 - 2 sum_i a_i^2 / n^3 + (sum_i a_i)^2 / n^4,
 
     where sum D^2 = 2 n sum_i ||x_i - mean||^2 and a_i are the row sums of
-    D.  The samples are centered and scaled by the power of two that brings
-    their largest |value| into [1/2, 1); the statistic is scale-free and the
-    scaling is exact, so a score is the same bitwise at any scale whose
-    products neither overflow nor underflow, and no square goes subnormal.
+    D.  The samples are scaled by the power of two that brings their
+    largest |value| into [1/2, 1), centered, and scaled so again; the
+    statistic is scale-free and the scalings are exact, so a score is the
+    same bitwise at any scale that keeps the samples normal floats, up to
+    the largest float, and no square goes subnormal.
 
     A scalar variable forms no distance matrix.  Its row sums a_i come
     from one sort and one cumulative sum, and |c_i - c_j| = 2 max(c_i, c_j)
@@ -221,11 +231,13 @@ def dcor_score(x_samples, *, dy) -> float:
 
     Both max(c_i, c_j) and dy are symmetric, so the first inner product
     reads only the upper triangle, in the row blocks of the prepared
-    response (_DistanceResponse): per block one max pass into a reused
-    block-sized buffer and one inner product, about n^2 / 2 + 32 n entries
-    in all, and each block stays in cache.  When n <= _DIST_ROWS the one
-    block is a copy of dy, a single n x n pass.  Vector samples form
-    their n x n distance matrix and read dy whole.
+    response (_DistanceResponse): per block one max pass into its scratch
+    buffer and one inner product, about n^2 / 2 + 32 n entries in all, and
+    each block stays in cache.  When n <= _DIST_ROWS the one block is a
+    copy of dy, a single n x n pass.  A scalar variable is _stack_dcor's
+    block of one, so a dc screen's score is bitwise dcor_score of its
+    column alone.  Vector samples form their n x n distance matrix and
+    read dy whole.
 
     Returns 0 when either side has zero distance variance (a constant
     variable).  Raises ArgumentError unless x has n >= 1 samples and dy is
@@ -244,66 +256,73 @@ def dcor_score(x_samples, *, dy) -> float:
     if side.dvar <= 0.0:
         return 0.0
     if pts.shape[1] == 1:
-        dcov2, dvar_x = _scalar_dcov(pts[:, 0], side)
-    else:
-        dcov2, dvar_x = _vector_dcov(pts, side.dy)
-    if dvar_x <= 0.0:
-        return 0.0
-    r2 = dcov2 / math.sqrt(dvar_x * side.dvar)
-    return min(math.sqrt(max(r2, 0.0)), 1.0)
+        return float(_stack_dcor(pts.T, side)[0])
+    return float(_dcor(*_vector_dcov(pts, side.dy), side.dvar)[0])
 
 
-def _scalar_dcov(x: np.ndarray, side: _DistanceResponse) -> tuple:
-    """(dCov^2, dVar^2) of scalar samples x, centered and scaled by a power
-    of two, against side.  dVar^2 is 0 for a constant x."""
-    n = x.shape[0]
-    c = x - np.add.reduce(x) / n
-    s = np.sort(c)
-    if s[0] == s[-1]:
-        return 0.0, 0.0
-    e = -math.frexp(max(-s[0], s[-1]))[1]
-    np.ldexp(c, e, out=c)
-    np.ldexp(s, e, out=s)
+def _stack_dcor(xs: np.ndarray, side: _DistanceResponse) -> np.ndarray:
+    """Distance correlations of the rows of xs, an (m, n) block of at most
+    side.width raw scalar variables, with the prepared response side, by
+    dcor_score's arithmetic done row-wise in the same order: a row's score
+    is bitwise the same at any position in any block, alone included.  A
+    constant row scores 0."""
+    m, n = xs.shape
+    c = _centered_rows(xs)
+    s = np.sort(c, axis=1)
     # Row sums in sorted order, a_k = (2k - n + 2) s_k + sum(s) - 2 cumsum(s)_k.
-    cum = s.cumsum()
+    cum = s.cumsum(axis=1)
     rows = side.weights * s
-    rows += cum[-1]
+    rows += cum[:, -1:]
     cum *= 2.0
     rows -= cum
     # <max(c_i, c_j), dy> over the upper-triangle row blocks of side.
-    cross = 0.0
-    for a, b, block, top in side.blocks:
-        np.maximum(c[a:b, None], c[a:], out=top)
-        cross += float(np.vdot(top, block))
-    n2 = float(n * n)
-    dcov2 = (2.0 * cross - 2.0 * float(np.dot(c, side.rows))) / n2
-    return dcov2, _distance_variance(c, rows, n)
+    cross = np.zeros(m)
+    for a, b, block in side.blocks:
+        top = side.buf[:m * block.size].reshape(m, b - a, n - a)
+        np.maximum(c[:, a:b, None], c[:, None, a:], out=top)
+        cross += _row_dots(top.reshape(m, -1), block.reshape(-1))
+    dcov2 = (2.0 * cross - 2.0 * _row_dots(c, side.rows)) / float(n * n)
+    dvar = _distance_variance(c, rows, n)
+    dvar[s[:, 0] == s[:, -1]] = 0.0
+    return _dcor(dcov2, dvar, side.dvar)
 
 
 def _vector_dcov(pts: np.ndarray, dy: np.ndarray) -> tuple:
-    """(dCov^2, dVar^2) of vector samples, centered and scaled by a power
-    of two, against dy."""
+    """(dCov^2, dVar^2), each an array of one, of vector samples, centered
+    and scaled by a power of two, against dy."""
     n = pts.shape[0]
     centered = pts - pts.mean(axis=0)
     top = float(np.max(np.abs(centered)))
     if top == 0.0:
-        return 0.0, 0.0
+        return np.zeros(1), np.zeros(1)
     centered = np.ldexp(centered, -math.frexp(top)[1])
     _check_memory("a distance matrix", n, 8 * n * n)
     dist = _pairwise_sq_dists(centered)
     np.sqrt(dist, out=dist)  # one n x n array, not two
-    return float(np.vdot(dist, dy)) / float(n * n), _distance_variance(
-        centered, dist.sum(axis=1), n)
+    return np.array([float(np.vdot(dist, dy)) / float(n * n)]), _distance_variance(
+        centered.reshape(1, -1), dist.sum(axis=1)[None], n)
 
 
-def _distance_variance(centered: np.ndarray, rows: np.ndarray, n: int) -> float:
-    """dVar^2 from the centered samples and the row sums of their distances."""
+def _distance_variance(centered: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """dVar^2 of each row of centered samples (their coordinates in a row)
+    from the same row of the row sums of their distances."""
     n2 = float(n * n)
     return (
-        2.0 * n * float(np.vdot(centered, centered)) / n2
-        - 2.0 * float(np.dot(rows, rows)) / (n2 * n)
-        + float(np.add.reduce(rows)) ** 2 / (n2 * n2)
+        2.0 * n * _row_dots(centered, centered) / n2
+        - 2.0 * _row_dots(rows, rows) / (n2 * n)
+        # float_power is C pow, as a Python float's ** was; ** squares.
+        + np.float_power(np.add.reduce(rows, axis=1), 2) / (n2 * n2)
     )
+
+
+def _dcor(dcov2: np.ndarray, dvar: np.ndarray, dvar_y: float) -> np.ndarray:
+    """Distance correlations from dCov^2 and dVar^2 of each variable and the
+    response's dVar^2, clamped to [0, 1]; 0 where a dVar^2 is 0."""
+    scores = np.zeros(dcov2.shape[0])
+    live = (dvar > 0.0) & (dvar_y > 0.0)
+    r2 = dcov2[live] / np.sqrt(dvar[live] * dvar_y)
+    scores[live] = np.minimum(np.sqrt(np.maximum(r2, 0.0)), 1.0)
+    return scores
 
 
 def pearson_score(x_samples, y_samples) -> float:
@@ -312,7 +331,9 @@ def pearson_score(x_samples, y_samples) -> float:
     Each side is scaled by the power of two that brings its largest |value|
     into [1/2, 1), centered, and scaled so again, as in dcor_score, so a
     score is bitwise the same at any scale that keeps the centered samples
-    normal floats, up to the largest float.
+    normal floats, up to the largest float.  x is _stack_pearson's block of
+    one, so a sis screen's score is bitwise pearson_score of its column
+    alone.
     Returns 0 when either variable is constant.  A multivariate response is
     rejected: Pearson ranking has no single-number extension to vector
     responses.
@@ -323,21 +344,45 @@ def pearson_score(x_samples, y_samples) -> float:
         raise UnsupportedMethodError(
             "pearson correlation requires univariate samples on both sides"
         )
-    x = xs[:, 0]
-    y = ys[:, 0]
-    n = x.shape[0]
-    if y.shape[0] != n:
-        raise ArgumentError(f"sample counts differ: {n} vs {y.shape[0]}")
+    n = xs.shape[0]
+    if ys.shape[0] != n:
+        raise ArgumentError(f"sample counts differ: {n} vs {ys.shape[0]}")
     if n < 2:
         raise ArgumentError(f"pearson correlation needs n >= 2, got {n}")
-    limits = [(float(v.min()), float(v.max())) for v in (x, y)]
-    if any(lo == hi for lo, hi in limits):  # exactly 0, though the mean rounds
+    if ys.min() == ys.max():  # exactly 0, though the mean rounds
         return 0.0
-    # Scaled before the mean, whose sum then cannot overflow, and again once
-    # centered: both exact, the second puts each sum of squares in [1/4, n].
-    cx, cy = (np.ldexp(v, -math.frexp(max(-lo, hi))[1]) for v, (lo, hi) in zip((x, y), limits))
-    for c in (cx, cy):
-        c -= c.mean()
-        np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1], out=c)
-    value = abs(float(np.dot(cx, cy) / np.sqrt(np.dot(cx, cx) * np.dot(cy, cy))))
-    return min(value, 1.0)
+    return float(_stack_pearson(xs.T, ys[:, 0])[0])
+
+
+def _stack_pearson(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Absolute Pearson correlations of the rows of xs, an (m, n) block of
+    raw scalar variables, with the raw samples y of a non-constant
+    response, clamped to [0, 1].  Each row's arithmetic is its own, so its
+    score is bitwise the same at any position in any block, alone included.
+    A constant row scores 0."""
+    cx, cy = _centered_rows(xs), _centered_rows(y[None])[0]
+    xy, xx = _row_dots(cx, cy), _row_dots(cx, cx)
+    scores = np.zeros(xs.shape[0])
+    live = xs.min(axis=1) < xs.max(axis=1)
+    scores[live] = np.minimum(np.abs(xy[live] / np.sqrt(xx[live] * np.dot(cy, cy))), 1.0)
+    return scores
+
+
+def _centered_rows(xs: np.ndarray) -> np.ndarray:
+    """Each row of xs scaled by the power of two that brings its largest
+    |value| into [1/2, 1), centered, and scaled so again, in a new
+    C-contiguous array.  Both scalings are exact: the mean's sum cannot
+    overflow, and each sum of squares of a non-constant row lies in
+    [1/4, n]."""
+    c = np.ldexp(xs, -np.frexp(np.abs(xs).max(axis=1))[1][:, None], order="C")
+    c -= np.add.reduce(c, axis=1, keepdims=True) / xs.shape[1]
+    np.ldexp(c, -np.frexp(np.abs(c).max(axis=1))[1][:, None], out=c)
+    return c
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each row of a with b, or with the same row of b:
+    bitwise np.dot of the two rows alone, at any position in any block.
+    numpy's matmul hands each (1, k) @ (k, 1) product to the same BLAS dot
+    as np.dot; a @ b and einsum do not sum in that order."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]

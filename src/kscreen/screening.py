@@ -39,12 +39,16 @@ replication does) shares one kernel preparation: (a) and (b) run once, and
 each stack is centered once and scored by both methods.
 
 Distance correlation skips (a) and (c): (b) builds only the response's
-double-centered distance matrix, prepared once with its row sums and its
-upper triangle cut into row blocks of at most 64 rows, and (d) scores
-each raw column against it by measures.dcor_score, one call per column:
-one sort, then one max pass and one inner product per block, about n^2 / 2
-entries in all.
-SIS scores the raw columns.
+double-centered distance matrix, prepared once with its row sums, its
+upper triangle cut into row blocks of at most 64 rows and the scratch of
+their max pass, and (d) scores the raw columns against it a block at a
+time by measures._stack_dcor, as many per call as fit that scratch and
+the largest row block in kernels._BUILD_BYTES (19 at n = 200, 1 from
+n = 1366): per column one sort, then per row block one max pass and one
+inner product, about n^2 / 2 entries in all.  SIS scores the raw columns
+by measures._stack_pearson, kernels._build_width(n, 1) of them per call
+(1310 at n = 200).  Each score is bitwise dcor_score or pearson_score of
+its column alone.
 
 Feature indices in results are 1-based, matching how selected sets are
 reported in tables.
@@ -66,17 +70,17 @@ from .errors import (
     DegenerateDataWarning,
     UnsupportedMethodError,
 )
-# bandwidth, center_and_decompose, hsic_score, kcca_singular_value and
-# select_epsilon are not called here; they stay names of this module
-# because bench/tracing.py rebinds them.
+# bandwidth, center_and_decompose, dcor_score, hsic_score,
+# kcca_singular_value, pearson_score and select_epsilon are not called here;
+# they stay names of this module because bench/tracing.py rebinds them.
 from .kernels import (  # noqa: F401
     Bandwidth, DataMatrix, _as_array, _as_sequence, _build_width, _check_positive_epsilon,
     _check_type, _distance_sum, _gammas_from_sums, _scalar_distance_sums, bandwidth, center,
     center_and_decompose, centered_distances, gram, gram_block,
 )
 from .measures import (  # noqa: F401
-    Method, _DistanceResponse, _kcca_response, _stack_hsic, _stack_kcca, dcor_score,
-    hsic_score, kcca_singular_value, pearson_score,
+    Method, _DistanceResponse, _kcca_response, _stack_dcor, _stack_hsic,
+    _stack_kcca, _stack_pearson, dcor_score, hsic_score, kcca_singular_value, pearson_score,
 )
 from .tuning import _gcv_terms, _grid_search, select_epsilon  # noqa: F401
 
@@ -252,8 +256,8 @@ def screen(
     Every argument is checked before any work; an x, y or rule of the
     wrong type raises ArgumentError naming it.
 
-    Unlike run_suite, screen does not pin the BLAS thread count, and kcca
-    and hsic scores can differ in the last bits across BLAS thread counts;
+    Unlike run_suite, screen does not pin the BLAS thread count, and kcca,
+    hsic and dc scores can differ in the last bits across BLAS thread counts;
     the README's BLAS paragraph has the measured differences.
     """
     (result,) = _screen_methods(x, y, (method,), rule, epsilon, seed).values()
@@ -288,16 +292,18 @@ def _screen_methods(x, y, methods, rule, epsilon, seed) -> dict:
     scores = {method: np.empty(p) for method in methods}
 
     if Method.SIS in scores:
-        for r in range(p):
-            scores[Method.SIS][r] = pearson_score(xv[:, r], yv[:, 0])
+        # As many raw columns per call as fit n doubles each in the build
+        # budget.
+        width = _build_width(n, 1)
+        for a in range(0, p, width):
+            scores[Method.SIS][a:a + width] = _stack_pearson(xv[:, a:a + width].T, yv[:, 0])
 
     if Method.DC in scores:
-        # The response side, its upper-triangle row blocks and their
-        # scratch, prepared once.  Each column still goes through
-        # dcor_score, the layer that bench/tracing.py counts and times.
+        # The response side, its upper-triangle row blocks and the scratch
+        # of their max pass, prepared once for dy.width raw columns a call.
         dy = _DistanceResponse(centered_distances(yv))
-        for r in range(p):
-            scores[Method.DC][r] = dcor_score(xv[:, r], dy=dy)
+        for a in range(0, p, dy.width):
+            scores[Method.DC][a:a + dy.width] = _stack_dcor(xv[:, a:a + dy.width].T, dy)
         del dy  # about 1.5 n^2 doubles, not needed by the kernel methods
 
     kcca, hsic = Method.KCCA in scores, Method.HSIC in scores

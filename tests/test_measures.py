@@ -15,7 +15,7 @@ from kscreen import kernels, measures
 from kscreen.errors import ArgumentError, DataError, NumericError, UnsupportedMethodError
 from kscreen.kernels import _rank_stacks
 from kscreen.measures import (
-    _DistanceResponse, _kcca_response, _scalar_dcov, _stack_hsic, _stack_kcca,
+    _DistanceResponse, _kcca_response, _stack_dcor, _stack_hsic, _stack_kcca,
     _top_singular_values,
 )
 from tests.helpers import (
@@ -410,53 +410,57 @@ class TestDcorScore:
         with pytest.raises(ArgumentError):
             ks.dcor_score(np.ones(11), dy=side)
 
-    @staticmethod
-    def dense_max_pass(x, side):
-        # _scalar_dcov's dCov^2 with the cross term as one max pass over
-        # the whole n x n dy, the form the row blocks replace.
-        n = x.shape[0]
-        c = x - x.mean()
-        s = np.sort(c)
-        c = np.ldexp(c, -math.frexp(max(-s[0], s[-1]))[1])
-        cross = float(np.vdot(np.maximum(c[:, None], c), side.dy))
-        return (2.0 * cross - 2.0 * float(np.dot(c, side.rows))) / float(n * n)
-
     @pytest.mark.parametrize("n", [4, 40, 64])
-    def test_one_row_block_is_bitwise_the_dense_max_pass(self, n):
+    def test_one_row_block_is_a_copy_of_dy(self, n):
+        # The max pass is then the single n x n pass over dy.
         rng = np.random.default_rng(n)
-        y = rng.standard_normal((n, 2))
-        side = _DistanceResponse(ks.centered_distances(y))
+        side = _DistanceResponse(ks.centered_distances(rng.standard_normal((n, 2))))
         assert len(side.blocks) == 1 and side.blocks[0][2].tobytes() == side.dy.tobytes()
-        for x in (rng.standard_normal(n), np.round(rng.standard_normal(n)), y[:, 0] ** 2):
-            assert _scalar_dcov(x, side)[0] == self.dense_max_pass(x, side)
 
     @pytest.mark.parametrize("n", [65, 130, 200])
-    def test_row_blocks_cover_the_upper_triangle_and_match_the_dense_max_pass(self, n):
+    def test_row_blocks_cover_the_upper_triangle_and_match_one_block(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         y = rng.standard_normal((n, 1))
         side = _DistanceResponse(ks.centered_distances(y))
         k = math.ceil(n / kernels._DIST_ROWS)
-        assert [(a, b) for a, b, _, _ in side.blocks] == [
+        assert [(a, b) for a, b, _ in side.blocks] == [
             (i * n // k, (i + 1) * n // k) for i in range(k)]
-        for a, b, block, _ in side.blocks:
+        for a, b, block in side.blocks:
             assert block.flags.c_contiguous and b - a <= kernels._DIST_ROWS
             assert block[:, :b - a].tobytes() == side.dy[a:b, a:b].tobytes()
             assert block[:, b - a:].tobytes() == (2.0 * side.dy[a:b, b:]).tobytes()
-        for x in (rng.standard_normal(n), np.round(rng.standard_normal(n)), y[:, 0] ** 2):
-            got, want = _scalar_dcov(x, side)[0], self.dense_max_pass(x, side)
-            assert got == pytest.approx(want, rel=1e-12)
+        xs = np.stack([rng.standard_normal(n), np.round(rng.standard_normal(n)), y[:, 0] ** 2])
+        got = _stack_dcor(xs, side)
+        monkeypatch.setattr(measures, "_DIST_ROWS", n)
+        one = _DistanceResponse(ks.centered_distances(y))
+        assert len(one.blocks) == 1
+        assert got == pytest.approx(_stack_dcor(xs, one), rel=1e-12)
 
     def test_prepared_response_holds_no_n_by_n_scratch(self):
         # Only dy itself is n x n: the upper-triangle blocks hold about
-        # n^2 / 2 + 32 n entries and the scratch buffer one block.
+        # n^2 / 2 + 32 n entries, and the max pass's scratch, width blocks,
+        # fits in one build budget beside the largest block.
         n = 300
         side = _DistanceResponse(ks.centered_distances(np.arange(float(n))))
-        assert side.buf.size == max(block.size for _, _, block, _ in side.blocks)
-        assert side.buf.size <= kernels._DIST_ROWS * n
-        assert sum(block.size for _, _, block, _ in side.blocks) <= n * n // 2 + 32 * n
-        for _, _, block, top in side.blocks:
-            assert top.shape == block.shape and np.shares_memory(top, side.buf)
+        largest = max(block.size for _, _, block in side.blocks)
+        assert side.width == kernels._build_width(n, kernels._DIST_ROWS) - 1 > 1
+        assert side.buf.size == side.width * largest
+        assert 8 * (side.width + 1) * largest <= kernels._BUILD_BYTES
+        assert sum(block.size for _, _, block in side.blocks) <= n * n // 2 + 32 * n
+        for _, _, block in side.blocks:
             assert not np.shares_memory(block, side.dy)
+            assert not np.shares_memory(block, side.buf)
+
+    def test_a_column_whose_sum_passes_the_largest_float_scores_as_at_a_small_scale(self):
+        # The samples are scaled by their power of two before the mean, so
+        # 200 samples near 2^1019 score bitwise as they do near 2^419 (0.0,
+        # with an overflow in the mean, when the mean was taken first).
+        rng = np.random.default_rng(8)
+        x = 1.0 + rng.random(200)
+        side = _DistanceResponse(ks.centered_distances(x + rng.standard_normal(200)))
+        want = ks.dcor_score(np.ldexp(x, 418), dy=side)
+        assert want > 0.1
+        assert ks.dcor_score(np.ldexp(x, 1018), dy=side) == want
 
     def test_response_side_is_keyword_only(self):
         # An n x n first argument would read as n vector samples, so a

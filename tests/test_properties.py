@@ -1057,6 +1057,44 @@ def test_scalar_dcor_matches_the_brute_form_and_ignores_the_other_columns(
             assert alone[r] == pytest.approx(dcor_brute(x[:, r], y), abs=TOL["dc"])
 
 
+@SETTINGS
+@given(
+    n=st.integers(4, 150),
+    p=st.integers(1, 12),
+    levels=st.sampled_from([0, 1, 3, 1000]),
+    blocks=st.integers(1, 3),
+    width=st.integers(1, 12),
+    draw=st.data(),
+)
+def test_dc_and_sis_screens_score_each_column_bitwise_as_alone(n, p, levels, blocks, width, draw):
+    # Few levels give ties, and 0 levels a constant column.  Each column is
+    # scaled by its own power of two, from subnormal to where n max |x|
+    # passes the largest float.  kernels._BUILD_BYTES forces the columns per
+    # block scorer call to `width`: n doubles each for sis, and for dc a max
+    # pass scratch block each, beside the largest of one to three response
+    # row blocks (one when n <= 64 at the default row height).
+    grid = draw.draw(hnp.arrays(np.int64, (n, p), elements=st.integers(-levels, levels)))
+    exps = draw.draw(hnp.arrays(np.int64, p, elements=st.integers(-1070, 1018)))
+    x = np.ldexp(grid / 100.0, exps)
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    y = np.sin(grid[:, :1] / 100.0) + rng.standard_normal((n, 1))
+    dy = ks.centered_distances(y)
+    rows = -(-n // blocks) if blocks > 1 else measures._DIST_ROWS
+    budgets = {  # (_BUILD_BYTES, the width the screen then takes)
+        "dc": ((width + 1) * 8 * min(n, rows) * n, lambda: measures._DistanceResponse(dy).width),
+        "sis": (width * 8 * n, lambda: screening._build_width(n, 1)),
+    }
+    with row_blocks(n, blocks) if blocks > 1 else contextlib.nullcontext():
+        alone = {"dc": [ks.dcor_score(x[:, r], dy=dy) for r in range(p)],
+                 "sis": [ks.pearson_score(x[:, r], y[:, 0]) for r in range(p)]}
+        for method, (budget, taken) in budgets.items():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("kscreen.kernels._BUILD_BYTES", budget)
+                assert taken() == width
+                got = ks.screen(ks.DataMatrix(x), ks.DataMatrix(y), method=method).scores
+            assert got.tobytes() == np.array(alone[method]).tobytes(), method
+
+
 def _texts(*accepted):
     return lambda v: isinstance(v, str) and v in accepted
 
@@ -1172,7 +1210,8 @@ def test_a_malformed_scalar_argument_is_a_kscreen_error_before_any_work(
     kind, accepted, call = SCALAR_ARGUMENTS[name]
     value = draw.draw(_malformed(kind, accepted), label="value")
     with pytest.MonkeyPatch.context() as mp:
-        for target in ("gram", "centered_distances", "pearson_score", "_scalar_distance_sums"):
+        for target in ("gram", "centered_distances", "_stack_dcor", "_stack_pearson",
+                       "_scalar_distance_sums"):
             mp.setattr(screening, target, _no_work)
         mp.setattr(ks.simulation, "ProcessPoolExecutor", _no_work)
         with pytest.raises(ks.KScreenError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kscreen as ks
-from kscreen import screening
+from kscreen import measures, screening
 from kscreen.errors import (
     ArgumentError,
     DataError,
@@ -180,21 +180,23 @@ class TestScreen:
             for r in range(x.p):
                 assert dc.scores[r] == ks.dcor_score(x.values[:, r], dy=dy)
 
-    def test_dc_screen_scores_each_column_by_one_dcor_score_call(self, monkeypatch):
-        # The benchmark's tracer counts and times dc at dcor_score, so a dc
-        # screen makes exactly one call per column, all with one prepared
-        # response.
+    def test_one_prepared_response_serves_a_whole_dc_screen(self, monkeypatch):
+        # A dc screen prepares the response side once and scores the
+        # columns a block of at most its width per call, in order, and each
+        # score is bitwise dcor_score of its column alone.
         x, y = make_data(seed=4, n=70, p=9)
+        monkeypatch.setattr("kscreen.kernels._BUILD_BYTES", 5 * 8 * 64 * 70)
         calls = []
 
-        def counted(samples, *, dy):
-            calls.append(dy)
-            return ks.dcor_score(samples, dy=dy)
+        def counted(xs, side):
+            calls.append((xs.shape[0], side))
+            return measures._stack_dcor(xs, side)
 
-        monkeypatch.setattr(screening, "dcor_score", counted)
+        monkeypatch.setattr(screening, "_stack_dcor", counted)
         res = ks.screen(x, y, method="dc")
-        assert len(calls) == x.p
-        assert all(dy is calls[0] for dy in calls)
+        side = calls[0][1]
+        assert side.width == 4 and [m for m, _ in calls] == [4, 4, 1]
+        assert all(s is side for _, s in calls)
         dy = ks.centered_distances(y.values)
         assert res.scores.tolist() == [ks.dcor_score(x.values[:, r], dy=dy) for r in range(x.p)]
 
@@ -386,7 +388,7 @@ class TestScreen:
         def boom(*args, **kw):
             raise AssertionError("screen did work before checking its arguments")
 
-        for name in ("_distance_sum", "centered_distances", "pearson_score"):
+        for name in ("_distance_sum", "centered_distances", "_stack_dcor", "_stack_pearson"):
             monkeypatch.setattr(screening, name, boom)
         with pytest.raises(ArgumentError):
             ks.screen(x, y, method=method, **kwargs)
